@@ -328,6 +328,8 @@ def nonexistence_certificate(model, grid: TimeGrid, r: float,
     On a martingale grid the construction refuses: the equation is well-posed
     there (time-changed Brownian representation), so no certificate exists.
     """
+    if K_max < 1:
+        raise ParameterError("K_max must be >= 1")
     ctx = build_gram(model, grid)
     geo = operator_norm(ctx, r)
     if geo.opnorm <= 1.0 + tol:

@@ -238,19 +238,33 @@ def exp_gram(cfg, out, seed, threads):
 
 
 def _sweep_rows(cfg, seed, threads, points):
-    def work(item):
-        idx, (H, n, r) = item
-        grid = TimeGrid.uniform(n, cfg.get_float("T", 1.0))
-        model = BrownianMotion() if H == 0.5 else FractionalBrownianMotion(H)
-        ctx = build_gram(model, grid)
+    """(H, N, r, d_r, opnorm) rows, with one Gram factorization per (H, N).
+
+    The groups run one after another so that only one Gram is alive at a
+    time; the r values of a group fan out on the executor.
+    """
+    groups = {}
+    for H, n, r in points:
+        groups.setdefault((H, n), []).append(r)
+    rows = []
+    with ThreadPoolExecutor(max_workers=max(1, threads)) as ex:
+        for (H, n), rs in groups.items():
+            rows += _group_rows(ex, cfg, H, n, rs)
+    rows.sort(key=lambda t: (t[0], t[1], t[2]))
+    return rows
+
+
+def _group_rows(ex, cfg, H, n, rs):
+    grid = TimeGrid.uniform(n, cfg.get_float("T", 1.0))
+    model = BrownianMotion() if H == 0.5 else FractionalBrownianMotion(H)
+    ctx = build_gram(model, grid)
+
+    def work(r):
         geo_n = operator_norm(ctx, r)
         geo_d = max_correlation(ctx, r)
         return (H, n, r, geo_d.d_r, geo_n.opnorm)
 
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as ex:
-        rows = list(ex.map(work, enumerate(points)))
-    rows.sort(key=lambda t: (t[0], t[1], t[2]))
-    return rows
+    return list(ex.map(work, rs))
 
 
 def exp_opnorm_sweep(cfg, out, seed, threads):

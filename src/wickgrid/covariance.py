@@ -14,6 +14,8 @@ the grid nodes exactly.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 from .errors import (
@@ -66,13 +68,23 @@ class TimeGrid:
         )
         return TimeGrid(fine)
 
-    def index_of(self, t: float) -> int:
-        """Node index m with t_m = t, up to a tight absolute/relative tolerance."""
-        d = np.abs(self.points - t)
-        m = int(np.argmin(d))
-        if d[m] > _ALIGN_TOL * max(1.0, abs(t)):
-            raise GridAlignmentError(f"time {t!r} is not a grid node")
-        return m
+    def index_of(self, t):
+        """Node index m with t_m = t, up to a tight absolute/relative tolerance.
+
+        Broadcasts over an array of times; a scalar time gives an int.
+        """
+        pts = self.points
+        ta = np.asarray(t, dtype=float)
+        # upper neighbour in 1..N, then step down when the lower one is at
+        # least as near
+        m = np.searchsorted(pts[1:-1], ta) + 1
+        m = m - (ta - pts[m - 1] <= pts[m] - ta)
+        ok = np.abs(pts[m] - ta) <= _ALIGN_TOL * np.maximum(1.0, np.abs(ta))
+        ok &= np.isfinite(ta)
+        if not np.all(ok):
+            bad = t if ta.ndim == 0 else float(ta[~ok].flat[0])
+            raise GridAlignmentError(f"time {bad!r} is not a grid node")
+        return int(m) if ta.ndim == 0 else m
 
     def indicator(self, t: float) -> np.ndarray:
         """Increment-basis coefficients of 1_(0, t]."""
@@ -94,13 +106,33 @@ class TimeGrid:
 
 # ---------------------------------------------------------------------------
 # models
+#
+# Every model's cov(s, t) broadcasts over numpy arrays and returns a Python
+# float for scalar arguments.
 # ---------------------------------------------------------------------------
+
+def _float_if_scalar(x):
+    return x if isinstance(x, np.ndarray) and x.ndim else float(x)
+
+
+def _pow(x, p: float):
+    """x ** p with the scalar float power, also for arrays.
+
+    numpy's vectorized power may differ from libm pow in the last bit, so the
+    scalar power is applied once per distinct value and gathered back; Grams
+    stay bit-identical to the scalar formula at O(#distinct) pow calls.
+    """
+    if not isinstance(x, np.ndarray):
+        return float(x) ** p
+    uniq, inv = np.unique(x, return_inverse=True)
+    return np.array([v ** p for v in uniq.tolist()])[inv].reshape(np.shape(x))
+
 
 class BrownianMotion:
     """Standard Brownian motion, R(s, t) = min(s, t)."""
 
-    def cov(self, s: float, t: float) -> float:
-        return float(min(s, t))
+    def cov(self, s, t):
+        return _float_if_scalar(np.minimum(s, t))
 
     def __repr__(self) -> str:
         return "BrownianMotion()"
@@ -118,9 +150,10 @@ class FractionalBrownianMotion:
             raise ParameterError(f"Hurst index must lie in (0, 1), got {H}")
         self.H = float(H)
 
-    def cov(self, s: float, t: float) -> float:
+    def cov(self, s, t):
         h2 = 2.0 * self.H
-        return 0.5 * (abs(t) ** h2 + abs(s) ** h2 - abs(t - s) ** h2)
+        return _float_if_scalar(
+            0.5 * (_pow(abs(t), h2) + _pow(abs(s), h2) - _pow(abs(t - s), h2)))
 
     def __repr__(self) -> str:
         return f"FractionalBrownianMotion(H={self.H})"
@@ -157,10 +190,9 @@ class WeightedFbm:
             raise GridAlignmentError("weighted model is tied to its defining grid")
         return self._gram.copy()
 
-    def cov(self, s: float, t: float) -> float:
-        i = self.grid.index_of(s)
-        j = self.grid.index_of(t)
-        return float(self._prefix[i, j])
+    def cov(self, s, t):
+        return _float_if_scalar(
+            self._prefix[self.grid.index_of(s), self.grid.index_of(t)])
 
     def __repr__(self) -> str:
         return f"WeightedFbm(H={self.H}, n={self.grid.n})"
@@ -176,7 +208,7 @@ class SumModel:
         self.model2 = model2
         self.gamma = float(gamma)
 
-    def cov(self, s: float, t: float) -> float:
+    def cov(self, s, t):
         return self.model1.cov(s, t) + self.gamma**2 * self.model2.cov(s, t)
 
     def __repr__(self) -> str:
@@ -190,7 +222,7 @@ def covariance_eval(model, s: float, t: float) -> float:
 
 def _gram_from_cov(model, grid: TimeGrid) -> np.ndarray:
     pts = grid.points
-    R = np.array([[model.cov(si, tj) for tj in pts] for si in pts])
+    R = model.cov(pts[:, None], pts[None, :])
     G = R[1:, 1:] - R[1:, :-1] - R[:-1, 1:] + R[:-1, :-1]
     return 0.5 * (G + G.T)
 
@@ -226,6 +258,9 @@ class GramContext:
         lam_min = float(self.eigvals[0])
         self.cond_estimate = np.inf if lam_min <= 0 else lam_max / lam_min
         self.conditioning_warning = bool(self.cond_estimate > cond_cap)
+        # guards the lazily built matrices below; sweeps share one context
+        # across worker threads
+        self._lock = threading.Lock()
         self._sqrt = None
         self._inv_sqrt = None
         self._inv = None
@@ -268,23 +303,26 @@ class GramContext:
 
     @property
     def sqrt_matrix(self) -> np.ndarray:
-        if self._sqrt is None:
-            self._sqrt = (self.eigvecs * np.sqrt(self.eigvals)) @ self.eigvecs.T
-        return self._sqrt
+        with self._lock:
+            if self._sqrt is None:
+                self._sqrt = (self.eigvecs * np.sqrt(self.eigvals)) @ self.eigvecs.T
+            return self._sqrt
 
     @property
     def inv_sqrt_matrix(self) -> np.ndarray:
-        if self._inv_sqrt is None:
-            lam = self._pd_eigs()
-            self._inv_sqrt = (self.eigvecs / np.sqrt(lam)) @ self.eigvecs.T
-        return self._inv_sqrt
+        with self._lock:
+            if self._inv_sqrt is None:
+                lam = self._pd_eigs()
+                self._inv_sqrt = (self.eigvecs / np.sqrt(lam)) @ self.eigvecs.T
+            return self._inv_sqrt
 
     @property
     def inv_matrix(self) -> np.ndarray:
-        if self._inv is None:
-            lam = self._pd_eigs()
-            self._inv = (self.eigvecs / lam) @ self.eigvecs.T
-        return self._inv
+        with self._lock:
+            if self._inv is None:
+                lam = self._pd_eigs()
+                self._inv = (self.eigvecs / lam) @ self.eigvecs.T
+            return self._inv
 
     def __repr__(self) -> str:
         return (f"GramContext({self.model!r}, n={self.n}, "

@@ -176,8 +176,10 @@ def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
     """2F1(a, b; c; z) on |z| <= 1 by power series.
 
     Near z = 1 with c - a - b > 0 the Euler transformation is applied first;
-    at z = 1 the closed gamma-ratio form is used.  Terminating series
-    (a or b a nonpositive integer) work for any of these paths.
+    at z = 1 the closed gamma-ratio form is used.  On [-1, -1/2) the Pfaff
+    transformation (DLMF 15.8.1) maps z to z / (z - 1) in (1/3, 1/2], where
+    the series converges.  Terminating series (a or b a nonpositive integer)
+    work for any of these paths.
     """
     if _is_nonpositive_int(c):
         raise ParameterError("c must not be a nonpositive integer")
@@ -194,6 +196,8 @@ def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
                                 - gammaln(c - a) - gammaln(c - b)))
     if z == 0.0:
         return 1.0
+    if z < -0.5:
+        return float((1.0 - z) ** (-a) * _series_2f1(a, c - b, c, z / (z - 1.0)))
     if z > 0.9 and s > 0 and not (_is_nonpositive_int(a) or _is_nonpositive_int(b)):
         return float((1.0 - z) ** s * _series_2f1(c - a, c - b, c, z))
     return float(_series_2f1(a, b, c, z))

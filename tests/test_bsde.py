@@ -319,6 +319,19 @@ def test_certificate_geometric_bound(H):
     assert cert.tail_ratio >= cert.rho * (1 - 1e-6)
 
 
+@pytest.mark.parametrize("K_max", [0, -1])
+def test_certificate_rejects_k_max_below_one_before_any_work(K_max, monkeypatch):
+    import wickgrid.bsde as bsde
+
+    def no_gram(*args, **kwargs):
+        raise AssertionError("Gram built before K_max was checked")
+
+    monkeypatch.setattr(bsde, "build_gram", no_gram)
+    with pytest.raises(ParameterError, match="K_max must be"):
+        nonexistence_certificate(FractionalBrownianMotion(0.75),
+                                 TimeGrid.uniform(16), 0.5, K_max=K_max)
+
+
 def test_certificate_with_coefficients(rng):
     grid = TimeGrid.uniform(16)
     n = grid.n

@@ -220,3 +220,34 @@ def test_threads_do_not_change_output(tmp_path):
                      "--out", str(out2), "--threads", "4"])
     assert code == 0
     assert (o1 / "opnorm_sweep.csv").read_bytes() == (out2 / "opnorm_sweep.csv").read_bytes()
+
+
+def test_dr_sweep_factorizes_once(tmp_path, monkeypatch):
+    built = []
+    original = cli.build_gram
+
+    def counting_build_gram(model, grid, *args, **kwargs):
+        built.append((model, grid.n))
+        return original(model, grid, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_gram", counting_build_gram)
+    code, out = run(tmp_path, "dr-sweep", "H = 0.3\nN = 16\n")
+    assert code == 0
+    assert len(read_csv(out / "dr_sweep.csv")) == 15
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("experiment, cfg, csv", [
+    ("dr-sweep", "H = 0.3\nN = 32\n", "dr_sweep.csv"),
+    ("opnorm-sweep", "H_list = 0.2,0.5,0.8\nN = 32\n", "opnorm_sweep.csv"),
+])
+def test_sweeps_byte_identical_across_threads(tmp_path, experiment, cfg, csv):
+    bodies = []
+    for threads in (1, 2):
+        cfgp = tmp_path / f"t{threads}.cfg"
+        cfgp.write_text(cfg)
+        out = tmp_path / f"t{threads}"
+        assert cli.main([experiment, "--config", str(cfgp), "--out", str(out),
+                         "--threads", str(threads)]) == 0
+        bodies.append((out / csv).read_bytes())
+    assert bodies[0] == bodies[1]

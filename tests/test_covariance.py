@@ -1,5 +1,8 @@
 """Covariance models, Gram assembly, and path sampling."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,7 @@ from wickgrid import (
     covariance_eval,
     sample_increments,
 )
+from wickgrid.covariance import _gram_from_cov
 from wickgrid.errors import GridAlignmentError, ModelGridError, ParameterError
 
 
@@ -20,7 +24,7 @@ class IndefiniteModel:
     """Second differences of -min(s, t) are negative definite."""
 
     def cov(self, s, t):
-        return -min(s, t)
+        return -np.minimum(s, t)
 
 
 def test_fbm_half_is_min():
@@ -204,3 +208,71 @@ def test_cameron_martin_pairing():
     for i, t in enumerate(ctx.grid.points):
         want = ctx.inner(ctx.indicator(t), h) if t > 0 else 0.0
         assert cm[i] == pytest.approx(want, abs=1e-12)
+
+
+def _scalar_loop_gram(model, grid):
+    pts = grid.points.tolist()
+    R = np.array([[model.cov(s, t) for t in pts] for s in pts])
+    G = R[1:, 1:] - R[1:, :-1] - R[:-1, 1:] + R[:-1, :-1]
+    return 0.5 * (G + G.T)
+
+
+@pytest.mark.parametrize("model", [
+    BrownianMotion(),
+    *[FractionalBrownianMotion(H) for H in (0.1, 0.25, 0.3, 0.5, 0.75, 0.9)],
+    SumModel(BrownianMotion(), FractionalBrownianMotion(0.7), 1.5),
+], ids=repr)
+def test_vectorized_gram_bit_identical_to_scalar_loop(model):
+    irregular = np.concatenate(
+        [[0.0], np.cumsum(np.random.default_rng(4).uniform(0.01, 0.2, 40))])
+    for grid in (TimeGrid.uniform(256, 1.0), TimeGrid.uniform(256, 1.5),
+                 TimeGrid.uniform(5, 1.5), TimeGrid(irregular)):
+        assert np.array_equal(_gram_from_cov(model, grid),
+                              _scalar_loop_gram(model, grid))
+
+
+def test_scalar_cov_returns_float_and_arrays_broadcast():
+    grid = TimeGrid.uniform(6, 1.5)
+    models = [BrownianMotion(), FractionalBrownianMotion(0.3),
+              SumModel(BrownianMotion(), FractionalBrownianMotion(0.7), 1.5),
+              WeightedFbm(0.75, np.linspace(0.5, 2.0, 6), grid)]
+    pts = grid.points
+    for model in models:
+        assert type(model.cov(0.25, 1.5)) is float
+        assert type(model.cov(np.float64(0.25), np.float64(1.5))) is float
+        R = model.cov(pts[:, None], pts[None, :])
+        assert R.shape == (7, 7)
+        assert np.array_equal(R, [[model.cov(s, t) for t in pts] for s in pts])
+    assert np.array_equal(grid.index_of(pts[::-1]), np.arange(6, -1, -1))
+    for t in (np.nan, np.inf, -np.inf):
+        with pytest.raises(GridAlignmentError):
+            grid.index_of(t)
+    with pytest.raises(GridAlignmentError):
+        models[-1].cov(pts[:, None], np.array([0.0, 0.3]))
+
+
+def test_lazy_factors_built_once_under_thread_contention():
+    # an unguarded check-then-set lets two readers each build and return
+    # their own matrix
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            ctx = build_gram(FractionalBrownianMotion(0.3), TimeGrid.uniform(64))
+            seen = []
+            barrier = threading.Barrier(8)
+
+            def read():
+                barrier.wait(timeout=10)
+                seen.append(ctx.inv_sqrt_matrix)
+
+            threads = [threading.Thread(target=read) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+            assert not any(t.is_alive() for t in threads)
+            assert len(seen) == 8
+            assert all(m is seen[0] for m in seen)
+    finally:
+        sys.setswitchinterval(old)

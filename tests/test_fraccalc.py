@@ -125,6 +125,12 @@ def test_2f1_against_scipy():
             float(hyp2f1(a, b, c, z)), rel=1e-11, abs=1e-11)
 
 
+@pytest.mark.parametrize("z", [-1.0, -0.75, -0.5])
+def test_2f1_pfaff_branch_on_negative_z(z):
+    assert gauss_2f1(0.5, 0.5, 1.5, z) == pytest.approx(
+        float(hyp2f1(0.5, 0.5, 1.5, z)), rel=1e-14)
+
+
 def test_2f1_at_one_gauss_sum():
     a, b, c = 0.3, 0.2, 1.4
     want = gamma_fn(c) * gamma_fn(c - a - b) / (gamma_fn(c - a) * gamma_fn(c - b))
