@@ -57,8 +57,9 @@ class FuncOnGrid:
     def __init__(self, x, values):
         x = np.asarray(x, dtype=float)
         v = np.asarray(values, dtype=float)
-        if x.ndim != 1 or x.size < 2 or np.any(np.diff(x) <= 0):
-            raise ParameterError("mesh must be 1-d and strictly increasing")
+        if (x.ndim != 1 or x.size < 2 or not np.all(np.isfinite(x))
+                or np.any(np.diff(x) <= 0)):
+            raise ParameterError("mesh must be 1-d, finite and strictly increasing")
         if v.shape != x.shape:
             raise ParameterError("values must match the mesh")
         self.x = x
@@ -78,6 +79,8 @@ class FuncOnGrid:
         return np.interp(t, self.x, self.values)
 
     def index_of(self, t: float) -> int:
+        if not math.isfinite(t):
+            raise GridAlignmentError(f"{t!r} is not a mesh node")
         i = int(np.argmin(np.abs(self.x - t)))
         if abs(self.x[i] - t) > 1e-9 * max(1.0, abs(t)):
             raise GridAlignmentError(f"{t!r} is not a mesh node")
@@ -88,8 +91,79 @@ class FuncOnGrid:
 
 
 # ---------------------------------------------------------------------------
+# product-integration cell weights
+# ---------------------------------------------------------------------------
+# One row of a product-integration rule integrates the piecewise-linear
+# payload v_j + slope_j (s - x_j) against a singular kernel over the cells
+# [x_j, x_{j+1}].  The cell integral is v_j c0_j + slope_j c1_j; the weights
+# are differences of kernel primitives at the n + 1 edges of the row, so each
+# edge is evaluated once and every interior edge serves both of its cells.
+
+def _cell_weights(e: np.ndarray, a: float):
+    """Weights (c0, c1) of the power kernel u^(a-1), u = |t - s|, on one row.
+
+    e holds the distances |t - x_j| of the row's edges in mesh order; a must
+    not be 0 or -1.  When t lies right of the cells (e decreasing) the cell
+    integral is v c0 + slope c1; when it lies left of them (e increasing)
+    the same weights give slope c1 - v c0.
+    """
+    p = e**a
+    q = e ** (a + 1.0)
+    c0 = (p[:-1] - p[1:]) / a
+    return c0, e[:-1] * c0 - (q[:-1] - q[1:]) / (a + 1.0)
+
+
+def _beta_cell_weights(e: np.ndarray, L: float, b: float, nu: float):
+    """Weights (c0, c1) of the kernel (s-t)^(b-1) (T-s)^nu right of t.
+
+    e = x_j - t are the row's edges as distances from t and L = T - t; the
+    cell integral is v c0 + slope c1.  The moments are regularized incomplete
+    beta functions at e / L.  Requires b > 0, nu > -1.
+    """
+    tau = e / L
+    b0 = beta_fn(b, nu + 1.0) * betainc(b, nu + 1.0, tau)
+    b1 = beta_fn(b + 1.0, nu + 1.0) * betainc(b + 1.0, nu + 1.0, tau)
+    m0 = L ** (b + nu) * np.diff(b0)
+    m1 = L ** (b + nu + 1.0) * np.diff(b1)          # int (s-t) * kernel
+    return m0, m1 - e[:-1] * m0
+
+
+def _resolvent_rows(x: np.ndarray, v: np.ndarray, r: float, i_r: int, a: float):
+    """Yield (d, S) for every node x_i beyond r, with d = x_i - r and
+    S = int_0^r f(s) (r-s)^(a-1) / (x_i - s) ds, f piecewise linear on
+    x[:i_r + 1] and 0 < a < 1.
+
+    With u = r - s the cell moments of u^(a-1) / (d + u) are incomplete beta
+    functions at u / (d + u); the power moments of u^(a-1) do not depend on
+    the row and are formed once.
+    """
+    e = r - x[: i_r + 1]                  # cell edges in u = r - s
+    pw0, _ = _cell_weights(e, a)
+    slopes = np.diff(v[: i_r + 1]) / np.diff(x[: i_r + 1])
+    bnorm = beta_fn(a, 1.0 - a)
+    for d in x[i_r + 1:] - r:
+        b = betainc(a, 1.0 - a, e / (d + e))
+        m0 = d ** (a - 1.0) * (bnorm * (b[:-1] - b[1:]))
+        # s - x_j = e_j - u
+        yield d, (v[:i_r] * m0 + slopes * (e[:-1] * m0 - (pw0 - d * m0))).sum()
+
+
+# ---------------------------------------------------------------------------
 # Riemann-Liouville integrals (product integration, exact on pwl payloads)
 # ---------------------------------------------------------------------------
+
+def _rl_cells(x: np.ndarray, v: np.ndarray, alpha: float, side: str):
+    """Yield (i, cells) whose sum is Gamma(alpha) (I^alpha f)(x_i), per node."""
+    slopes = np.diff(v) / np.diff(x)
+    if side == "left":
+        for i in range(1, x.size):
+            c0, c1 = _cell_weights(x[i] - x[:i + 1], alpha)
+            yield i, v[:i] * c0 + slopes[:i] * c1
+    else:
+        for i in range(x.size - 1):
+            c0, c1 = _cell_weights(x[i:] - x[i], alpha)
+            yield i, slopes[i:] * c1 - v[i:-1] * c0
+
 
 def rl_integral(f: FuncOnGrid, alpha: float, side: str = "left") -> FuncOnGrid:
     """Fractional integral of order alpha > 0 of a piecewise-linear function.
@@ -97,58 +171,14 @@ def rl_integral(f: FuncOnGrid, alpha: float, side: str = "left") -> FuncOnGrid:
     Kernel moments int (t-s)^(alpha-1) {1, s} ds are integrated analytically
     per cell, so the result is exact for piecewise-linear f up to roundoff.
     """
-    if alpha <= 0:
-        raise ParameterError("alpha must be positive")
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ParameterError("alpha must be positive and finite")
     if side not in ("left", "right"):
         raise ParameterError("side must be 'left' or 'right'")
-    x = f.x
-    v = f.values
-    m = x.size - 1
-    out = np.zeros(m + 1)
-    inv_gamma = 1.0 / gamma_fn(alpha)
-    slopes = np.diff(v) / np.diff(x)
-    if side == "left":
-        for i in range(1, m + 1):
-            t = x[i]
-            u2 = t - x[:i]
-            u1 = t - x[1:i + 1]
-            m0 = (u2**alpha - u1**alpha) / alpha
-            m1 = (u2 ** (alpha + 1) - u1 ** (alpha + 1)) / (alpha + 1)
-            cells = v[:i] * m0 + slopes[:i] * (u2 * m0 - m1)
-            out[i] = inv_gamma * cells.sum()
-    else:
-        for i in range(m):
-            t = x[i]
-            u1 = x[i:-1] - t
-            u2 = x[i + 1:] - t
-            m0 = (u2**alpha - u1**alpha) / alpha
-            m1 = (u2 ** (alpha + 1) - u1 ** (alpha + 1)) / (alpha + 1)
-            cells = v[i:-1] * m0 + slopes[i:] * (m1 - u1 * m0)
-            out[i] = inv_gamma * cells.sum()
-    return FuncOnGrid(x, out)
-
-
-def _right_singular_integral(x: np.ndarray, q: np.ndarray, t: float,
-                             i_t: int, beta: float, nu: float) -> float:
-    """int_t^T q(s) (s-t)^(beta-1) (T-s)^nu ds with piecewise-linear q.
-
-    Both endpoint singularities live in the kernel; cell moments come from
-    regularized incomplete beta functions.  Requires beta > 0, nu > -1.
-    """
-    T = x[-1]
-    L = T - t
-    if L <= 0:
-        return 0.0
-    tau = (x[i_t:] - t) / L
-    b0 = beta_fn(beta, nu + 1.0) * betainc(beta, nu + 1.0, tau)
-    b1 = beta_fn(beta + 1.0, nu + 1.0) * betainc(beta + 1.0, nu + 1.0, tau)
-    m0 = L ** (beta + nu) * np.diff(b0)
-    m1 = L ** (beta + nu + 1.0) * np.diff(b1)         # int (s-t) * kernel
-    qs = q[i_t:]
-    slopes = np.diff(qs) / np.diff(x[i_t:])
-    off = x[i_t:-1] - t
-    cells = qs[:-1] * m0 + slopes * (m1 - off * m0)
-    return float(cells.sum())
+    sums = np.zeros(f.x.size)
+    for i, cells in _rl_cells(f.x, f.values, alpha, side):
+        sums[i] = cells.sum()
+    return FuncOnGrid(f.x, 1.0 / gamma_fn(alpha) * sums)
 
 
 # ---------------------------------------------------------------------------
@@ -270,10 +300,14 @@ def appendix_reconstruction_check(H: float, T: float = 1.0, m: int = 2000,
     nu = H - 0.5
     lo, hi = window[0] * T, window[1] * T
     idx = [i for i in range(x.size) if lo <= x[i] <= hi]
-    recon = np.empty(len(idx))
+    slopes = np.diff(u) / np.diff(x)
+    recon = np.zeros(len(idx))
     for k, i in enumerate(idx):
+        if i == m:
+            continue                      # t = T: the integral is empty
         t = x[i]
-        val = _right_singular_integral(x, u, t, i, beta, nu)
+        c0, c1 = _beta_cell_weights(x[i:] - t, x[-1] - t, beta, nu)
+        val = float((u[i:-1] * c0 + slopes[i:] * c1).sum())
         recon[k] = t ** (0.5 - H) * val / gamma_fn(beta)
     t_eval = x[idx]
     target = t_eval ** (2.0 * H)
@@ -290,16 +324,9 @@ def appendix_reconstruction_check(H: float, T: float = 1.0, m: int = 2000,
 
 def _l2_sq_with_right_singularity(x: np.ndarray, w: np.ndarray, nu: float) -> float:
     """int w(s)^2 (T-s)^nu ds with pwl w^2 and exact (T-s)^nu moments."""
-    T = x[-1]
     w2 = w * w
-    r2 = T - x[:-1]
-    r1 = T - x[1:]
-    m0 = (r2 ** (nu + 1.0) - r1 ** (nu + 1.0)) / (nu + 1.0)
-    m1 = (r2 ** (nu + 2.0) - r1 ** (nu + 2.0)) / (nu + 2.0)   # int (T-s)^(nu+1)
-    slopes = np.diff(w2) / np.diff(x)
-    # s - x_j = (T - x_j) - (T - s)
-    cells = w2[:-1] * m0 + slopes * (r2 * m0 - m1)
-    return float(cells.sum())
+    c0, c1 = _cell_weights(x[-1] - x, nu + 1.0)
+    return float((w2[:-1] * c0 + np.diff(w2) / np.diff(x) * c1).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -326,22 +353,11 @@ def cm_truncate_fbm(phi: FuncOnGrid, r: float, H: float):
     if i_r == x.size - 1:
         # truncation at the horizon is the identity
         return FuncOnGrid(x, phi.values.copy()), 0.0
-    v = phi.values
-    out = v.copy()
+    out = phi.values.copy()
     pref = 1.0 / (gamma_fn(alpha) * gamma_fn(1.0 - alpha))
-    slopes = np.diff(v[: i_r + 1]) / np.diff(x[: i_r + 1])
-    u2 = r - x[:i_r]                      # left cell edges in u = r - s
-    u1 = r - x[1:i_r + 1]
-    for i in range(i_r + 1, x.size):
-        d = x[i] - r
-        tau2 = u2 / (d + u2)
-        tau1 = u1 / (d + u1)
-        bdiff = beta_fn(alpha, 1.0 - alpha) * (
-            betainc(alpha, 1.0 - alpha, tau2) - betainc(alpha, 1.0 - alpha, tau1))
-        m0 = d ** (alpha - 1.0) * bdiff
-        m1u = (u2**alpha - u1**alpha) / alpha - d * m0
-        cells = v[:i_r] * m0 + slopes * (u2 * m0 - m1u)
-        out[i] = pref * d ** (1.0 - alpha) * cells.sum()
+    rows = _resolvent_rows(x, phi.values, r, i_r, alpha)
+    for i, (d, integral) in enumerate(rows, i_r + 1):
+        out[i] = pref * d ** (1.0 - alpha) * integral
     phi_r = FuncOnGrid(x, out)
     y = rl_integral(phi, alpha, "left")
     y_r = np.where(x <= r, y.values, y.values[i_r])
@@ -369,20 +385,20 @@ def cm_truncate_fbm_high(psi: FuncOnGrid, r: float, H: float):
         raise ParameterError("r must not be 0")
     if i_r == x.size - 1:
         return FuncOnGrid(x, psi.values.copy()), 0.0
-    g = rl_integral(psi, beta, "left")
-    gv = g.values
+    # I^beta psi row by row; the rows beyond r also give their head over [0, r]
+    sums = np.zeros(x.size)
+    heads = np.zeros(x.size)
+    for i, cells in _rl_cells(x, psi.values, beta, "left"):
+        sums[i] = cells.sum()
+        heads[i] = cells[:i_r].sum()
+    inv_gb = 1.0 / gamma_fn(beta)
+    gv = inv_gb * sums
     out = psi.values.copy()
     slopes = np.diff(gv[: i_r + 1]) / np.diff(x[: i_r + 1])
     pref = -beta / gamma_fn(1.0 - beta)
     for i in range(i_r + 1, x.size):
-        s = x[i]
-        u2 = s - x[:i_r]
-        u1 = s - x[1:i_r + 1]
-        m0 = (u1 ** (-beta) - u2 ** (-beta)) / beta
-        m1u = (u2 ** (1.0 - beta) - u1 ** (1.0 - beta)) / (1.0 - beta)
-        # s - x_j = u2 - u
-        cells = gv[:i_r] * m0 + slopes * (u2 * m0 - m1u)
-        out[i] = pref * cells.sum()
+        c0, c1 = _cell_weights(x[i] - x[: i_r + 1], -beta)
+        out[i] = pref * (gv[:i_r] * c0 + slopes * c1).sum()
     psi_r = FuncOnGrid(x, out)
 
     # forward map: on (r, T] exchange the order of integration, which turns
@@ -392,58 +408,15 @@ def cm_truncate_fbm_high(psi: FuncOnGrid, r: float, H: float):
     #   -(t-r)^beta / (Gamma(beta) Gamma(1-beta))
     #       int_0^r g(u) (r-u)^(-beta) (t-u)^(-1) du.
     # Only the smooth g is interpolated; the boundary layer of psi_r never
-    # enters through its sampled values.
+    # enters through its sampled values.  On [0, r] psi_r = psi.
     target = np.where(x <= r, gv, 0.0)
-    forward = np.zeros(x.size)
-    head = FuncOnGrid(x[: i_r + 1], psi.values[: i_r + 1])
-    inv_gb = 1.0 / gamma_fn(beta)
-    ap = 1.0 - beta                       # kernel exponent (r-u)^(ap-1)
+    forward = sums / gamma_fn(beta)
     pref_b = -1.0 / (gamma_fn(beta) * gamma_fn(1.0 - beta))
-    gslopes = np.diff(gv[: i_r + 1]) / np.diff(x[: i_r + 1])
-    w2 = r - x[:i_r]                      # cell edges in w = r - u
-    w1 = r - x[1:i_r + 1]
-    for i in range(1, x.size):
-        t = x[i]
-        if i <= i_r:
-            forward[i] = _left_rl_at(head, beta, t)
-            continue
-        part_a = inv_gb * _left_rl_tail(head, beta, t)
-        d = t - r
-        tau2 = w2 / (d + w2)
-        tau1 = w1 / (d + w1)
-        bdiff = beta_fn(ap, 1.0 - ap) * (
-            betainc(ap, 1.0 - ap, tau2) - betainc(ap, 1.0 - ap, tau1))
-        m0 = d ** (ap - 1.0) * bdiff
-        m1w = (w2**ap - w1**ap) / ap - d * m0
-        cells = gv[:i_r] * m0 + gslopes * (w2 * m0 - m1w)
-        forward[i] = part_a + pref_b * d**beta * cells.sum()
+    rows = _resolvent_rows(x, gv, r, i_r, 1.0 - beta)
+    for i, (d, integral) in enumerate(rows, i_r + 1):
+        forward[i] = inv_gb * heads[i] + pref_b * d**beta * integral
     err = float(np.max(np.abs(forward - target)))
     return psi_r, err
-
-
-def _left_rl_at(f: FuncOnGrid, alpha: float, t: float) -> float:
-    """(I^alpha f)(t) for t a node of f's mesh."""
-    i = f.index_of(t)
-    x, v = f.x, f.values
-    if i == 0:
-        return 0.0
-    u2 = t - x[:i]
-    u1 = t - x[1:i + 1]
-    m0 = (u2**alpha - u1**alpha) / alpha
-    m1 = (u2 ** (alpha + 1) - u1 ** (alpha + 1)) / (alpha + 1)
-    slopes = np.diff(v[: i + 1]) / np.diff(x[: i + 1])
-    return float((v[:i] * m0 + slopes * (u2 * m0 - m1)).sum() / gamma_fn(alpha))
-
-
-def _left_rl_tail(f: FuncOnGrid, alpha: float, t: float) -> float:
-    """int over f's whole mesh of f(s) (t-s)^(alpha-1) ds for t beyond it."""
-    x, v = f.x, f.values
-    u2 = t - x[:-1]
-    u1 = t - x[1:]
-    m0 = (u2**alpha - u1**alpha) / alpha
-    m1 = (u2 ** (alpha + 1) - u1 ** (alpha + 1)) / (alpha + 1)
-    slopes = np.diff(v) / np.diff(x)
-    return float((v[:-1] * m0 + slopes * (u2 * m0 - m1)).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -458,23 +431,17 @@ def _kstar_matrix(x: np.ndarray, H: float, nu: float = 0.0) -> np.ndarray:
     """
     m1 = x.size
     beta = 0.5 - H
+    gb = gamma_fn(beta)
+    h = np.diff(x)
     W = np.zeros((m1, m1))
     for i in range(m1 - 1):
         t = x[i]
         if t <= 0.0:
             continue
-        L = x[-1] - t
-        tau = (x[i:] - t) / L
-        b0 = beta_fn(beta, nu + 1.0) * betainc(beta, nu + 1.0, tau)
-        b1 = beta_fn(beta + 1.0, nu + 1.0) * betainc(beta + 1.0, nu + 1.0, tau)
-        m0 = L ** (beta + nu) * np.diff(b0)
-        mm1 = L ** (beta + nu + 1.0) * np.diff(b1)
-        off = x[i:-1] - t
-        h = np.diff(x[i:])
-        w_right = (mm1 - off * m0) / h
-        w_left = m0 - w_right
-        pref = t**beta / gamma_fn(beta)
-        W[i, i:-1] += pref * w_left
+        c0, c1 = _beta_cell_weights(x[i:] - t, x[-1] - t, beta, nu)
+        w_right = c1 / h[i:]
+        pref = t**beta / gb
+        W[i, i:-1] += pref * (c0 - w_right)
         W[i, i + 1:] += pref * w_right
     # payload is s^{H-1/2} (T-s)^{-nu} g(s): fold the pointwise factors in
     with np.errstate(divide="ignore"):
@@ -492,6 +459,8 @@ def kstar(g: FuncOnGrid, H: float, c_h: float, end_exponent: float = 0.0) -> Fun
     """
     if not 0.0 < H < 0.5:
         raise RegimeError("K* is the low-Hurst transfer operator, H in (0, 1/2)")
+    if not (math.isfinite(end_exponent) and end_exponent > -1.0):
+        raise ParameterError("end_exponent must be finite and > -1")
     W = _kstar_matrix(g.x, H, nu=end_exponent)
     vals = W @ np.where(np.isfinite(g.values), g.values, 0.0)
     vals[-1] = 0.0

@@ -4,7 +4,8 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import gamma as gamma_fn, hyp2f1
+from scipy.special import beta as beta_fn
+from scipy.special import betainc, gamma as gamma_fn, hyp2f1
 
 from wickgrid import (
     FractionalBrownianMotion,
@@ -22,7 +23,8 @@ from wickgrid import (
     rl_integral,
     uniform_mesh,
 )
-from wickgrid.errors import ParameterError, RegimeError
+from wickgrid.errors import GridAlignmentError, ParameterError, RegimeError
+from wickgrid.fraccalc import _appendix_profile, _kstar_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -77,6 +79,37 @@ def test_rl_parameter_guards():
         rl_integral(f, 0.0, "left")
     with pytest.raises(ParameterError):
         rl_integral(f, 0.5, "middle")
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+def test_rl_rejects_nonfinite_alpha(alpha):
+    # unguarded, nan gives an all-NaN integral and inf an all-zero one
+    f = FuncOnGrid.constant(1.0, uniform_mesh(10, 1.0))
+    for side in ("left", "right"):
+        with pytest.raises(ParameterError):
+            rl_integral(f, alpha, side)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_funcongrid_rejects_nonfinite_mesh(bad):
+    for x in ([0.0, 0.5, bad], [bad, 0.0, 0.5], [0.0, 0.5, 1.0, bad]):
+        with pytest.raises(ParameterError):
+            FuncOnGrid(x, np.zeros(len(x)))
+    # values may be non-finite: kstar zeroes them on purpose
+    f = FuncOnGrid([0.0, 0.5, 1.0], [0.0, 1.0, bad])
+    assert not np.isfinite(f.values[-1])
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_index_of_rejects_nonfinite_time(t):
+    phi = FuncOnGrid.constant(1.0, uniform_mesh(10, 1.0))
+    with pytest.raises(GridAlignmentError):
+        phi.index_of(t)
+    # unguarded, r = nan resolves to node 0 and reports "r must not be 0"
+    with pytest.raises(GridAlignmentError):
+        cm_truncate_fbm(phi, t, 0.3)
+    with pytest.raises(GridAlignmentError):
+        cm_truncate_fbm_high(phi, t, 0.75)
 
 
 def test_rl_converges_under_doubling():
@@ -284,3 +317,270 @@ def test_kstar_regime_guard():
     g = FuncOnGrid.constant(1.0, uniform_mesh(50, 1.0))
     with pytest.raises(RegimeError):
         kstar(g, 0.75, 1.0)
+
+
+@pytest.mark.parametrize("nu", [-1.0, -1.5, math.nan, math.inf, -math.inf])
+def test_kstar_rejects_inadmissible_end_exponent(nu):
+    # unguarded, these give an all-NaN function; the documented range is nu > -1
+    g = FuncOnGrid.constant(1.0, uniform_mesh(50, 1.0))
+    with pytest.raises(ParameterError):
+        kstar(g, 0.3, 1.0, end_exponent=nu)
+
+
+# ---------------------------------------------------------------------------
+# oracle: the shared cell-moment kernels reproduce the per-cell formulas
+# bit for bit
+# ---------------------------------------------------------------------------
+# The reference functions below evaluate every cell from both of its edges,
+# one row at a time, exactly as the product-integration formulas read.  The
+# library evaluates each edge once and hoists row-invariant moments; IEEE
+# arithmetic makes that reordering exact, so np.array_equal must hold.
+
+def _ref_rl(x, v, alpha, side):
+    m = x.size - 1
+    out = np.zeros(m + 1)
+    inv_gamma = 1.0 / gamma_fn(alpha)
+    slopes = np.diff(v) / np.diff(x)
+    if side == "left":
+        for i in range(1, m + 1):
+            t = x[i]
+            u2 = t - x[:i]
+            u1 = t - x[1:i + 1]
+            m0 = (u2**alpha - u1**alpha) / alpha
+            m1 = (u2 ** (alpha + 1) - u1 ** (alpha + 1)) / (alpha + 1)
+            cells = v[:i] * m0 + slopes[:i] * (u2 * m0 - m1)
+            out[i] = inv_gamma * cells.sum()
+    else:
+        for i in range(m):
+            t = x[i]
+            u1 = x[i:-1] - t
+            u2 = x[i + 1:] - t
+            m0 = (u2**alpha - u1**alpha) / alpha
+            m1 = (u2 ** (alpha + 1) - u1 ** (alpha + 1)) / (alpha + 1)
+            cells = v[i:-1] * m0 + slopes[i:] * (m1 - u1 * m0)
+            out[i] = inv_gamma * cells.sum()
+    return out
+
+
+def _ref_truncate_low(x, v, r, H):
+    alpha = H + 0.5
+    i_r = int(np.argmin(np.abs(x - r)))
+    out = v.copy()
+    pref = 1.0 / (gamma_fn(alpha) * gamma_fn(1.0 - alpha))
+    slopes = np.diff(v[: i_r + 1]) / np.diff(x[: i_r + 1])
+    u2 = r - x[:i_r]
+    u1 = r - x[1:i_r + 1]
+    for i in range(i_r + 1, x.size):
+        d = x[i] - r
+        tau2 = u2 / (d + u2)
+        tau1 = u1 / (d + u1)
+        bdiff = beta_fn(alpha, 1.0 - alpha) * (
+            betainc(alpha, 1.0 - alpha, tau2) - betainc(alpha, 1.0 - alpha, tau1))
+        m0 = d ** (alpha - 1.0) * bdiff
+        m1u = (u2**alpha - u1**alpha) / alpha - d * m0
+        cells = v[:i_r] * m0 + slopes * (u2 * m0 - m1u)
+        out[i] = pref * d ** (1.0 - alpha) * cells.sum()
+    y = _ref_rl(x, v, alpha, "left")
+    y_r = np.where(x <= r, y, y[i_r])
+    lhs = _ref_rl(x, out, alpha, "left")
+    return out, float(np.max(np.abs(lhs - y_r)))
+
+
+def _ref_left_rl_at(x, v, alpha, i):
+    t = x[i]
+    u2 = t - x[:i]
+    u1 = t - x[1:i + 1]
+    m0 = (u2**alpha - u1**alpha) / alpha
+    m1 = (u2 ** (alpha + 1) - u1 ** (alpha + 1)) / (alpha + 1)
+    slopes = np.diff(v[: i + 1]) / np.diff(x[: i + 1])
+    return float((v[:i] * m0 + slopes * (u2 * m0 - m1)).sum() / gamma_fn(alpha))
+
+
+def _ref_left_rl_tail(x, v, alpha, t):
+    u2 = t - x[:-1]
+    u1 = t - x[1:]
+    m0 = (u2**alpha - u1**alpha) / alpha
+    m1 = (u2 ** (alpha + 1) - u1 ** (alpha + 1)) / (alpha + 1)
+    slopes = np.diff(v) / np.diff(x)
+    return float((v[:-1] * m0 + slopes * (u2 * m0 - m1)).sum())
+
+
+def _ref_truncate_high(x, v, r, H):
+    beta = H - 0.5
+    i_r = int(np.argmin(np.abs(x - r)))
+    gv = _ref_rl(x, v, beta, "left")
+    out = v.copy()
+    slopes = np.diff(gv[: i_r + 1]) / np.diff(x[: i_r + 1])
+    pref = -beta / gamma_fn(1.0 - beta)
+    for i in range(i_r + 1, x.size):
+        s = x[i]
+        u2 = s - x[:i_r]
+        u1 = s - x[1:i_r + 1]
+        m0 = (u1 ** (-beta) - u2 ** (-beta)) / beta
+        m1u = (u2 ** (1.0 - beta) - u1 ** (1.0 - beta)) / (1.0 - beta)
+        cells = gv[:i_r] * m0 + slopes * (u2 * m0 - m1u)
+        out[i] = pref * cells.sum()
+    target = np.where(x <= r, gv, 0.0)
+    forward = np.zeros(x.size)
+    hx, hv = x[: i_r + 1], v[: i_r + 1]
+    inv_gb = 1.0 / gamma_fn(beta)
+    ap = 1.0 - beta
+    pref_b = -1.0 / (gamma_fn(beta) * gamma_fn(1.0 - beta))
+    gslopes = np.diff(gv[: i_r + 1]) / np.diff(x[: i_r + 1])
+    w2 = r - x[:i_r]
+    w1 = r - x[1:i_r + 1]
+    for i in range(1, x.size):
+        t = x[i]
+        if i <= i_r:
+            forward[i] = _ref_left_rl_at(hx, hv, beta, i)
+            continue
+        part_a = inv_gb * _ref_left_rl_tail(hx, hv, beta, t)
+        d = t - r
+        tau2 = w2 / (d + w2)
+        tau1 = w1 / (d + w1)
+        bdiff = beta_fn(ap, 1.0 - ap) * (
+            betainc(ap, 1.0 - ap, tau2) - betainc(ap, 1.0 - ap, tau1))
+        m0 = d ** (ap - 1.0) * bdiff
+        m1w = (w2**ap - w1**ap) / ap - d * m0
+        cells = gv[:i_r] * m0 + gslopes * (w2 * m0 - m1w)
+        forward[i] = part_a + pref_b * d**beta * cells.sum()
+    return out, float(np.max(np.abs(forward - target)))
+
+
+def _ref_right_singular_integral(x, q, t, i_t, beta, nu):
+    L = x[-1] - t
+    if L <= 0:
+        return 0.0
+    tau = (x[i_t:] - t) / L
+    b0 = beta_fn(beta, nu + 1.0) * betainc(beta, nu + 1.0, tau)
+    b1 = beta_fn(beta + 1.0, nu + 1.0) * betainc(beta + 1.0, nu + 1.0, tau)
+    m0 = L ** (beta + nu) * np.diff(b0)
+    m1 = L ** (beta + nu + 1.0) * np.diff(b1)
+    qs = q[i_t:]
+    slopes = np.diff(qs) / np.diff(x[i_t:])
+    off = x[i_t:-1] - t
+    return float((qs[:-1] * m0 + slopes * (m1 - off * m0)).sum())
+
+
+def _ref_l2_sq(x, w, nu):
+    T = x[-1]
+    w2 = w * w
+    r2 = T - x[:-1]
+    r1 = T - x[1:]
+    m0 = (r2 ** (nu + 1.0) - r1 ** (nu + 1.0)) / (nu + 1.0)
+    m1 = (r2 ** (nu + 2.0) - r1 ** (nu + 2.0)) / (nu + 2.0)
+    slopes = np.diff(w2) / np.diff(x)
+    return float((w2[:-1] * m0 + slopes * (r2 * m0 - m1)).sum())
+
+
+def _ref_appendix(H, T, m, window=(0.05, 0.95)):
+    x = cosine_mesh(m, T)
+    const = T ** (0.5 - H) / gamma_fn(H + 0.5)
+    F = _appendix_profile(H, T, x)
+    with np.errstate(divide="ignore"):
+        u = np.where(x > 0, x ** (4.0 * H - 1.0), 0.0) * const * F
+    beta, nu = 0.5 - H, H - 0.5
+    lo, hi = window[0] * T, window[1] * T
+    idx = [i for i in range(x.size) if lo <= x[i] <= hi]
+    recon = np.empty(len(idx))
+    for k, i in enumerate(idx):
+        t = x[i]
+        val = _ref_right_singular_integral(x, u, t, i, beta, nu)
+        recon[k] = t ** (0.5 - H) * val / gamma_fn(beta)
+    err = float(np.max(np.abs(recon - x[idx] ** (2.0 * H))))
+    with np.errstate(divide="ignore"):
+        w = np.where(x > 0, x ** (3.0 * H - 0.5), 0.0) * const * F
+    return recon, err, math.sqrt(_ref_l2_sq(x, w, 2.0 * H - 1.0))
+
+
+def _ref_kstar_matrix(x, H, nu):
+    m1 = x.size
+    beta = 0.5 - H
+    W = np.zeros((m1, m1))
+    for i in range(m1 - 1):
+        t = x[i]
+        if t <= 0.0:
+            continue
+        L = x[-1] - t
+        tau = (x[i:] - t) / L
+        b0 = beta_fn(beta, nu + 1.0) * betainc(beta, nu + 1.0, tau)
+        b1 = beta_fn(beta + 1.0, nu + 1.0) * betainc(beta + 1.0, nu + 1.0, tau)
+        m0 = L ** (beta + nu) * np.diff(b0)
+        mm1 = L ** (beta + nu + 1.0) * np.diff(b1)
+        off = x[i:-1] - t
+        h = np.diff(x[i:])
+        w_right = (mm1 - off * m0) / h
+        w_left = m0 - w_right
+        pref = t**beta / gamma_fn(beta)
+        W[i, i:-1] += pref * w_left
+        W[i, i + 1:] += pref * w_right
+    with np.errstate(divide="ignore"):
+        scale = np.where(x > 0, x ** (H - 0.5), 0.0)
+        if nu != 0.0:
+            scale = scale * np.where(x < x[-1], (x[-1] - x) ** (-nu), 0.0)
+    return W * scale[None, :]
+
+
+_ORACLE_MESHES = {
+    "uniform": lambda m: uniform_mesh(m, 1.0),
+    "cosine": lambda m: cosine_mesh(m, 1.0),
+    "uniform-T2": lambda m: uniform_mesh(m, 2.0),
+}
+
+
+def _oracle_payload(x):
+    return np.sin(3.0 * x) + 1.5 + 0.3 * x**2
+
+
+@pytest.mark.parametrize("mesh", sorted(_ORACLE_MESHES))
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("alpha", [0.3, 0.7, 1.4])
+def test_oracle_rl_integral_bit_identical(mesh, side, alpha):
+    for m in (1, 2, 37, 300):
+        x = _ORACLE_MESHES[mesh](m)
+        v = _oracle_payload(x)
+        got = rl_integral(FuncOnGrid(x, v), alpha, side).values
+        assert np.array_equal(got, _ref_rl(x, v, alpha, side))
+
+
+@pytest.mark.parametrize("mesh", sorted(_ORACLE_MESHES))
+@pytest.mark.parametrize("H", [0.1, 0.3, 0.45])
+def test_oracle_truncate_low_bit_identical(mesh, H):
+    for m, q in ((40, 0.5), (241, 0.3), (300, 0.8)):
+        x = _ORACLE_MESHES[mesh](m)
+        v = _oracle_payload(x)
+        r = float(x[int(round(q * m))])
+        phi_r, err = cm_truncate_fbm(FuncOnGrid(x, v), r, H)
+        ref_vals, ref_err = _ref_truncate_low(x, v, r, H)
+        assert np.array_equal(phi_r.values, ref_vals)
+        assert err == ref_err
+
+
+@pytest.mark.parametrize("mesh", sorted(_ORACLE_MESHES))
+@pytest.mark.parametrize("H", [0.55, 0.75, 0.9])
+def test_oracle_truncate_high_bit_identical(mesh, H):
+    for m, q in ((40, 0.5), (241, 0.3), (300, 0.8)):
+        x = _ORACLE_MESHES[mesh](m)
+        v = _oracle_payload(x)
+        r = float(x[int(round(q * m))])
+        psi_r, err = cm_truncate_fbm_high(FuncOnGrid(x, v), r, H)
+        ref_vals, ref_err = _ref_truncate_high(x, v, r, H)
+        assert np.array_equal(psi_r.values, ref_vals)
+        assert err == ref_err
+
+
+@pytest.mark.parametrize("H", [0.05, 0.2, 0.24])
+def test_oracle_appendix_bit_identical(H):
+    for T, m in ((1.0, 120), (1.5, 300)):
+        rep = appendix_reconstruction_check(H, T, m)
+        recon, err, g_l2 = _ref_appendix(H, T, m)
+        assert np.array_equal(rep.reconstruction, recon)
+        assert rep.max_abs_error == err
+        assert rep.g_l2 == g_l2
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.2])
+@pytest.mark.parametrize("H", [0.1, 0.3])
+def test_oracle_kstar_matrix_bit_identical(H, nu):
+    for x in (cosine_mesh(150, 1.0), uniform_mesh(97, 2.0)):
+        assert np.array_equal(_kstar_matrix(x, H, nu), _ref_kstar_matrix(x, H, nu))
