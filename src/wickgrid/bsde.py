@@ -22,7 +22,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .covariance import GramContext, TimeGrid, build_gram
-from .chaos import ChaosVector, SymmetricTensor, WickCombo, s_transform
+from .chaos import ChaosVector, GramImage, SymmetricTensor, WickCombo, s_transform
 from .errors import (
     MartingaleCaseError,
     ParameterError,
@@ -30,7 +30,13 @@ from .errors import (
     UnsupportedOperationError,
 )
 from .firstchaos import TruncationOperator, operator_norm
-from .qce import ShiftContext, domain_diagnostic, escape_direction, shifted_qce
+from .qce import (
+    ShiftContext,
+    domain_diagnostic,
+    escape_direction,
+    normalized_power_series,
+    shifted_qce,
+)
 
 __all__ = [
     "BSDEProblem",
@@ -206,6 +212,8 @@ def verify_solution_weak(problem: BSDEProblem, solution: BSDESolution,
     multiplicative (log-S) form against the Z slot values at unshifted
     directions.
     """
+    if trials < 1:
+        raise ParameterError("trials must be >= 1; with none nothing is checked")
     ctx = problem.ctx
     n = ctx.n
     dg = problem.dgamma
@@ -215,22 +223,23 @@ def verify_solution_weak(problem: BSDEProblem, solution: BSDESolution,
     Y = solution.Y_nodes
     if len(Y) != n + 1:
         raise ShapeError("solution must supply Y at every grid node")
+    shifts = [ShiftContext(ctx, t, problem.c) for t in ctx.grid.points]
     for _ in range(int(trials)):
         h = rng.standard_normal(n)
         h /= max(ctx.norm(h), 1e-300)
-        for iv in range(n + 1):
-            sc = ShiftContext(ctx, ctx.grid.points[iv], problem.c)
+        for iv, sc in enumerate(shifts):
+            # only nodes iv..n enter the equation probed at h^c_v
             w = sc.shifted_direction(h)
-            s = np.array([s_transform(ctx, Y[i], w) for i in range(n + 1)])
             x = s_transform(ctx, problem.xi, w)
-            g = np.array([0.0 if problem.G[i] is None
-                          else s_transform(ctx, problem.G[i], w)
-                          for i in range(n + 1)])
+            s_next = s_transform(ctx, Y[n], w)
+            residual_here = abs(s_next - x)
             tail = 0.0
-            residual_here = abs(s[n] - x)
             for i in range(n - 1, iv - 1, -1):
-                tail += a_w[i] * s[i + 1] + g[i] * dg[i]
-                residual_here = max(residual_here, abs(s[i] - x + tail))
+                s_i = s_transform(ctx, Y[i], w)
+                g = 0.0 if problem.G[i] is None else s_transform(ctx, problem.G[i], w)
+                tail += a_w[i] * s_next + g * dg[i]
+                residual_here = max(residual_here, abs(s_i - x + tail))
+                s_next = s_i
             worst = max(worst, residual_here)
     if solution.Z is not None:
         worst = max(worst, _verify_full_equation(problem, solution, trials, seed + 1))
@@ -276,12 +285,13 @@ def _verify_full_equation(problem: BSDEProblem, solution: BSDESolution,
 
 def _field_cell_s(ctx: GramContext, Z, cell: int, h) -> float:
     """S-transform of the slot coefficient of a ChaosField on one cell."""
+    image = GramImage(ctx, h)
     total = 0.0
     for k, t in enumerate(Z.slots):
         comp = np.take(t, cell, axis=-1)
         tensor = (SymmetricTensor.scalar(float(comp), ctx.n) if k == 0
                   else SymmetricTensor.from_dense(comp))
-        total += tensor.pair_with_power(ctx, np.asarray(h, dtype=float))
+        total += image.pair(tensor)
     return total
 
 
@@ -345,14 +355,7 @@ def nonexistence_certificate(model, grid: TimeGrid, r: float,
     f = escape_direction(sc, tol=tol)
     op = TruncationOperator(ctx, r)
     rho = ctx.norm_sq(op.forward(f))
-
-    def gen(k: int) -> SymmetricTensor:
-        if k == 0:
-            return SymmetricTensor.scalar(1.0, n)
-        return SymmetricTensor.from_powers(
-            k, n, [(1.0 / math.sqrt(math.factorial(k)), f)])
-
-    diag = domain_diagnostic(sc, gen, K_max)
+    diag = domain_diagnostic(sc, normalized_power_series(f), K_max)
     bounds = np.cumsum(rho ** np.arange(K_max + 1))
     ok = bool(np.all(diag.partial_sums >= bounds * (1.0 - 1e-12)))
     tail_ratio = float(diag.partial_sums[-1] / diag.partial_sums[-2])

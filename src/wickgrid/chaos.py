@@ -28,6 +28,7 @@ from .errors import ParameterError, ShapeError, UnsupportedOperationError
 
 __all__ = [
     "SymmetricTensor",
+    "GramImage",
     "ChaosVector",
     "WickCombo",
     "tensor_inner",
@@ -182,31 +183,29 @@ class SymmetricTensor:
             t[tuple(idx)] = 0.0
         return SymmetricTensor(self.order, self.dim, dense=t)
 
-    def contract_last(self, ctx: GramContext, w: np.ndarray, times: int) -> "SymmetricTensor":
-        """Contract the last `times` axes with w through the Gram matrix."""
+    def contract_last(self, ctx: GramContext, w: np.ndarray, times: int,
+                      image: Optional["GramImage"] = None) -> "SymmetricTensor":
+        """Contract the last `times` axes with w through the Gram matrix.
+
+        `image` is w's GramImage when the caller contracts many tensors against
+        the same w; without it the image is formed here.
+        """
         if times == 0:
             return self.copy()
         if times > self.order:
             raise ShapeError("cannot contract more axes than the order")
-        gw = ctx.G @ np.asarray(w, dtype=float)
+        if image is None:
+            image = GramImage(ctx, w)
         new_order = self.order - times
         if self.is_powers:
-            pairs = [(wt * float(v @ gw) ** times, v) for wt, v in self.powers]
+            pairs = [(wt * image.pairing(v) ** times, v) for wt, v in self.powers]
             if new_order == 0:
                 return SymmetricTensor.scalar(math.fsum(w0 for w0, _ in pairs), self.dim)
             return SymmetricTensor(new_order, self.dim, powers=pairs)
-        t = self.dense
-        for _ in range(times):
-            t = np.tensordot(t, gw, axes=([-1], [0]))
+        t = image.contract_dense(self.dense, times)
         if new_order == 0:
             return SymmetricTensor.scalar(float(t), self.dim)
         return SymmetricTensor(new_order, self.dim, dense=t)
-
-    def pair_with_power(self, ctx: GramContext, h: np.ndarray) -> float:
-        """Full pairing <self, h^(x k)> through the Gram matrix."""
-        if self.order == 0:
-            return float(self.dense)
-        return float(self.contract_last(ctx, h, self.order).dense)
 
     def support_bound(self) -> int:
         """Smallest m such that all mass sits on coordinates < m."""
@@ -242,6 +241,50 @@ class SymmetricTensor:
             for c in counts.values():
                 mult //= math.factorial(c)
             yield (idx, val, mult)
+
+
+class GramImage:
+    """Gram image G w of one direction w, formed once and paired many times.
+
+    Pairings <v, w> with power vectors are memoized per vector object, so a
+    power sum or Wick chain that repeats one vector across orders costs one
+    dot product.  Every value equals the one a per-tensor contraction gives,
+    bit for bit: the same BLAS calls on the same operands, made fewer times.
+    """
+
+    __slots__ = ("gw", "_memo")
+
+    def __init__(self, ctx: GramContext, w):
+        self.gw = ctx.G @ np.asarray(w, dtype=float)
+        self._memo = {}
+
+    def pairing(self, v: np.ndarray) -> float:
+        """<v, w> through the Gram matrix."""
+        hit = self._memo.get(id(v))
+        if hit is None:
+            # holding v keeps its id from being reused while the memo lives
+            hit = self._memo[id(v)] = (v, float(v @ self.gw))
+        return hit[1]
+
+    def contract_dense(self, t: np.ndarray, times: int) -> np.ndarray:
+        """Contract the last `times` axes of a dense tensor with w.
+
+        Each step is the one dot product np.tensordot(t, gw, ([-1], [0]))
+        makes, without its axis bookkeeping.
+        """
+        n = self.gw.size
+        col = self.gw.reshape(n, 1)
+        for _ in range(times):
+            t = np.dot(t.reshape(-1, n), col).reshape(t.shape[:-1])
+        return t
+
+    def pair(self, f: SymmetricTensor) -> float:
+        """Full pairing <f, w^(x k)>."""
+        if f.order == 0:
+            return float(f.dense)
+        if f.is_powers:
+            return math.fsum(wt * self.pairing(v) ** f.order for wt, v in f.powers)
+        return float(self.contract_dense(f.dense, f.order))
 
 
 def sym_insert_last(t: np.ndarray) -> np.ndarray:
@@ -281,7 +324,7 @@ def tensor_inner(ctx: GramContext, A: SymmetricTensor, B: SymmetricTensor) -> fl
     if A.is_powers:
         A, B = B, A
     if B.is_powers:
-        return math.fsum(w * A.pair_with_power(ctx, v) for w, v in B.powers)
+        return math.fsum(w * GramImage(ctx, v).pair(A) for w, v in B.powers)
     t = B.dense
     for _ in range(k):
         t = np.tensordot(t, ctx.G, axes=([0], [0]))
@@ -551,12 +594,14 @@ def s_transform(ctx: GramContext, xi, h) -> float:
     """(S xi)(h) = E[xi e^(wick I(h))].
 
     Exact for both representations: sum_k <f_k, h^(x k)> for a ChaosVector,
-    the closed combo formula for a WickCombo.
+    the closed combo formula for a WickCombo.  G h is formed once and every
+    coefficient is paired against it.
     """
     h = np.asarray(h, dtype=float)
     if isinstance(xi, WickCombo):
         return xi.s(ctx, h)
-    return math.fsum(f.pair_with_power(ctx, h) for f in xi.coeffs)
+    image = GramImage(ctx, h)
+    return math.fsum(image.pair(f) for f in xi.coeffs)
 
 
 def _hermite(k: int, y: np.ndarray) -> np.ndarray:

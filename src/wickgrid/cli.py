@@ -38,7 +38,13 @@ from .chaos import (
 )
 from .errors import GridAlignmentError, MartingaleCaseError, ParameterError
 from .firstchaos import jensen_counterexample, max_correlation, operator_norm, TruncationOperator
-from .qce import ShiftContext, domain_diagnostic, escape_direction, shifted_qce
+from .qce import (
+    ShiftContext,
+    domain_diagnostic,
+    escape_direction,
+    normalized_power_series,
+    shifted_qce,
+)
 from .skorokhod import SimpleIntegrand, verify_s_transform_identity
 from .bsde import (
     BSDEProblem,
@@ -390,8 +396,6 @@ def exp_domain_diagnostic(cfg, out, seed, threads):
     sc = ShiftContext(ctx, r, c)
     K_max = cfg.get_int("K_max", 12)
     mode = cfg.get_str("generator", "escape")
-    from .chaos import SymmetricTensor
-
     if mode == "escape":
         f = escape_direction(sc)
     elif mode == "contract":
@@ -400,13 +404,7 @@ def exp_domain_diagnostic(cfg, out, seed, threads):
     else:
         raise ParameterError(f"unknown generator {mode!r}")
 
-    def gen(k):
-        if k == 0:
-            return SymmetricTensor.scalar(1.0, ctx.n)
-        return SymmetricTensor.from_powers(
-            k, ctx.n, [(1.0 / math.sqrt(math.factorial(k)), f)])
-
-    diag = domain_diagnostic(sc, gen, K_max)
+    diag = domain_diagnostic(sc, normalized_power_series(f), K_max)
     rows = [(k, float(diag.partial_sums[k]),
              float(diag.term_ratios[k - 1]) if k >= 1 else float("nan"))
             for k in range(K_max + 1)]

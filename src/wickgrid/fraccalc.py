@@ -300,6 +300,9 @@ def appendix_reconstruction_check(H: float, T: float = 1.0, m: int = 2000,
     nu = H - 0.5
     lo, hi = window[0] * T, window[1] * T
     idx = [i for i in range(x.size) if lo <= x[i] <= hi]
+    if not idx:
+        raise ParameterError(
+            f"no mesh node of m={m} lies in the window [{lo}, {hi}]; refine the mesh")
     slopes = np.diff(u) / np.diff(x)
     recon = np.zeros(len(idx))
     for k, i in enumerate(idx):

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import gammaln, logsumexp
 
 from .covariance import GramContext
-from .chaos import ChaosVector, SymmetricTensor, tensor_inner
+from .chaos import ChaosVector, GramImage, SymmetricTensor, tensor_inner
 from .errors import MartingaleCaseError, ParameterError, ShapeError
 from .firstchaos import TruncationOperator, operator_norm
 
@@ -31,10 +31,13 @@ __all__ = [
     "shifted_qce",
     "DomainDiagnostic",
     "domain_diagnostic",
+    "normalized_power_series",
     "escape_direction",
 ]
 
 _LOG_OVERFLOW = math.log(1e300)
+# 171! no longer converts to a double, so 1/sqrt(k!) has no value beyond this
+MAX_SERIES_ORDER = 170
 
 
 class ShiftContext:
@@ -66,15 +69,33 @@ def contract_with_shift(sc: ShiftContext, f: SymmetricTensor, i: int) -> Symmetr
 
 
 def shifted_qce(sc: ShiftContext, xi: ChaosVector) -> ChaosVector:
-    """Apply the shifted operator to a finite-order chaos vector (exact)."""
+    """Apply the shifted operator to a finite-order chaos vector (exact).
+
+    G c_r is formed once and every coefficient is contracted against it.
+    Orders above the highest dense coefficient are fed by power sums only;
+    each of their vectors v is paired with c_r and cut to coordinates < m
+    once, and order n collects the pairs (C(k, n) w <v, c_r>^(k-n), cut v).
+    Lower orders add contracted tensors.
+    """
     K = xi.max_order
+    image = GramImage(sc.ctx, sc.c_r)
+    top_dense = max(k for k, f in enumerate(xi.coeffs) if not f.is_powers)
+    cut = {}                    # power-sum order k -> [(w, <v, c_r>, cut v)]
+    for k in range(top_dense + 1, K + 1):
+        f = xi.coeffs[k]
+        cut[k] = [(wt, image.pairing(v), pv)
+                  for (wt, v), (_, pv) in zip(f.powers, f.project_coords(sc.m).powers)]
     out: List[SymmetricTensor] = []
     for n in range(K + 1):
-        acc = SymmetricTensor.zero(n, xi.dim)
-        for k in range(n, K + 1):
-            fk = xi.get(k)
-            term = contract_with_shift(sc, fk, n).scaled(math.comb(k, n))
-            acc = acc.add(term.project_coords(sc.m))
+        if n > top_dense:
+            pairs = [(math.comb(k, n) * (wt * x ** (k - n)), pv)
+                     for k in range(n, K + 1) for wt, x, pv in cut[k]]
+            acc = SymmetricTensor(n, xi.dim, powers=pairs)
+        else:
+            acc = SymmetricTensor.zero(n, xi.dim)
+            for k in range(n, K + 1):
+                term = xi.coeffs[k].contract_last(sc.ctx, sc.c_r, k - n, image)
+                acc = acc.add(term.scaled(math.comb(k, n)).project_coords(sc.m))
         out.append(_merge_powers(acc))
     return ChaosVector(out, xi.dim)
 
@@ -139,6 +160,29 @@ def domain_diagnostic(sc: ShiftContext,
     return DomainDiagnostic(partial_sums=sums, log_terms=log_terms,
                             term_ratios=ratios, truncation_note=note,
                             overflowed=overflow)
+
+
+def normalized_power_series(f) -> Callable[[int], SymmetricTensor]:
+    """Coefficient rule k -> f^(x k) / sqrt(k!), for which k! |f_k|^2 = |f|^(2k).
+
+    This is the chain that the certificate and the domain-diagnostic
+    experiment feed to `domain_diagnostic`.  Orders above MAX_SERIES_ORDER
+    raise ParameterError.
+    """
+    f = np.asarray(f, dtype=float)
+    n = f.size
+
+    def gen(k: int) -> SymmetricTensor:
+        if k == 0:
+            return SymmetricTensor.scalar(1.0, n)
+        if k > MAX_SERIES_ORDER:
+            raise ParameterError(
+                f"series order {k} exceeds {MAX_SERIES_ORDER}: the weight "
+                f"1/sqrt(k!) overflows a double beyond order {MAX_SERIES_ORDER}")
+        return SymmetricTensor.from_powers(
+            k, n, [(1.0 / math.sqrt(math.factorial(k)), f)])
+
+    return gen
 
 
 def _norm_sq_stable(ctx: GramContext, t: SymmetricTensor) -> float:

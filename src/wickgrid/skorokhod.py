@@ -76,6 +76,8 @@ def verify_s_transform_identity(ctx: GramContext, Z: SimpleIntegrand,
     Cameron-Martin image of the probe direction; both sides are exact algebra,
     so the deviation is pure roundoff.
     """
+    if trials < 1:
+        raise ParameterError("trials must be >= 1; with none nothing is checked")
     integral = skorokhod_simple(ctx, Z)
     rng = np.random.default_rng(seed)
     worst = 0.0

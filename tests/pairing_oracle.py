@@ -1,0 +1,220 @@
+"""Per-coefficient pairing routes, kept as bit-identity oracles.
+
+These are the formulas that `s_transform`, `shifted_qce` and
+`verify_solution_weak` used before the Gram image of the probe or shift
+direction was hoisted out of the per-coefficient contractions.  Here every
+coefficient forms G w itself, `shifted_qce` contracts once per (n, k) pair,
+and the weak check rebuilds its shift contexts in every trial and pairs every
+node.  The tests compare the package against them with ==, not a tolerance.
+
+The module also builds the chaos vectors those tests feed to both routes.
+"""
+
+import math
+
+import numpy as np
+
+from wickgrid import (
+    ChaosVector,
+    ShiftContext,
+    SymmetricTensor,
+    WickCombo,
+    symmetrize_full,
+    wick_exponential_chaos,
+)
+from wickgrid.bsde import WickZ
+from wickgrid.errors import ShapeError, UnsupportedOperationError
+
+
+# ---------------------------------------------------------------------------
+# reference routes
+# ---------------------------------------------------------------------------
+
+def contract_last(f, ctx, w, times):
+    if times == 0:
+        return f.copy()
+    if times > f.order:
+        raise ShapeError("cannot contract more axes than the order")
+    gw = ctx.G @ np.asarray(w, dtype=float)
+    new_order = f.order - times
+    if f.is_powers:
+        pairs = [(wt * float(v @ gw) ** times, v) for wt, v in f.powers]
+        if new_order == 0:
+            return SymmetricTensor.scalar(math.fsum(w0 for w0, _ in pairs), f.dim)
+        return SymmetricTensor(new_order, f.dim, powers=pairs)
+    t = f.dense
+    for _ in range(times):
+        t = np.tensordot(t, gw, axes=([-1], [0]))
+    if new_order == 0:
+        return SymmetricTensor.scalar(float(t), f.dim)
+    return SymmetricTensor(new_order, f.dim, dense=t)
+
+
+def pair_with_power(f, ctx, h):
+    if f.order == 0:
+        return float(f.dense)
+    return float(contract_last(f, ctx, h, f.order).dense)
+
+
+def s_transform(ctx, xi, h):
+    h = np.asarray(h, dtype=float)
+    if isinstance(xi, WickCombo):
+        return xi.s(ctx, h)
+    return math.fsum(pair_with_power(f, ctx, h) for f in xi.coeffs)
+
+
+def merge_powers(t):
+    if not t.is_powers or len(t.powers) < 2:
+        return t
+    merged = {}
+    order = []
+    for w, v in t.powers:
+        key = v.tobytes()
+        if key in merged:
+            merged[key] = (merged[key][0] + w, v)
+        else:
+            merged[key] = (w, v)
+            order.append(key)
+    return SymmetricTensor.from_powers(t.order, t.dim, [merged[k] for k in order])
+
+
+def shifted_qce(sc, xi):
+    K = xi.max_order
+    out = []
+    for n in range(K + 1):
+        acc = SymmetricTensor.zero(n, xi.dim)
+        for k in range(n, K + 1):
+            fk = xi.get(k)
+            term = contract_last(fk, sc.ctx, sc.c_r, fk.order - n).scaled(math.comb(k, n))
+            acc = acc.add(term.project_coords(sc.m))
+        out.append(merge_powers(acc))
+    return ChaosVector(out, xi.dim)
+
+
+def verify_solution_weak(problem, solution, trials, seed):
+    ctx = problem.ctx
+    n = ctx.n
+    dg = problem.dgamma
+    a_w = 1.0 - np.exp(-problem.a * dg)
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    Y = solution.Y_nodes
+    for _ in range(int(trials)):
+        h = rng.standard_normal(n)
+        h /= max(ctx.norm(h), 1e-300)
+        for iv in range(n + 1):
+            sc = ShiftContext(ctx, ctx.grid.points[iv], problem.c)
+            w = sc.shifted_direction(h)
+            s = np.array([s_transform(ctx, Y[i], w) for i in range(n + 1)])
+            x = s_transform(ctx, problem.xi, w)
+            g = np.array([0.0 if problem.G[i] is None
+                          else s_transform(ctx, problem.G[i], w)
+                          for i in range(n + 1)])
+            tail = 0.0
+            residual_here = abs(s[n] - x)
+            for i in range(n - 1, iv - 1, -1):
+                tail += a_w[i] * s[i + 1] + g[i] * dg[i]
+                residual_here = max(residual_here, abs(s[i] - x + tail))
+            worst = max(worst, residual_here)
+    if solution.Z is not None:
+        worst = max(worst, _verify_full_equation(problem, solution, trials, seed + 1))
+    return worst
+
+
+def _verify_full_equation(problem, solution, trials, seed):
+    ctx = problem.ctx
+    n = ctx.n
+    dg = problem.dgamma
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    Z = solution.Z
+    for _ in range(int(trials)):
+        h = rng.standard_normal(n)
+        h /= max(ctx.norm(h), 1e-300)
+        s = np.array([s_transform(ctx, y, h) for y in solution.Y_nodes])
+        if np.any(s <= 0.0):
+            raise UnsupportedOperationError("needs positive S-values")
+        for j in range(1, n + 1):
+            e = np.zeros(n)
+            e[j - 1] = 1.0
+            q = ctx.inner(e, h + problem.c)
+            if isinstance(Z, WickZ):
+                u = Z.cell_s(ctx, j - 1, h)
+            else:
+                u = _field_cell_s(ctx, Z, j - 1, h)
+            res = abs(math.log(s[j]) - math.log(s[j - 1])
+                      - problem.a[j - 1] * dg[j - 1] - u * q / s[j - 1])
+            worst = max(worst, res)
+    return worst
+
+
+def _field_cell_s(ctx, Z, cell, h):
+    total = 0.0
+    for k, t in enumerate(Z.slots):
+        comp = np.take(t, cell, axis=-1)
+        tensor = (SymmetricTensor.scalar(float(comp), ctx.n) if k == 0
+                  else SymmetricTensor.from_dense(comp))
+        total += pair_with_power(tensor, ctx, np.asarray(h, dtype=float))
+    return total
+
+
+# ---------------------------------------------------------------------------
+# inputs and comparison
+# ---------------------------------------------------------------------------
+
+def sample_chaos_vectors(rng, ctx):
+    """Dense, power-sum and mixed chaos vectors of order <= 3, by name.
+
+    The power sums repeat one vector object within and across orders, and
+    also hold an equal-valued copy of it (a distinct object with the same
+    bytes), so both the per-object pairing memo and the merge by value are
+    exercised.
+    """
+    n = ctx.n
+
+    def vec():
+        return rng.standard_normal(n)
+
+    def dense(k):
+        return SymmetricTensor.from_dense(symmetrize_full(rng.standard_normal((n,) * k)))
+
+    def scalar():
+        return SymmetricTensor.scalar(float(rng.standard_normal()), n)
+
+    def powers(k, vectors):
+        return SymmetricTensor.from_powers(
+            k, n, [(float(rng.standard_normal()), v) for v in vectors])
+
+    u, v = vec(), vec()
+    u_copy = u.copy()
+    return {
+        "dense": ChaosVector([scalar(), dense(1), dense(2), dense(3)], n),
+        "powers-distinct": ChaosVector(
+            [scalar()] + [powers(k, [vec(), vec(), vec()]) for k in (1, 2, 3)], n),
+        "powers-repeated": ChaosVector(
+            [scalar()] + [powers(k, [u, v, u, u_copy]) for k in (1, 2, 3)], n),
+        "mixed": ChaosVector(
+            [scalar(), powers(1, [u, v]), dense(2), powers(3, [v, u, v])], n),
+        "dense-top": ChaosVector(
+            [scalar(), powers(1, [u]), powers(2, [u, v]), dense(3)], n),
+        "wick": wick_exponential_chaos(ctx, 0.4 * u, 3),
+        "wick-long": wick_exponential_chaos(ctx, 0.4 * v, 12),
+        "constant": ChaosVector.constant(float(rng.standard_normal()), n),
+    }
+
+
+def assert_same_tensor(a, b):
+    assert (a.order, a.dim, a.is_powers) == (b.order, b.dim, b.is_powers)
+    if a.is_powers:
+        assert len(a.powers) == len(b.powers)
+        for (wa, va), (wb, vb) in zip(a.powers, b.powers):
+            assert wa == wb
+            assert np.array_equal(va, vb)
+    else:
+        assert np.array_equal(np.asarray(a.dense), np.asarray(b.dense))
+
+
+def assert_same_chaos(a, b):
+    assert a.max_order == b.max_order and a.dim == b.dim
+    for fa, fb in zip(a.coeffs, b.coeffs):
+        assert_same_tensor(fa, fb)

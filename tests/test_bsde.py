@@ -18,6 +18,7 @@ from wickgrid import (
     example33_residual,
     integrating_factor,
     nonexistence_certificate,
+    normalized_power_series,
     represent_Y,
     sample_increments,
     shifted_qce,
@@ -28,6 +29,8 @@ from wickgrid import (
 )
 from wickgrid.bsde import xi_shifted
 from wickgrid.errors import MartingaleCaseError, ParameterError, UnsupportedOperationError
+
+import pairing_oracle as oracle
 
 
 def random_chaos(rng, n, order):
@@ -199,6 +202,15 @@ def test_weak_residual_flags_perturbation(ctx, rng):
     assert verify_solution_weak(p, sol, trials=5, seed=0) >= 0.099
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_weak_check_needs_a_trial(ctx, rng, trials):
+    p = make_problem(ctx, rng, order=1)
+    Y = [represent_Y(p, t) for t in ctx.grid.points]
+    sol = BSDESolution(Y_nodes=Y, A=integrating_factor(p), xi_tilde=xi_shifted(p))
+    with pytest.raises(ParameterError, match="trials"):
+        verify_solution_weak(p, sol, trials, seed=0)
+
+
 def test_backward_recursion_equals_representation(ctx, rng):
     # independent route: one-step quasi-conditional recursion
     p = make_problem(ctx, rng, order=2)
@@ -332,6 +344,25 @@ def test_certificate_rejects_k_max_below_one_before_any_work(K_max, monkeypatch)
                                  TimeGrid.uniform(16), 0.5, K_max=K_max)
 
 
+def test_certificate_order_limit_is_a_parameter_error():
+    # 1/sqrt(171!) used to end in a bare OverflowError
+    model, grid = FractionalBrownianMotion(0.75), TimeGrid.uniform(8)
+    assert nonexistence_certificate(model, grid, 0.5, K_max=170).bound_ok
+    with pytest.raises(ParameterError, match="170"):
+        nonexistence_certificate(model, grid, 0.5, K_max=171)
+
+
+def test_normalized_power_series_weights():
+    f = np.linspace(-1.0, 1.0, 5)
+    gen = normalized_power_series(f)
+    assert gen(0).dense == 1.0
+    for k in range(1, 171):
+        (w, v), = gen(k).powers
+        assert w == 1.0 / math.sqrt(math.factorial(k)) and v is f
+    with pytest.raises(ParameterError, match="170"):
+        gen(171)
+
+
 def test_certificate_with_coefficients(rng):
     grid = TimeGrid.uniform(16)
     n = grid.n
@@ -391,3 +422,46 @@ def test_example33_against_monte_carlo():
     vals = R**2
     se = vals.std(ddof=1) / math.sqrt(n_paths)
     assert abs(vals.mean() - want) <= 3 * se
+
+
+# ---------------------------------------------------------------------------
+# weak verification: bit-identical to the per-trial, all-node route
+# ---------------------------------------------------------------------------
+
+def _wick_solved(ctx, rng, K):
+    n = ctx.n
+    p = BSDEProblem(ctx, 0.5 * rng.standard_normal(n), ctx.grid.points,
+                    c=0.3 * rng.standard_normal(n), xi=ChaosVector.constant(1.0, n))
+    f = rng.standard_normal(n)
+    f /= 2 * ctx.norm(f)
+    sol = wick_exponential_solution(p, f, K=K)
+    p.xi = sol.Y_nodes[-1]
+    return p, sol
+
+
+@pytest.mark.parametrize("n", [1, 5, 24])
+def test_weak_residual_matches_reference_route_exactly(n):
+    ctx = build_gram(FractionalBrownianMotion(0.3), TimeGrid.uniform(n))
+    rng = np.random.default_rng(400 + n)
+    p = make_problem(ctx, rng, order=3)
+    Y = [represent_Y(p, t) for t in ctx.grid.points]
+    sol = BSDESolution(Y_nodes=Y, A=integrating_factor(p), xi_tilde=xi_shifted(p))
+    assert verify_solution_weak(p, sol, 2, 9) == oracle.verify_solution_weak(p, sol, 2, 9)
+    pw, wick = _wick_solved(ctx, rng, K=8)
+    assert verify_solution_weak(pw, wick, 2, 4) == oracle.verify_solution_weak(pw, wick, 2, 4)
+    wick.Z = None
+    assert verify_solution_weak(pw, wick, 2, 4) == oracle.verify_solution_weak(pw, wick, 2, 4)
+
+
+def test_weak_residual_matches_reference_route_on_chaos_field_z(rng):
+    from wickgrid import ChaosField
+
+    n, K = 5, 4
+    ctx = build_gram(FractionalBrownianMotion(0.3), TimeGrid.uniform(n))
+    p, sol = _wick_solved(ctx, rng, K=K)
+    slots = [np.zeros((n,) * (k + 1)) for k in range(K + 1)]
+    for j in range(n):
+        for k in range(K + 1):
+            slots[k][..., j] = sol.Z.cells[j][0] * sol.Y_nodes[j].get(k).to_dense()
+    sol.Z = ChaosField(ctx, slots)
+    assert verify_solution_weak(p, sol, 3, 1) == oracle.verify_solution_weak(p, sol, 3, 1)

@@ -25,6 +25,8 @@ from wickgrid import (
 from wickgrid.chaos import chaos_to_json_dict
 from wickgrid.errors import ShapeError, UnsupportedOperationError
 
+import pairing_oracle as oracle
+
 
 @pytest.fixture
 def ctx():
@@ -332,3 +334,32 @@ def test_json_entries_and_multiplicity():
     assert entries[(0, 1)] == (2.0, 2)
     assert entries[(1, 1)] == (3.0, 1)
     assert d["orders"][0]["entries"][0]["value"] == 0.5
+
+
+# ---------------------------------------------------------------------------
+# hoisted Gram image: bit-identical to per-coefficient contraction
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [1, 5, 24])
+def test_s_transform_matches_per_coefficient_route_exactly(n):
+    ctx = build_gram(FractionalBrownianMotion(0.7), TimeGrid.uniform(n))
+    rng = np.random.default_rng(100 + n)
+    cases = oracle.sample_chaos_vectors(rng, ctx)
+    u, f = rng.standard_normal(n), rng.standard_normal(n)
+    cases["combo"] = WickCombo([(0.3, None, 0.5 * u), (-1.2, f, 0.2 * f)], n)
+    directions = [rng.standard_normal(n) for _ in range(3)] + [np.zeros(n), u]
+    for name, xi in cases.items():
+        for h in directions:
+            assert s_transform(ctx, xi, h) == oracle.s_transform(ctx, xi, h), name
+
+
+@pytest.mark.parametrize("n", [1, 5, 24])
+def test_contract_last_matches_per_coefficient_route_exactly(n):
+    ctx = build_gram(FractionalBrownianMotion(0.7), TimeGrid.uniform(n))
+    rng = np.random.default_rng(200 + n)
+    w = rng.standard_normal(n)
+    for name, xi in oracle.sample_chaos_vectors(rng, ctx).items():
+        for f in xi.coeffs:
+            for times in range(f.order + 1):
+                oracle.assert_same_tensor(f.contract_last(ctx, w, times),
+                                          oracle.contract_last(f, ctx, w, times))

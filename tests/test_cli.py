@@ -167,6 +167,24 @@ def test_domain_diagnostic_csv(tmp_path):
     assert all(b >= a for a, b in zip(sums, sums[1:]))
 
 
+@pytest.mark.parametrize("experiment,cfg,message", [
+    ("bsde-verify", "N = 6\ntrials = 0\n", "trials"),
+    ("bsde-verify", "N = 6\nsolution = wick\ntrials = -3\n", "trials"),
+    ("skorokhod-check", "N = 8\ntrials = 0\n", "trials"),
+    ("domain-diagnostic", "N = 8\nK_max = 171\n", "170"),
+    ("nonexist-cert", "N = 8\nK_max = 171\n", "170"),
+])
+def test_unusable_check_settings_are_config_errors(tmp_path, capsys, experiment,
+                                                  cfg, message):
+    # trials = 0 used to write "passes": true after checking nothing, and
+    # K_max = 171 ended in a bare OverflowError
+    code, out = run(tmp_path, experiment, "model = fbm\nH = 0.75\n" + cfg, seed=1)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err
+    assert not (out / "run-manifest.json").exists()
+
+
 def test_gram_export_and_plot(tmp_path):
     code, out = run(tmp_path, "gram", "model = fbm\nH = 0.2\nN = 8\n")
     assert code == 0

@@ -26,6 +26,8 @@ from wickgrid import (
 )
 from wickgrid.errors import MartingaleCaseError, ShapeError
 
+import pairing_oracle as oracle
+
 
 @pytest.fixture
 def ctx():
@@ -298,3 +300,33 @@ def test_escape_sign_conventions(ctx, rng):
         sc = ShiftContext(ctx, 0.5, c)
         f = escape_direction(sc)
         assert ctx.inner(f, sc.c_r) >= -1e-12
+
+
+# ---------------------------------------------------------------------------
+# hoisted Gram image of c_r: bit-identical to per-(n, k) contraction
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [1, 5, 24])
+@pytest.mark.parametrize("c_scale", [0.0, 0.6])
+def test_shifted_qce_matches_per_coefficient_route_exactly(n, c_scale):
+    ctx = build_gram(FractionalBrownianMotion(0.75), TimeGrid.uniform(n))
+    rng = np.random.default_rng(300 + n)
+    cases = oracle.sample_chaos_vectors(rng, ctx)
+    c = c_scale * rng.standard_normal(n)
+    for r in sorted({ctx.grid.points[0], ctx.grid.points[n // 2],
+                     ctx.grid.points[-1]}):
+        sc = ShiftContext(ctx, r, c)
+        if c_scale == 0.0:
+            assert not np.any(sc.c_r)
+        elif r == 0.0:
+            assert np.array_equal(sc.c_r, -c)
+        for name, xi in cases.items():
+            oracle.assert_same_chaos(shifted_qce(sc, xi), oracle.shifted_qce(sc, xi))
+
+
+def test_shifted_qce_matches_per_coefficient_route_on_escape_chain(ctx):
+    # the certificate's chain f^(x k) / sqrt(k!) at high order, pure power sums
+    sc = ShiftContext(ctx, 0.5, 0.5 * np.ones(8))
+    f = escape_direction(sc)
+    xi = ChaosVector([escape_generator(f, 8)(k) for k in range(41)], 8)
+    oracle.assert_same_chaos(shifted_qce(sc, xi), oracle.shifted_qce(sc, xi))

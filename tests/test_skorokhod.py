@@ -104,6 +104,13 @@ def test_s_transform_identity(H, rng):
     assert err <= 1e-10
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_s_identity_check_needs_a_trial(ctx, trials):
+    Z = SimpleIntegrand(ctx, [(0.25, 0.5, WickCombo.exponential(ctx.indicator(0.875)))])
+    with pytest.raises(ParameterError, match="trials"):
+        verify_s_transform_identity(ctx, Z, trials, seed=0)
+
+
 def test_s_identity_at_zero_direction(ctx):
     Z = SimpleIntegrand(ctx, [(0.25, 0.5, WickCombo.exponential(ctx.indicator(0.875)))])
     out = skorokhod_simple(ctx, Z)
