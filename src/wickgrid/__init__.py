@@ -8,17 +8,14 @@ from .covariance import (
     TimeGrid,
     WeightedFbm,
     build_gram,
-    covariance_eval,
     sample_increments,
 )
 from .firstchaos import (
     SubspaceGeometry,
     TruncationOperator,
-    decompose,
     jensen_counterexample,
     max_correlation,
     operator_norm,
-    truncate,
 )
 from .chaos import (
     ChaosVector,
@@ -30,7 +27,6 @@ from .chaos import (
     sym_insert_last,
     symmetrize_full,
     tensor_inner,
-    wick_algebra_reduce,
     wick_exponential_chaos,
     wick_truncation_tail_sq,
 )
@@ -61,6 +57,7 @@ from .bsde import (
     integrating_factor,
     nonexistence_certificate,
     represent_Y,
+    represent_solution,
     verify_solution_weak,
     wick_exponential_solution,
 )

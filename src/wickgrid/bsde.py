@@ -44,6 +44,7 @@ __all__ = [
     "WickZ",
     "integrating_factor",
     "represent_Y",
+    "represent_solution",
     "wick_exponential_solution",
     "verify_solution_weak",
     "NonexistenceCertificate",
@@ -145,24 +146,46 @@ def xi_shifted(problem: BSDEProblem, A: Optional[np.ndarray] = None) -> ChaosVec
     return problem.xi if shift is None else problem.xi.sub(shift)
 
 
-def represent_Y(problem: BSDEProblem, t: float, K: Optional[int] = None) -> ChaosVector:
+def _node_Y(problem: BSDEProblem, A: np.ndarray, xt: ChaosVector, i: int,
+            run: Optional[ChaosVector]) -> ChaosVector:
+    """Y at node i from xi~ and run = int_0^{t_i} A G dgamma (None for zero)."""
+    ctx = problem.ctx
+    out = shifted_qce(ShiftContext(ctx, ctx.grid.points[i], problem.c), xt)
+    if run is not None:
+        out = out.add(run)
+    return out.scaled(1.0 / A[i])
+
+
+def represent_Y(problem: BSDEProblem, t: float) -> ChaosVector:
     """Node value of the represented solution.
 
     Y_t = A(t)^{-1} [ shifted-QCE of xi~ at (t, c) + int_0^t A G dgamma ].
     Exact for finite-order xi and G; at t = T it telescopes back to xi.
     """
-    ctx = problem.ctx
-    i = ctx.grid.index_of(t)
+    i = problem.ctx.grid.index_of(t)
+    A = integrating_factor(problem)
+    return _node_Y(problem, A, xi_shifted(problem, A), i, _driver_sum(problem, A, i))
+
+
+def represent_solution(problem: BSDEProblem) -> BSDESolution:
+    """The represented solution at every grid node, each as represent_Y gives it.
+
+    A and xi~ are formed once, and the driver integral up to t_i is one
+    running sum over i that adds the same terms in the same order as
+    _driver_sum, so the N+1 nodes cost O(N) chaos additions, not O(N^2).
+    """
     A = integrating_factor(problem)
     xt = xi_shifted(problem, A)
-    if K is not None:
-        xt = xt.padded(K)
-    sc = ShiftContext(ctx, t, problem.c)
-    out = shifted_qce(sc, xt)
-    run = _driver_sum(problem, A, i)
-    if run is not None:
-        out = out.add(run)
-    return out.scaled(1.0 / A[i])
+    dg = problem.dgamma
+    run = None
+    Y = [_node_Y(problem, A, xt, 0, run)]
+    for i in range(1, problem.ctx.n + 1):
+        gi = problem.G[i - 1]
+        if gi is not None:
+            term = gi.scaled(A[i - 1] * dg[i - 1])
+            run = term if run is None else run.add(term)
+        Y.append(_node_Y(problem, A, xt, i, run))
+    return BSDESolution(Y_nodes=Y, A=A, xi_tilde=xt)
 
 
 def wick_exponential_solution(problem: BSDEProblem, f, K: int = 12) -> BSDESolution:
@@ -174,7 +197,7 @@ def wick_exponential_solution(problem: BSDEProblem, f, K: int = 12) -> BSDESolut
     """
     if problem.has_driver():
         raise UnsupportedOperationError(
-            "closed form needs zero driver; use represent_Y"
+            "closed form needs zero driver; use represent_solution"
         )
     ctx = problem.ctx
     f = np.asarray(f, dtype=float)

@@ -35,7 +35,6 @@ __all__ = [
     "wick_exponential_chaos",
     "wick_truncation_tail_sq",
     "s_transform",
-    "wick_algebra_reduce",
     "evaluate_chaos_on_sample",
     "symmetrize_full",
     "sym_insert_last",
@@ -151,19 +150,6 @@ class SymmetricTensor:
                 f"tensor mismatch: ({self.order},{self.dim}) vs "
                 f"({other.order},{other.dim})"
             )
-
-    # -- linear maps applied on every axis -----------------------------------
-    def apply_linear(self, A: np.ndarray) -> "SymmetricTensor":
-        """Same matrix applied to every axis; preserves symmetry and storage."""
-        if self.order == 0:
-            return self.copy()
-        if self.is_powers:
-            return SymmetricTensor(self.order, self.dim,
-                                   powers=[(w, A @ v) for w, v in self.powers])
-        t = self.dense
-        for _ in range(self.order):
-            t = np.tensordot(t, A, axes=([0], [1]))
-        return SymmetricTensor(self.order, self.dim, dense=t)
 
     def project_coords(self, m: int) -> "SymmetricTensor":
         """Zero all entries touching coordinates >= m (axis-wise projection)."""
@@ -568,22 +554,6 @@ class WickCombo:
 
     def __repr__(self) -> str:
         return f"WickCombo(terms={len(self.terms)}, dim={self.dim})"
-
-
-def wick_algebra_reduce(ctx: GramContext, combo: WickCombo, op: str, **kwargs):
-    """Named-operation front end for the closed Wick-term algebra."""
-    if op == "expectation":
-        return combo.expectation(ctx)
-    if op == "multiply_first_chaos":
-        return combo.multiply_first_chaos(ctx, kwargs["x"])
-    if op == "multiply_exponential":
-        return combo.multiply_exponential(ctx, kwargs["w"],
-                                          kwargs.get("factor", 1.0))
-    if op == "scale":
-        return combo.scaled(kwargs["a"])
-    if op == "add":
-        return combo.add(kwargs["other"])
-    raise UnsupportedOperationError(f"unknown algebra operation {op!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from . import __version__
 from .covariance import (
     BrownianMotion,
     FractionalBrownianMotion,
+    GramContext,
     SumModel,
     TimeGrid,
     WeightedFbm,
@@ -49,9 +50,8 @@ from .skorokhod import SimpleIntegrand, verify_s_transform_identity
 from .bsde import (
     BSDEProblem,
     example33_residual,
-    integrating_factor,
     nonexistence_certificate,
-    represent_Y,
+    represent_solution,
     verify_solution_weak,
     wick_exponential_solution,
 )
@@ -65,6 +65,8 @@ from .fraccalc import (
 )
 
 USAGE_EXIT = 64
+_TRUE_WORDS = ("1", "true", "yes", "on")
+_FALSE_WORDS = ("0", "false", "no", "off")
 
 
 class Config(dict):
@@ -82,7 +84,12 @@ class Config(dict):
     def get_bool(self, key, default=False):
         if key not in self:
             return default
-        return self[key].strip().lower() in ("1", "true", "yes", "on")
+        word = self[key].strip().lower()
+        if word not in _TRUE_WORDS + _FALSE_WORDS:
+            raise ParameterError(
+                f"{key} = {self[key]!r} is not a boolean; use one of "
+                f"{', '.join(_TRUE_WORDS + _FALSE_WORDS)}")
+        return word in _TRUE_WORDS
 
     def get_floats(self, key, default=None):
         if key not in self:
@@ -184,32 +191,40 @@ def svg_plot(path: Path, xs, series: dict, title: str = "") -> None:
 # model / grid construction from config
 # ---------------------------------------------------------------------------
 
-def model_from_config(cfg: Config, grid: TimeGrid):
-    kind = cfg.get_str("model", "fbm")
-    if kind == "bm":
-        return BrownianMotion()
-    if kind == "fbm":
-        return FractionalBrownianMotion(cfg.get_float("H", 0.75))
-    if kind == "weighted_fbm":
-        sigma = cfg.get_floats("sigma", [1.0] * grid.n)
-        return WeightedFbm(cfg.get_float("H", 0.75), sigma, grid)
-    if kind == "sum":
-        m1 = _submodel(cfg.get_str("sum_model1", "bm"), cfg.get_float("sum_H1", 0.5))
-        m2 = _submodel(cfg.get_str("sum_model2", "fbm"), cfg.get_float("sum_H2", 0.75))
-        return SumModel(m1, m2, cfg.get_float("sum_gamma", 1.0))
-    raise ParameterError(f"unknown model {kind!r}")
+# (model key, default model, Hurst key, default H) of the top-level model
+# and of the two components of model = sum
+_MODEL_KEYS = (("model", "fbm", "H", 0.75), ("sum_model1", "bm", "sum_H1", 0.5),
+               ("sum_model2", "fbm", "sum_H2", 0.75))
 
 
-def _submodel(kind: str, H: float):
+def model_from_config(cfg: Config, grid: TimeGrid, part: int = 0):
+    """The configured model; part 1 and 2 are the components of model = sum.
+
+    A component is bm or fbm only.
+    """
+    kind_key, kind_default, H_key, H_default = _MODEL_KEYS[part]
+    kind = cfg.get_str(kind_key, kind_default)
+    H = cfg.get_float(H_key, H_default)
     if kind == "bm":
         return BrownianMotion()
     if kind == "fbm":
         return FractionalBrownianMotion(H)
-    raise ParameterError(f"unknown component model {kind!r}")
+    if kind == "weighted_fbm" and not part:
+        return WeightedFbm(H, cfg.get_floats("sigma", [1.0] * grid.n), grid)
+    if kind == "sum" and not part:
+        return SumModel(model_from_config(cfg, grid, 1), model_from_config(cfg, grid, 2),
+                        cfg.get_float("sum_gamma", 1.0))
+    raise ParameterError(f"unknown {'component ' if part else ''}model {kind!r}")
 
 
 def grid_from_config(cfg: Config) -> TimeGrid:
     return TimeGrid.uniform(cfg.get_int("N", 16), cfg.get_float("T", 1.0))
+
+
+def gram_from_config(cfg: Config) -> GramContext:
+    """Gram context of the configured model on the configured grid."""
+    grid = grid_from_config(cfg)
+    return build_gram(model_from_config(cfg, grid), grid)
 
 
 def _default_r(cfg: Config, grid: TimeGrid) -> float:
@@ -218,9 +233,9 @@ def _default_r(cfg: Config, grid: TimeGrid) -> float:
     return r
 
 
-def _shift_from_config(cfg: Config, ctx) -> np.ndarray:
+def _shift_from_config(cfg: Config, grid: TimeGrid) -> np.ndarray:
     scale = cfg.get_float("c_scale", 0.0)
-    return scale * ctx.indicator(ctx.grid.T)
+    return scale * grid.indicator(grid.T)
 
 
 # ---------------------------------------------------------------------------
@@ -228,8 +243,7 @@ def _shift_from_config(cfg: Config, ctx) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def exp_gram(cfg, out, seed, threads):
-    grid = grid_from_config(cfg)
-    ctx = build_gram(model_from_config(cfg, grid), grid)
+    ctx = gram_from_config(cfg)
     csv_path = out / "gram.csv"
     write_csv(csv_path, [f"c{j}" for j in range(ctx.n)], ctx.G.tolist())
     js = out / "gram.json"
@@ -303,8 +317,8 @@ def exp_dr_sweep(cfg, out, seed, threads):
 
 
 def exp_jensen(cfg, out, seed, threads):
-    grid = grid_from_config(cfg)
-    ctx = build_gram(model_from_config(cfg, grid), grid)
+    ctx = gram_from_config(cfg)
+    grid = ctx.grid
     r = _default_r(cfg, grid)
     eps = cfg.get_float("epsilon", 1e-3)
     js = out / "jensen.json"
@@ -325,10 +339,10 @@ def exp_jensen(cfg, out, seed, threads):
 
 
 def exp_qce_check(cfg, out, seed, threads):
-    grid = grid_from_config(cfg)
-    ctx = build_gram(model_from_config(cfg, grid), grid)
+    ctx = gram_from_config(cfg)
+    grid = ctx.grid
     r = _default_r(cfg, grid)
-    c = _shift_from_config(cfg, ctx)
+    c = _shift_from_config(cfg, grid)
     sc = ShiftContext(ctx, r, c)
     rng = np.random.default_rng(seed)
     K = cfg.get_int("K", 12)
@@ -389,10 +403,10 @@ def _random_chaos(rng, ctx, order=3) -> ChaosVector:
 
 
 def exp_domain_diagnostic(cfg, out, seed, threads):
-    grid = grid_from_config(cfg)
-    ctx = build_gram(model_from_config(cfg, grid), grid)
+    ctx = gram_from_config(cfg)
+    grid = ctx.grid
     r = _default_r(cfg, grid)
-    c = _shift_from_config(cfg, ctx)
+    c = _shift_from_config(cfg, grid)
     sc = ShiftContext(ctx, r, c)
     K_max = cfg.get_int("K_max", 12)
     mode = cfg.get_str("generator", "escape")
@@ -414,8 +428,8 @@ def exp_domain_diagnostic(cfg, out, seed, threads):
 
 
 def exp_skorokhod_check(cfg, out, seed, threads):
-    grid = grid_from_config(cfg)
-    ctx = build_gram(model_from_config(cfg, grid), grid)
+    ctx = gram_from_config(cfg)
+    grid = ctx.grid
     pts = grid.points
     a = cfg.get_float("a", pts[grid.n // 4])
     b = cfg.get_float("b", pts[grid.n // 2])
@@ -432,7 +446,7 @@ def _problem_from_config(cfg, ctx, rng):
     n = ctx.n
     a = np.full(n, cfg.get_float("a_const", 0.5))
     gamma = ctx.grid.points.copy()
-    c = _shift_from_config(cfg, ctx)
+    c = _shift_from_config(cfg, ctx.grid)
     G = [None] * (n + 1)
     if cfg.get_bool("with_driver", True):
         for i in range(n + 1):
@@ -446,19 +460,13 @@ def _problem_from_config(cfg, ctx, rng):
 
 
 def exp_bsde_solve(cfg, out, seed, threads):
-    grid = grid_from_config(cfg)
-    ctx = build_gram(model_from_config(cfg, grid), grid)
+    ctx = gram_from_config(cfg)
     rng = np.random.default_rng(seed)
     problem = _problem_from_config(cfg, ctx, rng)
-    A = integrating_factor(problem)
-    rows = []
-    terminal_err = None
-    for i, t in enumerate(grid.points):
-        y = represent_Y(problem, t)
-        rows.append((float(t), float(A[i]), y.expectation(),
-                     math.sqrt(max(y.l2_norm_sq(ctx), 0.0))))
-        if i == grid.n:
-            terminal_err = math.sqrt(max(y.sub(problem.xi).l2_norm_sq(ctx), 0.0))
+    sol = represent_solution(problem)
+    rows = [(float(t), float(a), y.expectation(), math.sqrt(max(y.l2_norm_sq(ctx), 0.0)))
+            for t, a, y in zip(ctx.grid.points, sol.A, sol.Y_nodes)]
+    terminal_err = math.sqrt(max(sol.Y_nodes[-1].sub(problem.xi).l2_norm_sq(ctx), 0.0))
     csv_path = out / "bsde_solution.csv"
     write_csv(csv_path, ["t", "A", "mean_Y", "l2_Y"], rows)
     js = out / "bsde_solution.json"
@@ -468,30 +476,28 @@ def exp_bsde_solve(cfg, out, seed, threads):
 
 
 def exp_bsde_verify(cfg, out, seed, threads):
-    grid = grid_from_config(cfg)
-    ctx = build_gram(model_from_config(cfg, grid), grid)
-    rng = np.random.default_rng(seed)
     kind = cfg.get_str("solution", "represent")
+    if kind not in ("represent", "wick"):
+        raise ParameterError(f"unknown solution {kind!r}; use represent or wick")
+    ctx = gram_from_config(cfg)
+    grid = ctx.grid
+    rng = np.random.default_rng(seed)
     if kind == "wick":
         n = ctx.n
         problem = BSDEProblem(
             ctx, np.full(n, cfg.get_float("a_const", 0.5)), grid.points,
-            c=_shift_from_config(cfg, ctx),
+            c=_shift_from_config(cfg, grid),
             xi=ChaosVector.constant(1.0, n))
         f = rng.standard_normal(n)
         f /= 2.0 * max(ctx.norm(f), 1e-300)
         sol = wick_exponential_solution(problem, f, K=cfg.get_int("K", 10))
         problem.xi = sol.Y_nodes[-1]
-        res = verify_solution_weak(problem, sol, cfg.get_int("trials", 10), seed)
         tol = 1e-9
     else:
         problem = _problem_from_config(cfg, ctx, rng)
-        from .bsde import BSDESolution, integrating_factor, xi_shifted
-        Y = [represent_Y(problem, t) for t in grid.points]
-        sol = BSDESolution(Y_nodes=Y, A=integrating_factor(problem),
-                           xi_tilde=xi_shifted(problem))
-        res = verify_solution_weak(problem, sol, cfg.get_int("trials", 10), seed)
+        sol = represent_solution(problem)
         tol = 1e-8
+    res = verify_solution_weak(problem, sol, cfg.get_int("trials", 10), seed)
     ok = res <= tol
     js = out / "bsde_verify.json"
     write_json(js, {"max_residual": res, "tolerance": tol,
@@ -503,8 +509,7 @@ def exp_nonexist_cert(cfg, out, seed, threads):
     grid = grid_from_config(cfg)
     model = model_from_config(cfg, grid)
     r = _default_r(cfg, grid)
-    ctx = build_gram(model, grid)
-    c = _shift_from_config(cfg, ctx)
+    c = _shift_from_config(cfg, grid)
     n = grid.n
     a = np.full(n, cfg.get_float("a_const", 0.0))
     js = out / "certificate.json"
@@ -586,9 +591,11 @@ def exp_frac_verify(cfg, out, seed, threads):
 
 
 def exp_mc_crosscheck(cfg, out, seed, threads):
-    grid = grid_from_config(cfg)
-    ctx = build_gram(model_from_config(cfg, grid), grid)
     n_paths = cfg.get_int("n_paths", 100_000)
+    if n_paths < 2:
+        raise ParameterError(
+            f"n_paths must be >= 2 for a sample standard deviation, got {n_paths}")
+    ctx = gram_from_config(cfg)
     rng = np.random.default_rng(seed)
     X = sample_increments(ctx, n_paths, seed)
     h = rng.standard_normal(ctx.n)

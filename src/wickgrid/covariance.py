@@ -31,13 +31,14 @@ __all__ = [
     "FractionalBrownianMotion",
     "WeightedFbm",
     "SumModel",
-    "covariance_eval",
     "build_gram",
     "GramContext",
     "sample_increments",
 ]
 
 _ALIGN_TOL = 1e-9
+# most negative Gram eigenvalue, relative to trace(G)/N, that is still roundoff
+_EIG_FLOOR_REL = 1e-10
 
 
 class TimeGrid:
@@ -57,6 +58,8 @@ class TimeGrid:
 
     @classmethod
     def uniform(cls, n: int, T: float = 1.0) -> "TimeGrid":
+        if n < 1:
+            raise ParameterError(f"a uniform grid needs n >= 1 increments, got {n}")
         return cls(np.linspace(0.0, T, n + 1))
 
     def refine(self, k: int = 2) -> "TimeGrid":
@@ -215,11 +218,6 @@ class SumModel:
         return f"SumModel({self.model1!r}, {self.model2!r}, gamma={self.gamma})"
 
 
-def covariance_eval(model, s: float, t: float) -> float:
-    """R(s, t) = E[X_s X_t] for the given model."""
-    return model.cov(s, t)
-
-
 def _gram_from_cov(model, grid: TimeGrid) -> np.ndarray:
     pts = grid.points
     R = model.cov(pts[:, None], pts[None, :])
@@ -235,18 +233,18 @@ class GramContext:
     """Increment Gram matrix of a model on a grid, with its eigenfactorization.
 
     Eigenvalues are floored at zero; construction fails if the most negative
-    eigenvalue falls below -eig_floor_rel * trace(G)/N, which signals a
+    eigenvalue falls below -_EIG_FLOOR_REL * trace(G)/N, which signals a
     model/grid inconsistency rather than roundoff.
     """
 
     def __init__(self, model, grid: TimeGrid, gram: np.ndarray,
-                 eig_floor_rel: float = 1e-10, cond_cap: float = 1e12):
+                 cond_cap: float = 1e12):
         self.model = model
         self.grid = grid
         self.n = grid.n
         self.G = gram
         lam, U = np.linalg.eigh(gram)
-        floor = eig_floor_rel * np.trace(gram) / grid.n
+        floor = _EIG_FLOOR_REL * np.trace(gram) / grid.n
         if lam[0] < -floor:
             raise ModelGridError(
                 f"Gram has eigenvalue {lam[0]:.3e} below -{floor:.3e}; "
@@ -261,7 +259,6 @@ class GramContext:
         # guards the lazily built matrices below; sweeps share one context
         # across worker threads
         self._lock = threading.Lock()
-        self._sqrt = None
         self._inv_sqrt = None
         self._inv = None
 
@@ -287,41 +284,24 @@ class GramContext:
         return np.concatenate([[0.0], np.cumsum(pair)])
 
     # -- factorizations ----------------------------------------------------
-    def _pd_eigs(self):
-        lam_max = self.eigvals[-1]
-        if lam_max <= 0 or self.eigvals[0] <= 1e-13 * lam_max:
-            raise ConditioningError(
-                "Gram is singular beyond the eigenvalue floor; "
-                f"cond estimate {self.cond_estimate:.3e}"
-            )
-        return self.eigvals
-
     @property
     def sample_factor(self) -> np.ndarray:
         """L with L L^T = G (semidefinite factor; flooring already applied)."""
         return self.eigvecs * np.sqrt(self.eigvals)
 
     @property
-    def sqrt_matrix(self) -> np.ndarray:
-        with self._lock:
-            if self._sqrt is None:
-                self._sqrt = (self.eigvecs * np.sqrt(self.eigvals)) @ self.eigvecs.T
-            return self._sqrt
-
-    @property
     def inv_sqrt_matrix(self) -> np.ndarray:
         with self._lock:
             if self._inv_sqrt is None:
-                lam = self._pd_eigs()
-                self._inv_sqrt = (self.eigvecs / np.sqrt(lam)) @ self.eigvecs.T
+                self._inv_sqrt = _inv_sqrt(self.eigvals, self.eigvecs)
             return self._inv_sqrt
 
     @property
     def inv_matrix(self) -> np.ndarray:
         with self._lock:
             if self._inv is None:
-                lam = self._pd_eigs()
-                self._inv = (self.eigvecs / lam) @ self.eigvecs.T
+                _require_pd(self.eigvals)
+                self._inv = (self.eigvecs / self.eigvals) @ self.eigvecs.T
             return self._inv
 
     def __repr__(self) -> str:
@@ -329,15 +309,31 @@ class GramContext:
                 f"cond={self.cond_estimate:.2e})")
 
 
-def build_gram(model, grid: TimeGrid, eig_floor_rel: float = 1e-10,
-               cond_cap: float = 1e12) -> GramContext:
+def _require_pd(lam: np.ndarray) -> None:
+    """Refuse ascending eigenvalues, floored at zero, that leave G singular."""
+    if lam[-1] <= 0 or lam[0] <= 1e-13 * lam[-1]:
+        cond = np.inf if lam[0] <= 0 else lam[-1] / lam[0]
+        raise ConditioningError(
+            f"Gram is singular beyond the eigenvalue floor; cond estimate {cond:.3e}")
+
+
+def _inv_sqrt(lam: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """B^{-1/2} = U diag(lam)^{-1/2} U^T from the eigenpairs of a symmetric B.
+
+    The eigenvalues are floored at zero first, as GramContext floors its own.
+    """
+    lam = np.clip(lam, 0.0, None)
+    _require_pd(lam)
+    return (U / np.sqrt(lam)) @ U.T
+
+
+def build_gram(model, grid: TimeGrid, cond_cap: float = 1e12) -> GramContext:
     """Assemble the increment Gram of `model` on `grid` and factorize it."""
     if isinstance(model, WeightedFbm):
         gram = model.gram(grid)
     else:
         gram = _gram_from_cov(model, grid)
-    return GramContext(model, grid, gram, eig_floor_rel=eig_floor_rel,
-                       cond_cap=cond_cap)
+    return GramContext(model, grid, gram, cond_cap=cond_cap)
 
 
 def sample_increments(ctx: GramContext, n_paths: int, seed: int) -> np.ndarray:
@@ -346,6 +342,8 @@ def sample_increments(ctx: GramContext, n_paths: int, seed: int) -> np.ndarray:
     The same seed gives bit-identical output; n_paths = 0 yields an empty
     (0, N) array.
     """
+    if n_paths < 0:
+        raise ParameterError(f"n_paths must be >= 0, got {n_paths}")
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((int(n_paths), ctx.n))
     return z @ ctx.sample_factor.T

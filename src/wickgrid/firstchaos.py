@@ -16,14 +16,12 @@ from typing import Optional
 
 import numpy as np
 
-from .covariance import GramContext
+from .covariance import GramContext, _inv_sqrt
 from .errors import DegenerateSplitError, MartingaleCaseError, ParameterError
 
 __all__ = [
     "TruncationOperator",
     "SubspaceGeometry",
-    "truncate",
-    "decompose",
     "operator_norm",
     "max_correlation",
     "jensen_counterexample",
@@ -55,21 +53,6 @@ class TruncationOperator:
 
     def adjoint(self, x: np.ndarray) -> np.ndarray:
         return self.adjoint_matrix @ np.asarray(x, dtype=float)
-
-
-def truncate(op: TruncationOperator, x: np.ndarray, mode: str = "forward") -> np.ndarray:
-    if mode == "forward":
-        return op.forward(x)
-    if mode == "adjoint":
-        return op.adjoint(x)
-    raise ParameterError(f"unknown truncation mode {mode!r}")
-
-
-def decompose(op: TruncationOperator, x: np.ndarray):
-    """Split x = x_past + x_future along the coordinate blocks at m."""
-    past = op.forward(x)
-    future = np.asarray(x, dtype=float) - past
-    return past, future
 
 
 @dataclass
@@ -127,8 +110,7 @@ def max_correlation(ctx: GramContext, r: float) -> SubspaceGeometry:
     G11 = ctx.G[:m, :m]
     G22 = ctx.G[m:, m:]
     G12 = ctx.G[:m, m:]
-    W1 = _inv_sqrt_block(G11)
-    W2 = _inv_sqrt_block(G22)
+    W1, W2 = (_inv_sqrt(*np.linalg.eigh(0.5 * (B + B.T))) for B in (G11, G22))
     u_mat, svals, vt_mat = np.linalg.svd(W1 @ G12 @ W2)
     d_r = float(svals[0])
     upsilon = np.zeros(n)
@@ -141,15 +123,6 @@ def max_correlation(ctx: GramContext, r: float) -> SubspaceGeometry:
         psi = -psi
     return SubspaceGeometry(r=float(r), m=m, d_r=d_r,
                             extremal_pair=(upsilon, psi))
-
-
-def _inv_sqrt_block(B: np.ndarray) -> np.ndarray:
-    lam, U = np.linalg.eigh(0.5 * (B + B.T))
-    lam = np.clip(lam, 0.0, None)
-    if lam[-1] <= 0 or lam[0] <= 1e-13 * lam[-1]:
-        from .errors import ConditioningError
-        raise ConditioningError("Gram block is singular beyond the floor")
-    return (U / np.sqrt(lam)) @ U.T
 
 
 def jensen_counterexample(ctx: GramContext, r: float, eps: float = 1e-3,

@@ -211,6 +211,8 @@ def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
     the series converges.  Terminating series (a or b a nonpositive integer)
     work for any of these paths.
     """
+    if not all(math.isfinite(v) for v in (a, b, c, z)):
+        raise ParameterError("2F1 arguments a, b, c and z must be finite")
     if _is_nonpositive_int(c):
         raise ParameterError("c must not be a nonpositive integer")
     if abs(z) > 1.0:

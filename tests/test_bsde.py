@@ -20,6 +20,7 @@ from wickgrid import (
     nonexistence_certificate,
     normalized_power_series,
     represent_Y,
+    represent_solution,
     sample_increments,
     shifted_qce,
     symmetrize_full,
@@ -166,11 +167,31 @@ def test_higher_order_driver_entries(ctx, rng):
     p = BSDEProblem(ctx, rng.standard_normal(8), ctx.grid.points,
                     c=0.5 * rng.standard_normal(8), G=G,
                     xi=random_chaos(rng, 8, 3))
-    Y = [represent_Y(p, t) for t in ctx.grid.points]
+    sol = represent_solution(p)
+    Y = sol.Y_nodes
     assert l2(ctx, Y[-1].sub(p.xi)) <= 1e-12
     assert all(Y[i].support_bound() <= i for i in range(9))
-    sol = BSDESolution(Y_nodes=Y, A=integrating_factor(p), xi_tilde=xi_shifted(p))
     assert verify_solution_weak(p, sol, trials=8, seed=4) <= 1e-8
+
+
+@pytest.mark.parametrize("shifted", [False, True])
+@pytest.mark.parametrize("driver", [False, True])
+@pytest.mark.parametrize("n", [1, 5, 24])
+def test_represent_solution_matches_represent_Y_exactly(n, driver, shifted):
+    # the running driver sum must add the same terms in the same order as the
+    # per-node sum, so every node agrees to the last bit
+    ctx = build_gram(FractionalBrownianMotion(0.3), TimeGrid.uniform(n))
+    rng = np.random.default_rng(500 + n)
+    p = BSDEProblem(ctx, rng.standard_normal(n), ctx.grid.points,
+                    c=0.7 * rng.standard_normal(n) if shifted else None,
+                    G=adapted_driver(rng, n) if driver else None,
+                    xi=random_chaos(rng, n, 3))
+    sol = represent_solution(p)
+    assert np.array_equal(sol.A, integrating_factor(p))
+    oracle.assert_same_chaos(sol.xi_tilde, xi_shifted(p))
+    assert len(sol.Y_nodes) == n + 1
+    for y, t in zip(sol.Y_nodes, ctx.grid.points):
+        oracle.assert_same_chaos(y, represent_Y(p, t))
 
 
 def test_driver_support_validated(ctx, rng):
@@ -189,24 +210,21 @@ def test_weak_residual_of_representation(H, seed):
     ctx = build_gram(FractionalBrownianMotion(H), TimeGrid.uniform(8))
     rng = np.random.default_rng(seed)
     p = make_problem(ctx, rng)
-    Y = [represent_Y(p, t) for t in ctx.grid.points]
-    sol = BSDESolution(Y_nodes=Y, A=integrating_factor(p), xi_tilde=xi_shifted(p))
+    sol = represent_solution(p)
     assert verify_solution_weak(p, sol, trials=10, seed=seed) <= 1e-8
 
 
 def test_weak_residual_flags_perturbation(ctx, rng):
     p = make_problem(ctx, rng)
-    Y = [represent_Y(p, t) for t in ctx.grid.points]
-    Y[4] = Y[4].add(ChaosVector.constant(0.1, 8))
-    sol = BSDESolution(Y_nodes=Y, A=integrating_factor(p), xi_tilde=xi_shifted(p))
+    sol = represent_solution(p)
+    sol.Y_nodes[4] = sol.Y_nodes[4].add(ChaosVector.constant(0.1, 8))
     assert verify_solution_weak(p, sol, trials=5, seed=0) >= 0.099
 
 
 @pytest.mark.parametrize("trials", [0, -3])
 def test_weak_check_needs_a_trial(ctx, rng, trials):
     p = make_problem(ctx, rng, order=1)
-    Y = [represent_Y(p, t) for t in ctx.grid.points]
-    sol = BSDESolution(Y_nodes=Y, A=integrating_factor(p), xi_tilde=xi_shifted(p))
+    sol = represent_solution(p)
     with pytest.raises(ParameterError, match="trials"):
         verify_solution_weak(p, sol, trials, seed=0)
 
@@ -444,8 +462,7 @@ def test_weak_residual_matches_reference_route_exactly(n):
     ctx = build_gram(FractionalBrownianMotion(0.3), TimeGrid.uniform(n))
     rng = np.random.default_rng(400 + n)
     p = make_problem(ctx, rng, order=3)
-    Y = [represent_Y(p, t) for t in ctx.grid.points]
-    sol = BSDESolution(Y_nodes=Y, A=integrating_factor(p), xi_tilde=xi_shifted(p))
+    sol = represent_solution(p)
     assert verify_solution_weak(p, sol, 2, 9) == oracle.verify_solution_weak(p, sol, 2, 9)
     pw, wick = _wick_solved(ctx, rng, K=8)
     assert verify_solution_weak(pw, wick, 2, 4) == oracle.verify_solution_weak(pw, wick, 2, 4)

@@ -18,7 +18,6 @@ from wickgrid import (
     sample_increments,
     symmetrize_full,
     tensor_inner,
-    wick_algebra_reduce,
     wick_exponential_chaos,
     wick_truncation_tail_sq,
 )
@@ -172,7 +171,7 @@ def test_s_transform_totality_order_two(ctx, rng):
 
 def test_expectation_of_wick_exponential(ctx, rng):
     combo = WickCombo.exponential(rng.standard_normal(6))
-    assert wick_algebra_reduce(ctx, combo, "expectation") == pytest.approx(1.0)
+    assert combo.expectation(ctx) == pytest.approx(1.0)
 
 
 def test_expectation_first_chaos_term(ctx, rng):
@@ -237,11 +236,6 @@ def test_combo_to_chaos_matches_s_transform(ctx, rng):
     # pure-exponential terms stay in power form at any order
     cv2 = WickCombo.exponential(g).to_chaos(ctx, 16)
     assert all(t.is_powers for t in cv2.coeffs[1:])
-
-
-def test_unknown_algebra_op(ctx):
-    with pytest.raises(UnsupportedOperationError):
-        wick_algebra_reduce(ctx, WickCombo.zero(6), "divide")
 
 
 # ---------------------------------------------------------------------------

@@ -173,11 +173,18 @@ def test_domain_diagnostic_csv(tmp_path):
     ("skorokhod-check", "N = 8\ntrials = 0\n", "trials"),
     ("domain-diagnostic", "N = 8\nK_max = 171\n", "170"),
     ("nonexist-cert", "N = 8\nK_max = 171\n", "170"),
+    ("mc-crosscheck", "N = 4\nn_paths = 0\n", "n_paths"),
+    ("mc-crosscheck", "N = 4\nn_paths = 1\n", "n_paths"),
+    ("mc-crosscheck", "N = 4\nn_paths = -3\n", "n_paths"),
+    ("bsde-verify", "N = 4\nsolution = wik\n", "wik"),
+    ("opnorm-sweep", "N = 8\nH_list = 0.3\nplot = ture\n", "plot"),
+    ("gram", "N = -2\n", "n >= 1"),
 ])
 def test_unusable_check_settings_are_config_errors(tmp_path, capsys, experiment,
                                                   cfg, message):
-    # trials = 0 used to write "passes": true after checking nothing, and
-    # K_max = 171 ended in a bare OverflowError
+    # trials = 0 used to write "passes": true after checking nothing,
+    # K_max = 171 ended in a bare OverflowError, n_paths < 2 wrote NaN z
+    # statistics, and solution = wik or plot = ture fell back to a default
     code, out = run(tmp_path, experiment, "model = fbm\nH = 0.75\n" + cfg, seed=1)
     assert code == 1
     err = capsys.readouterr().err

@@ -13,7 +13,6 @@ from wickgrid import (
     TimeGrid,
     WeightedFbm,
     build_gram,
-    covariance_eval,
     sample_increments,
 )
 from wickgrid.covariance import _gram_from_cov
@@ -29,21 +28,21 @@ class IndefiniteModel:
 
 def test_fbm_half_is_min():
     m = FractionalBrownianMotion(0.5)
-    assert covariance_eval(m, 1.0, 2.0) == pytest.approx(1.0, abs=1e-15)
-    assert covariance_eval(m, 0.0, 1.7) == 0.0
+    assert m.cov(1.0, 2.0) == pytest.approx(1.0, abs=1e-15)
+    assert m.cov(0.0, 1.7) == 0.0
 
 
 @pytest.mark.parametrize("H", [0.2, 0.35, 0.5, 0.75, 0.9])
 def test_fbm_diagonal_is_t_2h(H):
     m = FractionalBrownianMotion(H)
     for t in [0.3, 1.0, 2.5]:
-        assert covariance_eval(m, t, t) == pytest.approx(t ** (2 * H), rel=1e-14)
-        assert covariance_eval(m, 0.4, t) == covariance_eval(m, t, 0.4)
+        assert m.cov(t, t) == pytest.approx(t ** (2 * H), rel=1e-14)
+        assert m.cov(0.4, t) == m.cov(t, 0.4)
 
 
 def test_sum_model_independence():
     m = SumModel(BrownianMotion(), BrownianMotion(), gamma=2.0)
-    assert covariance_eval(m, 1.0, 1.0) == pytest.approx(5.0, abs=1e-15)
+    assert m.cov(1.0, 1.0) == pytest.approx(5.0, abs=1e-15)
 
 
 @pytest.mark.parametrize("H", [0.0, 1.0, -0.3, 1.7])
@@ -64,6 +63,9 @@ def test_grid_invariants():
         TimeGrid([0.0, 1.0, 1.0])       # strictly increasing
     with pytest.raises(ParameterError):
         TimeGrid([0.0])                 # N >= 1
+    for n in (0, -2):
+        with pytest.raises(ParameterError, match="n >= 1"):
+            TimeGrid.uniform(n)
     grid = TimeGrid.uniform(4)
     with pytest.raises(GridAlignmentError):
         grid.index_of(0.3)
@@ -104,7 +106,7 @@ def test_indicator_quadratic_form_reproduces_covariance(model):
     ctx = build_gram(model, grid)
     for ti in grid.points[1:]:
         for tj in grid.points[1:]:
-            want = covariance_eval(model, ti, tj)
+            want = model.cov(ti, tj)
             got = ctx.inner(ctx.indicator(ti), ctx.indicator(tj))
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
@@ -144,7 +146,7 @@ def test_weighted_fbm_quadratic_form():
     # covariance at nodes equals the block sum
     ctx = build_gram(model, grid)
     for t in grid.points[1:]:
-        assert covariance_eval(model, t, t) == pytest.approx(
+        assert model.cov(t, t) == pytest.approx(
             ctx.inner(ctx.indicator(t), ctx.indicator(t)), rel=1e-12)
 
 
@@ -181,6 +183,8 @@ def test_sampling_deterministic_and_empty():
     assert a.shape == (50, 8)
     assert np.array_equal(a, b)
     assert sample_increments(ctx, 0, seed=1).shape == (0, 8)
+    with pytest.raises(ParameterError, match="n_paths"):
+        sample_increments(ctx, -3, seed=1)
 
 
 def test_sampling_bm_mean_within_3se():

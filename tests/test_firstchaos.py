@@ -12,11 +12,9 @@ from wickgrid import (
     WeightedFbm,
     TruncationOperator,
     build_gram,
-    decompose,
     jensen_counterexample,
     max_correlation,
     operator_norm,
-    truncate,
 )
 from wickgrid.errors import DegenerateSplitError, MartingaleCaseError
 
@@ -36,17 +34,17 @@ def test_truncate_basis_vectors(fbm_ctx):
     for i in range(8):
         e = np.zeros(8)
         e[i] = 1.0
-        out = truncate(op, e)
+        out = op.forward(e)
         want = e if i < op.m else np.zeros(8)
         assert np.array_equal(out, want)
 
 
 def test_truncate_indicator(fbm_ctx):
     op = TruncationOperator(fbm_ctx, 0.5)
-    got = truncate(op, fbm_ctx.indicator(0.875))
+    got = op.forward(fbm_ctx.indicator(0.875))
     assert np.array_equal(got, fbm_ctx.indicator(0.5))
     # t <= r is untouched
-    got2 = truncate(op, fbm_ctx.indicator(0.25))
+    got2 = op.forward(fbm_ctx.indicator(0.25))
     assert np.array_equal(got2, fbm_ctx.indicator(0.25))
 
 
@@ -64,8 +62,8 @@ def test_idempotence(fbm_ctx, mode):
     rng = np.random.default_rng(1)
     for _ in range(20):
         x = rng.standard_normal(8)
-        once = truncate(op, x, mode)
-        twice = truncate(op, once, mode)
+        once = getattr(op, mode)(x)
+        twice = getattr(op, mode)(once)
         assert np.allclose(twice, once, rtol=1e-12, atol=1e-12)
 
 
@@ -84,14 +82,15 @@ def test_decompose(fbm_ctx):
     op = TruncationOperator(fbm_ctx, 0.5)
     rng = np.random.default_rng(3)
     x = rng.standard_normal(8)
-    past, future = decompose(op, x)
+    past = op.forward(x)
+    future = x - past
     assert np.array_equal(past + future, x)
     assert np.all(past[op.m:] == 0)
     assert np.all(future[:op.m] == 0)
     # already supported inputs pass through
     xp = np.zeros(8)
     xp[:op.m] = rng.standard_normal(op.m)
-    assert decompose(op, xp)[1] == pytest.approx(np.zeros(8), abs=0)
+    assert xp - op.forward(xp) == pytest.approx(np.zeros(8), abs=0)
 
 
 def test_adjoint_orthogonality(fbm_ctx):

@@ -158,6 +158,16 @@ def test_2f1_against_scipy():
             float(hyp2f1(a, b, c, z)), rel=1e-11, abs=1e-11)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("slot", range(4))
+def test_2f1_rejects_non_finite_arguments(slot, bad):
+    # a NaN argument used to run the full series budget before giving up
+    args = [0.5, 0.5, 1.5, 0.3]
+    args[slot] = bad
+    with pytest.raises(ParameterError, match="finite"):
+        gauss_2f1(*args)
+
+
 @pytest.mark.parametrize("z", [-1.0, -0.75, -0.5])
 def test_2f1_pfaff_branch_on_negative_z(z):
     assert gauss_2f1(0.5, 0.5, 1.5, z) == pytest.approx(

@@ -15,7 +15,6 @@ from wickgrid import (
     WickCombo,
     build_gram,
     cm_pathwise_integral,
-    covariance_eval,
     s_transform,
     shifted_qce,
     simple_to_chaos_field,
@@ -75,7 +74,7 @@ def test_memory_trace_term(ctx):
     Z = SimpleIntegrand(ctx, [(a, b, WickCombo.exponential(ctx.indicator(u)))])
     out = skorokhod_simple(ctx, Z)
     model = ctx.model
-    want = -(covariance_eval(model, u, b) - covariance_eval(model, u, a))
+    want = -(model.cov(u, b) - model.cov(u, a))
     assert out.terms[0][0] == pytest.approx(want, rel=1e-12)
     assert want != 0.0
 
