@@ -6,9 +6,10 @@ with the Gram pairing applied on every axis.  Two tensor storages coexist:
 
 * dense ndarrays of shape (N,)*k, for generic low-order coefficients
   (guarded by a size cap, since the data grows like N^k);
-* lists of weighted symmetric powers sum_i w_i v_i^(x k), which stay exact
-  at high order and are what Wick exponentials and the escape-direction
-  generators produce.
+* power sums sum_i w_i v_i^(x k), held as a weight array (p,) and a row
+  array of vectors (p, N) (a symmetric CP, or Waring, decomposition).  They
+  stay exact at high order and are what Wick exponentials and the
+  escape-direction generators produce.
 
 WickCombo is a deliberately small closed algebra of terms
 (alpha + I(f)) e^(wick g) used for exact closed-form cross-checks; requests
@@ -18,8 +19,9 @@ that would leave the algebra raise instead of silently densifying.
 from __future__ import annotations
 
 import math
-from itertools import combinations_with_replacement
-from typing import List, Optional, Sequence, Tuple
+from itertools import combinations_with_replacement, repeat
+from operator import mul
+from typing import List, Optional
 
 import numpy as np
 
@@ -57,23 +59,30 @@ def _check_dense_size(order: int, dim: int) -> None:
         )
 
 
+def _require_grid(ctx: GramContext, shape, what: str) -> None:
+    if tuple(shape) != (ctx.n,):
+        raise ShapeError(f"{what} of shape {tuple(shape)} on a grid of {ctx.n} increments")
+
+
 class SymmetricTensor:
-    """Symmetric element of the k-fold tensor power, dense or power-sum."""
+    """Symmetric element of the k-fold tensor power: an ndarray `dense`, or a
+    power sum sum_i w_i v_i^(x k) as `weights` (p,) and `vectors` (p, dim)."""
 
-    __slots__ = ("order", "dim", "dense", "powers")
+    __slots__ = ("order", "dim", "dense", "weights", "vectors")
 
-    def __init__(self, order: int, dim: int, dense=None, powers=None):
+    def __init__(self, order: int, dim: int, dense=None, weights=None, vectors=None):
         self.order = int(order)
         self.dim = int(dim)
         self.dense = dense
-        self.powers = powers
+        self.weights = weights
+        self.vectors = vectors
 
     # -- constructors -------------------------------------------------------
     @classmethod
     def zero(cls, order: int, dim: int) -> "SymmetricTensor":
         if order == 0:
             return cls(0, dim, dense=np.float64(0.0))
-        return cls(order, dim, powers=[])
+        return cls(order, dim, weights=np.zeros(0), vectors=np.zeros((0, dim)))
 
     @classmethod
     def scalar(cls, value: float, dim: int) -> "SymmetricTensor":
@@ -90,15 +99,16 @@ class SymmetricTensor:
         return cls(a.ndim, a.shape[0], dense=a)
 
     @classmethod
-    def from_powers(cls, order: int, dim: int,
-                    pairs: Sequence[Tuple[float, np.ndarray]]) -> "SymmetricTensor":
+    def from_powers(cls, order: int, dim: int, weights, vectors) -> "SymmetricTensor":
+        """sum_i weights[i] vectors[i]^(x order); terms of weight zero are dropped."""
+        w = np.asarray(weights, dtype=float)
         if order == 0:
-            return cls.scalar(math.fsum(w for w, _ in pairs), dim)
-        clean = [(float(w), np.asarray(v, dtype=float)) for w, v in pairs if w != 0.0]
-        for _, v in clean:
-            if v.shape != (dim,):
-                raise ShapeError("power vectors must have length dim")
-        return cls(order, dim, powers=clean)
+            return cls.scalar(math.fsum(w.tolist()), dim)
+        V = np.asarray(vectors, dtype=float)
+        if w.ndim != 1 or V.shape != (w.size, dim):
+            raise ShapeError("power sums need weights of shape (p,) and vectors (p, dim)")
+        keep = w != 0.0
+        return cls(order, dim, weights=w[keep], vectors=V[keep])
 
     @classmethod
     def from_vector(cls, v) -> "SymmetricTensor":
@@ -108,15 +118,14 @@ class SymmetricTensor:
     # -- structure ----------------------------------------------------------
     @property
     def is_powers(self) -> bool:
-        return self.powers is not None
+        return self.weights is not None
 
     def to_dense(self) -> np.ndarray:
         if self.dense is not None:
             return self.dense
         _check_dense_size(self.order, self.dim)
         out = np.zeros((self.dim,) * self.order)
-        for w, v in self.powers:
-            t = np.float64(w)
+        for t, v in zip(self.weights.tolist(), self.vectors):
             for _ in range(self.order):
                 t = np.multiply.outer(t, v)
             out += t
@@ -124,23 +133,24 @@ class SymmetricTensor:
 
     def copy(self) -> "SymmetricTensor":
         if self.is_powers:
-            return SymmetricTensor(self.order, self.dim,
-                                   powers=[(w, v.copy()) for w, v in self.powers])
+            return SymmetricTensor(self.order, self.dim, weights=self.weights.copy(),
+                                   vectors=self.vectors.copy())
         return SymmetricTensor(self.order, self.dim, dense=np.array(self.dense))
 
     def scaled(self, a: float) -> "SymmetricTensor":
         if a == 0.0:
             return SymmetricTensor.zero(self.order, self.dim)
         if self.is_powers:
-            return SymmetricTensor(self.order, self.dim,
-                                   powers=[(a * w, v) for w, v in self.powers])
+            return SymmetricTensor(self.order, self.dim, weights=a * self.weights,
+                                   vectors=self.vectors)
         return SymmetricTensor(self.order, self.dim, dense=a * self.dense)
 
     def add(self, other: "SymmetricTensor") -> "SymmetricTensor":
         self._check_same(other)
         if self.is_powers and other.is_powers:
             return SymmetricTensor(self.order, self.dim,
-                                   powers=list(self.powers) + list(other.powers))
+                                   weights=np.concatenate([self.weights, other.weights]),
+                                   vectors=np.concatenate([self.vectors, other.vectors]))
         return SymmetricTensor(self.order, self.dim,
                                dense=self.to_dense() + other.to_dense())
 
@@ -156,12 +166,9 @@ class SymmetricTensor:
         if self.order == 0:
             return self.copy()
         if self.is_powers:
-            new = []
-            for w, v in self.powers:
-                pv = v.copy()
-                pv[m:] = 0.0
-                new.append((w, pv))
-            return SymmetricTensor(self.order, self.dim, powers=new)
+            V = self.vectors.copy()
+            V[:, m:] = 0.0
+            return SymmetricTensor(self.order, self.dim, weights=self.weights, vectors=V)
         t = np.array(self.dense)
         for ax in range(self.order):
             idx = [slice(None)] * self.order
@@ -176,18 +183,20 @@ class SymmetricTensor:
         `image` is w's GramImage when the caller contracts many tensors against
         the same w; without it the image is formed here.
         """
+        if times < 0 or times > self.order:
+            raise ShapeError(f"cannot contract {times} axes of an order-{self.order} tensor")
         if times == 0:
             return self.copy()
-        if times > self.order:
-            raise ShapeError("cannot contract more axes than the order")
+        _require_grid(ctx, (self.dim,), "tensor")
         if image is None:
             image = GramImage(ctx, w)
         new_order = self.order - times
         if self.is_powers:
-            pairs = [(wt * image.pairing(v) ** times, v) for wt, v in self.powers]
+            weights = image.terms(self, times)
             if new_order == 0:
-                return SymmetricTensor.scalar(math.fsum(w0 for w0, _ in pairs), self.dim)
-            return SymmetricTensor(new_order, self.dim, powers=pairs)
+                return SymmetricTensor.scalar(math.fsum(weights), self.dim)
+            return SymmetricTensor(new_order, self.dim, weights=np.fromiter(weights, float),
+                                   vectors=self.vectors)
         t = image.contract_dense(self.dense, times)
         if new_order == 0:
             return SymmetricTensor.scalar(float(t), self.dim)
@@ -198,15 +207,11 @@ class SymmetricTensor:
         if self.order == 0:
             return 0
         if self.is_powers:
-            bound = 0
-            for w, v in self.powers:
-                nz = np.flatnonzero(np.abs(v) > 0)
-                if w != 0.0 and nz.size:
-                    bound = max(bound, int(nz[-1]) + 1)
-            return bound
-        mass = np.abs(self.dense)
-        for _ in range(self.order - 1):
-            mass = mass.sum(axis=0)
+            mass = (np.abs(self.vectors[self.weights != 0.0]) > 0).any(axis=0)
+        else:
+            mass = np.abs(self.dense)
+            for _ in range(self.order - 1):
+                mass = mass.sum(axis=0)
         nz = np.flatnonzero(mass > 0)
         return int(nz[-1]) + 1 if nz.size else 0
 
@@ -232,25 +237,33 @@ class SymmetricTensor:
 class GramImage:
     """Gram image G w of one direction w, formed once and paired many times.
 
-    Pairings <v, w> with power vectors are memoized per vector object, so a
-    power sum or Wick chain that repeats one vector across orders costs one
-    dot product.  Every value equals the one a per-tensor contraction gives,
-    bit for bit: the same BLAS calls on the same operands, made fewer times.
+    The pairings <v, w> of a power sum's rows are memoized by the bytes of
+    its `vectors`, so a Wick chain costs one dot product even when its orders
+    hold copies of one vector.  Each pairing is a per-row dot v @ G w and each
+    power a Python float power (a matrix product over all rows, or a numpy
+    power, rounds differently), so every value is bit-identical to a
+    per-tensor contraction.
     """
 
     __slots__ = ("gw", "_memo")
 
     def __init__(self, ctx: GramContext, w):
-        self.gw = ctx.G @ np.asarray(w, dtype=float)
+        w = np.asarray(w, dtype=float)
+        _require_grid(ctx, w.shape, "direction")
+        self.gw = ctx.G @ w
         self._memo = {}
 
-    def pairing(self, v: np.ndarray) -> float:
-        """<v, w> through the Gram matrix."""
-        hit = self._memo.get(id(v))
-        if hit is None:
-            # holding v keeps its id from being reused while the memo lives
-            hit = self._memo[id(v)] = (v, float(v @ self.gw))
-        return hit[1]
+    def pairings(self, vectors: np.ndarray) -> List[float]:
+        """<v, w> through the Gram matrix for each row v of `vectors`."""
+        key = vectors.tobytes()
+        xs = self._memo.get(key)
+        if xs is None:
+            xs = self._memo[key] = [float(v @ self.gw) for v in vectors]
+        return xs
+
+    def terms(self, f: SymmetricTensor, times: int):
+        """Iterator over w_i <v_i, w>^times for the terms w_i v_i^(x k) of f."""
+        return map(mul, f.weights.tolist(), map(pow, self.pairings(f.vectors), repeat(times)))
 
     def contract_dense(self, t: np.ndarray, times: int) -> np.ndarray:
         """Contract the last `times` axes of a dense tensor with w.
@@ -268,9 +281,11 @@ class GramImage:
         """Full pairing <f, w^(x k)>."""
         if f.order == 0:
             return float(f.dense)
-        if f.is_powers:
-            return math.fsum(wt * self.pairing(v) ** f.order for wt, v in f.powers)
-        return float(self.contract_dense(f.dense, f.order))
+        if not f.is_powers:
+            return float(self.contract_dense(f.dense, f.order))
+        if f.weights.size == 1:     # fsum([x]) is x + 0.0 bit for bit, at a fraction of the cost
+            return f.weights.item() * self.pairings(f.vectors)[0] ** f.order + 0.0
+        return math.fsum(self.terms(f, f.order))
 
 
 def sym_insert_last(t: np.ndarray) -> np.ndarray:
@@ -295,22 +310,20 @@ def symmetrize_full(t: np.ndarray) -> np.ndarray:
 def tensor_inner(ctx: GramContext, A: SymmetricTensor, B: SymmetricTensor) -> float:
     """Full contraction <A, B> pairing each axis through the Gram matrix."""
     A._check_same(B)
+    _require_grid(ctx, (A.dim,), "tensors")
     k = A.order
     if k == 0:
         return float(A.dense) * float(B.dense)
     if A.is_powers and B.is_powers:
-        if not A.powers or not B.powers:
+        if not A.weights.size or not B.weights.size:
             return 0.0
-        VA = np.array([v for _, v in A.powers])
-        VB = np.array([v for _, v in B.powers])
-        wA = np.array([w for w, _ in A.powers])
-        wB = np.array([w for w, _ in B.powers])
-        C = VA @ ctx.G @ VB.T
-        return float(wA @ (C**k) @ wB)
+        C = A.vectors @ ctx.G @ B.vectors.T
+        return float(A.weights @ (C**k) @ B.weights)
     if A.is_powers:
         A, B = B, A
     if B.is_powers:
-        return math.fsum(w * GramImage(ctx, v).pair(A) for w, v in B.powers)
+        return math.fsum(w * GramImage(ctx, v).pair(A)
+                         for w, v in zip(B.weights.tolist(), B.vectors))
     t = B.dense
     for _ in range(k):
         t = np.tensordot(t, ctx.G, axes=([0], [0]))
@@ -325,6 +338,8 @@ class ChaosVector:
     """Finite chaos decomposition: coefficients f_0 ... f_K."""
 
     def __init__(self, coeffs: List[SymmetricTensor], dim: int):
+        if not coeffs:
+            raise ShapeError("a chaos vector needs at least its order-0 coefficient")
         for k, f in enumerate(coeffs):
             if f.order != k or f.dim != dim:
                 raise ShapeError("coefficient list must be graded by order")
@@ -334,10 +349,6 @@ class ChaosVector:
     @property
     def max_order(self) -> int:
         return len(self.coeffs) - 1
-
-    @classmethod
-    def zero(cls, K: int, dim: int) -> "ChaosVector":
-        return cls([SymmetricTensor.zero(k, dim) for k in range(K + 1)], dim)
 
     @classmethod
     def constant(cls, value: float, dim: int) -> "ChaosVector":
@@ -353,10 +364,6 @@ class ChaosVector:
         if k < len(self.coeffs):
             return self.coeffs[k]
         return SymmetricTensor.zero(k, self.dim)
-
-    def padded(self, K: int) -> "ChaosVector":
-        coeffs = [self.get(k) for k in range(max(K, self.max_order) + 1)]
-        return ChaosVector(coeffs, self.dim)
 
     def add(self, other: "ChaosVector") -> "ChaosVector":
         K = max(self.max_order, other.max_order)
@@ -398,7 +405,7 @@ def wick_exponential_chaos(ctx: GramContext, h: np.ndarray, K: int) -> ChaosVect
     coeffs = [SymmetricTensor.scalar(1.0, h.size)]
     for k in range(1, K + 1):
         coeffs.append(SymmetricTensor.from_powers(k, h.size,
-                                                  [(1.0 / math.factorial(k), h)]))
+                                                  [1.0 / math.factorial(k)], [h]))
     return ChaosVector(coeffs, h.size)
 
 
@@ -428,10 +435,6 @@ class WickCombo:
                 raise ShapeError("term vectors must have length dim")
             self.terms.append((float(alpha), f, g))
         self.dim = dim
-
-    @classmethod
-    def zero(cls, dim: int) -> "WickCombo":
-        return cls([], dim)
 
     @classmethod
     def exponential(cls, g, alpha: float = 1.0, f=None) -> "WickCombo":
@@ -530,7 +533,7 @@ class WickCombo:
             coeffs[0] = coeffs[0].add(SymmetricTensor.scalar(base, self.dim))
             for k in range(1, K + 1):
                 part = SymmetricTensor.from_powers(
-                    k, self.dim, [(base / math.factorial(k), g)])
+                    k, self.dim, [base / math.factorial(k)], [g])
                 if f is not None:
                     # cross term sym(f x g^(k-1)) / (k-1)!
                     gt = np.float64(1.0)
@@ -568,10 +571,12 @@ def s_transform(ctx: GramContext, xi, h) -> float:
     coefficient is paired against it.
     """
     h = np.asarray(h, dtype=float)
+    _require_grid(ctx, (xi.dim,), "chaos vector")
     if isinstance(xi, WickCombo):
+        _require_grid(ctx, h.shape, "direction")
         return xi.s(ctx, h)
     image = GramImage(ctx, h)
-    return math.fsum(image.pair(f) for f in xi.coeffs)
+    return math.fsum([image.pair(f) for f in xi.coeffs])
 
 
 def _hermite(k: int, y: np.ndarray) -> np.ndarray:
@@ -607,7 +612,7 @@ def _eval_tensor(ctx: GramContext, f: SymmetricTensor, X: np.ndarray) -> np.ndar
         return np.full(X.shape[0], float(f.dense))
     if f.is_powers:
         out = np.zeros(X.shape[0])
-        for w, v in f.powers:
+        for w, v in zip(f.weights.tolist(), f.vectors):
             nrm = ctx.norm(v)
             if nrm == 0.0:
                 continue

@@ -72,25 +72,27 @@ def shifted_qce(sc: ShiftContext, xi: ChaosVector) -> ChaosVector:
     """Apply the shifted operator to a finite-order chaos vector (exact).
 
     G c_r is formed once and every coefficient is contracted against it.
-    Orders above the highest dense coefficient are fed by power sums only;
-    each of their vectors v is paired with c_r and cut to coordinates < m
-    once, and order n collects the pairs (C(k, n) w <v, c_r>^(k-n), cut v).
-    Lower orders add contracted tensors.
+    Orders above the highest dense coefficient are fed by power sums only.
+    Their rows are stacked by order k, each paired with c_r and cut to
+    coordinates < m once; order n takes the rows of every k >= n, a suffix
+    of the stack, with weights C(k, n) w <v, c_r>^(k-n).  Lower orders add
+    contracted tensors.
     """
     K = xi.max_order
     image = GramImage(sc.ctx, sc.c_r)
     top_dense = max(k for k, f in enumerate(xi.coeffs) if not f.is_powers)
-    cut = {}                    # power-sum order k -> [(w, <v, c_r>, cut v)]
-    for k in range(top_dense + 1, K + 1):
-        f = xi.coeffs[k]
-        cut[k] = [(wt, image.pairing(v), pv)
-                  for (wt, v), (_, pv) in zip(f.powers, f.project_coords(sc.m).powers)]
+    sums = xi.coeffs[top_dense + 1:]
+    terms = [(k, wt, x) for k, f in enumerate(sums, top_dense + 1)
+             for wt, x in zip(f.weights.tolist(), image.pairings(f.vectors))]
+    cut = np.concatenate([np.zeros((0, xi.dim))] + [f.vectors for f in sums])
+    cut[:, sc.m:] = 0.0
+    s = 0                       # first row of order n in the stack
     out: List[SymmetricTensor] = []
     for n in range(K + 1):
         if n > top_dense:
-            pairs = [(math.comb(k, n) * (wt * x ** (k - n)), pv)
-                     for k in range(n, K + 1) for wt, x, pv in cut[k]]
-            acc = SymmetricTensor(n, xi.dim, powers=pairs)
+            weights = [math.comb(k, n) * (wt * x ** (k - n)) for k, wt, x in terms[s:]]
+            acc = SymmetricTensor(n, xi.dim, weights=np.array(weights), vectors=cut[s:])
+            s += xi.coeffs[n].weights.size
         else:
             acc = SymmetricTensor.zero(n, xi.dim)
             for k in range(n, K + 1):
@@ -101,20 +103,18 @@ def shifted_qce(sc: ShiftContext, xi: ChaosVector) -> ChaosVector:
 
 
 def _merge_powers(t: SymmetricTensor) -> SymmetricTensor:
-    """Collapse repeated vectors in a power-sum (keeps Wick chains short)."""
-    if not t.is_powers or len(t.powers) < 2:
+    """Collapse rows with equal bytes into their first occurrence (keeps Wick
+    chains short); np.add.at adds the repeats' weights in row order."""
+    if not t.is_powers or t.weights.size < 2:
         return t
-    merged = {}
-    order = []
-    for w, v in t.powers:
-        key = v.tobytes()
-        if key in merged:
-            merged[key] = (merged[key][0] + w, v)
-        else:
-            merged[key] = (w, v)
-            order.append(key)
-    return SymmetricTensor.from_powers(t.order, t.dim,
-                                       [merged[k] for k in order])
+    V = np.ascontiguousarray(t.vectors)
+    keys = V.view(np.dtype((np.void, V.itemsize * t.dim))).ravel().tolist()
+    first = {}                              # row bytes -> first row holding them
+    slot = np.array([first.setdefault(key, i) for i, key in enumerate(keys)])
+    weights = np.zeros(slot.size)
+    np.add.at(weights, slot, t.weights)
+    rows = list(first.values())
+    return SymmetricTensor.from_powers(t.order, t.dim, weights[rows], V[rows])
 
 
 @dataclass
@@ -180,28 +180,22 @@ def normalized_power_series(f) -> Callable[[int], SymmetricTensor]:
                 f"series order {k} exceeds {MAX_SERIES_ORDER}: the weight "
                 f"1/sqrt(k!) overflows a double beyond order {MAX_SERIES_ORDER}")
         return SymmetricTensor.from_powers(
-            k, n, [(1.0 / math.sqrt(math.factorial(k)), f)])
+            k, n, [1.0 / math.sqrt(math.factorial(k))], [f])
 
     return gen
 
 
 def _norm_sq_stable(ctx: GramContext, t: SymmetricTensor) -> float:
-    if t.is_powers:
-        # factor out the largest vector norm to keep <v_i, v_j>^k finite
-        if not t.powers:
-            return 0.0
-        scales = np.array([max(ctx.norm(v), 0.0) for _, v in t.powers])
-        smax = scales.max()
-        if smax == 0.0 or t.order == 0:
-            return max(tensor_inner(ctx, t, t), 0.0)
-        scaled = SymmetricTensor.from_powers(
-            t.order, t.dim, [(w, v / smax) for w, v in t.powers])
-        base = max(tensor_inner(ctx, scaled, scaled), 0.0)
-        if base == 0.0:
-            return 0.0
-        log_val = math.log(base) + 2 * t.order * math.log(smax)
-        return math.exp(log_val) if log_val < _LOG_OVERFLOW else math.inf
-    return max(tensor_inner(ctx, t, t), 0.0)
+    # factor out the largest vector norm to keep <v_i, v_j>^k finite
+    smax = np.max([ctx.norm(v) for v in t.vectors]) if t.is_powers and t.weights.size else 0.0
+    if smax == 0.0:
+        return max(tensor_inner(ctx, t, t), 0.0)
+    scaled = SymmetricTensor.from_powers(t.order, t.dim, t.weights, t.vectors / smax)
+    base = max(tensor_inner(ctx, scaled, scaled), 0.0)
+    if base == 0.0:
+        return 0.0
+    log_val = math.log(base) + 2 * t.order * math.log(smax)
+    return math.exp(log_val) if log_val < _LOG_OVERFLOW else math.inf
 
 
 def escape_direction(sc: ShiftContext, tol: float = 1e-9) -> np.ndarray:

@@ -38,10 +38,10 @@ def contract_last(f, ctx, w, times):
     gw = ctx.G @ np.asarray(w, dtype=float)
     new_order = f.order - times
     if f.is_powers:
-        pairs = [(wt * float(v @ gw) ** times, v) for wt, v in f.powers]
+        weights = [wt * float(v @ gw) ** times for wt, v in zip(f.weights.tolist(), f.vectors)]
         if new_order == 0:
-            return SymmetricTensor.scalar(math.fsum(w0 for w0, _ in pairs), f.dim)
-        return SymmetricTensor(new_order, f.dim, powers=pairs)
+            return SymmetricTensor.scalar(math.fsum(weights), f.dim)
+        return SymmetricTensor(new_order, f.dim, weights=np.array(weights), vectors=f.vectors)
     t = f.dense
     for _ in range(times):
         t = np.tensordot(t, gw, axes=([-1], [0]))
@@ -64,18 +64,19 @@ def s_transform(ctx, xi, h):
 
 
 def merge_powers(t):
-    if not t.is_powers or len(t.powers) < 2:
+    if not t.is_powers or t.weights.size < 2:
         return t
     merged = {}
     order = []
-    for w, v in t.powers:
+    for w, v in zip(t.weights.tolist(), t.vectors):
         key = v.tobytes()
         if key in merged:
             merged[key] = (merged[key][0] + w, v)
         else:
             merged[key] = (w, v)
             order.append(key)
-    return SymmetricTensor.from_powers(t.order, t.dim, [merged[k] for k in order])
+    return SymmetricTensor.from_powers(t.order, t.dim, [merged[k][0] for k in order],
+                                       [merged[k][1] for k in order])
 
 
 def shifted_qce(sc, xi):
@@ -165,10 +166,12 @@ def _field_cell_s(ctx, Z, cell, h):
 def sample_chaos_vectors(rng, ctx):
     """Dense, power-sum and mixed chaos vectors of order <= 3, by name.
 
-    The power sums repeat one vector object within and across orders, and
-    also hold an equal-valued copy of it (a distinct object with the same
-    bytes), so both the per-object pairing memo and the merge by value are
-    exercised.
+    The power sums repeat one vector within and across orders, and also hold
+    an equal-valued copy of it (a distinct array with the same bytes), so the
+    pairing memo and the merge by value are both exercised.  In
+    "powers-reordered" u comes first among the rows that feed order n = 1
+    and v among those that feed n = 2, so a merge must keep the
+    first-occurrence order of each output order, not a global one.
     """
     n = ctx.n
 
@@ -183,7 +186,7 @@ def sample_chaos_vectors(rng, ctx):
 
     def powers(k, vectors):
         return SymmetricTensor.from_powers(
-            k, n, [(float(rng.standard_normal()), v) for v in vectors])
+            k, n, [float(rng.standard_normal()) for _ in vectors], vectors)
 
     u, v = vec(), vec()
     u_copy = u.copy()
@@ -200,16 +203,17 @@ def sample_chaos_vectors(rng, ctx):
         "wick": wick_exponential_chaos(ctx, 0.4 * u, 3),
         "wick-long": wick_exponential_chaos(ctx, 0.4 * v, 12),
         "constant": ChaosVector.constant(float(rng.standard_normal()), n),
+        "powers-reordered": ChaosVector(
+            [scalar(), powers(1, [u]), powers(2, [v]), powers(3, [u, v])], n),
     }
 
 
 def assert_same_tensor(a, b):
     assert (a.order, a.dim, a.is_powers) == (b.order, b.dim, b.is_powers)
     if a.is_powers:
-        assert len(a.powers) == len(b.powers)
-        for (wa, va), (wb, vb) in zip(a.powers, b.powers):
-            assert wa == wb
-            assert np.array_equal(va, vb)
+        assert a.weights.shape == b.weights.shape
+        assert np.all(a.weights == b.weights)
+        assert np.array_equal(a.vectors, b.vectors)
     else:
         assert np.array_equal(np.asarray(a.dense), np.asarray(b.dense))
 

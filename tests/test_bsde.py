@@ -375,8 +375,9 @@ def test_normalized_power_series_weights():
     gen = normalized_power_series(f)
     assert gen(0).dense == 1.0
     for k in range(1, 171):
-        (w, v), = gen(k).powers
-        assert w == 1.0 / math.sqrt(math.factorial(k)) and v is f
+        t = gen(k)
+        assert t.weights.tolist() == [1.0 / math.sqrt(math.factorial(k))]
+        assert np.array_equal(t.vectors, [f])
     with pytest.raises(ParameterError, match="170"):
         gen(171)
 

@@ -55,8 +55,8 @@ def test_order_one_inner_reduces_to_gram(ctx, rng):
 def test_rank_one_multiplicativity(ctx, rng):
     a = rng.standard_normal(6)
     b = rng.standard_normal(6)
-    A = SymmetricTensor.from_powers(2, 6, [(1.0, a)])
-    B = SymmetricTensor.from_powers(2, 6, [(1.0, b)])
+    A = SymmetricTensor.from_powers(2, 6, [1.0], [a])
+    B = SymmetricTensor.from_powers(2, 6, [1.0], [b])
     assert tensor_inner(ctx, A, B) == pytest.approx(ctx.inner(a, b) ** 2, rel=1e-12)
 
 
@@ -64,7 +64,7 @@ def test_rank_one_multiplicativity(ctx, rng):
 def test_powers_vs_dense_agree(ctx, rng, k):
     a = rng.standard_normal(6)
     b = rng.standard_normal(6)
-    P = SymmetricTensor.from_powers(k, 6, [(0.7, a), (-0.2, b)])
+    P = SymmetricTensor.from_powers(k, 6, [0.7, -0.2], [a, b])
     D = SymmetricTensor.from_dense(P.to_dense())
     Q = random_symmetric(rng, 6, k)
     assert tensor_inner(ctx, P, Q) == pytest.approx(tensor_inner(ctx, D, Q), rel=1e-11)
@@ -161,7 +161,7 @@ def test_s_transform_totality_order_two(ctx, rng):
         assert rec1[p] == pytest.approx(
             tensor_inner(ctx, f1, SymmetricTensor.from_vector(h)), rel=1e-9, abs=1e-9)
         assert rec2[p] == pytest.approx(
-            tensor_inner(ctx, f2, SymmetricTensor.from_powers(2, 6, [(1.0, h)])),
+            tensor_inner(ctx, f2, SymmetricTensor.from_powers(2, 6, [1.0], [h])),
             rel=1e-9, abs=1e-9)
 
 
@@ -254,7 +254,7 @@ def test_eval_second_order_hermite(ctx, rng):
     h /= ctx.norm(h)
     cv = ChaosVector([SymmetricTensor.scalar(0.0, 6),
                       SymmetricTensor.zero(1, 6),
-                      SymmetricTensor.from_powers(2, 6, [(1.0, h)])], 6)
+                      SymmetricTensor.from_powers(2, 6, [1.0], [h])], 6)
     X = sample_increments(ctx, 50, seed=2)
     want = (X @ h) ** 2 - 1.0
     assert np.allclose(evaluate_chaos_on_sample(ctx, cv, X), want, atol=1e-10)
@@ -263,7 +263,7 @@ def test_eval_second_order_hermite(ctx, rng):
 def test_eval_dense_vs_powers(ctx, rng):
     a = rng.standard_normal(6)
     b = rng.standard_normal(6)
-    P = SymmetricTensor.from_powers(3, 6, [(0.5, a), (1.5, b)])
+    P = SymmetricTensor.from_powers(3, 6, [0.5, 1.5], [a, b])
     D = SymmetricTensor.from_dense(P.to_dense())
     cvP = ChaosVector([SymmetricTensor.scalar(0, 6), SymmetricTensor.zero(1, 6),
                        SymmetricTensor.zero(2, 6), P], 6)
@@ -305,6 +305,38 @@ def test_isometry_against_mc(ctx, rng):
 def test_eval_shape_guard(ctx):
     with pytest.raises(ShapeError):
         evaluate_chaos_on_sample(ctx, ChaosVector.constant(1.0, 6), np.zeros(5))
+
+
+def test_direction_length_is_a_shape_error(ctx, rng):
+    short = rng.standard_normal(5)
+    cases = [ChaosVector.first_chaos(rng.standard_normal(6)),
+             wick_exponential_chaos(ctx, rng.standard_normal(6), 4),
+             WickCombo.exponential(rng.standard_normal(6))]
+    for xi in cases:
+        with pytest.raises(ShapeError):
+            s_transform(ctx, xi, short)
+    for f in cases[1].coeffs[1:]:
+        with pytest.raises(ShapeError):
+            f.contract_last(ctx, short, 1)
+
+
+def test_chaos_vector_length_is_a_shape_error(ctx, rng):
+    v = rng.standard_normal(5)
+    h = rng.standard_normal(6)
+    for xi in (ChaosVector.first_chaos(v), wick_exponential_chaos(ctx, v, 3)):
+        with pytest.raises(ShapeError):
+            s_transform(ctx, xi, h)
+        with pytest.raises(ShapeError):
+            chaos_inner(ctx, xi, xi)
+        with pytest.raises(ShapeError):
+            tensor_inner(ctx, xi.coeffs[1], xi.coeffs[1])
+        with pytest.raises(ShapeError):
+            xi.coeffs[1].contract_last(ctx, h, 1)
+
+
+def test_empty_chaos_vector_is_a_shape_error():
+    with pytest.raises(ShapeError):
+        ChaosVector([], 6)
 
 
 # ---------------------------------------------------------------------------
@@ -357,3 +389,6 @@ def test_contract_last_matches_per_coefficient_route_exactly(n):
             for times in range(f.order + 1):
                 oracle.assert_same_tensor(f.contract_last(ctx, w, times),
                                           oracle.contract_last(f, ctx, w, times))
+            for times in (-1, f.order + 1):
+                with pytest.raises(ShapeError):
+                    f.contract_last(ctx, w, times)

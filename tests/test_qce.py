@@ -84,15 +84,14 @@ def test_contract_rank_one(ctx, rng):
     c = rng.standard_normal(8)
     sc = ShiftContext(ctx, 0.5, c)
     k, i = 4, 1
-    f = SymmetricTensor.from_powers(k, 8, [(1.0, a)])
+    f = SymmetricTensor.from_powers(k, 8, [1.0], [a])
     got = contract_with_shift(sc, f, i)
     scal = ctx.inner(a, sc.c_r) ** (k - i)
     assert got.is_powers
-    w, v = got.powers[0]
-    assert w == pytest.approx(scal, rel=1e-12)
-    assert np.array_equal(v, a)
+    assert got.weights[0] == pytest.approx(scal, rel=1e-12)
+    assert np.array_equal(got.vectors, [a])
     # dense route agrees
-    f3 = SymmetricTensor.from_powers(3, 8, [(1.0, a)])
+    f3 = SymmetricTensor.from_powers(3, 8, [1.0], [a])
     dense = contract_with_shift(sc, SymmetricTensor.from_dense(f3.to_dense()), 1)
     pows = contract_with_shift(sc, f3, 1)
     assert np.allclose(dense.dense, pows.to_dense(), rtol=1e-11, atol=1e-12)
@@ -222,7 +221,7 @@ def escape_generator(f, n):
         if k == 0:
             return SymmetricTensor.scalar(1.0, n)
         return SymmetricTensor.from_powers(
-            k, n, [(1.0 / math.sqrt(math.factorial(k)), f)])
+            k, n, [1.0 / math.sqrt(math.factorial(k))], [f])
     return gen
 
 
@@ -262,8 +261,8 @@ def test_domain_overflow_guard(ctx):
     def gen(k):
         if k == 0:
             return SymmetricTensor.scalar(1.0, 8)
-        return SymmetricTensor.from_powers(k, 8, [(math.sqrt(math.factorial(k)) * 4.0**k
-                                                   / math.factorial(k), f)])
+        return SymmetricTensor.from_powers(k, 8, [math.sqrt(math.factorial(k)) * 4.0**k
+                                                  / math.factorial(k)], [f])
 
     diag = domain_diagnostic(sc, gen, 60)
     assert np.all(np.isfinite(diag.log_terms[1:]))
