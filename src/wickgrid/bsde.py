@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from itertools import islice
+from typing import Iterator, List, Optional, Sequence
 
 import numpy as np
 
 from .covariance import GramContext, TimeGrid, build_gram
-from .chaos import ChaosVector, GramImage, SymmetricTensor, WickCombo, s_transform
+from .chaos import ChaosVector, GramImage, SymmetricTensor, WickCombo
 from .errors import (
     MartingaleCaseError,
     ParameterError,
@@ -125,17 +126,23 @@ def integrating_factor(problem: BSDEProblem) -> np.ndarray:
     return np.exp(tail)
 
 
-def _driver_sum(problem: BSDEProblem, A: np.ndarray, upto: int) -> Optional[ChaosVector]:
-    """Left-point integral sum_{j<=upto} A_{j-1} G_{j-1} dgamma_j."""
-    dg = problem.dgamma
-    acc = None
-    for j in range(1, upto + 1):
-        gj = problem.G[j - 1]
-        if gj is None:
-            continue
-        term = gj.scaled(A[j - 1] * dg[j - 1])
-        acc = term if acc is None else acc.add(term)
-    return acc
+def _driver_sums(problem: BSDEProblem, A: np.ndarray) -> Iterator[Optional[ChaosVector]]:
+    """Left-point integrals sum_{j<=i} A_{j-1} G_{j-1} dgamma_j at nodes i = 0..N.
+
+    One running sum; None while it is zero.
+    """
+    run = None
+    yield run
+    for g, A_j, dg in zip(problem.G, A, problem.dgamma):
+        if g is not None:
+            term = g.scaled(A_j * dg)
+            run = term if run is None else run.add(term)
+        yield run
+
+
+def _driver_sum(problem: BSDEProblem, A: np.ndarray, i: int) -> Optional[ChaosVector]:
+    """int_0^{t_i} A G dgamma, the i-th running sum of _driver_sums."""
+    return next(islice(_driver_sums(problem, A), i, None))
 
 
 def xi_shifted(problem: BSDEProblem, A: Optional[np.ndarray] = None) -> ChaosVector:
@@ -170,21 +177,12 @@ def represent_Y(problem: BSDEProblem, t: float) -> ChaosVector:
 def represent_solution(problem: BSDEProblem) -> BSDESolution:
     """The represented solution at every grid node, each as represent_Y gives it.
 
-    A and xi~ are formed once, and the driver integral up to t_i is one
-    running sum over i that adds the same terms in the same order as
-    _driver_sum, so the N+1 nodes cost O(N) chaos additions, not O(N^2).
+    A and xi~ are formed once, and the driver integrals come from one pass of
+    _driver_sums, so the N+1 nodes cost O(N) chaos additions, not O(N^2).
     """
     A = integrating_factor(problem)
     xt = xi_shifted(problem, A)
-    dg = problem.dgamma
-    run = None
-    Y = [_node_Y(problem, A, xt, 0, run)]
-    for i in range(1, problem.ctx.n + 1):
-        gi = problem.G[i - 1]
-        if gi is not None:
-            term = gi.scaled(A[i - 1] * dg[i - 1])
-            run = term if run is None else run.add(term)
-        Y.append(_node_Y(problem, A, xt, i, run))
+    Y = [_node_Y(problem, A, xt, i, run) for i, run in enumerate(_driver_sums(problem, A))]
     return BSDESolution(Y_nodes=Y, A=A, xi_tilde=xt)
 
 
@@ -252,14 +250,14 @@ def verify_solution_weak(problem: BSDEProblem, solution: BSDESolution,
         h /= max(ctx.norm(h), 1e-300)
         for iv, sc in enumerate(shifts):
             # only nodes iv..n enter the equation probed at h^c_v
-            w = sc.shifted_direction(h)
-            x = s_transform(ctx, problem.xi, w)
-            s_next = s_transform(ctx, Y[n], w)
+            image = GramImage(ctx, sc.shifted_direction(h))
+            x = image.s(problem.xi)
+            s_next = image.s(Y[n])
             residual_here = abs(s_next - x)
             tail = 0.0
             for i in range(n - 1, iv - 1, -1):
-                s_i = s_transform(ctx, Y[i], w)
-                g = 0.0 if problem.G[i] is None else s_transform(ctx, problem.G[i], w)
+                s_i = image.s(Y[i])
+                g = 0.0 if problem.G[i] is None else image.s(problem.G[i])
                 tail += a_w[i] * s_next + g * dg[i]
                 residual_here = max(residual_here, abs(s_i - x + tail))
                 s_next = s_i
@@ -286,7 +284,8 @@ def _verify_full_equation(problem: BSDEProblem, solution: BSDESolution,
     for _ in range(int(trials)):
         h = rng.standard_normal(n)
         h /= max(ctx.norm(h), 1e-300)
-        s = np.array([s_transform(ctx, y, h) for y in solution.Y_nodes])
+        image = GramImage(ctx, h)
+        s = np.array([image.s(y) for y in solution.Y_nodes])
         if np.any(s <= 0.0):
             raise UnsupportedOperationError(
                 "full-equation check needs positive S-values "
@@ -299,20 +298,19 @@ def _verify_full_equation(problem: BSDEProblem, solution: BSDESolution,
             if isinstance(Z, WickZ):
                 u = Z.cell_s(ctx, j - 1, h)
             else:
-                u = _field_cell_s(ctx, Z, j - 1, h)
+                u = _field_cell_s(image, Z, j - 1)
             res = abs(math.log(s[j]) - math.log(s[j - 1])
                       - problem.a[j - 1] * dg[j - 1] - u * q / s[j - 1])
             worst = max(worst, res)
     return worst
 
 
-def _field_cell_s(ctx: GramContext, Z, cell: int, h) -> float:
-    """S-transform of the slot coefficient of a ChaosField on one cell."""
-    image = GramImage(ctx, h)
+def _field_cell_s(image: GramImage, Z, cell: int) -> float:
+    """S-transform at the image's direction of a ChaosField's slot coefficient on one cell."""
     total = 0.0
     for k, t in enumerate(Z.slots):
         comp = np.take(t, cell, axis=-1)
-        tensor = (SymmetricTensor.scalar(float(comp), ctx.n) if k == 0
+        tensor = (SymmetricTensor.scalar(float(comp), image.gw.size) if k == 0
                   else SymmetricTensor.from_dense(comp))
         total += image.pair(tensor)
     return total

@@ -287,6 +287,13 @@ class GramImage:
             return f.weights.item() * self.pairings(f.vectors)[0] ** f.order + 0.0
         return math.fsum(self.terms(f, f.order))
 
+    def s(self, xi: "ChaosVector") -> float:
+        """(S xi)(w) = sum_k <f_k, w^(x k)> of a chaos vector."""
+        if xi.dim != self.gw.size:
+            raise ShapeError(f"chaos vector of dim {xi.dim} paired with a direction "
+                             f"of {self.gw.size} increments")
+        return math.fsum([self.pair(f) for f in xi.coeffs])
+
 
 def sym_insert_last(t: np.ndarray) -> np.ndarray:
     """Full symmetrization of a tensor whose first k axes are already symmetric.
@@ -575,8 +582,7 @@ def s_transform(ctx: GramContext, xi, h) -> float:
     if isinstance(xi, WickCombo):
         _require_grid(ctx, h.shape, "direction")
         return xi.s(ctx, h)
-    image = GramImage(ctx, h)
-    return math.fsum([image.pair(f) for f in xi.coeffs])
+    return GramImage(ctx, h).s(xi)
 
 
 def _hermite(k: int, y: np.ndarray) -> np.ndarray:

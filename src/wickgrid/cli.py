@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 2 a declared check failed, 1 runtime/config error,
 64 usage error.  Identical config + seed reproduces byte-identical CSV/JSON
-bodies; only the run manifest carries timestamps.
+bodies; only the run manifest carries timestamps.  Experiments return their
+bodies and main alone writes the files, once the experiment has returned, so
+a run that fails before that (exit 1 or 64) writes none.
 """
 
 from __future__ import annotations
@@ -65,41 +67,44 @@ from .fraccalc import (
 )
 
 USAGE_EXIT = 64
-_TRUE_WORDS = ("1", "true", "yes", "on")
-_FALSE_WORDS = ("0", "false", "no", "off")
+# the only words a boolean key accepts
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
+
+
+def _list_of(convert):
+    return lambda text: [convert(v) for v in text.replace(",", " ").split()]
 
 
 class Config(dict):
-    """Flat key = value configuration with typed accessors."""
+    """Flat key = value configuration with typed accessors.
+
+    A value that does not parse is a ParameterError naming its key.
+    """
+
+    def _typed(self, key, default, convert, what):
+        if key not in self:
+            return default
+        try:
+            return convert(self[key])
+        except (KeyError, ValueError):
+            raise ParameterError(f"{key} = {self[key]!r} is not {what}") from None
 
     def get_float(self, key, default=None):
-        return float(self[key]) if key in self else default
+        return self._typed(key, default, float, "a number")
 
     def get_int(self, key, default=None):
-        return int(self[key]) if key in self else default
-
-    def get_str(self, key, default=None):
-        return self.get(key, default)
+        return self._typed(key, default, int, "an integer")
 
     def get_bool(self, key, default=False):
-        if key not in self:
-            return default
-        word = self[key].strip().lower()
-        if word not in _TRUE_WORDS + _FALSE_WORDS:
-            raise ParameterError(
-                f"{key} = {self[key]!r} is not a boolean; use one of "
-                f"{', '.join(_TRUE_WORDS + _FALSE_WORDS)}")
-        return word in _TRUE_WORDS
+        return self._typed(key, default, lambda text: _BOOLS[text.strip().lower()],
+                           "a boolean; use one of " + ", ".join(_BOOLS))
 
     def get_floats(self, key, default=None):
-        if key not in self:
-            return default
-        return [float(v) for v in self[key].replace(",", " ").split()]
+        return self._typed(key, default, _list_of(float), "a list of numbers")
 
     def get_ints(self, key, default=None):
-        if key not in self:
-            return default
-        return [int(v) for v in self[key].replace(",", " ").split()]
+        return self._typed(key, default, _list_of(int), "a list of integers")
 
 
 def parse_config(path: str) -> Config:
@@ -128,28 +133,19 @@ def write_csv(path: Path, header, rows) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    return obj
+def _numpy_to_python(obj):
+    """numpy scalars and arrays as the Python values json writes."""
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(_jsonable(obj), sort_keys=True, indent=2) + "\n")
+    path.write_text(json.dumps(obj, sort_keys=True, indent=2, default=_numpy_to_python) + "\n")
 
 
-def svg_plot(path: Path, xs, series: dict, title: str = "") -> None:
-    """Dependency-free polyline plot of CSV-style columns."""
+def svg_plot(xs, series: dict, title: str = "") -> str:
+    """Text of a dependency-free polyline plot of CSV-style columns."""
     W, Hh, pad = 640, 420, 50
     xs = np.asarray(xs, dtype=float)
     all_y = np.concatenate([np.asarray(v, dtype=float) for v in series.values()])
@@ -184,7 +180,7 @@ def svg_plot(path: Path, xs, series: dict, title: str = "") -> None:
         parts.append(f'<text x="{W-pad}" y="{pad + 14*ci}" text-anchor="end" '
                      f'fill="{col}" font-size="11">{name}</text>')
     parts.append("</svg>")
-    path.write_text("\n".join(parts) + "\n")
+    return "\n".join(parts) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +199,7 @@ def model_from_config(cfg: Config, grid: TimeGrid, part: int = 0):
     A component is bm or fbm only.
     """
     kind_key, kind_default, H_key, H_default = _MODEL_KEYS[part]
-    kind = cfg.get_str(kind_key, kind_default)
+    kind = cfg.get(kind_key, kind_default)
     H = cfg.get_float(H_key, H_default)
     if kind == "bm":
         return BrownianMotion()
@@ -239,25 +235,25 @@ def _shift_from_config(cfg: Config, grid: TimeGrid) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# experiments; each returns (ok, outputs, payload-for-echo)
+# experiments; each returns (ok, {file name: body}) and main writes the files:
+# a .csv body is (header, rows), a .json body the object, a .svg body text
 # ---------------------------------------------------------------------------
 
-def exp_gram(cfg, out, seed, threads):
+def exp_gram(cfg, seed, threads):
     ctx = gram_from_config(cfg)
-    csv_path = out / "gram.csv"
-    write_csv(csv_path, [f"c{j}" for j in range(ctx.n)], ctx.G.tolist())
-    js = out / "gram.json"
-    write_json(js, {
-        "cond_estimate": ctx.cond_estimate,
-        "conditioning_warning": ctx.conditioning_warning,
-        "eig_min": float(ctx.eigvals[0]),
-        "eig_max": float(ctx.eigvals[-1]),
-        "n": ctx.n,
-    })
-    return True, [csv_path, js]
+    return True, {
+        "gram.csv": ([f"c{j}" for j in range(ctx.n)], ctx.G.tolist()),
+        "gram.json": {
+            "cond_estimate": ctx.cond_estimate,
+            "conditioning_warning": ctx.conditioning_warning,
+            "eig_min": float(ctx.eigvals[0]),
+            "eig_max": float(ctx.eigvals[-1]),
+            "n": ctx.n,
+        },
+    }
 
 
-def _sweep_rows(cfg, seed, threads, points):
+def _sweep_rows(cfg, threads, points):
     """(H, N, r, d_r, opnorm) rows, with one Gram factorization per (H, N).
 
     The groups run one after another so that only one Gram is alive at a
@@ -267,7 +263,7 @@ def _sweep_rows(cfg, seed, threads, points):
     for H, n, r in points:
         groups.setdefault((H, n), []).append(r)
     rows = []
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as ex:
+    with ThreadPoolExecutor(max_workers=threads) as ex:
         for (H, n), rs in groups.items():
             rows += _group_rows(ex, cfg, H, n, rs)
     rows.sort(key=lambda t: (t[0], t[1], t[2]))
@@ -287,58 +283,50 @@ def _group_rows(ex, cfg, H, n, rs):
     return list(ex.map(work, rs))
 
 
-def exp_opnorm_sweep(cfg, out, seed, threads):
+def exp_opnorm_sweep(cfg, seed, threads):
     hs = cfg.get_floats("H_list", [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9])
     n = cfg.get_int("N", 16)
     grid = TimeGrid.uniform(n, cfg.get_float("T", 1.0))
     r = _default_r(cfg, grid)
-    rows = _sweep_rows(cfg, seed, threads, [(H, n, r) for H in hs])
-    csv_path = out / "opnorm_sweep.csv"
-    write_csv(csv_path, ["H", "N", "r", "d_r", "opnorm"], rows)
-    outputs = [csv_path]
+    rows = _sweep_rows(cfg, threads, [(H, n, r) for H in hs])
+    bodies = {"opnorm_sweep.csv": (["H", "N", "r", "d_r", "opnorm"], rows)}
     if cfg.get_bool("plot"):
-        svg = out / "opnorm_sweep.svg"
-        svg_plot(svg, [row[0] for row in rows],
-                 {"opnorm": [row[4] for row in rows],
-                  "d_r": [row[3] for row in rows]}, "operator norm vs H")
-        outputs.append(svg)
-    return True, outputs
+        bodies["opnorm_sweep.svg"] = svg_plot(
+            [row[0] for row in rows],
+            {"opnorm": [row[4] for row in rows], "d_r": [row[3] for row in rows]},
+            "operator norm vs H")
+    return True, bodies
 
 
-def exp_dr_sweep(cfg, out, seed, threads):
+def exp_dr_sweep(cfg, seed, threads):
     n = cfg.get_int("N", 16)
     grid = TimeGrid.uniform(n, cfg.get_float("T", 1.0))
     H = cfg.get_float("H", 0.75)
     rs = grid.points[1:-1]
-    rows = _sweep_rows(cfg, seed, threads, [(H, n, float(r)) for r in rs])
-    csv_path = out / "dr_sweep.csv"
-    write_csv(csv_path, ["H", "N", "r", "d_r", "opnorm"], rows)
-    return True, [csv_path]
+    rows = _sweep_rows(cfg, threads, [(H, n, float(r)) for r in rs])
+    return True, {"dr_sweep.csv": (["H", "N", "r", "d_r", "opnorm"], rows)}
 
 
-def exp_jensen(cfg, out, seed, threads):
+def exp_jensen(cfg, seed, threads):
     ctx = gram_from_config(cfg)
     grid = ctx.grid
     r = _default_r(cfg, grid)
     eps = cfg.get_float("epsilon", 1e-3)
-    js = out / "jensen.json"
     try:
         h = jensen_counterexample(ctx, r, eps)
     except MartingaleCaseError as exc:
-        write_json(js, {"status": "martingale-case", "detail": str(exc)})
-        return True, [js]
+        return True, {"jensen.json": {"status": "martingale-case", "detail": str(exc)}}
     op = TruncationOperator(ctx, r)
     d = max_correlation(ctx, r).d_r
     ratio = ctx.norm_sq(op.forward(h)) / ctx.norm_sq(h)
     bound = 1.0 / (1.0 - d * d + 2.0 * d * eps)
     ok = ratio > 1.0 and ratio >= bound - 1e-9
-    write_json(js, {"status": "counterexample", "d_r": d, "ratio": ratio,
-                    "guaranteed_bound": bound, "epsilon": eps,
-                    "h": list(map(float, h)), "passes": ok})
-    return ok, [js]
+    return ok, {"jensen.json": {"status": "counterexample", "d_r": d, "ratio": ratio,
+                                "guaranteed_bound": bound, "epsilon": eps,
+                                "h": list(map(float, h)), "passes": ok}}
 
 
-def exp_qce_check(cfg, out, seed, threads):
+def exp_qce_check(cfg, seed, threads):
     ctx = gram_from_config(cfg)
     grid = ctx.grid
     r = _default_r(cfg, grid)
@@ -385,10 +373,8 @@ def exp_qce_check(cfg, out, seed, threads):
             err_tow = max(err_tow, math.sqrt(max(diff.l2_norm_sq(ctx), 0.0)))
 
     ok = err_fc <= 1e-12 and err_we <= 1e-8 and err_tow <= 1e-10
-    js = out / "qce_check.json"
-    write_json(js, {"first_chaos_error": err_fc, "wick_s_error": err_we,
-                    "towering_error": err_tow, "passes": ok})
-    return ok, [js]
+    return ok, {"qce_check.json": {"first_chaos_error": err_fc, "wick_s_error": err_we,
+                                   "towering_error": err_tow, "passes": ok}}
 
 
 def _random_chaos(rng, ctx, order=3) -> ChaosVector:
@@ -402,14 +388,14 @@ def _random_chaos(rng, ctx, order=3) -> ChaosVector:
     return ChaosVector(coeffs, n)
 
 
-def exp_domain_diagnostic(cfg, out, seed, threads):
+def exp_domain_diagnostic(cfg, seed, threads):
     ctx = gram_from_config(cfg)
     grid = ctx.grid
     r = _default_r(cfg, grid)
     c = _shift_from_config(cfg, grid)
     sc = ShiftContext(ctx, r, c)
     K_max = cfg.get_int("K_max", 12)
-    mode = cfg.get_str("generator", "escape")
+    mode = cfg.get("generator", "escape")
     if mode == "escape":
         f = escape_direction(sc)
     elif mode == "contract":
@@ -422,12 +408,10 @@ def exp_domain_diagnostic(cfg, out, seed, threads):
     rows = [(k, float(diag.partial_sums[k]),
              float(diag.term_ratios[k - 1]) if k >= 1 else float("nan"))
             for k in range(K_max + 1)]
-    csv_path = out / "domain_diagnostic.csv"
-    write_csv(csv_path, ["K", "S_K", "ratio"], rows)
-    return True, [csv_path]
+    return True, {"domain_diagnostic.csv": (["K", "S_K", "ratio"], rows)}
 
 
-def exp_skorokhod_check(cfg, out, seed, threads):
+def exp_skorokhod_check(cfg, seed, threads):
     ctx = gram_from_config(cfg)
     grid = ctx.grid
     pts = grid.points
@@ -437,9 +421,8 @@ def exp_skorokhod_check(cfg, out, seed, threads):
     Z = SimpleIntegrand(ctx, [(a, b, WickCombo.exponential(ctx.indicator(u)))])
     err = verify_s_transform_identity(ctx, Z, cfg.get_int("trials", 20), seed)
     ok = err <= 1e-10
-    js = out / "skorokhod_check.json"
-    write_json(js, {"max_rel_error": err, "a": a, "b": b, "u": u, "passes": ok})
-    return ok, [js]
+    return ok, {"skorokhod_check.json": {"max_rel_error": err, "a": a, "b": b, "u": u,
+                                         "passes": ok}}
 
 
 def _problem_from_config(cfg, ctx, rng):
@@ -459,7 +442,7 @@ def _problem_from_config(cfg, ctx, rng):
     return BSDEProblem(ctx, a, gamma, c=c, G=G, xi=xi)
 
 
-def exp_bsde_solve(cfg, out, seed, threads):
+def exp_bsde_solve(cfg, seed, threads):
     ctx = gram_from_config(cfg)
     rng = np.random.default_rng(seed)
     problem = _problem_from_config(cfg, ctx, rng)
@@ -467,16 +450,13 @@ def exp_bsde_solve(cfg, out, seed, threads):
     rows = [(float(t), float(a), y.expectation(), math.sqrt(max(y.l2_norm_sq(ctx), 0.0)))
             for t, a, y in zip(ctx.grid.points, sol.A, sol.Y_nodes)]
     terminal_err = math.sqrt(max(sol.Y_nodes[-1].sub(problem.xi).l2_norm_sq(ctx), 0.0))
-    csv_path = out / "bsde_solution.csv"
-    write_csv(csv_path, ["t", "A", "mean_Y", "l2_Y"], rows)
-    js = out / "bsde_solution.json"
     ok = terminal_err <= 1e-10
-    write_json(js, {"terminal_error": terminal_err, "passes": ok})
-    return ok, [csv_path, js]
+    return ok, {"bsde_solution.csv": (["t", "A", "mean_Y", "l2_Y"], rows),
+                "bsde_solution.json": {"terminal_error": terminal_err, "passes": ok}}
 
 
-def exp_bsde_verify(cfg, out, seed, threads):
-    kind = cfg.get_str("solution", "represent")
+def exp_bsde_verify(cfg, seed, threads):
+    kind = cfg.get("solution", "represent")
     if kind not in ("represent", "wick"):
         raise ParameterError(f"unknown solution {kind!r}; use represent or wick")
     ctx = gram_from_config(cfg)
@@ -499,35 +479,30 @@ def exp_bsde_verify(cfg, out, seed, threads):
         tol = 1e-8
     res = verify_solution_weak(problem, sol, cfg.get_int("trials", 10), seed)
     ok = res <= tol
-    js = out / "bsde_verify.json"
-    write_json(js, {"max_residual": res, "tolerance": tol,
-                    "solution": kind, "passes": ok})
-    return ok, [js]
+    return ok, {"bsde_verify.json": {"max_residual": res, "tolerance": tol,
+                                     "solution": kind, "passes": ok}}
 
 
-def exp_nonexist_cert(cfg, out, seed, threads):
+def exp_nonexist_cert(cfg, seed, threads):
     grid = grid_from_config(cfg)
     model = model_from_config(cfg, grid)
     r = _default_r(cfg, grid)
     c = _shift_from_config(cfg, grid)
     n = grid.n
     a = np.full(n, cfg.get_float("a_const", 0.0))
-    js = out / "certificate.json"
     try:
         cert = nonexistence_certificate(model, grid, r, a=a, c=c,
                                         K_max=cfg.get_int("K_max", 12))
     except MartingaleCaseError as exc:
-        write_json(js, {"status": "refusal", "reason": str(exc)})
-        return True, [js]
+        return True, {"certificate.json": {"status": "refusal", "reason": str(exc)}}
     payload = cert.to_json_dict()
     payload["status"] = "certificate"
     payload["H"] = cfg.get_float("H", None)
     payload["N"] = grid.n
-    write_json(js, payload)
-    return cert.bound_ok and cert.rho > 1.0, [js]
+    return cert.bound_ok and cert.rho > 1.0, {"certificate.json": payload}
 
 
-def exp_example33(cfg, out, seed, threads):
+def exp_example33(cfg, seed, threads):
     hs = cfg.get_floats("H_list", [0.5, 0.35, 0.2])
     ns = cfg.get_ints("N_list", [16, 32, 64, 128, 256, 512])
     rows = []
@@ -535,24 +510,18 @@ def exp_example33(cfg, out, seed, threads):
         rep = example33_residual(H, ns, T=cfg.get_float("T", 1.0))
         for n, res in zip(rep.grid_sizes, rep.residuals):
             rows.append((H, int(n), float(res), rep.slope))
-    csv_path = out / "example33.csv"
-    write_csv(csv_path, ["H", "N", "residual", "slope"], rows)
-    outputs = [csv_path]
+    bodies = {"example33.csv": (["H", "N", "residual", "slope"], rows)}
     if cfg.get_bool("plot"):
-        svg = out / "example33.svg"
-        series = {}
-        for H in hs:
-            series[f"H={H}"] = [math.log10(r[2]) for r in rows if r[0] == H]
-        svg_plot(svg, [math.log10(n) for n in ns], series,
-                 "log10 residual vs log10 N")
-        outputs.append(svg)
-    return True, outputs
+        series = {f"H={H}": [math.log10(r[2]) for r in rows if r[0] == H] for H in hs}
+        bodies["example33.svg"] = svg_plot([math.log10(n) for n in ns], series,
+                                           "log10 residual vs log10 N")
+    return True, bodies
 
 
-def exp_frac_verify(cfg, out, seed, threads):
-    checks = cfg.get_str("checks", "appendix,low,high,kstar").split(",")
+def exp_frac_verify(cfg, seed, threads):
+    checks = cfg.get("checks", "appendix,low,high,kstar").split(",")
     report = {}
-    outputs = []
+    bodies = {}
     ok = True
     if "appendix" in checks:
         rep = appendix_reconstruction_check(cfg.get_float("H_app", 0.2),
@@ -560,10 +529,8 @@ def exp_frac_verify(cfg, out, seed, threads):
         report["appendix_max_error"] = rep.max_abs_error
         report["appendix_g_l2"] = rep.g_l2
         ok = ok and rep.max_abs_error <= 1e-3
-        table = out / "appendix_reconstruction.csv"
-        write_csv(table, ["t", "value", "target"],
-                  list(zip(rep.t_eval, rep.reconstruction, rep.target)))
-        outputs.append(table)
+        bodies["appendix_reconstruction.csv"] = (
+            ["t", "value", "target"], list(zip(rep.t_eval, rep.reconstruction, rep.target)))
     if "low" in checks:
         m = cfg.get_int("M", 2000)
         phi = FuncOnGrid.constant(1.0, uniform_mesh(m, 1.0))
@@ -584,13 +551,12 @@ def exp_frac_verify(cfg, out, seed, threads):
         report["kstar_c_h"] = c_h
         report["kstar_spread"] = spread
         ok = ok and spread <= 0.02
-    js = out / "frac_verify.json"
     report["passes"] = ok
-    write_json(js, report)
-    return ok, outputs + [js]
+    bodies["frac_verify.json"] = report
+    return ok, bodies
 
 
-def exp_mc_crosscheck(cfg, out, seed, threads):
+def exp_mc_crosscheck(cfg, seed, threads):
     n_paths = cfg.get_int("n_paths", 100_000)
     if n_paths < 2:
         raise ParameterError(
@@ -609,10 +575,8 @@ def exp_mc_crosscheck(cfg, out, seed, threads):
     want = chaos_inner(ctx, xi, eta)
     z_inner = abs(prod.mean() - want) / (prod.std(ddof=1) / math.sqrt(n_paths))
     ok = z_mean <= 3.0 and z_inner <= 3.0
-    js = out / "mc_crosscheck.json"
-    write_json(js, {"z_wick_mean": float(z_mean), "z_inner": float(z_inner),
-                    "n_paths": n_paths, "passes": ok})
-    return ok, [js]
+    return ok, {"mc_crosscheck.json": {"z_wick_mean": float(z_mean), "z_inner": float(z_inner),
+                                       "n_paths": n_paths, "passes": ok}}
 
 
 EXPERIMENTS = {
@@ -645,6 +609,8 @@ def main(argv=None) -> int:
     parser.add_argument("--threads", type=int, default=1)
     try:
         args = parser.parse_args(argv)
+        if args.threads < 1:
+            parser.error(f"--threads must be >= 1, got {args.threads}")
     except SystemExit:
         return USAGE_EXIT
     if args.experiment not in EXPERIMENTS:
@@ -653,37 +619,48 @@ def main(argv=None) -> int:
         return USAGE_EXIT
     try:
         cfg = parse_config(args.config) if args.config else Config()
+        seed = args.seed if args.seed is not None else cfg.get_int("seed")
     except (OSError, ParameterError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    seed = args.seed if args.seed is not None else cfg.get_int("seed", None)
     if seed is None:
         if args.experiment in STOCHASTIC:
             print("config error: stochastic experiments require a seed "
                   "(--seed or 'seed =' in the config)", file=sys.stderr)
             return USAGE_EXIT
         seed = 0
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     try:
-        ok, outputs = EXPERIMENTS[args.experiment](cfg, out, seed, args.threads)
+        ok, bodies = EXPERIMENTS[args.experiment](cfg, seed, args.threads)
     except (ParameterError, GridAlignmentError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # runtime failure
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    manifest = {
-        "experiment": args.experiment,
-        "config": dict(cfg),
-        "seed": seed,
-        "version": __version__,
-        "wall_time_s": time.perf_counter() - t0,
-        "outputs": [str(p) for p in outputs],
-        "timestamp_utc": datetime.now(timezone.utc).isoformat(),
-    }
-    write_json(out / "run-manifest.json", manifest)
+    out = Path(args.out)
+    outputs = [out / name for name in bodies]
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for path, body in zip(outputs, bodies.values()):
+            if path.suffix == ".csv":
+                write_csv(path, *body)
+            elif path.suffix == ".json":
+                write_json(path, body)
+            else:
+                path.write_text(body)
+        write_json(out / "run-manifest.json", {
+            "experiment": args.experiment,
+            "config": dict(cfg),
+            "seed": seed,
+            "version": __version__,
+            "wall_time_s": time.perf_counter() - t0,
+            "outputs": [str(p) for p in outputs],
+            "timestamp_utc": datetime.now(timezone.utc).isoformat(),
+        })
+    except OSError as exc:
+        print(f"error: cannot write the outputs: {exc}", file=sys.stderr)
+        return 1
     if not ok:
         print("checks failed", file=sys.stderr)
         return 2

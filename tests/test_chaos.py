@@ -21,7 +21,7 @@ from wickgrid import (
     wick_exponential_chaos,
     wick_truncation_tail_sq,
 )
-from wickgrid.chaos import chaos_to_json_dict
+from wickgrid.chaos import GramImage, chaos_to_json_dict
 from wickgrid.errors import ShapeError, UnsupportedOperationError
 
 import pairing_oracle as oracle
@@ -332,6 +332,8 @@ def test_chaos_vector_length_is_a_shape_error(ctx, rng):
             tensor_inner(ctx, xi.coeffs[1], xi.coeffs[1])
         with pytest.raises(ShapeError):
             xi.coeffs[1].contract_last(ctx, h, 1)
+        with pytest.raises(ShapeError):
+            GramImage(ctx, h).s(xi)
 
 
 def test_empty_chaos_vector_is_a_shape_error():

@@ -124,14 +124,14 @@ def test_stochastic_experiments_require_seed(tmp_path):
 
 
 def test_check_failure_exits_two(tmp_path, monkeypatch):
-    def failing(cfg, out, seed, threads):
-        p = out / "dummy.json"
-        p.write_text("{}")
-        return False, [p]
+    def failing(cfg, seed, threads):
+        return False, {"dummy.json": {}}
 
     monkeypatch.setitem(cli.EXPERIMENTS, "always-fails", failing)
     code = cli.main(["always-fails", "--out", str(tmp_path / "o")])
     assert code == 2
+    # a failed check still writes its bodies, so the failure can be read
+    assert json.loads((tmp_path / "o" / "dummy.json").read_text()) == {}
 
 
 def test_qce_and_skorokhod_checks(tmp_path):
@@ -179,12 +179,17 @@ def test_domain_diagnostic_csv(tmp_path):
     ("bsde-verify", "N = 4\nsolution = wik\n", "wik"),
     ("opnorm-sweep", "N = 8\nH_list = 0.3\nplot = ture\n", "plot"),
     ("gram", "N = -2\n", "n >= 1"),
+    ("gram", "N = abc\n", "N = 'abc' is not an integer"),
+    ("jensen", "N = 16\nepsilon = tiny\n", "epsilon = 'tiny' is not a number"),
+    ("opnorm-sweep", "N = 8\nH_list = 0.3,x\n", "H_list = '0.3,x'"),
+    ("example33", "N_list = 16,3.5\n", "N_list = '16,3.5'"),
 ])
 def test_unusable_check_settings_are_config_errors(tmp_path, capsys, experiment,
                                                   cfg, message):
     # trials = 0 used to write "passes": true after checking nothing,
     # K_max = 171 ended in a bare OverflowError, n_paths < 2 wrote NaN z
-    # statistics, and solution = wik or plot = ture fell back to a default
+    # statistics, solution = wik or plot = ture fell back to a default, and a
+    # value that did not parse raised a bare ValueError that named no key
     code, out = run(tmp_path, experiment, "model = fbm\nH = 0.75\n" + cfg, seed=1)
     assert code == 1
     err = capsys.readouterr().err
@@ -276,3 +281,70 @@ def test_sweeps_byte_identical_across_threads(tmp_path, experiment, cfg, csv):
                          "--threads", str(threads)]) == 0
         bodies.append((out / csv).read_bytes())
     assert bodies[0] == bodies[1]
+
+
+def test_unparsable_seed_is_usage_error(tmp_path, capsys):
+    code, out = run(tmp_path, "gram", "N = 4\nseed = abc\n")
+    assert code == 64
+    assert capsys.readouterr().err.startswith("config error: seed = 'abc'")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_threads_below_one_is_usage_error(tmp_path, capsys, threads):
+    out = tmp_path / "o"
+    code = cli.main(["gram", "--out", str(out), "--threads", threads])
+    assert code == 64
+    assert "--threads must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# (experiment, config, files in the order the manifest lists them)
+CONTRACT_CASES = [
+    ("gram", "N = 4\n", ["gram.csv", "gram.json"]),
+    ("opnorm-sweep", "H_list = 0.3,0.5\nN = 8\nplot = true\n",
+     ["opnorm_sweep.csv", "opnorm_sweep.svg"]),
+    ("dr-sweep", "N = 4\n", ["dr_sweep.csv"]),
+    ("jensen", "N = 8\n", ["jensen.json"]),
+    ("jensen", "model = bm\nN = 8\n", ["jensen.json"]),
+    ("qce-check", "N = 4\ntrials = 1\nK = 4\n", ["qce_check.json"]),
+    ("domain-diagnostic", "N = 8\nK_max = 4\n", ["domain_diagnostic.csv"]),
+    ("skorokhod-check", "N = 8\ntrials = 2\n", ["skorokhod_check.json"]),
+    ("bsde-solve", "N = 4\nxi_order = 2\n", ["bsde_solution.csv", "bsde_solution.json"]),
+    ("bsde-verify", "N = 4\ntrials = 1\nxi_order = 2\n", ["bsde_verify.json"]),
+    ("nonexist-cert", "N = 8\nK_max = 4\n", ["certificate.json"]),
+    ("nonexist-cert", "model = bm\nN = 8\n", ["certificate.json"]),
+    ("example33", "H_list = 0.5\nN_list = 8,16\nplot = true\n",
+     ["example33.csv", "example33.svg"]),
+    ("frac-verify", "M = 500\nM_high = 200\nN_kstar = 8\nM_kstar = 100\n",
+     ["appendix_reconstruction.csv", "frac_verify.json"]),
+    ("mc-crosscheck", "N = 4\nn_paths = 2000\n", ["mc_crosscheck.json"]),
+]
+
+
+def test_contract_cases_cover_every_experiment():
+    assert {exp for exp, _, _ in CONTRACT_CASES} == set(cli.EXPERIMENTS)
+
+
+@pytest.mark.parametrize("experiment,cfg,names", CONTRACT_CASES)
+def test_manifest_lists_exactly_the_files_written(tmp_path, experiment, cfg, names):
+    code, out = run(tmp_path, experiment, cfg, seed=1)
+    assert code == 0
+    manifest = json.loads((out / "run-manifest.json").read_text())
+    assert manifest["outputs"] == [str(out / name) for name in names]
+    assert sorted(p.name for p in out.iterdir()) == sorted(names + ["run-manifest.json"])
+
+
+def test_failed_run_leaves_no_partial_output(tmp_path):
+    # the appendix stage succeeds before the kstar grid is refused; its table
+    # used to stay on disk although the run exited 1
+    code, out = run(tmp_path, "frac-verify", "checks = appendix,kstar\nM = 200\nN_kstar = 0\n")
+    assert code == 1
+    assert not out.exists()
+
+
+def test_unwritable_out_is_a_runtime_error(tmp_path, capsys):
+    out = tmp_path / "o"
+    out.write_text("a file, not a directory\n")
+    assert cli.main(["gram", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: cannot write the outputs:")
