@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import islice
-from typing import Iterator, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -30,7 +29,7 @@ from .errors import (
     ShapeError,
     UnsupportedOperationError,
 )
-from .firstchaos import TruncationOperator, operator_norm
+from .firstchaos import operator_norm
 from .qce import (
     ShiftContext,
     domain_diagnostic,
@@ -126,30 +125,26 @@ def integrating_factor(problem: BSDEProblem) -> np.ndarray:
     return np.exp(tail)
 
 
-def _driver_sums(problem: BSDEProblem, A: np.ndarray) -> Iterator[Optional[ChaosVector]]:
+def _driver_sums(problem: BSDEProblem, A: np.ndarray) -> List[Optional[ChaosVector]]:
     """Left-point integrals sum_{j<=i} A_{j-1} G_{j-1} dgamma_j at nodes i = 0..N.
 
     One running sum; None while it is zero.
     """
     run = None
-    yield run
+    sums = [run]
     for g, A_j, dg in zip(problem.G, A, problem.dgamma):
         if g is not None:
             term = g.scaled(A_j * dg)
             run = term if run is None else run.add(term)
-        yield run
-
-
-def _driver_sum(problem: BSDEProblem, A: np.ndarray, i: int) -> Optional[ChaosVector]:
-    """int_0^{t_i} A G dgamma, the i-th running sum of _driver_sums."""
-    return next(islice(_driver_sums(problem, A), i, None))
+        sums.append(run)
+    return sums
 
 
 def xi_shifted(problem: BSDEProblem, A: Optional[np.ndarray] = None) -> ChaosVector:
     """xi~ = xi - int_0^T A G dgamma (left-point rule)."""
     if A is None:
         A = integrating_factor(problem)
-    shift = _driver_sum(problem, A, problem.ctx.n)
+    shift = _driver_sums(problem, A)[-1]
     return problem.xi if shift is None else problem.xi.sub(shift)
 
 
@@ -171,13 +166,13 @@ def represent_Y(problem: BSDEProblem, t: float) -> ChaosVector:
     """
     i = problem.ctx.grid.index_of(t)
     A = integrating_factor(problem)
-    return _node_Y(problem, A, xi_shifted(problem, A), i, _driver_sum(problem, A, i))
+    return _node_Y(problem, A, xi_shifted(problem, A), i, _driver_sums(problem, A)[i])
 
 
 def represent_solution(problem: BSDEProblem) -> BSDESolution:
     """The represented solution at every grid node, each as represent_Y gives it.
 
-    A and xi~ are formed once, and the driver integrals come from one pass of
+    A and xi~ are formed once, and the driver integrals come from one call of
     _driver_sums, so the N+1 nodes cost O(N) chaos additions, not O(N^2).
     """
     A = integrating_factor(problem)
@@ -347,46 +342,40 @@ class NonexistenceCertificate:
 
 
 def nonexistence_certificate(model, grid: TimeGrid, r: float,
-                             a=None, gamma=None, c=None, G=None,
-                             K_max: int = 12, tol: float = 1e-9) -> NonexistenceCertificate:
+                             a=None, c=None, G=None, K_max: int = 12) -> NonexistenceCertificate:
     """Certificate that some square-integrable terminal value defeats (a, gamma, c, G).
 
     Construction: take the escape direction f (norm < 1 < truncated norm,
     <f, c_r> >= 0), generate xi~ with coefficients f^(x k) / sqrt(k!), and
     report rho = |Gamma_r f|^2 > 1 together with the partial sums S_K, each
     verified against the geometric lower bound sum_{k<=K} rho^k.  The actual
-    terminal value is xi = xi~ + int_0^T A G dgamma, echoed in coefficients.
+    terminal value is xi = xi~ + int_0^T A G dgamma (gamma = t), echoed in coefficients.
     On a martingale grid the construction refuses: the equation is well-posed
     there (time-changed Brownian representation), so no certificate exists.
     """
     if K_max < 1:
         raise ParameterError("K_max must be >= 1")
     ctx = build_gram(model, grid)
+    problem = BSDEProblem(ctx, a, grid.points, c=c, G=G, xi=ChaosVector.constant(0.0, ctx.n))
     geo = operator_norm(ctx, r)
-    if geo.opnorm <= 1.0 + tol:
+    if geo.opnorm <= 1.0 + 1e-9:
         raise MartingaleCaseError(
             "operator norm is 1 at this r: martingale grid, the linear "
             "equation admits solutions for every square-integrable terminal "
             "value; no non-existence certificate"
         )
-    n = ctx.n
-    gamma = np.asarray(grid.points if gamma is None else gamma, dtype=float)
-    a_arr = np.zeros(n) if a is None else np.asarray(a, dtype=float)
-    sc = ShiftContext(ctx, r, c)
-    f = escape_direction(sc, tol=tol)
-    op = TruncationOperator(ctx, r)
-    rho = ctx.norm_sq(op.forward(f))
+    sc = ShiftContext(ctx, r, problem.c)
+    f = escape_direction(sc)
+    rho = ctx.norm_sq(sc.op.forward(f))
     diag = domain_diagnostic(sc, normalized_power_series(f), K_max)
     bounds = np.cumsum(rho ** np.arange(K_max + 1))
     ok = bool(np.all(diag.partial_sums >= bounds * (1.0 - 1e-12)))
     tail_ratio = float(diag.partial_sums[-1] / diag.partial_sums[-2])
-    dummy = BSDEProblem(ctx, a_arr, gamma, c=c, G=G,
-                        xi=ChaosVector.constant(0.0, n))
-    shift = _driver_sum(dummy, integrating_factor(dummy), n)
+    shift = _driver_sums(problem, integrating_factor(problem))[-1]
     coeffs_echo = {
-        "a": list(map(float, a_arr)),
-        "gamma": list(map(float, gamma)),
-        "c": list(map(float, dummy.c)),
+        "a": list(map(float, problem.a)),
+        "gamma": list(map(float, problem.gamma)),
+        "c": list(map(float, problem.c)),
         "driver_zero": shift is None,
         "driver_shift_l2": 0.0 if shift is None
         else math.sqrt(max(shift.l2_norm_sq(ctx), 0.0)),

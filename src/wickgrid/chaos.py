@@ -89,10 +89,10 @@ class SymmetricTensor:
         return cls(0, dim, dense=np.float64(value))
 
     @classmethod
-    def from_dense(cls, arr, dim: Optional[int] = None) -> "SymmetricTensor":
+    def from_dense(cls, arr) -> "SymmetricTensor":
         a = np.asarray(arr, dtype=float)
         if a.ndim == 0:
-            return cls(0, dim if dim is not None else 0, dense=np.float64(a))
+            raise ShapeError("a 0-d array has no dimension; use SymmetricTensor.scalar(value, dim)")
         if any(s != a.shape[0] for s in a.shape):
             raise ShapeError("dense tensor must be hyper-cubic")
         _check_dense_size(a.ndim, a.shape[0])
@@ -444,9 +444,9 @@ class WickCombo:
         self.dim = dim
 
     @classmethod
-    def exponential(cls, g, alpha: float = 1.0, f=None) -> "WickCombo":
+    def exponential(cls, g, alpha: float = 1.0) -> "WickCombo":
         g = np.asarray(g, dtype=float)
-        return cls([(alpha, f, g)], g.size)
+        return cls([(alpha, None, g)], g.size)
 
     def scaled(self, a: float) -> "WickCombo":
         return WickCombo([(a * al, None if f is None else a * f, g)
@@ -488,17 +488,16 @@ class WickCombo:
             new.append((0.0, alpha * x, g))
         return WickCombo(new, self.dim)
 
-    def multiply_exponential(self, ctx: GramContext, w, factor: float = 1.0) -> "WickCombo":
-        """Multiply by factor * e^(wick I(w)) using the product identity."""
+    def multiply_exponential(self, ctx: GramContext, w) -> "WickCombo":
+        """Multiply by e^(wick I(w)) using the product identity."""
         w = np.asarray(w, dtype=float)
         new = []
         for alpha, f, g in self.terms:
-            c = factor * math.exp(ctx.inner(g, w))
+            c = math.exp(ctx.inner(g, w))
             new.append((c * alpha, None if f is None else c * f, g + w))
         return WickCombo(new, self.dim)
 
-    def conditional_expectation_independent(self, ctx: GramContext, r: float,
-                                            block_tol: float = 1e-12) -> "WickCombo":
+    def conditional_expectation_independent(self, ctx: GramContext, r: float) -> "WickCombo":
         """Classical E[. | F_r] when past/future increments are independent.
 
         Valid only when the off-diagonal Gram block vanishes (martingale
@@ -507,7 +506,7 @@ class WickCombo:
         m = ctx.grid.index_of(r)
         off = ctx.G[:m, m:]
         scale = max(np.abs(ctx.G).max(), 1e-300)
-        if off.size and np.abs(off).max() > block_tol * scale:
+        if off.size and np.abs(off).max() > 1e-12 * scale:
             raise UnsupportedOperationError(
                 "conditional expectation in the combo algebra needs "
                 "independent past/future blocks"

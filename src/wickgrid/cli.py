@@ -518,8 +518,15 @@ def exp_example33(cfg, seed, threads):
     return True, bodies
 
 
+_FRAC_CHECKS = ("appendix", "low", "high", "kstar")
+
+
 def exp_frac_verify(cfg, seed, threads):
-    checks = cfg.get("checks", "appendix,low,high,kstar").split(",")
+    checks = [name.strip() for name in cfg.get("checks", ",".join(_FRAC_CHECKS)).split(",")]
+    unknown = [name for name in checks if name not in _FRAC_CHECKS]
+    if unknown:
+        raise ParameterError(f"checks = {cfg['checks']!r} names {unknown[0]!r}, which is "
+                             f"no check; use a comma list of {', '.join(_FRAC_CHECKS)}")
     report = {}
     bodies = {}
     ok = True
@@ -620,6 +627,8 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(args.config) if args.config else Config()
         seed = args.seed if args.seed is not None else cfg.get_int("seed")
+        if seed is not None and seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {seed}")
     except (OSError, ParameterError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return USAGE_EXIT

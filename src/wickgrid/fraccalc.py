@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy.special import beta as beta_fn
-from scipy.special import betainc, gamma as gamma_fn, gammaln
+from scipy.special import betainc, gamma as gamma_fn, gammaln, gammasgn
 
 from .covariance import GramContext
 from .errors import CalibrationError, GridAlignmentError, ParameterError, RegimeError
@@ -185,19 +185,26 @@ def rl_integral(f: FuncOnGrid, alpha: float, side: str = "left") -> FuncOnGrid:
 # Gauss hypergeometric function
 # ---------------------------------------------------------------------------
 
-def _is_nonpositive_int(v: float, tol: float = 1e-12) -> bool:
-    return v <= tol and abs(v - round(v)) < tol
+def _is_nonpositive_int(v: float) -> bool:
+    return v <= 1e-12 and abs(v - round(v)) < 1e-12
 
 
-def _series_2f1(a: float, b: float, c: float, z, tol: float = 1e-16,
-                max_terms: int = 200_000):
+def _gamma_sign(*xs: float) -> float:
+    """Exact sign, +1 or -1, of prod Gamma(x): exp of a gammaln sum drops it.
+
+    A pole counts as +1, since the gamma ratio it divides is exp(-inf) = 0.
+    """
+    return float(np.prod(np.nan_to_num(gammasgn(xs), nan=1.0)))
+
+
+def _series_2f1(a: float, b: float, c: float, z):
     z = np.asarray(z, dtype=float)
     total = np.ones_like(z)
     term = np.ones_like(z)
-    for n in range(max_terms):
+    for n in range(200_000):
         term = term * ((a + n) * (b + n)) / ((c + n) * (1.0 + n)) * z
         total = total + term
-        if np.all(np.abs(term) <= tol * np.maximum(np.abs(total), 1.0)):
+        if np.all(np.abs(term) <= 1e-16 * np.maximum(np.abs(total), 1.0)):
             return total
     raise ParameterError("hypergeometric series did not converge")
 
@@ -224,8 +231,8 @@ def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
         elif s <= 0:
             raise ParameterError("divergent at z = 1 unless c - a - b > 0")
         else:
-            return float(np.exp(gammaln(c) + gammaln(s)
-                                - gammaln(c - a) - gammaln(c - b)))
+            return _gamma_sign(c, s, c - a, c - b) * float(
+                np.exp(gammaln(c) + gammaln(s) - gammaln(c - a) - gammaln(c - b)))
     if z == 0.0:
         return 1.0
     if z < -0.5:
@@ -251,8 +258,10 @@ def _2f1_array_near_one(a: float, b: float, c: float, z: np.ndarray) -> np.ndarr
     if np.any(near):
         zn = z[near]
         w = 1.0 - zn
-        g1 = math.exp(gammaln(c) + gammaln(s) - gammaln(c - a) - gammaln(c - b))
-        g2 = math.exp(gammaln(c) + gammaln(-s) - gammaln(a) - gammaln(b))
+        g1 = _gamma_sign(c, s, c - a, c - b) * math.exp(
+            gammaln(c) + gammaln(s) - gammaln(c - a) - gammaln(c - b))
+        g2 = _gamma_sign(c, -s, a, b) * math.exp(
+            gammaln(c) + gammaln(-s) - gammaln(a) - gammaln(b))
         t1 = g1 * _series_2f1(a, b, 1.0 - s, w)
         t2 = g2 * w**s * _series_2f1(c - a, c - b, 1.0 + s, w)
         out[near] = t1 + t2
@@ -486,9 +495,7 @@ def hh_step_norm(ctx: GramContext, f: FuncOnGrid) -> float:
     return math.sqrt(max(ctx.inner(step, step), 0.0))
 
 
-def calibrate_c_h(H: float, ctx: GramContext, m: int = 600,
-                  targets: Optional[Sequence[float]] = None,
-                  ridge: float = 1e-6, fail_above: float = 0.05):
+def calibrate_c_h(H: float, ctx: GramContext, m: int = 600):
     """Calibrate the constant in K* from indicator recovery.
 
     For several grid times t*, solve the regularized least-squares problem
@@ -499,10 +506,9 @@ def calibrate_c_h(H: float, ctx: GramContext, m: int = 600,
     T = ctx.grid.T
     x = cosine_mesh(m, T)
     W = _kstar_matrix(x, H)
-    if targets is None:
-        qs = [0.3, 0.45, 0.6, 0.75]
-        targets = [ctx.grid.points[max(1, int(round(q * ctx.grid.n)))] for q in qs]
-    lam = ridge * np.linalg.norm(W, ord="fro") / math.sqrt(W.shape[0])
+    targets = [ctx.grid.points[max(1, int(round(q * ctx.grid.n)))]
+               for q in (0.3, 0.45, 0.6, 0.75)]
+    lam = 1e-6 * np.linalg.norm(W, ord="fro") / math.sqrt(W.shape[0])
     A = np.vstack([W, lam * np.eye(x.size)])
     estimates = []
     for t_star in targets:
@@ -515,7 +521,7 @@ def calibrate_c_h(H: float, ctx: GramContext, m: int = 600,
     estimates = np.asarray(estimates)
     c_h = float(np.exp(np.mean(np.log(estimates))))
     spread = float(np.max(np.abs(estimates - c_h)) / c_h)
-    if spread > fail_above:
+    if spread > 0.05:
         raise CalibrationError(
             f"indicator-recovery constants disagree by {spread:.1%}"
         )

@@ -75,8 +75,9 @@ def shifted_qce(sc: ShiftContext, xi: ChaosVector) -> ChaosVector:
     Orders above the highest dense coefficient are fed by power sums only.
     Their rows are stacked by order k, each paired with c_r and cut to
     coordinates < m once; order n takes the rows of every k >= n, a suffix
-    of the stack, with weights C(k, n) w <v, c_r>^(k-n).  Lower orders add
-    contracted tensors.
+    of the stack, with weights C(k, n) w <v, c_r>^(k-n); rows with equal bytes
+    collapse into their first occurrence in the suffix, np.add.at adding the
+    weights in row order.  Lower orders add contracted tensors and are dense.
     """
     K = xi.max_order
     image = GramImage(sc.ctx, sc.c_r)
@@ -86,35 +87,29 @@ def shifted_qce(sc: ShiftContext, xi: ChaosVector) -> ChaosVector:
              for wt, x in zip(f.weights.tolist(), image.pairings(f.vectors))]
     cut = np.concatenate([np.zeros((0, xi.dim))] + [f.vectors for f in sums])
     cut[:, sc.m:] = 0.0
+    keys = np.unique(cut.view(np.dtype((np.void, cut.itemsize * xi.dim))).ravel(),
+                     return_inverse=True)[1]
     s = 0                       # first row of order n in the stack
     out: List[SymmetricTensor] = []
     for n in range(K + 1):
         if n > top_dense:
             weights = [math.comb(k, n) * (wt * x ** (k - n)) for k, wt, x in terms[s:]]
             acc = SymmetricTensor(n, xi.dim, weights=np.array(weights), vectors=cut[s:])
+            if len(weights) > 1:
+                head = np.full(len(cut), len(cut))      # first suffix row of each key
+                np.minimum.at(head, keys[s:], np.arange(s, len(cut)))
+                rows = np.sort(head[head < len(cut)])
+                merged = np.zeros(rows.size)
+                np.add.at(merged, np.searchsorted(rows, head[keys[s:]]), weights)
+                acc = SymmetricTensor.from_powers(n, xi.dim, merged, cut[rows])
             s += xi.coeffs[n].weights.size
         else:
             acc = SymmetricTensor.zero(n, xi.dim)
             for k in range(n, K + 1):
                 term = xi.coeffs[k].contract_last(sc.ctx, sc.c_r, k - n, image)
                 acc = acc.add(term.scaled(math.comb(k, n)).project_coords(sc.m))
-        out.append(_merge_powers(acc))
+        out.append(acc)
     return ChaosVector(out, xi.dim)
-
-
-def _merge_powers(t: SymmetricTensor) -> SymmetricTensor:
-    """Collapse rows with equal bytes into their first occurrence (keeps Wick
-    chains short); np.add.at adds the repeats' weights in row order."""
-    if not t.is_powers or t.weights.size < 2:
-        return t
-    V = np.ascontiguousarray(t.vectors)
-    keys = V.view(np.dtype((np.void, V.itemsize * t.dim))).ravel().tolist()
-    first = {}                              # row bytes -> first row holding them
-    slot = np.array([first.setdefault(key, i) for i, key in enumerate(keys)])
-    weights = np.zeros(slot.size)
-    np.add.at(weights, slot, t.weights)
-    rows = list(first.values())
-    return SymmetricTensor.from_powers(t.order, t.dim, weights[rows], V[rows])
 
 
 @dataclass
@@ -198,7 +193,7 @@ def _norm_sq_stable(ctx: GramContext, t: SymmetricTensor) -> float:
     return math.exp(log_val) if log_val < _LOG_OVERFLOW else math.inf
 
 
-def escape_direction(sc: ShiftContext, tol: float = 1e-9) -> np.ndarray:
+def escape_direction(sc: ShiftContext) -> np.ndarray:
     """Direction f with |Gamma_r f| > 1 > |f|, oriented so <f, c_r> >= 0.
 
     Scaling uses the geometric mean: with lam = opnorm^2 the extremal unit
@@ -207,7 +202,7 @@ def escape_direction(sc: ShiftContext, tol: float = 1e-9) -> np.ndarray:
     """
     geo = operator_norm(sc.ctx, sc.r)
     lam = geo.opnorm**2
-    if geo.opnorm <= 1.0 + tol:
+    if geo.opnorm <= 1.0 + 1e-9:
         raise MartingaleCaseError(
             "truncation has operator norm 1 at this r; every direction "
             "contracts and no escape direction exists"

@@ -352,6 +352,12 @@ def test_dense_size_guard():
         SymmetricTensor.from_dense(np.zeros((2,) * 7))
 
 
+def test_from_dense_refuses_a_0d_array():
+    # a 0-d array carries no dimension for the tensor
+    with pytest.raises(ShapeError, match="scalar"):
+        SymmetricTensor.from_dense(np.float64(2.0))
+
+
 def test_json_entries_and_multiplicity():
     t = SymmetricTensor.from_dense(np.array([[1.0, 2.0], [2.0, 3.0]]))
     cv = ChaosVector([SymmetricTensor.scalar(0.5, 2), SymmetricTensor.zero(1, 2), t], 2)

@@ -183,13 +183,17 @@ def test_domain_diagnostic_csv(tmp_path):
     ("jensen", "N = 16\nepsilon = tiny\n", "epsilon = 'tiny' is not a number"),
     ("opnorm-sweep", "N = 8\nH_list = 0.3,x\n", "H_list = '0.3,x'"),
     ("example33", "N_list = 16,3.5\n", "N_list = '16,3.5'"),
+    ("frac-verify", "checks = apendix\n", "checks = 'apendix'"),
+    ("frac-verify", "checks = appendix,,low\n", "appendix, low, high, kstar"),
+    ("frac-verify", "checks =\n", "checks = ''"),
 ])
 def test_unusable_check_settings_are_config_errors(tmp_path, capsys, experiment,
                                                   cfg, message):
     # trials = 0 used to write "passes": true after checking nothing,
     # K_max = 171 ended in a bare OverflowError, n_paths < 2 wrote NaN z
-    # statistics, solution = wik or plot = ture fell back to a default, and a
-    # value that did not parse raised a bare ValueError that named no key
+    # statistics, solution = wik or plot = ture fell back to a default, a
+    # value that did not parse raised a bare ValueError that named no key,
+    # and checks = apendix ran nothing and wrote "passes": true
     code, out = run(tmp_path, experiment, "model = fbm\nH = 0.75\n" + cfg, seed=1)
     assert code == 1
     err = capsys.readouterr().err
@@ -288,6 +292,24 @@ def test_unparsable_seed_is_usage_error(tmp_path, capsys):
     assert code == 64
     assert capsys.readouterr().err.startswith("config error: seed = 'abc'")
     assert not out.exists()
+    # a negative seed is refused before any experiment runs, whether or not
+    # the experiment draws randomness
+    for experiment in ("gram", "skorokhod-check"):
+        for cfg, seed in (("seed = -1\n", None), ("", -1)):
+            code, out = run(tmp_path, experiment, "N = 4\n" + cfg, seed=seed,
+                            subdir=f"{experiment}-{seed}")
+            assert code == 64
+            assert capsys.readouterr().err.startswith("config error: seed must be >= 0, got -1")
+            assert not out.exists()
+
+
+def test_frac_verify_runs_each_listed_check(tmp_path):
+    # spaces around a name are ignored
+    code, out = run(tmp_path, "frac-verify", "checks = appendix, low\nM = 400\n")
+    assert code == 0
+    report = json.loads((out / "frac_verify.json").read_text())
+    assert sorted(report) == ["appendix_g_l2", "appendix_max_error", "passes",
+                              "truncation_low_error"]
 
 
 @pytest.mark.parametrize("threads", ["0", "-2"])

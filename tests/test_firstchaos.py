@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from wickgrid import (
     BrownianMotion,
@@ -230,3 +231,17 @@ def test_jensen_low_hurst_ratio_above_one():
     # conditioning h returns exactly the past extremal vector
     ups, _ = max_correlation(ctx, 0.5).extremal_pair
     assert np.allclose(op.forward(h), ups, atol=1e-13)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.floats(0.05, 0.95), st.integers(2, 32))
+def test_first_chaos_identities_at_every_interior_node(H, N):
+    # opnorm^2 (1 - d_r^2) = 1 ties the two numbers of the dichotomy together;
+    # opnorm = 1 exactly at H = 1/2, so it may round to just below 1 there
+    ctx = build_gram(FractionalBrownianMotion(H), TimeGrid.uniform(N))
+    for r in ctx.grid.points[1:-1]:
+        opnorm = operator_norm(ctx, r).opnorm
+        d_r = max_correlation(ctx, r).d_r
+        assert opnorm >= 1.0 - 1e-12
+        assert 0.0 <= d_r < 1.0
+        assert opnorm**2 * (1.0 - d_r**2) == pytest.approx(1.0, rel=1e-9)

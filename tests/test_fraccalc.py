@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import beta as beta_fn
@@ -180,6 +181,35 @@ def test_2f1_at_one_gauss_sum():
     assert gauss_2f1(a, b, c, 1.0) == pytest.approx(want, rel=1e-13)
 
 
+# (a, b, c): Gamma(c - a) < 0 in the first three (the second and third are
+# the appendix profile at H = 0.2 and 0.24), then Gamma(c) < 0, Gamma(c - b)
+# < 0, all signs positive, a pole of Gamma(c - a) (2F1 = 0 at z = 1) and a
+# terminating series
+_MP_2F1_PARAMS = [(1.3, -2.2, 0.7), (0.8, -0.3, 0.7), (0.96, -0.26, 0.74),
+                  (0.3, -1.2, -0.5), (-2.2, 1.3, 0.7), (0.5, 0.25, 1.5),
+                  (2.0, -1.5, 1.0), (-2.0, 0.5, 1.5)]
+
+
+@pytest.mark.parametrize("a,b,c", _MP_2F1_PARAMS)
+def test_2f1_against_mpmath(a, b, c):
+    # at z = 1 the gamma ratio must keep the signs of Gamma:
+    # 2F1(1.3, -2.2; 0.7; 1) = -0.17168
+    with mpmath.workdps(50):
+        for z in (-1.0, -0.75, -0.5, -0.2, 0.0, 0.3, 0.6, 0.9, 0.95, 0.99, 1.0):
+            want = float(mpmath.hyp2f1(a, b, c, z))
+            assert gauss_2f1(a, b, c, z) == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("H", [0.15, 0.2, 0.24])
+def test_appendix_profile_against_mpmath(H):
+    # z = 1 - s > 0.95 takes the z -> 1 - z connection, whose first
+    # coefficient is negative for H > 1/6
+    s = np.array([0.0, 1e-6, 1e-3, 0.01, 0.04, 0.049, 0.3])
+    with mpmath.workdps(50):
+        want = [float(mpmath.hyp2f1(4 * H, H - 0.5, H + 0.5, 1 - x)) for x in s]
+    np.testing.assert_allclose(_appendix_profile(H, 1.0, s), want, rtol=1e-12)
+
+
 def test_2f1_domain_errors():
     with pytest.raises(ParameterError):
         gauss_2f1(0.5, 0.5, 1.0, 1.2)
@@ -223,6 +253,22 @@ def test_appendix_g_square_integrable():
     r2 = appendix_reconstruction_check(0.2, 1.0, 2000)
     assert np.isfinite(r1.g_l2) and r1.g_l2 > 0
     assert abs(r2.g_l2 - r1.g_l2) / r1.g_l2 <= 0.01
+
+
+@pytest.mark.parametrize("H", [0.15, 0.2, 0.24])
+def test_appendix_g_l2_against_mpmath(H):
+    # |g|_L2^2 = int_0^1 s^(6H-1) (1-s)^(2H-1) 2F1(4H, H-1/2; H+1/2; 1-s)^2 ds
+    # / Gamma(H+1/2)^2 at T = 1
+    with mpmath.workdps(50):
+        h = mpmath.mpf(H)
+
+        def integrand(s):
+            F = mpmath.hyp2f1(4 * h, h - 0.5, h + 0.5, 1 - s)
+            return s ** (6 * h - 1) * (1 - s) ** (2 * h - 1) * F**2
+
+        want = float(mpmath.sqrt(mpmath.quad(integrand, [0, 0.5, 1])) / mpmath.gamma(h + 0.5))
+    rep = appendix_reconstruction_check(H, 1.0, 2000)
+    assert rep.g_l2 == pytest.approx(want, rel=1e-6)
 
 
 # ---------------------------------------------------------------------------

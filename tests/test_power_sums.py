@@ -8,15 +8,16 @@ On an fBm grid with H = 0.7 every Gram entry is positive, so the pairing of
 the entrywise absolute values bounds every absolute term.
 """
 
+import math
 from functools import cache
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from wickgrid import FractionalBrownianMotion, SymmetricTensor, TimeGrid, build_gram, tensor_inner
+from wickgrid import (ChaosVector, FractionalBrownianMotion, ShiftContext, SymmetricTensor,
+                      TimeGrid, build_gram, shifted_qce, tensor_inner)
 from wickgrid.chaos import GramImage
-from wickgrid.qce import _merge_powers
 
 RTOL = 1e-12
 _values = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False, allow_subnormal=False)
@@ -29,22 +30,41 @@ def ctx_for(dim):
     return build_gram(FractionalBrownianMotion(0.7), TimeGrid.uniform(dim))
 
 
-def power_sum(draw, order, dim):
+def row_pool(draw, dim):
+    return draw(arrays(float, (3, dim), elements=_values))
+
+
+def power_sum(draw, order, pool):
     # rows come from a pool of three, so repeated rows are common
-    pool = draw(arrays(float, (3, dim), elements=_values))
     rows = draw(st.lists(st.integers(0, 2), max_size=5))
     weights = draw(st.lists(_values, min_size=len(rows), max_size=len(rows)))
-    return SymmetricTensor.from_powers(order, dim, weights, pool[rows].reshape(-1, dim))
+    return SymmetricTensor.from_powers(order, pool.shape[1], weights,
+                                       pool[rows].reshape(-1, pool.shape[1]))
 
 
 @st.composite
 def cases(draw):
     dim, order = draw(st.integers(1, 5)), draw(st.integers(1, 4))
-    return (power_sum(draw, order, dim), power_sum(draw, order, dim),
+    return (power_sum(draw, order, row_pool(draw, dim)),
+            power_sum(draw, order, row_pool(draw, dim)),
             draw(arrays(float, dim, elements=_values)))
 
 
+@st.composite
+def chains(draw):
+    """A chaos vector whose orders 1..K are power sums over one row pool, so
+    rows repeat within and across orders, with a shift vector and a node."""
+    dim, K = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    pool = row_pool(draw, dim)
+    coeffs = [SymmetricTensor.scalar(draw(_values), dim)]
+    coeffs += [power_sum(draw, k, pool) for k in range(1, K + 1)]
+    return (ChaosVector(coeffs, dim), draw(arrays(float, dim, elements=_values)),
+            draw(st.integers(0, dim)))
+
+
 def absolute(t):
+    if not t.is_powers:
+        return SymmetricTensor(t.order, t.dim, dense=np.abs(t.dense))
     return SymmetricTensor(t.order, t.dim, weights=np.abs(t.weights), vectors=np.abs(t.vectors))
 
 
@@ -98,10 +118,19 @@ def test_tensor_inner_and_pair_match_dense(case):
 
 
 @property_test
-@given(cases())
-def test_merge_keeps_value_and_leaves_distinct_rows(case):
-    A = case[0]
-    merged = _merge_powers(A)
-    assert merged.is_powers and merged.order == A.order
-    assert len({v.tobytes() for v in merged.vectors}) == merged.weights.size
-    assert_close(merged.to_dense(), A.to_dense(), absolute(A).to_dense())
+@given(chains())
+def test_merge_keeps_value_and_leaves_distinct_rows(chain):
+    # shifted_qce collapses the repeated rows of each power order
+    xi, c, m = chain
+    ctx = ctx_for(xi.dim)
+    sc = ShiftContext(ctx, ctx.grid.points[m], c)
+    got = shifted_qce(sc, xi)
+    want = shifted_qce(sc, ChaosVector([dense(f) if f.order else f for f in xi.coeffs],
+                                       xi.dim))
+    for n, (g, w) in enumerate(zip(got.coeffs, want.coeffs)):
+        if n:
+            assert g.is_powers
+            assert len({v.tobytes() for v in g.vectors}) == g.weights.size
+        scale = sum(math.comb(k, n) * absolute(f).contract_last(ctx, np.abs(sc.c_r), k - n)
+                    .project_coords(sc.m).to_dense() for k, f in enumerate(xi.coeffs[n:], n))
+        assert_close(g.to_dense(), w.to_dense(), scale)

@@ -329,3 +329,15 @@ def test_shifted_qce_matches_per_coefficient_route_on_escape_chain(ctx):
     f = escape_direction(sc)
     xi = ChaosVector([escape_generator(f, 8)(k) for k in range(41)], 8)
     oracle.assert_same_chaos(shifted_qce(sc, xi), oracle.shifted_qce(sc, xi))
+
+
+def test_shifted_qce_leaves_a_single_row_unmerged_like_the_per_coefficient_route(ctx):
+    # with c = 0 the order-2 row reaches order 1 with weight 0; a suffix of one
+    # row is not merged, so that row stays as it does in the reference route
+    u = np.linspace(0.1, 0.8, 8)
+    xi = ChaosVector([SymmetricTensor.scalar(1.0, 8), SymmetricTensor.zero(1, 8),
+                      SymmetricTensor.from_powers(2, 8, [0.5], [u])], 8)
+    sc = ShiftContext(ctx, 0.5, None)
+    got = shifted_qce(sc, xi)
+    oracle.assert_same_chaos(got, oracle.shifted_qce(sc, xi))
+    assert got.coeffs[1].weights.tolist() == [0.0]
