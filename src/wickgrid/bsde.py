@@ -32,8 +32,8 @@ from .errors import (
 from .firstchaos import operator_norm
 from .qce import (
     ShiftContext,
+    _escape_from,
     domain_diagnostic,
-    escape_direction,
     normalized_power_series,
     shifted_qce,
 )
@@ -140,12 +140,16 @@ def _driver_sums(problem: BSDEProblem, A: np.ndarray) -> List[Optional[ChaosVect
     return sums
 
 
+def _xi_minus(problem: BSDEProblem, shift: Optional[ChaosVector]) -> ChaosVector:
+    """xi~ = xi - shift, where shift is the last of the _driver_sums."""
+    return problem.xi if shift is None else problem.xi.sub(shift)
+
+
 def xi_shifted(problem: BSDEProblem, A: Optional[np.ndarray] = None) -> ChaosVector:
     """xi~ = xi - int_0^T A G dgamma (left-point rule)."""
     if A is None:
         A = integrating_factor(problem)
-    shift = _driver_sums(problem, A)[-1]
-    return problem.xi if shift is None else problem.xi.sub(shift)
+    return _xi_minus(problem, _driver_sums(problem, A)[-1])
 
 
 def _node_Y(problem: BSDEProblem, A: np.ndarray, xt: ChaosVector, i: int,
@@ -166,18 +170,21 @@ def represent_Y(problem: BSDEProblem, t: float) -> ChaosVector:
     """
     i = problem.ctx.grid.index_of(t)
     A = integrating_factor(problem)
-    return _node_Y(problem, A, xi_shifted(problem, A), i, _driver_sums(problem, A)[i])
+    sums = _driver_sums(problem, A)
+    return _node_Y(problem, A, _xi_minus(problem, sums[-1]), i, sums[i])
 
 
 def represent_solution(problem: BSDEProblem) -> BSDESolution:
     """The represented solution at every grid node, each as represent_Y gives it.
 
-    A and xi~ are formed once, and the driver integrals come from one call of
-    _driver_sums, so the N+1 nodes cost O(N) chaos additions, not O(N^2).
+    A and xi~ are formed once, and the driver integrals, xi~'s shift among
+    them, come from one call of _driver_sums, so the N+1 nodes cost O(N)
+    chaos additions, not O(N^2).
     """
     A = integrating_factor(problem)
-    xt = xi_shifted(problem, A)
-    Y = [_node_Y(problem, A, xt, i, run) for i, run in enumerate(_driver_sums(problem, A))]
+    sums = _driver_sums(problem, A)
+    xt = _xi_minus(problem, sums[-1])
+    Y = [_node_Y(problem, A, xt, i, run) for i, run in enumerate(sums)]
     return BSDESolution(Y_nodes=Y, A=A, xi_tilde=xt)
 
 
@@ -365,7 +372,7 @@ def nonexistence_certificate(model, grid: TimeGrid, r: float,
             "value; no non-existence certificate"
         )
     sc = ShiftContext(ctx, r, problem.c)
-    f = escape_direction(sc)
+    f = _escape_from(sc, geo)
     rho = ctx.norm_sq(sc.op.forward(f))
     diag = domain_diagnostic(sc, normalized_power_series(f), K_max)
     bounds = np.cumsum(rho ** np.arange(K_max + 1))

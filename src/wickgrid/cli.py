@@ -128,8 +128,22 @@ def _fmt(x) -> str:
 
 
 def write_csv(path: Path, header, rows) -> None:
+    """rows: a sequence of value rows, or a 2-D float64 array.
+
+    An array's distinct values are formatted once each and gathered back,
+    giving the same bytes as the per-value write of rows.tolist().
+    """
     lines = [",".join(header)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
+    if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype == np.float64:
+        # unique on the bit patterns, not the values: by value -0.0 == 0.0,
+        # and one of "-0" and "0" would be written for both
+        bits, inverse = np.unique(np.ascontiguousarray(rows).view(np.uint64),
+                                  return_inverse=True)
+        text = np.array([format(x, ".17g") for x in bits.view(np.float64).tolist()],
+                        dtype=object)
+        lines += [",".join(row) for row in text[inverse.reshape(rows.shape)].tolist()]
+    else:
+        lines += [",".join(_fmt(v) for v in row) for row in rows]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -242,7 +256,7 @@ def _shift_from_config(cfg: Config, grid: TimeGrid) -> np.ndarray:
 def exp_gram(cfg, seed, threads):
     ctx = gram_from_config(cfg)
     return True, {
-        "gram.csv": ([f"c{j}" for j in range(ctx.n)], ctx.G.tolist()),
+        "gram.csv": ([f"c{j}" for j in range(ctx.n)], ctx.G),
         "gram.json": {
             "cond_estimate": ctx.cond_estimate,
             "conditioning_warning": ctx.conditioning_warning,

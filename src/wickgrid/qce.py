@@ -23,7 +23,7 @@ from scipy.special import gammaln, logsumexp
 from .covariance import GramContext
 from .chaos import ChaosVector, GramImage, SymmetricTensor, tensor_inner
 from .errors import MartingaleCaseError, ParameterError, ShapeError
-from .firstchaos import TruncationOperator, operator_norm
+from .firstchaos import SubspaceGeometry, TruncationOperator, operator_norm
 
 __all__ = [
     "ShiftContext",
@@ -200,7 +200,11 @@ def escape_direction(sc: ShiftContext) -> np.ndarray:
     direction v is scaled to lam^{-1/4}, so |f| = lam^{-1/4} < 1 and
     |Gamma_r f| = lam^{+1/4} > 1 with equal log-margins.
     """
-    geo = operator_norm(sc.ctx, sc.r)
+    return _escape_from(sc, operator_norm(sc.ctx, sc.r))
+
+
+def _escape_from(sc: ShiftContext, geo: SubspaceGeometry) -> np.ndarray:
+    """escape_direction(sc) from geo, the operator_norm of (sc.ctx, sc.r)."""
     lam = geo.opnorm**2
     if geo.opnorm <= 1.0 + 1e-9:
         raise MartingaleCaseError(

@@ -194,6 +194,54 @@ def test_represent_solution_matches_represent_Y_exactly(n, driver, shifted):
         oracle.assert_same_chaos(y, represent_Y(p, t))
 
 
+@pytest.mark.parametrize("shifted", [False, True])
+def test_represented_nodes_match_the_oracle_formula(shifted):
+    # Y_i = (QCE of xi~ at (t_i, c) + run_i) / A_i with run_i the left-point
+    # driver sum to t_i and xi~ = xi - run_N, the QCE taken by the oracle
+    n = 6
+    ctx = build_gram(FractionalBrownianMotion(0.3), TimeGrid.uniform(n))
+    rng = np.random.default_rng(77)
+    p = BSDEProblem(ctx, rng.standard_normal(n), ctx.grid.points,
+                    c=0.7 * rng.standard_normal(n) if shifted else None,
+                    G=adapted_driver(rng, n), xi=random_chaos(rng, n, 3))
+    A = integrating_factor(p)
+    runs = [None]
+    for g, A_j, dg in zip(p.G, A, p.dgamma):
+        term = g.scaled(A_j * dg)
+        runs.append(term if runs[-1] is None else runs[-1].add(term))
+    xt = p.xi.sub(runs[-1])
+    sol = represent_solution(p)
+    oracle.assert_same_chaos(sol.xi_tilde, xt)
+    for i, t in enumerate(ctx.grid.points):
+        want = oracle.shifted_qce(ShiftContext(ctx, t, p.c), xt)
+        want = (want if runs[i] is None else want.add(runs[i])).scaled(1.0 / A[i])
+        oracle.assert_same_chaos(sol.Y_nodes[i], want)
+        oracle.assert_same_chaos(represent_Y(p, t), want)
+
+
+def test_one_driver_sum_pass_per_representation(monkeypatch):
+    # xi~ takes its shift from the same running sums as the nodes
+    from wickgrid import bsde
+
+    n = 6
+    ctx = build_gram(FractionalBrownianMotion(0.3), TimeGrid.uniform(n))
+    rng = np.random.default_rng(78)
+    p = BSDEProblem(ctx, rng.standard_normal(n), ctx.grid.points,
+                    G=adapted_driver(rng, n), xi=random_chaos(rng, n, 2))
+    calls = []
+    real = bsde._driver_sums
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(bsde, "_driver_sums", counted)
+    represent_solution(p)
+    assert len(calls) == 1
+    represent_Y(p, ctx.grid.points[3])
+    assert len(calls) == 2
+
+
 def test_driver_support_validated(ctx, rng):
     bad = [ChaosVector.first_chaos(rng.standard_normal(8))] * 9
     with pytest.raises(ParameterError):

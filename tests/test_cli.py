@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from wickgrid import cli
@@ -370,3 +371,62 @@ def test_unwritable_out_is_a_runtime_error(tmp_path, capsys):
     out.write_text("a file, not a directory\n")
     assert cli.main(["gram", "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("error: cannot write the outputs:")
+
+
+def _per_value_csv(path, header, array):
+    cli.write_csv(path, header, array.tolist())
+    return path.read_bytes()
+
+
+_rng = np.random.default_rng(11)
+_nan_payload = np.array([0x7FF8000000000001, 0xFFF8000000000000], dtype=np.uint64).view(np.float64)
+CSV_ARRAYS = {
+    "signed zeros": np.array([[-0.0, 0.0, 0.0], [0.0, -0.0, -0.0]]),
+    "subnormals": np.array([[5e-324, -5e-324, 2.2250738585072014e-308],
+                            [1e-310, 5e-324, 0.0]]),
+    "inf and nan": np.array([[np.inf, -np.inf, np.nan], [np.nan, 1.0, -np.inf]]),
+    "nan payloads": np.array([[_nan_payload[0], np.nan, _nan_payload[1]]]),
+    "heavy repeats": _rng.choice([0.1, -2.5, 1e300, 1 / 3], size=(40, 30)),
+    "all distinct": _rng.standard_normal((25, 17)),
+    "1x1": np.array([[0.30000000000000004]]),
+    "Nx1": _rng.standard_normal((9, 1)),
+    "transposed": _rng.standard_normal((4, 6)).T,
+    "no rows": np.zeros((0, 3)),
+}
+
+
+@pytest.mark.parametrize("name", CSV_ARRAYS)
+def test_array_csv_equals_the_per_value_write(tmp_path, name):
+    # the array path formats each distinct bit pattern once; the bytes must be
+    # those of formatting every value on its own
+    array = CSV_ARRAYS[name]
+    header = [f"c{j}" for j in range(array.shape[1])]
+    cli.write_csv(tmp_path / "a.csv", header, array)
+    assert (tmp_path / "a.csv").read_bytes() == _per_value_csv(tmp_path / "b.csv", header, array)
+
+
+def test_gram_csv_equals_the_per_value_write_of_the_gram(tmp_path):
+    code, out = run(tmp_path, "gram", "model = fbm\nH = 0.3\nN = 512\n")
+    assert code == 0
+    ctx = cli.gram_from_config(cli.Config(model="fbm", H="0.3", N="512"))
+    header = [f"c{j}" for j in range(ctx.n)]
+    assert (out / "gram.csv").read_bytes() == _per_value_csv(tmp_path / "b.csv", header, ctx.G)
+
+
+def test_default_certificate_solves_one_operator_norm(tmp_path, monkeypatch):
+    # the martingale test and the escape direction share one geometry
+    from wickgrid import bsde, qce
+
+    calls = []
+    real = bsde.operator_norm
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(bsde, "operator_norm", counted)
+    monkeypatch.setattr(qce, "operator_norm", counted)
+    code, out = run(tmp_path, "nonexist-cert", None)
+    assert code == 0
+    assert json.loads((out / "certificate.json").read_text())["status"] == "certificate"
+    assert len(calls) == 1

@@ -5,6 +5,7 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wickgrid import (
     BrownianMotion,
@@ -15,7 +16,7 @@ from wickgrid import (
     build_gram,
     sample_increments,
 )
-from wickgrid.covariance import _gram_from_cov
+from wickgrid.covariance import _EIG_FLOOR_REL, _gram_from_cov
 from wickgrid.errors import GridAlignmentError, ModelGridError, ParameterError
 
 
@@ -280,3 +281,26 @@ def test_lazy_factors_built_once_under_thread_contention():
             assert all(m is seen[0] for m in seen)
     finally:
         sys.setswitchinterval(old)
+
+
+_hurst = st.floats(0.05, 0.95)
+_models = st.one_of(
+    _hurst.map(FractionalBrownianMotion),
+    st.just(BrownianMotion()),
+    st.builds(SumModel, st.just(BrownianMotion()), _hurst.map(FractionalBrownianMotion),
+              st.floats(0.1, 3.0)),
+)
+# strictly increasing grids: N <= 40 cell widths spanning three decades
+_grids = st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=40).map(
+    lambda widths: TimeGrid(np.concatenate([[0.0], np.cumsum(widths)])))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_models, _grids)
+def test_gram_is_psd_on_random_grids(model, grid):
+    # build_gram raises ModelGridError below the floor, so it must not raise
+    # here, and the unclipped spectrum must clear the same floor
+    ctx = build_gram(model, grid)
+    floor = _EIG_FLOOR_REL * np.trace(ctx.G) / grid.n
+    assert np.linalg.eigvalsh(ctx.G)[0] >= -floor
+    assert np.all(ctx.eigvals >= 0.0)
