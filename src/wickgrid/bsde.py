@@ -16,7 +16,7 @@ data), since an exact predictable representation does not exist on a grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -116,7 +116,6 @@ class BSDESolution:
     xi_tilde: ChaosVector
     Z: Optional[object] = None          # WickZ or ChaosField
     Y_combos: Optional[List[WickCombo]] = None
-    diagnostics: dict = field(default_factory=dict)
 
 
 def integrating_factor(problem: BSDEProblem) -> np.ndarray:
@@ -219,7 +218,6 @@ def wick_exponential_solution(problem: BSDEProblem, f, K: int = 12) -> BSDESolut
         xi_tilde=problem.xi,
         Z=WickZ(cells),
         Y_combos=combos,
-        diagnostics={"terminal_beta": combos[-1].terms[0][0]},
     )
 
 

@@ -19,7 +19,7 @@ that would leave the algebra raise instead of silently densifying.
 from __future__ import annotations
 
 import math
-from itertools import combinations_with_replacement, repeat
+from itertools import repeat
 from operator import mul
 from typing import List, Optional
 
@@ -41,7 +41,6 @@ __all__ = [
     "symmetrize_full",
     "sym_insert_last",
     "chaos_inner",
-    "chaos_to_json_dict",
 ]
 
 MAX_DIM = 32
@@ -214,24 +213,6 @@ class SymmetricTensor:
                 mass = mass.sum(axis=0)
         nz = np.flatnonzero(mass > 0)
         return int(nz[-1]) + 1 if nz.size else 0
-
-    def entries(self):
-        """(sorted multi-index, value, multiplicity) triples of the dense form."""
-        if self.order == 0:
-            yield ((), float(self.dense), 1)
-            return
-        dense = self.to_dense()
-        for idx in combinations_with_replacement(range(self.dim), self.order):
-            val = float(dense[idx])
-            if val == 0.0:
-                continue
-            counts = {}
-            for i in idx:
-                counts[i] = counts.get(i, 0) + 1
-            mult = math.factorial(self.order)
-            for c in counts.values():
-                mult //= math.factorial(c)
-            yield (idx, val, mult)
 
 
 class GramImage:
@@ -408,12 +389,7 @@ def wick_exponential_chaos(ctx: GramContext, h: np.ndarray, K: int) -> ChaosVect
     """Truncated Wick exponential: f_k = h^(x k) / k! for k <= K."""
     if K < 0:
         raise ParameterError("K must be >= 0")
-    h = np.asarray(h, dtype=float)
-    coeffs = [SymmetricTensor.scalar(1.0, h.size)]
-    for k in range(1, K + 1):
-        coeffs.append(SymmetricTensor.from_powers(k, h.size,
-                                                  [1.0 / math.factorial(k)], [h]))
-    return ChaosVector(coeffs, h.size)
+    return WickCombo.exponential(h).to_chaos(ctx, K)
 
 
 def wick_truncation_tail_sq(ctx: GramContext, h: np.ndarray, K: int) -> float:
@@ -447,15 +423,6 @@ class WickCombo:
     def exponential(cls, g, alpha: float = 1.0) -> "WickCombo":
         g = np.asarray(g, dtype=float)
         return cls([(alpha, None, g)], g.size)
-
-    def scaled(self, a: float) -> "WickCombo":
-        return WickCombo([(a * al, None if f is None else a * f, g)
-                          for al, f, g in self.terms], self.dim)
-
-    def add(self, other: "WickCombo") -> "WickCombo":
-        if self.dim != other.dim:
-            raise ShapeError("dimension mismatch")
-        return WickCombo(self.terms + other.terms, self.dim)
 
     def expectation(self, ctx: GramContext) -> float:
         out = 0.0
@@ -585,9 +552,7 @@ def s_transform(ctx: GramContext, xi, h) -> float:
 
 
 def _hermite(k: int, y: np.ndarray) -> np.ndarray:
-    """Probabilists' Hermite polynomial He_k, vectorized."""
-    if k == 0:
-        return np.ones_like(y)
+    """Probabilists' Hermite polynomial He_k, vectorized, for k >= 1."""
     h_prev = np.ones_like(y)
     h = y.copy()
     for j in range(1, k):
@@ -649,20 +614,3 @@ def evaluate_chaos_on_sample(ctx: GramContext, xi: ChaosVector, increments):
         out += _eval_tensor(ctx, f, X)
     return out[0] if single else out
 
-
-def chaos_to_json_dict(xi: ChaosVector) -> dict:
-    """JSON-friendly dump: per order, sorted multi-index / value pairs."""
-    return {
-        "dim": xi.dim,
-        "max_order": xi.max_order,
-        "orders": [
-            {
-                "order": k,
-                "entries": [
-                    {"index": list(idx), "value": val, "multiplicity": mult}
-                    for idx, val, mult in xi.coeffs[k].entries()
-                ],
-            }
-            for k in range(xi.max_order + 1)
-        ],
-    }

@@ -267,42 +267,49 @@ def exp_gram(cfg, seed, threads):
     }
 
 
-def _sweep_rows(cfg, threads, points):
-    """(H, N, r, d_r, opnorm) rows, with one Gram factorization per (H, N).
+def _sweep_grid(cfg: Config) -> TimeGrid:
+    """The grid of the sweeps, which vary H of fBm (BM at H = 1/2) and take no
+    other model."""
+    if cfg.get("model", "fbm") != "fbm":
+        raise ParameterError(f"model = {cfg['model']!r}: the sweeps vary H of fBm "
+                             "and accept only model = fbm")
+    return grid_from_config(cfg)
+
+
+def _sweep_rows(threads, grid, points):
+    """(H, N, r, d_r, opnorm) rows of (H, r) points, one Gram factorization per H.
 
     The groups run one after another so that only one Gram is alive at a
     time; the r values of a group fan out on the executor.
     """
     groups = {}
-    for H, n, r in points:
-        groups.setdefault((H, n), []).append(r)
+    for H, r in points:
+        groups.setdefault(H, []).append(r)
     rows = []
     with ThreadPoolExecutor(max_workers=threads) as ex:
-        for (H, n), rs in groups.items():
-            rows += _group_rows(ex, cfg, H, n, rs)
-    rows.sort(key=lambda t: (t[0], t[1], t[2]))
+        for H, rs in groups.items():
+            rows += _group_rows(ex, grid, H, rs)
+    rows.sort(key=lambda t: (t[0], t[2]))
     return rows
 
 
-def _group_rows(ex, cfg, H, n, rs):
-    grid = TimeGrid.uniform(n, cfg.get_float("T", 1.0))
+def _group_rows(ex, grid, H, rs):
     model = BrownianMotion() if H == 0.5 else FractionalBrownianMotion(H)
     ctx = build_gram(model, grid)
 
     def work(r):
         geo_n = operator_norm(ctx, r)
         geo_d = max_correlation(ctx, r)
-        return (H, n, r, geo_d.d_r, geo_n.opnorm)
+        return (H, grid.n, r, geo_d.d_r, geo_n.opnorm)
 
     return list(ex.map(work, rs))
 
 
 def exp_opnorm_sweep(cfg, seed, threads):
     hs = cfg.get_floats("H_list", [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9])
-    n = cfg.get_int("N", 16)
-    grid = TimeGrid.uniform(n, cfg.get_float("T", 1.0))
+    grid = _sweep_grid(cfg)
     r = _default_r(cfg, grid)
-    rows = _sweep_rows(cfg, threads, [(H, n, r) for H in hs])
+    rows = _sweep_rows(threads, grid, [(H, r) for H in hs])
     bodies = {"opnorm_sweep.csv": (["H", "N", "r", "d_r", "opnorm"], rows)}
     if cfg.get_bool("plot"):
         bodies["opnorm_sweep.svg"] = svg_plot(
@@ -313,11 +320,9 @@ def exp_opnorm_sweep(cfg, seed, threads):
 
 
 def exp_dr_sweep(cfg, seed, threads):
-    n = cfg.get_int("N", 16)
-    grid = TimeGrid.uniform(n, cfg.get_float("T", 1.0))
+    grid = _sweep_grid(cfg)
     H = cfg.get_float("H", 0.75)
-    rs = grid.points[1:-1]
-    rows = _sweep_rows(cfg, threads, [(H, n, float(r)) for r in rs])
+    rows = _sweep_rows(threads, grid, [(H, float(r)) for r in grid.points[1:-1]])
     return True, {"dr_sweep.csv": (["H", "N", "r", "d_r", "opnorm"], rows)}
 
 

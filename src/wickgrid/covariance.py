@@ -100,9 +100,6 @@ class TimeGrid:
         """Increment-basis coefficients of 1_(a, b]."""
         return self.indicator(b) - self.indicator(a)
 
-    def __len__(self) -> int:
-        return self.points.size
-
     def __repr__(self) -> str:
         return f"TimeGrid(n={self.n}, T={self.T})"
 

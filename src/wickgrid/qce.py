@@ -23,7 +23,7 @@ from scipy.special import gammaln, logsumexp
 from .covariance import GramContext
 from .chaos import ChaosVector, GramImage, SymmetricTensor, tensor_inner
 from .errors import MartingaleCaseError, ParameterError, ShapeError
-from .firstchaos import SubspaceGeometry, TruncationOperator, operator_norm
+from .firstchaos import SubspaceGeometry, TruncationOperator, _fix_sign, operator_norm
 
 __all__ = [
     "ShiftContext",
@@ -119,12 +119,7 @@ class DomainDiagnostic:
     partial_sums: np.ndarray          # S_0 <= S_1 <= ...
     log_terms: np.ndarray             # log of k! |f~_k|^2 (-inf for zero)
     term_ratios: np.ndarray           # term_k / term_{k-1}
-    truncation_note: str
     overflowed: bool
-
-    @property
-    def K_max(self) -> int:
-        return self.partial_sums.size - 1
 
 
 def domain_diagnostic(sc: ShiftContext,
@@ -132,9 +127,9 @@ def domain_diagnostic(sc: ShiftContext,
                       K_max: int) -> DomainDiagnostic:
     """Partial sums of the domain series for a coefficient rule k -> f_k.
 
-    Tail contributions of orders beyond K_max to every f~_n are necessarily
-    dropped; that is recorded in the note rather than hidden.  Accumulation
-    switches to log space once sums pass 1e300.
+    Coefficients beyond order K_max are not supplied, so every reported f~_n
+    misses its tail terms k > K_max.  Accumulation switches to log space once
+    sums pass 1e300.
     """
     if K_max < 0:
         raise ParameterError("K_max must be >= 0")
@@ -150,11 +145,8 @@ def domain_diagnostic(sc: ShiftContext,
     overflow = bool(np.any(log_sums > _LOG_OVERFLOW))
     sums = np.where(log_sums > _LOG_OVERFLOW, np.inf, np.exp(log_sums))
     ratios = np.exp(np.diff(log_terms))
-    note = (f"coefficients beyond order {K_max} not supplied; every reported "
-            f"f~_n misses tail terms k > {K_max}")
     return DomainDiagnostic(partial_sums=sums, log_terms=log_terms,
-                            term_ratios=ratios, truncation_note=note,
-                            overflowed=overflow)
+                            term_ratios=ratios, overflowed=overflow)
 
 
 def normalized_power_series(f) -> Callable[[int], SymmetricTensor]:
@@ -194,7 +186,8 @@ def _norm_sq_stable(ctx: GramContext, t: SymmetricTensor) -> float:
 
 
 def escape_direction(sc: ShiftContext) -> np.ndarray:
-    """Direction f with |Gamma_r f| > 1 > |f|, oriented so <f, c_r> >= 0.
+    """Direction f with |Gamma_r f| > 1 > |f|, oriented so <f, c_r> >= 0;
+    at <f, c_r> = 0 its first nonzero coordinate is positive (`_fix_sign`).
 
     Scaling uses the geometric mean: with lam = opnorm^2 the extremal unit
     direction v is scaled to lam^{-1/4}, so |f| = lam^{-1/4} < 1 and
@@ -215,10 +208,6 @@ def _escape_from(sc: ShiftContext, geo: SubspaceGeometry) -> np.ndarray:
     v = v / sc.ctx.norm(v)
     f = lam**-0.25 * v
     pairing = sc.ctx.inner(f, sc.c_r)
-    if pairing < 0:
-        f = -f
-    elif pairing == 0.0:
-        nz = np.flatnonzero(np.abs(f) > 1e-14 * np.abs(f).max())
-        if nz.size and f[nz[0]] < 0:
-            f = -f
-    return f
+    if pairing == 0.0:
+        return _fix_sign(f)
+    return -f if pairing < 0 else f

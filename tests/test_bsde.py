@@ -249,6 +249,27 @@ def test_driver_support_validated(ctx, rng):
                     xi=ChaosVector.constant(0.0, 8))
 
 
+def test_power_sum_driver_support_validated(ctx):
+    # a power-sum coefficient at node 2 whose row has mass on coordinate 2;
+    # the same row at node 3, or with weight zero, is adapted
+    def entry(weight, j):
+        v = np.zeros(8)
+        v[:j + 1] = 1.0
+        return ChaosVector([SymmetricTensor.scalar(0.0, 8), SymmetricTensor.zero(1, 8),
+                            SymmetricTensor.from_powers(2, 8, [weight], [v])], 8)
+
+    def problem(i, driver):
+        G = [None] * 9
+        G[i] = driver
+        return BSDEProblem(ctx, np.zeros(8), ctx.grid.points, G=G,
+                           xi=ChaosVector.constant(0.0, 8))
+
+    with pytest.raises(ParameterError, match="node 2"):
+        problem(2, entry(0.5, 2))
+    problem(3, entry(0.5, 2))
+    problem(2, entry(0.0, 2))
+
+
 # ---------------------------------------------------------------------------
 # weak verification
 # ---------------------------------------------------------------------------

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from wickgrid import (
+    BrownianMotion,
     ChaosVector,
     FractionalBrownianMotion,
     SymmetricTensor,
     TimeGrid,
+    TruncationOperator,
     WickCombo,
     build_gram,
     chaos_inner,
@@ -21,7 +23,7 @@ from wickgrid import (
     wick_exponential_chaos,
     wick_truncation_tail_sq,
 )
-from wickgrid.chaos import GramImage, chaos_to_json_dict
+from wickgrid.chaos import GramImage
 from wickgrid.errors import ShapeError, UnsupportedOperationError
 
 import pairing_oracle as oracle
@@ -238,6 +240,33 @@ def test_combo_to_chaos_matches_s_transform(ctx, rng):
     assert all(t.is_powers for t in cv2.coeffs[1:])
 
 
+def test_wick_exponential_chaos_is_one_power_row_per_order(ctx, rng):
+    # f_0 = 1 and f_k = h^(x k) / k! held as the single row (1/k!, h)
+    h = rng.standard_normal(6)
+    cv = wick_exponential_chaos(ctx, h, 12)
+    assert cv.max_order == 12 and float(cv.coeffs[0].dense) == 1.0
+    for k, t in enumerate(cv.coeffs[1:], 1):
+        assert t.is_powers and t.weights.tolist() == [1.0 / math.factorial(k)]
+        assert np.array_equal(t.vectors, h[None, :])
+
+
+def test_conditional_expectation_of_a_first_chaos_term_on_bm():
+    # on a Brownian grid S(E[X | F_r])(h) = (S X)(Gamma_r h); one term's
+    # first-chaos factor straddles r, the other's lies wholly after it
+    ctx = build_gram(BrownianMotion(), TimeGrid.uniform(8))
+    rng = np.random.default_rng(3)
+    g, g2, f = rng.standard_normal((3, 8))
+    f_future = np.where(np.arange(8) >= 4, rng.standard_normal(8), 0.0)
+    combo = WickCombo([(0.7, f, g), (-0.3, f_future, g2), (1.1, None, g2)], 8)
+    op = TruncationOperator(ctx, 0.5)
+    cond = combo.conditional_expectation_independent(ctx, 0.5)
+    assert cond.terms[1][1] is None
+    for _ in range(5):
+        h = rng.standard_normal(8)
+        assert s_transform(ctx, cond, h) == pytest.approx(
+            s_transform(ctx, combo, op.forward(h)), rel=1e-12, abs=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # pathwise evaluation
 # ---------------------------------------------------------------------------
@@ -342,7 +371,7 @@ def test_empty_chaos_vector_is_a_shape_error():
 
 
 # ---------------------------------------------------------------------------
-# storage and serialization
+# storage guards
 # ---------------------------------------------------------------------------
 
 def test_dense_size_guard():
@@ -356,18 +385,6 @@ def test_from_dense_refuses_a_0d_array():
     # a 0-d array carries no dimension for the tensor
     with pytest.raises(ShapeError, match="scalar"):
         SymmetricTensor.from_dense(np.float64(2.0))
-
-
-def test_json_entries_and_multiplicity():
-    t = SymmetricTensor.from_dense(np.array([[1.0, 2.0], [2.0, 3.0]]))
-    cv = ChaosVector([SymmetricTensor.scalar(0.5, 2), SymmetricTensor.zero(1, 2), t], 2)
-    d = chaos_to_json_dict(cv)
-    entries = {tuple(e["index"]): (e["value"], e["multiplicity"])
-               for e in d["orders"][2]["entries"]}
-    assert entries[(0, 0)] == (1.0, 1)
-    assert entries[(0, 1)] == (2.0, 2)
-    assert entries[(1, 1)] == (3.0, 1)
-    assert d["orders"][0]["entries"][0]["value"] == 0.5
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from wickgrid import cli
+from wickgrid import TruncationOperator, cli
 
 
 def run(tmp_path, experiment, config_text="", seed=None, subdir="run"):
@@ -430,3 +430,55 @@ def test_default_certificate_solves_one_operator_norm(tmp_path, monkeypatch):
     assert code == 0
     assert json.loads((out / "certificate.json").read_text())["status"] == "certificate"
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("experiment", ["dr-sweep", "opnorm-sweep"])
+@pytest.mark.parametrize("model", ["bm", "sum"])
+def test_sweeps_refuse_a_model_other_than_fbm(tmp_path, capsys, experiment, model):
+    # a sweep builds fBm from H itself, so another model would be ignored silently
+    code, out = run(tmp_path, experiment, f"model = {model}\nN = 8\n")
+    assert code == 1
+    assert f"model = '{model}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("experiment, csv", [("dr-sweep", "dr_sweep.csv"),
+                                             ("opnorm-sweep", "opnorm_sweep.csv")])
+def test_sweeps_with_model_fbm_write_the_bytes_of_no_model_key(tmp_path, experiment, csv):
+    bodies = []
+    for subdir, model in (("none", ""), ("fbm", "model = fbm\n")):
+        code, out = run(tmp_path, experiment, model + "H = 0.3\nN = 8\n", subdir=subdir)
+        assert code == 0
+        bodies.append((out / csv).read_bytes())
+    assert bodies[0] == bodies[1]
+
+
+def test_domain_diagnostic_contract_generator_converges(tmp_path):
+    # f = 0.5 e / |e| on the first cell: Gamma_r f = f, so k! |f~_k|^2 = rho^k
+    # and S_K is a partial geometric sum below 1 / (1 - rho)
+    code, out = run(tmp_path, "domain-diagnostic",
+                    "H = 0.3\nN = 8\nK_max = 20\ngenerator = contract\n")
+    assert code == 0
+    sums = np.array([float(row["S_K"]) for row in read_csv(out / "domain_diagnostic.csv")])
+    ctx = cli.gram_from_config(cli.Config(H="0.3", N="8"))
+    f = ctx.indicator(ctx.grid.points[1])
+    f = 0.5 * f / ctx.norm(f)
+    rho = ctx.norm_sq(TruncationOperator(ctx, ctx.grid.points[4]).forward(f))
+    assert sums.size == 21
+    assert np.all(np.isfinite(sums))
+    assert np.all(np.diff(sums) >= 0.0)
+    assert np.all(sums <= 1.0 / (1.0 - rho))
+
+
+def test_domain_diagnostic_unknown_generator_is_config_error(tmp_path, capsys):
+    code, out = run(tmp_path, "domain-diagnostic", "N = 8\ngenerator = bogus\n")
+    assert code == 1
+    assert "generator 'bogus'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_parse_config_skips_blank_and_comment_lines(tmp_path):
+    path = tmp_path / "c.cfg"
+    path.write_text("\n# a comment line\n   \nN = 8   # trailing comment\n\n"
+                    "  # indented comment = 3\nH=0.3\n")
+    assert cli.parse_config(str(path)) == {"N": "8", "H": "0.3"}

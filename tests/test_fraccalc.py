@@ -25,7 +25,7 @@ from wickgrid import (
     uniform_mesh,
 )
 from wickgrid.errors import GridAlignmentError, ParameterError, RegimeError
-from wickgrid.fraccalc import _appendix_profile, _kstar_matrix
+from wickgrid.fraccalc import _2f1_array_near_one, _appendix_profile, _kstar_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +208,24 @@ def test_appendix_profile_against_mpmath(H):
     with mpmath.workdps(50):
         want = [float(mpmath.hyp2f1(4 * H, H - 0.5, H + 0.5, 1 - x)) for x in s]
     np.testing.assert_allclose(_appendix_profile(H, 1.0, s), want, rtol=1e-12)
+
+
+# both sides of the switch at z = 0.95 between the series and the z -> 1 - z
+# connection, endpoints included
+_NEAR_ONE_Z = np.concatenate([np.linspace(0.0, 1.0, 21),
+                              [0.9, 0.95, np.nextafter(0.95, 1.0), 0.951, 0.99,
+                               1.0 - 1e-6]])
+
+
+@pytest.mark.parametrize("H", [0.05, 0.1, 0.2, 0.24])
+def test_2f1_array_near_one_against_mpmath(H):
+    # the appendix parameters (4H, H - 1/2; H + 1/2); an absolute bound, since
+    # at H = 0.24 2F1 has a zero in (0, 1) near which the relative error grows
+    a, b, c = 4.0 * H, H - 0.5, H + 0.5
+    with mpmath.workdps(50):
+        want = np.array([float(mpmath.hyp2f1(a, b, c, z)) for z in _NEAR_ONE_Z])
+    got = _2f1_array_near_one(a, b, c, _NEAR_ONE_Z)
+    assert np.max(np.abs(got - want)) <= 1e-13
 
 
 def test_2f1_domain_errors():

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from wickgrid import (
     BrownianMotion,
@@ -164,6 +165,31 @@ def test_towering(ctx, rng):
             once = shifted_qce(sc1, xi)
             twice = shifted_qce(sc1, shifted_qce(sc2, xi))
             assert l2_diff(ctx, once, twice) <= 1e-10
+
+
+@st.composite
+def _towering_cases(draw):
+    N = draw(st.integers(1, 8))
+    i1 = draw(st.integers(0, N))
+    return (draw(st.floats(0.1, 0.9)), N, i1, draw(st.integers(i1, N)),
+            draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_towering_cases())
+def test_towering_property(case):
+    # Q_{r1} Q_{r2} = Q_{r1} for grid nodes r1 <= r2 under one nonzero shift c,
+    # at the tolerance of the qce-check experiment
+    H, N, i1, i2, seed = case
+    ctx = build_gram(FractionalBrownianMotion(H), TimeGrid.uniform(N))
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal(N)
+    assume(np.any(c != 0.0))
+    sc1 = ShiftContext(ctx, ctx.grid.points[i1], c)
+    sc2 = ShiftContext(ctx, ctx.grid.points[i2], c)
+    xi = random_chaos(rng, N, 3)
+    once = shifted_qce(sc1, xi)
+    assert l2_diff(ctx, once, shifted_qce(sc1, shifted_qce(sc2, xi))) <= 1e-10
 
 
 def test_measurable_fixed_point(ctx, rng):

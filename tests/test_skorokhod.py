@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wickgrid import (
     BrownianMotion,
@@ -59,6 +60,34 @@ def test_plain_increment(ctx):
     assert alpha == 0.0
     assert np.array_equal(f, ctx.indicator_interval(0.25, 0.5))
     assert np.array_equal(g, np.zeros(8))
+
+
+@st.composite
+def _simple_integrands(draw):
+    """(H or None for BM, N, pieces as (i, j, alpha, g scale), seed), i < j nodes."""
+    N = draw(st.integers(1, 16))
+    pieces = []
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, N - 1))
+        pieces.append((i, draw(st.integers(i + 1, N)), draw(st.floats(-2.0, 2.0)),
+                       draw(st.floats(0.0, 2.0))))
+    H = draw(st.one_of(st.none(), st.floats(0.1, 0.9)))
+    return H, N, pieces, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_simple_integrands())
+def test_skorokhod_simple_s_identity_property(case):
+    # S(delta Z)(h) = sum alpha e^{<g, h>} <1_(a, b], h> over the pieces,
+    # relative to max(1, |S|), on BM and on fBm grids
+    H, N, pieces, seed = case
+    ctx = build_gram(BrownianMotion() if H is None else FractionalBrownianMotion(H),
+                     TimeGrid.uniform(N))
+    rng = np.random.default_rng(seed)
+    pts = ctx.grid.points
+    Z = SimpleIntegrand(ctx, [(pts[i], pts[j], WickCombo.exponential(
+        scale * rng.standard_normal(N), alpha=alpha)) for i, j, alpha, scale in pieces])
+    assert verify_s_transform_identity(ctx, Z, 5, seed) <= 1e-10
 
 
 def test_martingale_adapted_trace_vanishes():
