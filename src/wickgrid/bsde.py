@@ -28,6 +28,7 @@ from .errors import (
     ParameterError,
     ShapeError,
     UnsupportedOperationError,
+    _worst,
 )
 from .firstchaos import operator_norm
 from .qce import (
@@ -259,11 +260,11 @@ def verify_solution_weak(problem: BSDEProblem, solution: BSDESolution,
                 s_i = image.s(Y[i])
                 g = 0.0 if problem.G[i] is None else image.s(problem.G[i])
                 tail += a_w[i] * s_next + g * dg[i]
-                residual_here = max(residual_here, abs(s_i - x + tail))
+                residual_here = _worst(residual_here, abs(s_i - x + tail))
                 s_next = s_i
-            worst = max(worst, residual_here)
+            worst = _worst(worst, residual_here)
     if solution.Z is not None:
-        worst = max(worst, _verify_full_equation(problem, solution, trials, seed + 1))
+        worst = _worst(worst, _verify_full_equation(problem, solution, trials, seed + 1))
     return worst
 
 
@@ -301,7 +302,7 @@ def _verify_full_equation(problem: BSDEProblem, solution: BSDESolution,
                 u = _field_cell_s(image, Z, j - 1)
             res = abs(math.log(s[j]) - math.log(s[j - 1])
                       - problem.a[j - 1] * dg[j - 1] - u * q / s[j - 1])
-            worst = max(worst, res)
+            worst = _worst(worst, res)
     return worst
 
 

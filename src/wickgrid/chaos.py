@@ -387,8 +387,6 @@ def chaos_inner(ctx: GramContext, xi: ChaosVector, eta: ChaosVector) -> float:
 
 def wick_exponential_chaos(ctx: GramContext, h: np.ndarray, K: int) -> ChaosVector:
     """Truncated Wick exponential: f_k = h^(x k) / k! for k <= K."""
-    if K < 0:
-        raise ParameterError("K must be >= 0")
     return WickCombo.exponential(h).to_chaos(ctx, K)
 
 
@@ -500,10 +498,24 @@ class WickCombo:
         Pure-exponential terms expand in symmetric-power form at any K;
         terms with a first-chaos factor need dense storage (size-guarded).
         """
-        coeffs = [SymmetricTensor.zero(k, self.dim) for k in range(K + 1)]
-        for alpha, f, g in self.terms:
-            base = alpha if f is None else alpha + ctx.inner(f, g)
-            coeffs[0] = coeffs[0].add(SymmetricTensor.scalar(base, self.dim))
+        if K < 0:
+            raise ParameterError(f"K must be >= 0, got {K}")
+        bases = [alpha if f is None else alpha + ctx.inner(f, g)
+                 for alpha, f, g in self.terms]
+        # left to right, as float64 adds (sum() compensates from Python 3.12)
+        constant = 0.0
+        for base in bases:
+            constant += base
+        coeffs = [SymmetricTensor.scalar(constant, self.dim)]
+        if all(f is None for _, f, _ in self.terms):
+            # order k holds one row base_i / k! times g_i per term, in term order
+            V = np.array([g for _, _, g in self.terms]).reshape(len(bases), self.dim)
+            coeffs += [SymmetricTensor.from_powers(
+                k, self.dim, [base / math.factorial(k) for base in bases], V)
+                for k in range(1, K + 1)]
+            return ChaosVector(coeffs, self.dim)
+        coeffs += [SymmetricTensor.zero(k, self.dim) for k in range(1, K + 1)]
+        for base, (_, f, g) in zip(bases, self.terms):
             for k in range(1, K + 1):
                 part = SymmetricTensor.from_powers(
                     k, self.dim, [base / math.factorial(k)], [g])

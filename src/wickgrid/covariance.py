@@ -336,8 +336,13 @@ def build_gram(model, grid: TimeGrid, cond_cap: float = 1e12) -> GramContext:
 def sample_increments(ctx: GramContext, n_paths: int, seed: int) -> np.ndarray:
     """Independent draws of the increment vector, one per row.
 
-    The same seed gives bit-identical output; n_paths = 0 yields an empty
-    (0, N) array.
+    `seed` is an int or a `np.random.Generator`.  The same int gives
+    bit-identical output.  A Generator is used as it is and continues its
+    stream, so consecutive calls on one Generator draw the normals that one
+    call for all their rows would.  The rows match that call bit for bit when
+    every call is long enough for the same BLAS kernels (4096 rows are); calls
+    of a few rows round the product differently.  n_paths = 0 yields an
+    empty (0, N) array.
     """
     if n_paths < 0:
         raise ParameterError(f"n_paths must be >= 0, got {n_paths}")

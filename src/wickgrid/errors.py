@@ -1,4 +1,13 @@
-"""Exception types shared across the package."""
+"""Exception types, and the residual reduction of the checks, shared across the package."""
+
+
+def _worst(a: float, b: float) -> float:
+    """max(a, b) for residuals, except that a NaN in either wins.
+
+    Python's max(a, nan) returns a, so a check folding its residuals with max
+    would pass on NaN; on numbers this returns what max returns.
+    """
+    return a if a != a or a >= b else b
 
 
 class ParameterError(ValueError):

@@ -19,7 +19,7 @@ import numpy as np
 
 from .covariance import GramContext
 from .chaos import ChaosVector, SymmetricTensor, WickCombo, sym_insert_last
-from .errors import IntervalError, ParameterError, ShapeError
+from .errors import IntervalError, ParameterError, ShapeError, _worst
 
 __all__ = [
     "SimpleIntegrand",
@@ -89,7 +89,7 @@ def verify_s_transform_identity(ctx: GramContext, Z: SimpleIntegrand,
             du = ctx.inner(ctx.indicator_interval(a, b), h)
             for alpha, _f, g in combo.terms:
                 rhs += alpha * math.exp(ctx.inner(g, h)) * du
-        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))
+        worst = _worst(worst, abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))
     return worst
 
 

@@ -290,6 +290,31 @@ def test_weak_residual_flags_perturbation(ctx, rng):
     assert verify_solution_weak(p, sol, trials=5, seed=0) >= 0.099
 
 
+def test_weak_residual_of_a_nan_node_is_nan(ctx, rng):
+    # max(worst, nan) is worst, so a residual folded with max passes on NaN
+    p = make_problem(ctx, rng)
+    sol = represent_solution(p)
+    sol.Y_nodes[4] = ChaosVector.constant(math.nan, 8)
+    assert math.isnan(verify_solution_weak(p, sol, trials=2, seed=0))
+
+
+def test_full_equation_residual_of_a_nan_z_is_nan(rng):
+    # the Y nodes meet the equation; only the Z check sees the NaN
+    from wickgrid import ChaosField
+
+    n = 6
+    ctx = build_gram(FractionalBrownianMotion(0.7), TimeGrid.uniform(n))
+    p = BSDEProblem(ctx, 0.3 * rng.standard_normal(n), ctx.grid.points,
+                    xi=ChaosVector.constant(1.0, n))
+    f = rng.standard_normal(n)
+    f /= 4 * ctx.norm(f)
+    sol = wick_exponential_solution(p, f, K=5)
+    p.xi = sol.Y_nodes[-1]
+    nan_z = BSDESolution(Y_nodes=sol.Y_nodes, A=sol.A, xi_tilde=sol.xi_tilde,
+                         Z=ChaosField(ctx, [np.full(n, math.nan)]))
+    assert math.isnan(verify_solution_weak(p, nan_z, trials=2, seed=2))
+
+
 @pytest.mark.parametrize("trials", [0, -3])
 def test_weak_check_needs_a_trial(ctx, rng, trials):
     p = make_problem(ctx, rng, order=1)

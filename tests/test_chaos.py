@@ -24,7 +24,7 @@ from wickgrid import (
     wick_truncation_tail_sq,
 )
 from wickgrid.chaos import GramImage
-from wickgrid.errors import ShapeError, UnsupportedOperationError
+from wickgrid.errors import ParameterError, ShapeError, UnsupportedOperationError
 
 import pairing_oracle as oracle
 
@@ -248,6 +248,31 @@ def test_wick_exponential_chaos_is_one_power_row_per_order(ctx, rng):
     for k, t in enumerate(cv.coeffs[1:], 1):
         assert t.is_powers and t.weights.tolist() == [1.0 / math.factorial(k)]
         assert np.array_equal(t.vectors, h[None, :])
+
+
+def test_pure_exponential_combo_is_one_power_row_per_term_and_order(ctx, rng):
+    # order k holds (alpha_i / k!, g_i) in term order, zero weights dropped;
+    # the constant sums the alphas left to right
+    g = rng.standard_normal((3, 6))
+    alphas = [0.3, 0.0, -1.7]
+    cv = WickCombo([(a, None, v) for a, v in zip(alphas, g)], 6).to_chaos(ctx, 9)
+    assert float(cv.coeffs[0].dense) == (0.3 + 0.0) + -1.7
+    for k, t in enumerate(cv.coeffs[1:], 1):
+        assert t.weights.tolist() == [0.3 / math.factorial(k), -1.7 / math.factorial(k)]
+        assert np.array_equal(t.vectors, g[[0, 2]])
+    empty = WickCombo([], 6).to_chaos(ctx, 3)
+    assert float(empty.coeffs[0].dense) == 0.0
+    assert all(t.weights.size == 0 and t.vectors.shape == (0, 6) for t in empty.coeffs[1:])
+
+
+@pytest.mark.parametrize("build", [
+    lambda ctx, h: WickCombo.exponential(h).to_chaos(ctx, -1),
+    lambda ctx, h: WickCombo([(0.5, h, h)], 6).to_chaos(ctx, -1),
+    lambda ctx, h: wick_exponential_chaos(ctx, h, -1),
+])
+def test_negative_chaos_order_is_a_parameter_error_naming_k(ctx, build):
+    with pytest.raises(ParameterError, match=r"K must be >= 0, got -1"):
+        build(ctx, np.ones(6))
 
 
 def test_conditional_expectation_of_a_first_chaos_term_on_bm():

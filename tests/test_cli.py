@@ -1,11 +1,19 @@
 """Experiment harness: dispatch, exit codes, artifacts, reproducibility."""
 
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from wickgrid import TruncationOperator, cli
+from wickgrid import (
+    TruncationOperator,
+    chaos_inner,
+    cli,
+    evaluate_chaos_on_sample,
+    sample_increments,
+)
 
 
 def run(tmp_path, experiment, config_text="", seed=None, subdir="run"):
@@ -233,6 +241,70 @@ def test_mc_crosscheck(tmp_path):
     assert code == 0
     payload = json.loads((out / "mc_crosscheck.json").read_text())
     assert payload["passes"]
+
+
+def _mc_crosscheck_unblocked(cfg, seed):
+    """mc_crosscheck.json body from one matrix of every path at once."""
+    n_paths = cfg.get_int("n_paths")
+    ctx = cli.gram_from_config(cfg)
+    rng = np.random.default_rng(seed)
+    X = sample_increments(ctx, n_paths, seed)
+    h = rng.standard_normal(ctx.n)
+    h /= max(ctx.norm(h), 1e-300)
+    vals = np.exp(X @ h - 0.5 * ctx.norm_sq(h))
+    z_mean = abs(vals.mean() - 1.0) / (vals.std(ddof=1) / math.sqrt(n_paths))
+    xi = cli._random_chaos(rng, ctx, order=2)
+    eta = cli._random_chaos(rng, ctx, order=2)
+    prod = (evaluate_chaos_on_sample(ctx, xi, X)
+            * evaluate_chaos_on_sample(ctx, eta, X))
+    want = chaos_inner(ctx, xi, eta)
+    z_inner = abs(prod.mean() - want) / (prod.std(ddof=1) / math.sqrt(n_paths))
+    ok = z_mean <= 3.0 and z_inner <= 3.0
+    return {"z_wick_mean": float(z_mean), "z_inner": float(z_inner),
+            "n_paths": n_paths, "passes": ok}
+
+
+@pytest.mark.parametrize("n_paths", [2, 4095, 4096, 4097, 8193, 3 * 4096 + 5])
+@pytest.mark.parametrize("N", [1, 7, 32])
+def test_mc_crosscheck_blocks_write_the_bytes_of_one_matrix(tmp_path, N, n_paths):
+    text = f"N = {N}\nn_paths = {n_paths}\n"
+    for seed in (0, 1, 7, 123):
+        code, out = run(tmp_path, "mc-crosscheck", text, seed=seed, subdir=f"s{seed}")
+        assert code in (0, 2)
+        want = tmp_path / f"want{seed}.json"
+        cli.write_json(want, _mc_crosscheck_unblocked(cli.Config(N=str(N), n_paths=str(n_paths)),
+                                                      seed))
+        assert (out / "mc_crosscheck.json").read_bytes() == want.read_bytes()
+
+
+def test_mc_crosscheck_memory_is_bounded_by_the_block():
+    # one matrix of every path peaks at ~55 MB; the blocks stay near 6 MB
+    cfg = cli.Config(N="32", n_paths="100000")
+    tracemalloc.start()
+    try:
+        cli.exp_mc_crosscheck(cfg, 1, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
+@pytest.mark.parametrize("experiment, cfg, keys", [
+    ("qce-check", "c_scale = nan\n", ["first_chaos_error", "wick_s_error", "towering_error"]),
+    ("bsde-verify", "c_scale = nan\n", ["max_residual"]),
+    ("bsde-verify", "c_scale = nan\nsolution = wick\n", ["max_residual"]),
+])
+def test_nan_shift_fails_the_checks(tmp_path, experiment, cfg, keys):
+    code, out = run(tmp_path, experiment, cfg, seed=1)
+    assert code == 2
+    body = json.loads((out / f"{experiment.replace('-', '_')}.json").read_text())
+    assert all(math.isnan(body[key]) for key in keys) and body["passes"] is False
+
+
+def test_negative_wick_order_is_a_config_error_naming_k(tmp_path, capsys):
+    code, out = run(tmp_path, "bsde-verify", "solution = wick\nK = -1\n", seed=1)
+    assert code == 1 and not out.exists()
+    assert "config error: K must be >= 0, got -1" in capsys.readouterr().err
 
 
 def test_example33_exit_and_slopes(tmp_path):

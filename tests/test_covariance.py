@@ -188,6 +188,16 @@ def test_sampling_deterministic_and_empty():
         sample_increments(ctx, -3, seed=1)
 
 
+@pytest.mark.parametrize("N", [7, 32])
+def test_sampling_continues_the_stream_of_a_generator(N):
+    # blocks as long as mc-crosscheck's; blocks of a few rows take other BLAS
+    # kernels and may round the product differently
+    ctx = build_gram(FractionalBrownianMotion(0.6), TimeGrid.uniform(N))
+    paths = np.random.default_rng(5)
+    blocks = [sample_increments(ctx, 4096, paths), sample_increments(ctx, 4097, paths)]
+    assert np.array_equal(np.concatenate(blocks), sample_increments(ctx, 8193, seed=5))
+
+
 def test_sampling_bm_mean_within_3se():
     ctx = build_gram(BrownianMotion(), TimeGrid.uniform(8))
     n = 100_000

@@ -132,6 +132,12 @@ def test_s_transform_identity(H, rng):
     assert err <= 1e-10
 
 
+def test_s_identity_deviation_of_a_nan_integrand_is_nan(ctx):
+    Z = SimpleIntegrand(ctx, [(0.25, 0.5, WickCombo.exponential(ctx.indicator(0.875))),
+                              (0.5, 0.75, WickCombo.exponential(np.zeros(8), alpha=math.nan))])
+    assert math.isnan(verify_s_transform_identity(ctx, Z, 3, seed=0))
+
+
 @pytest.mark.parametrize("trials", [0, -3])
 def test_s_identity_check_needs_a_trial(ctx, trials):
     Z = SimpleIntegrand(ctx, [(0.25, 0.5, WickCombo.exponential(ctx.indicator(0.875)))])
