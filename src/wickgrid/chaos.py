@@ -46,6 +46,15 @@ __all__ = [
 MAX_DIM = 32
 MAX_DENSE_ORDER = 6
 _MAX_DENSE_SIZE = 4_000_000
+# 171! no longer converts to a double, so 1/k! and 1/sqrt(k!) have no value
+# beyond this order
+MAX_SERIES_ORDER = 170
+
+
+def _check_series_order(K: int) -> None:
+    if K > MAX_SERIES_ORDER:
+        raise ParameterError(f"K must be <= {MAX_SERIES_ORDER}, got {K}: k! overflows a "
+                             f"double beyond order {MAX_SERIES_ORDER}")
 
 
 def _check_dense_size(order: int, dim: int) -> None:
@@ -392,6 +401,7 @@ def wick_exponential_chaos(ctx: GramContext, h: np.ndarray, K: int) -> ChaosVect
 
 def wick_truncation_tail_sq(ctx: GramContext, h: np.ndarray, K: int) -> float:
     """Squared L2 error of the order-K truncation: sum_{k>K} |h|^{2k} / k!."""
+    _check_series_order(K)
     x = ctx.norm_sq(h)
     partial = math.fsum(x**k / math.factorial(k) for k in range(K + 1))
     return max(math.exp(x) - partial, 0.0)
@@ -500,6 +510,7 @@ class WickCombo:
         """
         if K < 0:
             raise ParameterError(f"K must be >= 0, got {K}")
+        _check_series_order(K)
         bases = [alpha if f is None else alpha + ctx.inner(f, g)
                  for alpha, f, g in self.terms]
         # left to right, as float64 adds (sum() compensates from Python 3.12)

@@ -16,6 +16,7 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
+from operator import ge, gt, le
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +75,8 @@ _MC_BLOCK = 4096
 # the only words a boolean key accepts
 _BOOLS = {"1": True, "true": True, "yes": True, "on": True,
           "0": False, "false": False, "no": False, "off": False}
+# the relations a check may require between its value and its bound
+_RELATIONS = {"<=": le, ">=": ge, ">": gt}
 
 
 def _list_of(convert):
@@ -253,13 +256,25 @@ def _shift_from_config(cfg: Config, grid: TimeGrid) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# experiments; each returns (ok, {file name: body}) and main writes the files:
-# a .csv body is (header, rows), a .json body the object, a .svg body text
+# experiments; each returns (checks, {file name: body}) and main writes the
+# files: a .csv body is (header, rows), a .json body the object, a .svg body
+# text; a check is a (name, value, relation, bound) record
 # ---------------------------------------------------------------------------
+
+def _passes(checks) -> bool:
+    """Whether every check's value is finite and stands in its relation to its bound."""
+    return all(math.isfinite(value) and _RELATIONS[relation](value, bound)
+               for _, value, relation, bound in checks)
+
+
+def _verdict(checks, **fields) -> dict:
+    """A verdict body: each checked value under its name, the fields, and passes."""
+    return {**fields, **{name: value for name, value, _, _ in checks}, "passes": _passes(checks)}
+
 
 def exp_gram(cfg, seed, threads):
     ctx = gram_from_config(cfg)
-    return True, {
+    return [], {
         "gram.csv": ([f"c{j}" for j in range(ctx.n)], ctx.G),
         "gram.json": {
             "cond_estimate": ctx.cond_estimate,
@@ -320,14 +335,14 @@ def exp_opnorm_sweep(cfg, seed, threads):
             [row[0] for row in rows],
             {"opnorm": [row[4] for row in rows], "d_r": [row[3] for row in rows]},
             "operator norm vs H")
-    return True, bodies
+    return [], bodies
 
 
 def exp_dr_sweep(cfg, seed, threads):
     grid = _sweep_grid(cfg)
     H = cfg.get_float("H", 0.75)
     rows = _sweep_rows(threads, grid, [(H, float(r)) for r in grid.points[1:-1]])
-    return True, {"dr_sweep.csv": (["H", "N", "r", "d_r", "opnorm"], rows)}
+    return [], {"dr_sweep.csv": (["H", "N", "r", "d_r", "opnorm"], rows)}
 
 
 def exp_jensen(cfg, seed, threads):
@@ -338,15 +353,14 @@ def exp_jensen(cfg, seed, threads):
     try:
         h = jensen_counterexample(ctx, r, eps)
     except MartingaleCaseError as exc:
-        return True, {"jensen.json": {"status": "martingale-case", "detail": str(exc)}}
+        return [], {"jensen.json": {"status": "martingale-case", "detail": str(exc)}}
     op = TruncationOperator(ctx, r)
     d = max_correlation(ctx, r).d_r
     ratio = ctx.norm_sq(op.forward(h)) / ctx.norm_sq(h)
     bound = 1.0 / (1.0 - d * d + 2.0 * d * eps)
-    ok = ratio > 1.0 and ratio >= bound - 1e-9
-    return ok, {"jensen.json": {"status": "counterexample", "d_r": d, "ratio": ratio,
-                                "guaranteed_bound": bound, "epsilon": eps,
-                                "h": list(map(float, h)), "passes": ok}}
+    checks = [("ratio", ratio, ">", 1.0), ("ratio", ratio, ">=", bound - 1e-9)]
+    return checks, {"jensen.json": _verdict(checks, status="counterexample", d_r=d, epsilon=eps,
+                                            guaranteed_bound=bound, h=list(map(float, h)))}
 
 
 def exp_qce_check(cfg, seed, threads):
@@ -395,9 +409,9 @@ def exp_qce_check(cfg, seed, threads):
             diff = once.sub(twice)
             err_tow = _worst(err_tow, math.sqrt(max(diff.l2_norm_sq(ctx), 0.0)))
 
-    ok = err_fc <= 1e-12 and err_we <= 1e-8 and err_tow <= 1e-10
-    return ok, {"qce_check.json": {"first_chaos_error": err_fc, "wick_s_error": err_we,
-                                   "towering_error": err_tow, "passes": ok}}
+    checks = [("first_chaos_error", err_fc, "<=", 1e-12), ("wick_s_error", err_we, "<=", 1e-8),
+              ("towering_error", err_tow, "<=", 1e-10)]
+    return checks, {"qce_check.json": _verdict(checks)}
 
 
 def _random_chaos(rng, ctx, order=3) -> ChaosVector:
@@ -431,7 +445,7 @@ def exp_domain_diagnostic(cfg, seed, threads):
     rows = [(k, float(diag.partial_sums[k]),
              float(diag.term_ratios[k - 1]) if k >= 1 else float("nan"))
             for k in range(K_max + 1)]
-    return True, {"domain_diagnostic.csv": (["K", "S_K", "ratio"], rows)}
+    return [], {"domain_diagnostic.csv": (["K", "S_K", "ratio"], rows)}
 
 
 def exp_skorokhod_check(cfg, seed, threads):
@@ -443,9 +457,8 @@ def exp_skorokhod_check(cfg, seed, threads):
     u = cfg.get_float("u", pts[3 * grid.n // 4])
     Z = SimpleIntegrand(ctx, [(a, b, WickCombo.exponential(ctx.indicator(u)))])
     err = verify_s_transform_identity(ctx, Z, cfg.get_int("trials", 20), seed)
-    ok = err <= 1e-10
-    return ok, {"skorokhod_check.json": {"max_rel_error": err, "a": a, "b": b, "u": u,
-                                         "passes": ok}}
+    checks = [("max_rel_error", err, "<=", 1e-10)]
+    return checks, {"skorokhod_check.json": _verdict(checks, a=a, b=b, u=u)}
 
 
 def _problem_from_config(cfg, ctx, rng):
@@ -473,9 +486,9 @@ def exp_bsde_solve(cfg, seed, threads):
     rows = [(float(t), float(a), y.expectation(), math.sqrt(max(y.l2_norm_sq(ctx), 0.0)))
             for t, a, y in zip(ctx.grid.points, sol.A, sol.Y_nodes)]
     terminal_err = math.sqrt(max(sol.Y_nodes[-1].sub(problem.xi).l2_norm_sq(ctx), 0.0))
-    ok = terminal_err <= 1e-10
-    return ok, {"bsde_solution.csv": (["t", "A", "mean_Y", "l2_Y"], rows),
-                "bsde_solution.json": {"terminal_error": terminal_err, "passes": ok}}
+    checks = [("terminal_error", terminal_err, "<=", 1e-10)]
+    return checks, {"bsde_solution.csv": (["t", "A", "mean_Y", "l2_Y"], rows),
+                    "bsde_solution.json": _verdict(checks)}
 
 
 def exp_bsde_verify(cfg, seed, threads):
@@ -501,9 +514,8 @@ def exp_bsde_verify(cfg, seed, threads):
         sol = represent_solution(problem)
         tol = 1e-8
     res = verify_solution_weak(problem, sol, cfg.get_int("trials", 10), seed)
-    ok = res <= tol
-    return ok, {"bsde_verify.json": {"max_residual": res, "tolerance": tol,
-                                     "solution": kind, "passes": ok}}
+    checks = [("max_residual", float(res), "<=", tol)]
+    return checks, {"bsde_verify.json": _verdict(checks, tolerance=tol, solution=kind)}
 
 
 def exp_nonexist_cert(cfg, seed, threads):
@@ -517,12 +529,13 @@ def exp_nonexist_cert(cfg, seed, threads):
         cert = nonexistence_certificate(model, grid, r, a=a, c=c,
                                         K_max=cfg.get_int("K_max", 12))
     except MartingaleCaseError as exc:
-        return True, {"certificate.json": {"status": "refusal", "reason": str(exc)}}
+        return [], {"certificate.json": {"status": "refusal", "reason": str(exc)}}
     payload = cert.to_json_dict()
     payload["status"] = "certificate"
     payload["H"] = cfg.get_float("H", None)
     payload["N"] = grid.n
-    return cert.bound_ok and cert.rho > 1.0, {"certificate.json": payload}
+    checks = [("rho", cert.rho, ">", 1.0), ("bound_ok", cert.bound_ok, ">=", True)]
+    return checks, {"certificate.json": payload}
 
 
 def exp_example33(cfg, seed, threads):
@@ -538,7 +551,7 @@ def exp_example33(cfg, seed, threads):
         series = {f"H={H}": [math.log10(r[2]) for r in rows if r[0] == H] for H in hs}
         bodies["example33.svg"] = svg_plot([math.log10(n) for n in ns], series,
                                            "log10 residual vs log10 N")
-    return True, bodies
+    return [], bodies
 
 
 _FRAC_CHECKS = ("appendix", "low", "high", "kstar")
@@ -552,38 +565,33 @@ def exp_frac_verify(cfg, seed, threads):
                              f"no check; use a comma list of {', '.join(_FRAC_CHECKS)}")
     report = {}
     bodies = {}
-    ok = True
+    records = []
     if "appendix" in checks:
         rep = appendix_reconstruction_check(cfg.get_float("H_app", 0.2),
                                             T=1.0, m=cfg.get_int("M", 2000))
-        report["appendix_max_error"] = rep.max_abs_error
         report["appendix_g_l2"] = rep.g_l2
-        ok = ok and rep.max_abs_error <= 1e-3
+        records.append(("appendix_max_error", rep.max_abs_error, "<=", 1e-3))
         bodies["appendix_reconstruction.csv"] = (
             ["t", "value", "target"], list(zip(rep.t_eval, rep.reconstruction, rep.target)))
     if "low" in checks:
         m = cfg.get_int("M", 2000)
         phi = FuncOnGrid.constant(1.0, uniform_mesh(m, 1.0))
         _, err = cm_truncate_fbm(phi, 0.5, cfg.get_float("H_low", 0.3))
-        report["truncation_low_error"] = err
-        ok = ok and err <= 1e-3
+        records.append(("truncation_low_error", err, "<=", 1e-3))
     if "high" in checks:
         m = cfg.get_int("M_high", 4000)
         psi = FuncOnGrid.constant(1.0, uniform_mesh(m, 1.0))
         _, err = cm_truncate_fbm_high(psi, 0.5, cfg.get_float("H_high", 0.75))
-        report["truncation_high_error"] = err
-        ok = ok and err <= 1e-2
+        records.append(("truncation_high_error", err, "<=", 1e-2))
     if "kstar" in checks:
         H = cfg.get_float("H_kstar", 0.3)
         grid = TimeGrid.uniform(cfg.get_int("N_kstar", 48), 1.0)
         ctx = build_gram(FractionalBrownianMotion(H), grid)
         c_h, spread = calibrate_c_h(H, ctx, m=cfg.get_int("M_kstar", 600))
         report["kstar_c_h"] = c_h
-        report["kstar_spread"] = spread
-        ok = ok and spread <= 0.02
-    report["passes"] = ok
-    bodies["frac_verify.json"] = report
-    return ok, bodies
+        records.append(("kstar_spread", spread, "<=", 0.02))
+    bodies["frac_verify.json"] = _verdict(records, **report)
+    return records, bodies
 
 
 def exp_mc_crosscheck(cfg, seed, threads):
@@ -613,9 +621,8 @@ def exp_mc_crosscheck(cfg, seed, threads):
     z_mean = abs(vals.mean() - 1.0) / (vals.std(ddof=1) / math.sqrt(n_paths))
     want = chaos_inner(ctx, xi, eta)
     z_inner = abs(prod.mean() - want) / (prod.std(ddof=1) / math.sqrt(n_paths))
-    ok = z_mean <= 3.0 and z_inner <= 3.0
-    return ok, {"mc_crosscheck.json": {"z_wick_mean": float(z_mean), "z_inner": float(z_inner),
-                                       "n_paths": n_paths, "passes": ok}}
+    checks = [("z_wick_mean", float(z_mean), "<=", 3.0), ("z_inner", float(z_inner), "<=", 3.0)]
+    return checks, {"mc_crosscheck.json": _verdict(checks, n_paths=n_paths)}
 
 
 EXPERIMENTS = {
@@ -672,7 +679,7 @@ def main(argv=None) -> int:
         seed = 0
     t0 = time.perf_counter()
     try:
-        ok, bodies = EXPERIMENTS[args.experiment](cfg, seed, args.threads)
+        checks, bodies = EXPERIMENTS[args.experiment](cfg, seed, args.threads)
     except (ParameterError, GridAlignmentError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
@@ -702,10 +709,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: cannot write the outputs: {exc}", file=sys.stderr)
         return 1
-    if not ok:
-        print("checks failed", file=sys.stderr)
-        return 2
-    return 0
+    failed = [check for check in checks if not _passes([check])]
+    for name, value, relation, bound in failed:
+        print(f"check failed: {name} = {value!r}, needs {relation} {bound!r}", file=sys.stderr)
+    return 2 if failed else 0
 
 
 if __name__ == "__main__":

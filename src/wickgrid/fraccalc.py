@@ -501,13 +501,18 @@ def calibrate_c_h(H: float, ctx: GramContext, m: int = 600):
     For several grid times t*, solve the regularized least-squares problem
     K0 g = 1_(0, t*] on a dense mesh; the isometry forces
     c_H = ||g||_L2 / ||1_(0,t*]|| = ||g||_L2 / t*^H.  The spread of the
-    per-target constants is the calibration residual.
+    per-target constants is the calibration residual; a grid too coarse for
+    two distinct targets, whose spread would be 0 by construction, is a
+    ParameterError.
     """
+    targets = [ctx.grid.points[max(1, int(round(q * ctx.grid.n)))]
+               for q in (0.3, 0.45, 0.6, 0.75)]
+    if len(set(targets)) < 2:
+        raise ParameterError(f"calibrate_c_h needs two distinct target times t*, and a grid "
+                             f"of {ctx.grid.n} interval(s) rounds all four to {targets[0]}")
     T = ctx.grid.T
     x = cosine_mesh(m, T)
     W = _kstar_matrix(x, H)
-    targets = [ctx.grid.points[max(1, int(round(q * ctx.grid.n)))]
-               for q in (0.3, 0.45, 0.6, 0.75)]
     lam = 1e-6 * np.linalg.norm(W, ord="fro") / math.sqrt(W.shape[0])
     A = np.vstack([W, lam * np.eye(x.size)])
     estimates = []

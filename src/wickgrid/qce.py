@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import gammaln, logsumexp
 
 from .covariance import GramContext
-from .chaos import ChaosVector, GramImage, SymmetricTensor, tensor_inner
+from .chaos import MAX_SERIES_ORDER, ChaosVector, GramImage, SymmetricTensor, tensor_inner
 from .errors import MartingaleCaseError, ParameterError, ShapeError
 from .firstchaos import SubspaceGeometry, TruncationOperator, _fix_sign, operator_norm
 
@@ -36,8 +36,6 @@ __all__ = [
 ]
 
 _LOG_OVERFLOW = math.log(1e300)
-# 171! no longer converts to a double, so 1/sqrt(k!) has no value beyond this
-MAX_SERIES_ORDER = 170
 
 
 class ShiftContext:
@@ -78,6 +76,8 @@ def shifted_qce(sc: ShiftContext, xi: ChaosVector) -> ChaosVector:
     of the stack, with weights C(k, n) w <v, c_r>^(k-n); rows with equal bytes
     collapse into their first occurrence in the suffix, np.add.at adding the
     weights in row order.  Lower orders add contracted tensors and are dense.
+    A power of a pairing past the double range is a ParameterError naming
+    the order.
     """
     K = xi.max_order
     image = GramImage(sc.ctx, sc.c_r)
@@ -91,24 +91,29 @@ def shifted_qce(sc: ShiftContext, xi: ChaosVector) -> ChaosVector:
                      return_inverse=True)[1]
     s = 0                       # first row of order n in the stack
     out: List[SymmetricTensor] = []
-    for n in range(K + 1):
-        if n > top_dense:
-            weights = [math.comb(k, n) * (wt * x ** (k - n)) for k, wt, x in terms[s:]]
-            acc = SymmetricTensor(n, xi.dim, weights=np.array(weights), vectors=cut[s:])
-            if len(weights) > 1:
-                head = np.full(len(cut), len(cut))      # first suffix row of each key
-                np.minimum.at(head, keys[s:], np.arange(s, len(cut)))
-                rows = np.sort(head[head < len(cut)])
-                merged = np.zeros(rows.size)
-                np.add.at(merged, np.searchsorted(rows, head[keys[s:]]), weights)
-                acc = SymmetricTensor.from_powers(n, xi.dim, merged, cut[rows])
-            s += xi.coeffs[n].weights.size
-        else:
-            acc = SymmetricTensor.zero(n, xi.dim)
-            for k in range(n, K + 1):
-                term = xi.coeffs[k].contract_last(sc.ctx, sc.c_r, k - n, image)
-                acc = acc.add(term.scaled(math.comb(k, n)).project_coords(sc.m))
-        out.append(acc)
+    try:
+        for n in range(K + 1):
+            if n > top_dense:
+                weights = [math.comb(k, n) * (wt * x ** (k - n)) for k, wt, x in terms[s:]]
+                acc = SymmetricTensor(n, xi.dim, weights=np.array(weights), vectors=cut[s:])
+                if len(weights) > 1:
+                    head = np.full(len(cut), len(cut))      # first suffix row of each key
+                    np.minimum.at(head, keys[s:], np.arange(s, len(cut)))
+                    rows = np.sort(head[head < len(cut)])
+                    merged = np.zeros(rows.size)
+                    np.add.at(merged, np.searchsorted(rows, head[keys[s:]]), weights)
+                    acc = SymmetricTensor.from_powers(n, xi.dim, merged, cut[rows])
+                s += xi.coeffs[n].weights.size
+            else:
+                acc = SymmetricTensor.zero(n, xi.dim)
+                for k in range(n, K + 1):
+                    term = xi.coeffs[k].contract_last(sc.ctx, sc.c_r, k - n, image)
+                    acc = acc.add(term.scaled(math.comb(k, n)).project_coords(sc.m))
+            out.append(acc)
+    except OverflowError:
+        raise ParameterError(f"shifted QCE order {n} overflows a double: a power of a pairing "
+                             "<v, c_r> leaves the double range; use a smaller shift c or a "
+                             "lower chaos order") from None
     return ChaosVector(out, xi.dim)
 
 

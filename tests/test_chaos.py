@@ -275,6 +275,25 @@ def test_negative_chaos_order_is_a_parameter_error_naming_k(ctx, build):
         build(ctx, np.ones(6))
 
 
+@pytest.mark.parametrize("build", [
+    lambda ctx, h, K: WickCombo.exponential(h).to_chaos(ctx, K),
+    lambda ctx, h, K: WickCombo([(0.5, h, h)], 6).to_chaos(ctx, K),
+    lambda ctx, h, K: wick_exponential_chaos(ctx, h, K),
+    lambda ctx, h, K: wick_truncation_tail_sq(ctx, h, K),
+])
+def test_series_order_above_170_is_a_parameter_error_naming_k(ctx, build):
+    # 171! does not convert to a double; these ended in a bare OverflowError
+    for K in (171, 400):
+        with pytest.raises(ParameterError, match=rf"K must be <= 170, got {K}"):
+            build(ctx, 0.1 * np.ones(6), K)
+
+
+def test_series_order_170_is_in_range(ctx):
+    h = 0.1 * np.ones(6)
+    assert wick_exponential_chaos(ctx, h, 170).max_order == 170
+    assert math.isfinite(wick_truncation_tail_sq(ctx, h, 170))
+
+
 def test_conditional_expectation_of_a_first_chaos_term_on_bm():
     # on a Brownian grid S(E[X | F_r])(h) = (S X)(Gamma_r h); one term's
     # first-chaos factor straddles r, the other's lies wholly after it

@@ -103,6 +103,26 @@ def test_nonexist_cert(tmp_path):
     assert payload["bound_ok"]
 
 
+@pytest.mark.parametrize("field, value, line", [
+    ("bound_ok", False, "check failed: bound_ok = False, needs >= True"),
+    ("rho", 1.0, "check failed: rho = 1.0, needs > 1.0"),
+])
+def test_a_failed_certificate_exits_two_naming_its_check(tmp_path, monkeypatch, capsys,
+                                                         field, value, line):
+    real = cli.nonexistence_certificate
+
+    def failed(*args, **kwargs):
+        cert = real(*args, **kwargs)
+        setattr(cert, field, value)
+        return cert
+
+    monkeypatch.setattr(cli, "nonexistence_certificate", failed)
+    code, out = run(tmp_path, "nonexist-cert", "N = 8\nK_max = 4\n")
+    assert code == 2
+    assert capsys.readouterr().err == line + "\n"
+    assert json.loads((out / "certificate.json").read_text())[field] == value
+
+
 def test_nonexist_cert_bm_refusal(tmp_path):
     code, out = run(tmp_path, "nonexist-cert", "model = bm\nN = 16\n")
     assert code == 0
@@ -132,15 +152,35 @@ def test_stochastic_experiments_require_seed(tmp_path):
     assert code2 == 0
 
 
-def test_check_failure_exits_two(tmp_path, monkeypatch):
+def test_check_failure_exits_two(tmp_path, monkeypatch, capsys):
     def failing(cfg, seed, threads):
-        return False, {"dummy.json": {}}
+        return [("dummy_error", 0.5, "<=", 0.25), ("dummy_ratio", 2.0, ">", 1.0)], \
+            {"dummy.json": {}}
 
     monkeypatch.setitem(cli.EXPERIMENTS, "always-fails", failing)
     code = cli.main(["always-fails", "--out", str(tmp_path / "o")])
     assert code == 2
+    # one line names each failed check, none the check that passed
+    assert capsys.readouterr().err == "check failed: dummy_error = 0.5, needs <= 0.25\n"
     # a failed check still writes its bodies, so the failure can be read
     assert json.loads((tmp_path / "o" / "dummy.json").read_text()) == {}
+
+
+@pytest.mark.parametrize("relation", ["<=", ">=", ">"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_value_fails_every_relation(relation, value):
+    for bound in (0.0, math.inf, -math.inf, math.nan):
+        assert not cli._passes([("x", value, relation, bound)])
+        assert not cli._passes([("ok", 0.0, "<=", 1.0), ("x", value, relation, bound)])
+
+
+def test_a_value_at_its_bound_passes_only_the_weak_relations():
+    assert cli._passes([("x", 1e-8, "<=", 1e-8)])
+    assert cli._passes([("x", 1e-8, ">=", 1e-8)])
+    assert not cli._passes([("x", 1e-8, ">", 1e-8)])
+    assert cli._passes([("bound_ok", True, ">=", True)])
+    assert not cli._passes([("bound_ok", False, ">=", True)])
+    assert cli._passes([])
 
 
 def test_qce_and_skorokhod_checks(tmp_path):
@@ -195,6 +235,13 @@ def test_domain_diagnostic_csv(tmp_path):
     ("frac-verify", "checks = apendix\n", "checks = 'apendix'"),
     ("frac-verify", "checks = appendix,,low\n", "appendix, low, high, kstar"),
     ("frac-verify", "checks =\n", "checks = ''"),
+    ("nonexist-cert", "N = 16\nK_max = 170\nc_scale = 200\n", "order 0 overflows"),
+    ("nonexist-cert", "N = 16\nK_max = 60\nc_scale = 1e6\n", "order 0 overflows"),
+    ("domain-diagnostic", "N = 16\nK_max = 170\nc_scale = 200\n", "order 0 overflows"),
+    ("qce-check", "N = 6\nc_scale = 1e200\n", "order 0 overflows"),
+    ("bsde-verify", "N = 4\nsolution = wick\nK = 400\n", "K must be <= 170, got 400"),
+    ("qce-check", "N = 4\nK = 400\n", "K must be <= 170, got 400"),
+    ("frac-verify", "checks = kstar\nN_kstar = 1\n", "two distinct target times"),
 ])
 def test_unusable_check_settings_are_config_errors(tmp_path, capsys, experiment,
                                                   cfg, message):
@@ -202,7 +249,9 @@ def test_unusable_check_settings_are_config_errors(tmp_path, capsys, experiment,
     # K_max = 171 ended in a bare OverflowError, n_paths < 2 wrote NaN z
     # statistics, solution = wik or plot = ture fell back to a default, a
     # value that did not parse raised a bare ValueError that named no key,
-    # and checks = apendix ran nothing and wrote "passes": true
+    # checks = apendix ran nothing and wrote "passes": true, a shift too
+    # large for the chaos order or K = 400 ended in a bare OverflowError, and
+    # N_kstar = 1 compared one calibration target with itself and passed
     code, out = run(tmp_path, experiment, "model = fbm\nH = 0.75\n" + cfg, seed=1)
     assert code == 1
     err = capsys.readouterr().err
@@ -294,11 +343,14 @@ def test_mc_crosscheck_memory_is_bounded_by_the_block():
     ("bsde-verify", "c_scale = nan\n", ["max_residual"]),
     ("bsde-verify", "c_scale = nan\nsolution = wick\n", ["max_residual"]),
 ])
-def test_nan_shift_fails_the_checks(tmp_path, experiment, cfg, keys):
+def test_nan_shift_fails_the_checks(tmp_path, capsys, experiment, cfg, keys):
     code, out = run(tmp_path, experiment, cfg, seed=1)
     assert code == 2
     body = json.loads((out / f"{experiment.replace('-', '_')}.json").read_text())
     assert all(math.isnan(body[key]) for key in keys) and body["passes"] is False
+    lines = capsys.readouterr().err.splitlines()
+    assert [line.split(" = ")[0] for line in lines] == [f"check failed: {key}" for key in keys]
+    assert all(" = nan, needs <= " in line for line in lines)
 
 
 def test_negative_wick_order_is_a_config_error_naming_k(tmp_path, capsys):
@@ -428,6 +480,25 @@ def test_manifest_lists_exactly_the_files_written(tmp_path, experiment, cfg, nam
     manifest = json.loads((out / "run-manifest.json").read_text())
     assert manifest["outputs"] == [str(out / name) for name in names]
     assert sorted(p.name for p in out.iterdir()) == sorted(names + ["run-manifest.json"])
+
+
+@pytest.mark.parametrize("experiment,cfg,names", CONTRACT_CASES)
+def test_passes_is_the_and_of_the_returned_checks(tmp_path, experiment, cfg, names):
+    (tmp_path / "c.cfg").write_text(cfg)
+    checks, bodies = cli.EXPERIMENTS[experiment](cli.parse_config(str(tmp_path / "c.cfg")), 1, 1)
+    verdicts = [body for name, body in bodies.items()
+                if name.endswith(".json") and ("passes" in body or "rho" in body)]
+    if not checks:
+        # no verdict without checks: the tables, and the two refusal branches
+        assert verdicts == []
+        return
+    (verdict,) = verdicts
+    assert all(verdict[name] == value for name, value, _, _ in checks)
+    if experiment == "nonexist-cert":
+        # the certificate body has no passes field; its checks are rho and bound_ok
+        assert "passes" not in verdict and {name for name, *_ in checks} == {"rho", "bound_ok"}
+    else:
+        assert verdict["passes"] is all(cli._passes([check]) for check in checks)
 
 
 def test_failed_run_leaves_no_partial_output(tmp_path):

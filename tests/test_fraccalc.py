@@ -365,6 +365,17 @@ def test_kstar_calibration_spread(kstar_setup):
     assert spread <= 0.02
 
 
+def test_kstar_calibration_needs_two_distinct_targets():
+    # on one interval all four targets round to t* = 1, and one target
+    # compared with itself has spread 0; two intervals give two targets
+    def grid(n):
+        return build_gram(FractionalBrownianMotion(0.3), TimeGrid.uniform(n, 1.0))
+
+    with pytest.raises(ParameterError, match="two distinct target times"):
+        calibrate_c_h(0.3, grid(1), m=100)
+    assert calibrate_c_h(0.3, grid(2), m=100)[1] > 0.0
+
+
 def test_kstar_isometry_random_smooth(kstar_setup):
     H, ctx, c_h, _ = kstar_setup
     rng = np.random.default_rng(9)

@@ -25,7 +25,7 @@ from wickgrid import (
     symmetrize_full,
     wick_exponential_chaos,
 )
-from wickgrid.errors import MartingaleCaseError, ShapeError
+from wickgrid.errors import MartingaleCaseError, ParameterError, ShapeError
 
 import pairing_oracle as oracle
 
@@ -292,6 +292,16 @@ def test_domain_overflow_guard(ctx):
 
     diag = domain_diagnostic(sc, gen, 60)
     assert np.all(np.isfinite(diag.log_terms[1:]))
+
+
+def test_shifted_qce_overflow_is_a_parameter_error_naming_the_order(ctx):
+    # <h, c_r>^2 at a shift of 1e200 leaves the double range; the float power
+    # raised a bare OverflowError
+    sc = ShiftContext(ctx, 0.5, 1e200 * np.ones(8))
+    xi = wick_exponential_chaos(ctx, np.ones(8), 2)
+    with pytest.raises(ParameterError, match="order 0 overflows a double"):
+        shifted_qce(sc, xi)
+    shifted_qce(ShiftContext(ctx, 0.5, 1e100 * np.ones(8)), xi)
 
 
 # ---------------------------------------------------------------------------
