@@ -403,8 +403,12 @@ def wick_truncation_tail_sq(ctx: GramContext, h: np.ndarray, K: int) -> float:
     """Squared L2 error of the order-K truncation: sum_{k>K} |h|^{2k} / k!."""
     _check_series_order(K)
     x = ctx.norm_sq(h)
-    partial = math.fsum(x**k / math.factorial(k) for k in range(K + 1))
-    return max(math.exp(x) - partial, 0.0)
+    try:
+        partial = math.fsum(x**k / math.factorial(k) for k in range(K + 1))
+        return max(math.exp(x) - partial, 0.0)
+    except OverflowError:
+        raise ParameterError(f"the order-K tail at |h|^2 = {x:.6g}, K = {K} "
+                             "overflows a double") from None
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ a run that fails before that (exit 1 or 64) writes none.
 from __future__ import annotations
 
 import argparse
+import difflib
 import json
 import math
 import sys
@@ -78,44 +79,81 @@ _BOOLS = {"1": True, "true": True, "yes": True, "on": True,
 # the relations a check may require between its value and its bound
 _RELATIONS = {"<=": le, ">=": ge, ">": gt}
 
+# The key table, KEYS: every key each experiment reads, with its spec.  A spec
+# is the key's default, whose type is the key's type (int, float, bool, or a
+# list of floats or ints); a tuple of the words the key accepts, the first the
+# default; a list of the words of which the key takes a comma list; or a bare
+# type (float, list of floats) whose default the experiment works out (None).
+_GRID = {"N": 16, "T": 1.0}
+_MODEL = {**_GRID, "model": ("fbm", "bm", "weighted_fbm", "sum"), "H": 0.75, "sigma": list,
+          "sum_model1": ("bm", "fbm"), "sum_H1": 0.5, "sum_model2": ("fbm", "bm"),
+          "sum_H2": 0.75, "sum_gamma": 1.0}
+# the sweeps vary H of fBm themselves (BM at H = 1/2) and take no other model
+_SWEEP = {**_GRID, "model": ("fbm",)}
+_SHIFT = {"r": float, "c_scale": 0.0}
+_PROBLEM = {**_MODEL, "c_scale": 0.0, "a_const": 0.5, "with_driver": True, "xi_order": 3}
 
-def _list_of(convert):
-    return lambda text: [convert(v) for v in text.replace(",", " ").split()]
+KEYS = {
+    "gram": _MODEL,
+    "opnorm-sweep": {**_SWEEP, "r": float, "plot": False,
+                     "H_list": [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]},
+    "dr-sweep": {**_SWEEP, "H": 0.75},
+    "jensen": {**_MODEL, "r": float, "epsilon": 1e-3},
+    "qce-check": {**_MODEL, **_SHIFT, "K": 12, "trials": 10},
+    "domain-diagnostic": {**_MODEL, **_SHIFT, "K_max": 12, "generator": ("escape", "contract")},
+    "skorokhod-check": {**_MODEL, "a": float, "b": float, "u": float, "trials": 20},
+    "bsde-solve": _PROBLEM,
+    "bsde-verify": {**_PROBLEM, "solution": ("represent", "wick"), "K": 10, "trials": 10},
+    "nonexist-cert": {**_MODEL, **_SHIFT, "a_const": 0.0, "K_max": 12},
+    "example33": {"H_list": [0.5, 0.35, 0.2], "N_list": [16, 32, 64, 128, 256, 512], "T": 1.0,
+                  "plot": False},
+    "frac-verify": {"checks": ["appendix", "low", "high", "kstar"], "H_app": 0.2, "M": 2000,
+                    "H_low": 0.3, "M_high": 4000, "H_high": 0.75, "H_kstar": 0.3,
+                    "N_kstar": 48, "M_kstar": 600},
+    "mc-crosscheck": {**_MODEL, "n_paths": 100_000},
+}
+
+# a scalar type's parse, and what one and several of its values are called
+_TYPES = {int: (int, "an integer", "integers"), float: (float, "a number", "numbers"),
+          bool: (lambda text: _BOOLS[text.strip().lower()],
+                 "a boolean; use one of " + ", ".join(_BOOLS), None)}
 
 
-class Config(dict):
-    """Flat key = value configuration with typed accessors.
-
-    A value that does not parse is a ParameterError naming its key.
-    """
-
-    def _typed(self, key, default, convert, what):
-        if key not in self:
-            return default
-        try:
-            return convert(self[key])
-        except (KeyError, ValueError):
-            raise ParameterError(f"{key} = {self[key]!r} is not {what}") from None
-
-    def get_float(self, key, default=None):
-        return self._typed(key, default, float, "a number")
-
-    def get_int(self, key, default=None):
-        return self._typed(key, default, int, "an integer")
-
-    def get_bool(self, key, default=False):
-        return self._typed(key, default, lambda text: _BOOLS[text.strip().lower()],
-                           "a boolean; use one of " + ", ".join(_BOOLS))
-
-    def get_floats(self, key, default=None):
-        return self._typed(key, default, _list_of(float), "a list of numbers")
-
-    def get_ints(self, key, default=None):
-        return self._typed(key, default, _list_of(int), "a list of integers")
+def _parse(key: str, text: str, spec):
+    """The value of `key = text` under the key's spec; a text that does not parse,
+    a word the key does not accept and an empty list are ParameterErrors naming the key."""
+    kind = spec if isinstance(spec, type) else type(spec)
+    item = float if spec is list else type(spec[0]) if kind is list else None
+    if kind is tuple or item is str:
+        words = [text] if item is None else [word.strip() for word in text.split(",")]
+        if set(words) <= set(spec):
+            return words if item else text
+        what = ("one of " if item is None else "a comma list of ") + ", ".join(spec)
+        raise ParameterError(f"{key} = {text!r} is not {what}")
+    convert, one, several = _TYPES[item or kind]
+    try:
+        if item is None:
+            return convert(text)
+        values = [convert(value) for value in text.replace(",", " ").split()]
+        if values:
+            return values
+    except (KeyError, ValueError):
+        pass
+    raise ParameterError(f"{key} = {text!r} is not "
+                         + (one if item is None else "a non-empty list of " + several))
 
 
-def parse_config(path: str) -> Config:
-    cfg = Config()
+def resolve(experiment: str, raw: dict) -> dict:
+    """Every key of the experiment's table, parsed from raw or at its default."""
+    return {key: _parse(key, raw[key], spec) if key in raw
+            else None if isinstance(spec, type) else spec[0] if isinstance(spec, tuple)
+            else list(spec) if isinstance(spec, list) else spec
+            for key, spec in KEYS[experiment].items()}
+
+
+def parse_config(path: str) -> dict:
+    """The raw `key = value` texts of a config file."""
+    cfg = {}
     text = Path(path).read_text()
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -208,51 +246,34 @@ def svg_plot(xs, series: dict, title: str = "") -> str:
 # model / grid construction from config
 # ---------------------------------------------------------------------------
 
-# (model key, default model, Hurst key, default H) of the top-level model
-# and of the two components of model = sum
-_MODEL_KEYS = (("model", "fbm", "H", 0.75), ("sum_model1", "bm", "sum_H1", 0.5),
-               ("sum_model2", "fbm", "sum_H2", 0.75))
-
-
-def model_from_config(cfg: Config, grid: TimeGrid, part: int = 0):
-    """The configured model; part 1 and 2 are the components of model = sum.
-
-    A component is bm or fbm only.
-    """
-    kind_key, kind_default, H_key, H_default = _MODEL_KEYS[part]
-    kind = cfg.get(kind_key, kind_default)
-    H = cfg.get_float(H_key, H_default)
+def model_from_config(cfg: dict, grid: TimeGrid, part: int = 0):
+    """The configured model; part 1 and 2 are the components of model = sum."""
+    kind = cfg[("model", "sum_model1", "sum_model2")[part]]
+    H = cfg[("H", "sum_H1", "sum_H2")[part]]
     if kind == "bm":
         return BrownianMotion()
     if kind == "fbm":
         return FractionalBrownianMotion(H)
-    if kind == "weighted_fbm" and not part:
-        return WeightedFbm(H, cfg.get_floats("sigma", [1.0] * grid.n), grid)
-    if kind == "sum" and not part:
-        return SumModel(model_from_config(cfg, grid, 1), model_from_config(cfg, grid, 2),
-                        cfg.get_float("sum_gamma", 1.0))
-    raise ParameterError(f"unknown {'component ' if part else ''}model {kind!r}")
+    if kind == "weighted_fbm":
+        return WeightedFbm(H, cfg["sigma"] or [1.0] * grid.n, grid)
+    return SumModel(model_from_config(cfg, grid, 1), model_from_config(cfg, grid, 2),
+                    cfg["sum_gamma"])
 
 
-def grid_from_config(cfg: Config) -> TimeGrid:
-    return TimeGrid.uniform(cfg.get_int("N", 16), cfg.get_float("T", 1.0))
+def grid_from_config(cfg: dict) -> TimeGrid:
+    return TimeGrid.uniform(cfg["N"], cfg["T"])
 
 
-def gram_from_config(cfg: Config) -> GramContext:
+def gram_from_config(cfg: dict) -> GramContext:
     """Gram context of the configured model on the configured grid."""
     grid = grid_from_config(cfg)
     return build_gram(model_from_config(cfg, grid), grid)
 
 
-def _default_r(cfg: Config, grid: TimeGrid) -> float:
-    r = cfg.get_float("r", grid.points[grid.n // 2])
+def _default_r(cfg: dict, grid: TimeGrid) -> float:
+    r = grid.points[grid.n // 2] if cfg["r"] is None else cfg["r"]
     grid.index_of(r)
     return r
-
-
-def _shift_from_config(cfg: Config, grid: TimeGrid) -> np.ndarray:
-    scale = cfg.get_float("c_scale", 0.0)
-    return scale * grid.indicator(grid.T)
 
 
 # ---------------------------------------------------------------------------
@@ -286,15 +307,6 @@ def exp_gram(cfg, seed, threads):
     }
 
 
-def _sweep_grid(cfg: Config) -> TimeGrid:
-    """The grid of the sweeps, which vary H of fBm (BM at H = 1/2) and take no
-    other model."""
-    if cfg.get("model", "fbm") != "fbm":
-        raise ParameterError(f"model = {cfg['model']!r}: the sweeps vary H of fBm "
-                             "and accept only model = fbm")
-    return grid_from_config(cfg)
-
-
 def _sweep_rows(threads, grid, points):
     """(H, N, r, d_r, opnorm) rows of (H, r) points, one Gram factorization per H.
 
@@ -325,12 +337,11 @@ def _group_rows(ex, grid, H, rs):
 
 
 def exp_opnorm_sweep(cfg, seed, threads):
-    hs = cfg.get_floats("H_list", [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9])
-    grid = _sweep_grid(cfg)
+    grid = grid_from_config(cfg)
     r = _default_r(cfg, grid)
-    rows = _sweep_rows(threads, grid, [(H, r) for H in hs])
+    rows = _sweep_rows(threads, grid, [(H, r) for H in cfg["H_list"]])
     bodies = {"opnorm_sweep.csv": (["H", "N", "r", "d_r", "opnorm"], rows)}
-    if cfg.get_bool("plot"):
+    if cfg["plot"]:
         bodies["opnorm_sweep.svg"] = svg_plot(
             [row[0] for row in rows],
             {"opnorm": [row[4] for row in rows], "d_r": [row[3] for row in rows]},
@@ -339,9 +350,8 @@ def exp_opnorm_sweep(cfg, seed, threads):
 
 
 def exp_dr_sweep(cfg, seed, threads):
-    grid = _sweep_grid(cfg)
-    H = cfg.get_float("H", 0.75)
-    rows = _sweep_rows(threads, grid, [(H, float(r)) for r in grid.points[1:-1]])
+    grid = grid_from_config(cfg)
+    rows = _sweep_rows(threads, grid, [(cfg["H"], float(r)) for r in grid.points[1:-1]])
     return [], {"dr_sweep.csv": (["H", "N", "r", "d_r", "opnorm"], rows)}
 
 
@@ -349,7 +359,7 @@ def exp_jensen(cfg, seed, threads):
     ctx = gram_from_config(cfg)
     grid = ctx.grid
     r = _default_r(cfg, grid)
-    eps = cfg.get_float("epsilon", 1e-3)
+    eps = cfg["epsilon"]
     try:
         h = jensen_counterexample(ctx, r, eps)
     except MartingaleCaseError as exc:
@@ -367,10 +377,10 @@ def exp_qce_check(cfg, seed, threads):
     ctx = gram_from_config(cfg)
     grid = ctx.grid
     r = _default_r(cfg, grid)
-    c = _shift_from_config(cfg, grid)
+    c = cfg["c_scale"] * grid.indicator(grid.T)
     sc = ShiftContext(ctx, r, c)
     rng = np.random.default_rng(seed)
-    K = cfg.get_int("K", 12)
+    K = cfg["K"]
 
     # first-chaos closed form
     err_fc = 0.0
@@ -384,7 +394,7 @@ def exp_qce_check(cfg, seed, threads):
 
     # Wick-exponential closed form, compared through the S-transform
     err_we = 0.0
-    for _ in range(cfg.get_int("trials", 10)):
+    for _ in range(cfg["trials"]):
         h = rng.standard_normal(ctx.n)
         h /= max(ctx.norm(h), 1e-300)
         got = shifted_qce(sc, wick_exponential_chaos(ctx, h, K))
@@ -429,17 +439,14 @@ def exp_domain_diagnostic(cfg, seed, threads):
     ctx = gram_from_config(cfg)
     grid = ctx.grid
     r = _default_r(cfg, grid)
-    c = _shift_from_config(cfg, grid)
+    c = cfg["c_scale"] * grid.indicator(grid.T)
     sc = ShiftContext(ctx, r, c)
-    K_max = cfg.get_int("K_max", 12)
-    mode = cfg.get("generator", "escape")
-    if mode == "escape":
+    K_max = cfg["K_max"]
+    if cfg["generator"] == "escape":
         f = escape_direction(sc)
-    elif mode == "contract":
+    else:
         f = ctx.indicator(grid.points[1])
         f = 0.5 * f / max(ctx.norm(f), 1e-300)
-    else:
-        raise ParameterError(f"unknown generator {mode!r}")
 
     diag = domain_diagnostic(sc, normalized_power_series(f), K_max)
     rows = [(k, float(diag.partial_sums[k]),
@@ -452,29 +459,28 @@ def exp_skorokhod_check(cfg, seed, threads):
     ctx = gram_from_config(cfg)
     grid = ctx.grid
     pts = grid.points
-    a = cfg.get_float("a", pts[grid.n // 4])
-    b = cfg.get_float("b", pts[grid.n // 2])
-    u = cfg.get_float("u", pts[3 * grid.n // 4])
+    a, b, u = (pts[i * grid.n // 4] if cfg[key] is None else cfg[key]
+               for i, key in enumerate("abu", 1))
     Z = SimpleIntegrand(ctx, [(a, b, WickCombo.exponential(ctx.indicator(u)))])
-    err = verify_s_transform_identity(ctx, Z, cfg.get_int("trials", 20), seed)
+    err = verify_s_transform_identity(ctx, Z, cfg["trials"], seed)
     checks = [("max_rel_error", err, "<=", 1e-10)]
     return checks, {"skorokhod_check.json": _verdict(checks, a=a, b=b, u=u)}
 
 
 def _problem_from_config(cfg, ctx, rng):
     n = ctx.n
-    a = np.full(n, cfg.get_float("a_const", 0.5))
+    a = np.full(n, cfg["a_const"])
     gamma = ctx.grid.points.copy()
-    c = _shift_from_config(cfg, ctx.grid)
+    c = cfg["c_scale"] * ctx.grid.indicator(ctx.grid.T)
     G = [None] * (n + 1)
-    if cfg.get_bool("with_driver", True):
+    if cfg["with_driver"]:
         for i in range(n + 1):
             v = rng.standard_normal(n)
             v[i:] = 0.0
             const = float(rng.standard_normal())
             G[i] = ChaosVector.first_chaos(v, constant=const) if i > 0 \
                 else ChaosVector.constant(const, n)
-    xi = _random_chaos(rng, ctx, order=cfg.get_int("xi_order", 3))
+    xi = _random_chaos(rng, ctx, order=cfg["xi_order"])
     return BSDEProblem(ctx, a, gamma, c=c, G=G, xi=xi)
 
 
@@ -492,28 +498,26 @@ def exp_bsde_solve(cfg, seed, threads):
 
 
 def exp_bsde_verify(cfg, seed, threads):
-    kind = cfg.get("solution", "represent")
-    if kind not in ("represent", "wick"):
-        raise ParameterError(f"unknown solution {kind!r}; use represent or wick")
+    kind = cfg["solution"]
     ctx = gram_from_config(cfg)
     grid = ctx.grid
     rng = np.random.default_rng(seed)
     if kind == "wick":
         n = ctx.n
         problem = BSDEProblem(
-            ctx, np.full(n, cfg.get_float("a_const", 0.5)), grid.points,
-            c=_shift_from_config(cfg, grid),
+            ctx, np.full(n, cfg["a_const"]), grid.points,
+            c=cfg["c_scale"] * grid.indicator(grid.T),
             xi=ChaosVector.constant(1.0, n))
         f = rng.standard_normal(n)
         f /= 2.0 * max(ctx.norm(f), 1e-300)
-        sol = wick_exponential_solution(problem, f, K=cfg.get_int("K", 10))
+        sol = wick_exponential_solution(problem, f, K=cfg["K"])
         problem.xi = sol.Y_nodes[-1]
         tol = 1e-9
     else:
         problem = _problem_from_config(cfg, ctx, rng)
         sol = represent_solution(problem)
         tol = 1e-8
-    res = verify_solution_weak(problem, sol, cfg.get_int("trials", 10), seed)
+    res = verify_solution_weak(problem, sol, cfg["trials"], seed)
     checks = [("max_residual", float(res), "<=", tol)]
     return checks, {"bsde_verify.json": _verdict(checks, tolerance=tol, solution=kind)}
 
@@ -522,72 +526,61 @@ def exp_nonexist_cert(cfg, seed, threads):
     grid = grid_from_config(cfg)
     model = model_from_config(cfg, grid)
     r = _default_r(cfg, grid)
-    c = _shift_from_config(cfg, grid)
+    c = cfg["c_scale"] * grid.indicator(grid.T)
     n = grid.n
-    a = np.full(n, cfg.get_float("a_const", 0.0))
+    a = np.full(n, cfg["a_const"])
     try:
-        cert = nonexistence_certificate(model, grid, r, a=a, c=c,
-                                        K_max=cfg.get_int("K_max", 12))
+        cert = nonexistence_certificate(model, grid, r, a=a, c=c, K_max=cfg["K_max"])
     except MartingaleCaseError as exc:
         return [], {"certificate.json": {"status": "refusal", "reason": str(exc)}}
     payload = cert.to_json_dict()
     payload["status"] = "certificate"
-    payload["H"] = cfg.get_float("H", None)
+    payload["H"] = getattr(model, "H", None)
     payload["N"] = grid.n
     checks = [("rho", cert.rho, ">", 1.0), ("bound_ok", cert.bound_ok, ">=", True)]
     return checks, {"certificate.json": payload}
 
 
 def exp_example33(cfg, seed, threads):
-    hs = cfg.get_floats("H_list", [0.5, 0.35, 0.2])
-    ns = cfg.get_ints("N_list", [16, 32, 64, 128, 256, 512])
+    hs, ns = cfg["H_list"], cfg["N_list"]
     rows = []
     for H in hs:
-        rep = example33_residual(H, ns, T=cfg.get_float("T", 1.0))
+        rep = example33_residual(H, ns, T=cfg["T"])
         for n, res in zip(rep.grid_sizes, rep.residuals):
             rows.append((H, int(n), float(res), rep.slope))
     bodies = {"example33.csv": (["H", "N", "residual", "slope"], rows)}
-    if cfg.get_bool("plot"):
+    if cfg["plot"]:
         series = {f"H={H}": [math.log10(r[2]) for r in rows if r[0] == H] for H in hs}
         bodies["example33.svg"] = svg_plot([math.log10(n) for n in ns], series,
                                            "log10 residual vs log10 N")
     return [], bodies
 
 
-_FRAC_CHECKS = ("appendix", "low", "high", "kstar")
-
-
 def exp_frac_verify(cfg, seed, threads):
-    checks = [name.strip() for name in cfg.get("checks", ",".join(_FRAC_CHECKS)).split(",")]
-    unknown = [name for name in checks if name not in _FRAC_CHECKS]
-    if unknown:
-        raise ParameterError(f"checks = {cfg['checks']!r} names {unknown[0]!r}, which is "
-                             f"no check; use a comma list of {', '.join(_FRAC_CHECKS)}")
     report = {}
     bodies = {}
     records = []
-    if "appendix" in checks:
-        rep = appendix_reconstruction_check(cfg.get_float("H_app", 0.2),
-                                            T=1.0, m=cfg.get_int("M", 2000))
+    if "appendix" in cfg["checks"]:
+        rep = appendix_reconstruction_check(cfg["H_app"], T=1.0, m=cfg["M"])
         report["appendix_g_l2"] = rep.g_l2
         records.append(("appendix_max_error", rep.max_abs_error, "<=", 1e-3))
         bodies["appendix_reconstruction.csv"] = (
             ["t", "value", "target"], list(zip(rep.t_eval, rep.reconstruction, rep.target)))
-    if "low" in checks:
-        m = cfg.get_int("M", 2000)
+    if "low" in cfg["checks"]:
+        m = cfg["M"]
         phi = FuncOnGrid.constant(1.0, uniform_mesh(m, 1.0))
-        _, err = cm_truncate_fbm(phi, 0.5, cfg.get_float("H_low", 0.3))
+        _, err = cm_truncate_fbm(phi, 0.5, cfg["H_low"])
         records.append(("truncation_low_error", err, "<=", 1e-3))
-    if "high" in checks:
-        m = cfg.get_int("M_high", 4000)
+    if "high" in cfg["checks"]:
+        m = cfg["M_high"]
         psi = FuncOnGrid.constant(1.0, uniform_mesh(m, 1.0))
-        _, err = cm_truncate_fbm_high(psi, 0.5, cfg.get_float("H_high", 0.75))
+        _, err = cm_truncate_fbm_high(psi, 0.5, cfg["H_high"])
         records.append(("truncation_high_error", err, "<=", 1e-2))
-    if "kstar" in checks:
-        H = cfg.get_float("H_kstar", 0.3)
-        grid = TimeGrid.uniform(cfg.get_int("N_kstar", 48), 1.0)
+    if "kstar" in cfg["checks"]:
+        H = cfg["H_kstar"]
+        grid = TimeGrid.uniform(cfg["N_kstar"], 1.0)
         ctx = build_gram(FractionalBrownianMotion(H), grid)
-        c_h, spread = calibrate_c_h(H, ctx, m=cfg.get_int("M_kstar", 600))
+        c_h, spread = calibrate_c_h(H, ctx, m=cfg["M_kstar"])
         report["kstar_c_h"] = c_h
         records.append(("kstar_spread", spread, "<=", 0.02))
     bodies["frac_verify.json"] = _verdict(records, **report)
@@ -595,7 +588,7 @@ def exp_frac_verify(cfg, seed, threads):
 
 
 def exp_mc_crosscheck(cfg, seed, threads):
-    n_paths = cfg.get_int("n_paths", 100_000)
+    n_paths = cfg["n_paths"]
     if n_paths < 2:
         raise ParameterError(
             f"n_paths must be >= 2 for a sample standard deviation, got {n_paths}")
@@ -664,10 +657,16 @@ def main(argv=None) -> int:
               f"{', '.join(sorted(EXPERIMENTS))}", file=sys.stderr)
         return USAGE_EXIT
     try:
-        cfg = parse_config(args.config) if args.config else Config()
-        seed = args.seed if args.seed is not None else cfg.get_int("seed")
+        raw = parse_config(args.config) if args.config else {}
+        text = raw.pop("seed", None)
+        seed = args.seed if args.seed is not None or text is None else _parse("seed", text, int)
         if seed is not None and seed < 0:
             raise ParameterError(f"seed must be >= 0, got {seed}")
+        keys = KEYS[args.experiment]
+        for key in sorted(raw.keys() - keys):
+            near = difflib.get_close_matches(key, keys, n=1)
+            raise ParameterError(f"{args.experiment} reads no key {key!r}; " + (
+                f"did you mean {near[0]!r}?" if near else f"its keys are {', '.join(keys)}"))
     except (OSError, ParameterError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return USAGE_EXIT
@@ -679,6 +678,7 @@ def main(argv=None) -> int:
         seed = 0
     t0 = time.perf_counter()
     try:
+        cfg = resolve(args.experiment, raw)
         checks, bodies = EXPERIMENTS[args.experiment](cfg, seed, args.threads)
     except (ParameterError, GridAlignmentError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -699,7 +699,7 @@ def main(argv=None) -> int:
                 path.write_text(body)
         write_json(out / "run-manifest.json", {
             "experiment": args.experiment,
-            "config": dict(cfg),
+            "config": cfg,
             "seed": seed,
             "version": __version__,
             "wall_time_s": time.perf_counter() - t0,

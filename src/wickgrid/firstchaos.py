@@ -134,8 +134,8 @@ def jensen_counterexample(ctx: GramContext, r: float, eps: float = 1e-3,
     1 / (1 - d_r^2), which dominates the guaranteed 1 / (1 - d_r^2 + 2 d_r eps)
     bound.  eps therefore only enters the reported bound, not the vector.
     """
-    if eps <= 0:
-        raise ParameterError("eps must be positive")
+    if not (np.isfinite(eps) and eps > 0):
+        raise ParameterError(f"eps must be finite and positive, got {eps}")
     geo = max_correlation(ctx, r)
     if geo.d_r <= tol:
         raise MartingaleCaseError(

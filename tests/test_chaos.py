@@ -288,6 +288,16 @@ def test_series_order_above_170_is_a_parameter_error_naming_k(ctx, build):
             build(ctx, 0.1 * np.ones(6), K)
 
 
+@pytest.mark.parametrize("x, K", [(900.0, 10), (225.0, 170), (710.0, 0)])
+def test_tail_overflow_below_the_k_cap_is_a_parameter_error_naming_h_and_k(ctx, x, K):
+    # e^|h|^2 overflows above |h|^2 ~ 709 and |h|^(2K) at 225^170; both ended
+    # in a bare OverflowError
+    h = np.ones(6)
+    h *= math.sqrt(x / ctx.norm_sq(h))
+    with pytest.raises(ParameterError, match=rf"\|h\|\^2 = {x:g}, K = {K} overflows a double"):
+        wick_truncation_tail_sq(ctx, h, K)
+
+
 def test_series_order_170_is_in_range(ctx):
     h = 0.1 * np.ones(6)
     assert wick_exponential_chaos(ctx, h, 170).max_order == 170

@@ -2,7 +2,9 @@
 
 import json
 import math
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from wickgrid import (
     evaluate_chaos_on_sample,
     sample_increments,
 )
+from wickgrid.errors import ParameterError
 
 
 def run(tmp_path, experiment, config_text="", seed=None, subdir="run"):
@@ -158,6 +161,7 @@ def test_check_failure_exits_two(tmp_path, monkeypatch, capsys):
             {"dummy.json": {}}
 
     monkeypatch.setitem(cli.EXPERIMENTS, "always-fails", failing)
+    monkeypatch.setitem(cli.KEYS, "always-fails", {})
     code = cli.main(["always-fails", "--out", str(tmp_path / "o")])
     assert code == 2
     # one line names each failed check, none the check that passed
@@ -242,6 +246,13 @@ def test_domain_diagnostic_csv(tmp_path):
     ("bsde-verify", "N = 4\nsolution = wick\nK = 400\n", "K must be <= 170, got 400"),
     ("qce-check", "N = 4\nK = 400\n", "K must be <= 170, got 400"),
     ("frac-verify", "checks = kstar\nN_kstar = 1\n", "two distinct target times"),
+    ("opnorm-sweep", "N = 8\nH_list =\n", "H_list = '' is not a non-empty list of numbers"),
+    ("example33", "H_list = ,\n", "H_list = ',' is not a non-empty list of numbers"),
+    ("example33", "N_list =\n", "N_list = '' is not a non-empty list of integers"),
+    ("gram", "N = 4\nsigma =\n", "sigma = ''"),
+    ("jensen", "N = 16\nepsilon = nan\n", "eps must be finite and positive, got nan"),
+    ("jensen", "N = 16\nepsilon = inf\n", "eps must be finite and positive, got inf"),
+    ("jensen", "N = 16\nepsilon = 0\n", "eps must be finite and positive, got 0.0"),
 ])
 def test_unusable_check_settings_are_config_errors(tmp_path, capsys, experiment,
                                                   cfg, message):
@@ -251,8 +262,13 @@ def test_unusable_check_settings_are_config_errors(tmp_path, capsys, experiment,
     # value that did not parse raised a bare ValueError that named no key,
     # checks = apendix ran nothing and wrote "passes": true, a shift too
     # large for the chaos order or K = 400 ended in a bare OverflowError, and
-    # N_kstar = 1 compared one calibration target with itself and passed
-    code, out = run(tmp_path, experiment, "model = fbm\nH = 0.75\n" + cfg, seed=1)
+    # N_kstar = 1 compared one calibration target with itself and passed, an
+    # empty list wrote a header-only table, and epsilon = nan failed the
+    # check rather than the config; the model lines go only to experiments
+    # that read those keys
+    prefix = "".join(line for line in ("model = fbm\n", "H = 0.75\n")
+                     if line.split(" = ")[0] in cli.KEYS[experiment])
+    code, out = run(tmp_path, experiment, prefix + cfg, seed=1)
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("config error:") and message in err
@@ -294,7 +310,7 @@ def test_mc_crosscheck(tmp_path):
 
 def _mc_crosscheck_unblocked(cfg, seed):
     """mc_crosscheck.json body from one matrix of every path at once."""
-    n_paths = cfg.get_int("n_paths")
+    n_paths = cfg["n_paths"]
     ctx = cli.gram_from_config(cfg)
     rng = np.random.default_rng(seed)
     X = sample_increments(ctx, n_paths, seed)
@@ -321,14 +337,14 @@ def test_mc_crosscheck_blocks_write_the_bytes_of_one_matrix(tmp_path, N, n_paths
         code, out = run(tmp_path, "mc-crosscheck", text, seed=seed, subdir=f"s{seed}")
         assert code in (0, 2)
         want = tmp_path / f"want{seed}.json"
-        cli.write_json(want, _mc_crosscheck_unblocked(cli.Config(N=str(N), n_paths=str(n_paths)),
-                                                      seed))
+        cfg = cli.resolve("mc-crosscheck", {"N": str(N), "n_paths": str(n_paths)})
+        cli.write_json(want, _mc_crosscheck_unblocked(cfg, seed))
         assert (out / "mc_crosscheck.json").read_bytes() == want.read_bytes()
 
 
 def test_mc_crosscheck_memory_is_bounded_by_the_block():
     # one matrix of every path peaks at ~55 MB; the blocks stay near 6 MB
-    cfg = cli.Config(N="32", n_paths="100000")
+    cfg = cli.resolve("mc-crosscheck", {"N": "32", "n_paths": "100000"})
     tracemalloc.start()
     try:
         cli.exp_mc_crosscheck(cfg, 1, 1)
@@ -485,7 +501,8 @@ def test_manifest_lists_exactly_the_files_written(tmp_path, experiment, cfg, nam
 @pytest.mark.parametrize("experiment,cfg,names", CONTRACT_CASES)
 def test_passes_is_the_and_of_the_returned_checks(tmp_path, experiment, cfg, names):
     (tmp_path / "c.cfg").write_text(cfg)
-    checks, bodies = cli.EXPERIMENTS[experiment](cli.parse_config(str(tmp_path / "c.cfg")), 1, 1)
+    cfg = cli.resolve(experiment, cli.parse_config(str(tmp_path / "c.cfg")))
+    checks, bodies = cli.EXPERIMENTS[experiment](cfg, 1, 1)
     verdicts = [body for name, body in bodies.items()
                 if name.endswith(".json") and ("passes" in body or "rho" in body)]
     if not checks:
@@ -551,7 +568,7 @@ def test_array_csv_equals_the_per_value_write(tmp_path, name):
 def test_gram_csv_equals_the_per_value_write_of_the_gram(tmp_path):
     code, out = run(tmp_path, "gram", "model = fbm\nH = 0.3\nN = 512\n")
     assert code == 0
-    ctx = cli.gram_from_config(cli.Config(model="fbm", H="0.3", N="512"))
+    ctx = cli.gram_from_config(cli.resolve("gram", {"model": "fbm", "H": "0.3", "N": "512"}))
     header = [f"c{j}" for j in range(ctx.n)]
     assert (out / "gram.csv").read_bytes() == _per_value_csv(tmp_path / "b.csv", header, ctx.G)
 
@@ -588,9 +605,11 @@ def test_sweeps_refuse_a_model_other_than_fbm(tmp_path, capsys, experiment, mode
 @pytest.mark.parametrize("experiment, csv", [("dr-sweep", "dr_sweep.csv"),
                                              ("opnorm-sweep", "opnorm_sweep.csv")])
 def test_sweeps_with_model_fbm_write_the_bytes_of_no_model_key(tmp_path, experiment, csv):
+    # opnorm-sweep takes its H values from H_list
+    cfg = {"dr-sweep": "H = 0.3\nN = 8\n", "opnorm-sweep": "H_list = 0.3\nN = 8\n"}[experiment]
     bodies = []
     for subdir, model in (("none", ""), ("fbm", "model = fbm\n")):
-        code, out = run(tmp_path, experiment, model + "H = 0.3\nN = 8\n", subdir=subdir)
+        code, out = run(tmp_path, experiment, model + cfg, subdir=subdir)
         assert code == 0
         bodies.append((out / csv).read_bytes())
     assert bodies[0] == bodies[1]
@@ -603,7 +622,7 @@ def test_domain_diagnostic_contract_generator_converges(tmp_path):
                     "H = 0.3\nN = 8\nK_max = 20\ngenerator = contract\n")
     assert code == 0
     sums = np.array([float(row["S_K"]) for row in read_csv(out / "domain_diagnostic.csv")])
-    ctx = cli.gram_from_config(cli.Config(H="0.3", N="8"))
+    ctx = cli.gram_from_config(cli.resolve("domain-diagnostic", {"H": "0.3", "N": "8"}))
     f = ctx.indicator(ctx.grid.points[1])
     f = 0.5 * f / ctx.norm(f)
     rho = ctx.norm_sq(TruncationOperator(ctx, ctx.grid.points[4]).forward(f))
@@ -616,7 +635,7 @@ def test_domain_diagnostic_contract_generator_converges(tmp_path):
 def test_domain_diagnostic_unknown_generator_is_config_error(tmp_path, capsys):
     code, out = run(tmp_path, "domain-diagnostic", "N = 8\ngenerator = bogus\n")
     assert code == 1
-    assert "generator 'bogus'" in capsys.readouterr().err
+    assert "generator = 'bogus' is not one of escape, contract" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -625,3 +644,171 @@ def test_parse_config_skips_blank_and_comment_lines(tmp_path):
     path.write_text("\n# a comment line\n   \nN = 8   # trailing comment\n\n"
                     "  # indented comment = 3\nH=0.3\n")
     assert cli.parse_config(str(path)) == {"N": "8", "H": "0.3"}
+
+
+@pytest.mark.parametrize("experiment, cfg, message", [
+    ("qce-check", "N = 4\nc_sacle = 0.3\n", "qce-check reads no key 'c_sacle'; did you mean 'c_scale'?"),
+    ("qce-check", "Hurst = 0.2\n", "qce-check reads no key 'Hurst'; its keys are N, T, model, H,"),
+    ("nonexist-cert", "N = 8\nK_max = 4\nk_max = 4\n", "did you mean 'K_max'?"),
+    # skorokhod-check reads no shift, so c_scale = nan used to run and pass
+    ("skorokhod-check", "N = 8\ntrials = 2\nc_scale = nan\n", "reads no key 'c_scale'"),
+    ("opnorm-sweep", "N = 8\nH_lst = 0.3\n", "reads no key 'H_lst'; did you mean 'H_list'?"),
+    # the sweep's H comes from H_list; with no near key the message lists them all
+    ("opnorm-sweep", "N = 8\nH = 0.3\n", "reads no key 'H'; its keys are N, T, model, r, plot, "
+                                          "H_list\n"),
+    ("example33", "H_list = 0.5\nN = 8\n", "reads no key 'N'; its keys are H_list, N_list, T, plot"),
+    ("frac-verify", "check = low\n", "did you mean 'checks'?"),
+    # an unknown key is refused before a value that does not parse
+    ("gram", "N = abc\ntypo = 1\n", "gram reads no key 'typo'"),
+])
+def test_an_unknown_key_is_a_usage_error_naming_the_nearest_key(tmp_path, capsys, experiment,
+                                                                cfg, message):
+    code, out = run(tmp_path, experiment, cfg, seed=1)
+    assert code == 64
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+    assert not out.exists()
+
+
+def test_seed_is_a_key_of_every_experiment(tmp_path):
+    code, out = run(tmp_path, "gram", "N = 4\nseed = 3\n")
+    assert code == 0
+    assert json.loads((out / "run-manifest.json").read_text())["seed"] == 3
+
+
+class _Recording(dict):
+    """A resolved config that adds every key an experiment reads to `read`."""
+
+    def __init__(self, cfg, read):
+        super().__init__(cfg)
+        self.read = read
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+# configs that take the branches the contract cases leave out
+BRANCH_CASES = [(exp, model + "N = 4\n") for exp in cli.KEYS if "sigma" in cli.KEYS[exp]
+                for model in ("model = weighted_fbm\n", "model = sum\n")] + [
+    ("bsde-verify", "N = 4\ntrials = 1\nsolution = wick\nK = 3\n"),
+    ("domain-diagnostic", "N = 8\nK_max = 4\ngenerator = contract\n"),
+]
+
+
+@pytest.mark.parametrize("experiment", sorted(cli.EXPERIMENTS))
+def test_every_table_key_is_read_and_every_read_key_is_in_the_table(tmp_path, experiment):
+    # cheap sizes for the model branches, which run with default settings
+    small = {"trials": "1", "K": "3", "K_max": "4", "n_paths": "50", "xi_order": "1"}
+    read = set()
+    for exp, text, *_ in CONTRACT_CASES + BRANCH_CASES:
+        if exp == experiment:
+            (tmp_path / "c.cfg").write_text(text)
+            raw = cli.parse_config(str(tmp_path / "c.cfg"))
+            raw = {**{k: v for k, v in small.items() if k in cli.KEYS[exp] and k not in raw}, **raw}
+            cli.EXPERIMENTS[exp](_Recording(cli.resolve(exp, raw), read), 1, 1)
+    # a key that accepts one word only is checked by resolve and read by none
+    fixed = {key for key, spec in cli.KEYS[experiment].items()
+             if isinstance(spec, tuple) and len(spec) == 1}
+    assert read | fixed == set(cli.KEYS[experiment])
+    assert not read & fixed
+
+
+def test_weighted_fbm_without_sigma_weighs_every_increment_one(tmp_path):
+    bodies = []
+    for subdir, sigma in (("none", ""), ("ones", "sigma = 1,1,1,1\n")):
+        code, out = run(tmp_path, "gram", "model = weighted_fbm\nN = 4\n" + sigma, subdir=subdir)
+        assert code == 0
+        bodies.append((out / "gram.csv").read_bytes())
+    assert bodies[0] == bodies[1]
+
+
+def test_manifest_echoes_the_resolved_config(tmp_path):
+    code, out = run(tmp_path, "bsde-verify", "N = 4\ntrials = 1\nxi_order = 2\nsigma = 1, 2\n",
+                    seed=1)
+    assert code == 0
+    config = json.loads((out / "run-manifest.json").read_text())["config"]
+    assert config == json.loads(json.dumps(cli.resolve("bsde-verify", {
+        "N": "4", "trials": "1", "xi_order": "2", "sigma": "1, 2"})))
+    assert set(config) == set(cli.KEYS["bsde-verify"])
+    # parsed values, the defaults of the keys not given, and None for a
+    # default the experiment works out
+    assert config["N"] == 4 and config["xi_order"] == 2 and config["sigma"] == [1.0, 2.0]
+    assert config["a_const"] == 0.5 and config["with_driver"] is True
+    assert config["model"] == "fbm" and config["solution"] == "represent"
+    code, out = run(tmp_path, "frac-verify", "checks = low\nM = 400\n", subdir="frac")
+    assert code == 0
+    config = json.loads((out / "run-manifest.json").read_text())["config"]
+    assert config["checks"] == ["low"] and config["M_kstar"] == 600
+
+
+@pytest.mark.parametrize("spec, text, value", [
+    (3, "7", 7), (0.5, "-2.5e-3", -2.5e-3), (True, "Off", False), (False, "yes", True),
+    ([0.5], "0.1, 0.2 0.3", [0.1, 0.2, 0.3]), ([16], "8,16", [8, 16]), (list, "2", [2.0]),
+    (float, "inf", math.inf), (("fbm", "bm"), "bm", "bm"),
+    (["low", "high"], " high ,low", ["high", "low"]),
+])
+def test_parse_takes_the_type_of_the_spec(spec, text, value):
+    assert cli._parse("key", text, spec) == value
+
+
+def test_parse_keeps_nan():
+    # non-finite numbers parse, so the checks they reach fail by name
+    assert math.isnan(cli._parse("c_scale", "nan", 0.0))
+
+
+@pytest.mark.parametrize("spec, text", [
+    (3, "7.0"), (0.5, ""), (True, "2"), ([0.5], ""), ([0.5], " , "), ([16], "8,1.5"),
+    (list, ""), (("fbm", "bm"), "Fbm"), (["low", "high"], "low,,high"), (["low"], ""),
+])
+def test_parse_refuses_by_key(spec, text):
+    with pytest.raises(ParameterError, match=rf"^key = {re.escape(repr(text))} is not "):
+        cli._parse("key", text, spec)
+
+
+def test_resolve_gives_every_key_its_default():
+    cfg = cli.resolve("skorokhod-check", {})
+    assert cfg["a"] is cfg["b"] is cfg["u"] is cfg["sigma"] is None
+    assert cfg["model"] == "fbm" and cfg["sum_model1"] == "bm" and cfg["trials"] == 20
+    # a list default is a copy, which the run may not change in the table
+    cfg = cli.resolve("example33", {})
+    cfg["H_list"].append(0.9)
+    assert cli.KEYS["example33"]["H_list"] == [0.5, 0.35, 0.2]
+
+
+@pytest.mark.parametrize("cfg, H", [
+    ("", 0.75), ("H = 0.3\n", 0.3), ("model = weighted_fbm\nH = 0.7\n", 0.7),
+    ("model = sum\n", None),
+])
+def test_certificate_reports_the_hurst_index_of_the_model_built(tmp_path, cfg, H):
+    code, out = run(tmp_path, "nonexist-cert", cfg + "N = 8\nK_max = 4\n")
+    assert code == 0
+    payload = json.loads((out / "certificate.json").read_text())
+    assert payload["status"] == "certificate" and payload["H"] == H
+
+
+def _key_row(key, spec):
+    """One README table row: key, type, default, accepted words."""
+    if isinstance(spec, tuple):
+        cells = "word", f"`{spec[0]}`", ", ".join(f"`{w}`" for w in spec)
+    elif isinstance(spec, type):
+        cells = "list of float" if spec is list else spec.__name__, "from the grid", ""
+    elif isinstance(spec, list) and isinstance(spec[0], str):
+        cells = "list of words", "all", "a comma list of " + ", ".join(f"`{w}`" for w in spec)
+    elif isinstance(spec, list):
+        cells = f"list of {type(spec[0]).__name__}", ", ".join(map(str, spec)), ""
+    else:
+        cells = type(spec).__name__, str(spec).lower() if isinstance(spec, bool) else str(spec), ""
+    return f"| `{key}` | " + " | ".join(cells) + " |"
+
+
+def test_readme_key_tables_are_the_key_table():
+    head = ["| key | type | default | accepts |", "|---|---|---|---|"]
+    lines = ["The model keys:", "", *head, *(_key_row(k, s) for k, s in cli._MODEL.items()), ""]
+    for exp, keys in cli.KEYS.items():
+        shared = cli._MODEL.items() <= keys.items()
+        rest = [_key_row(k, s) for k, s in keys.items() if not (shared and k in cli._MODEL)]
+        title = f"`{exp}`: the model keys" + (", and" if rest else ".") if shared else f"`{exp}`:"
+        lines += [title, ""] + (head + rest + [""] if rest else [])
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert "\n".join(lines) in readme

@@ -17,7 +17,7 @@ from wickgrid import (
     max_correlation,
     operator_norm,
 )
-from wickgrid.errors import DegenerateSplitError, MartingaleCaseError
+from wickgrid.errors import DegenerateSplitError, MartingaleCaseError, ParameterError
 
 
 @pytest.fixture
@@ -207,6 +207,14 @@ def test_dichotomy_on_derived_models():
 def test_jensen_martingale_refusal(bm_ctx):
     with pytest.raises(MartingaleCaseError):
         jensen_counterexample(bm_ctx, 0.5)
+
+
+@pytest.mark.parametrize("eps", [0.0, -1e-3, float("nan"), float("inf")])
+def test_jensen_eps_must_be_finite_and_positive(eps):
+    # NaN passed the old eps <= 0 guard and made the reported bound NaN
+    ctx = build_gram(FractionalBrownianMotion(0.75), TimeGrid([0.0, 1.0, 2.0]))
+    with pytest.raises(ParameterError, match=f"eps must be finite and positive, got {eps}"):
+        jensen_counterexample(ctx, 1.0, eps)
 
 
 def test_jensen_hand_2x2():
