@@ -36,7 +36,6 @@ from .qce import (
     contract_with_shift,
     domain_diagnostic,
     escape_direction,
-    normalized_power_series,
     shifted_qce,
 )
 from .skorokhod import (

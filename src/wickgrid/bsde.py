@@ -35,7 +35,6 @@ from .qce import (
     ShiftContext,
     _escape_from,
     domain_diagnostic,
-    normalized_power_series,
     shifted_qce,
 )
 
@@ -373,7 +372,7 @@ def nonexistence_certificate(model, grid: TimeGrid, r: float,
     sc = ShiftContext(ctx, r, problem.c)
     f = _escape_from(sc, geo)
     rho = ctx.norm_sq(sc.op.forward(f))
-    diag = domain_diagnostic(sc, normalized_power_series(f), K_max)
+    diag = domain_diagnostic(sc, f, K_max)
     bounds = np.cumsum(rho ** np.arange(K_max + 1))
     ok = bool(np.all(diag.partial_sums >= bounds * (1.0 - 1e-12)))
     tail_ratio = float(diag.partial_sums[-1] / diag.partial_sums[-2])

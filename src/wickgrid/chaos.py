@@ -9,7 +9,7 @@ with the Gram pairing applied on every axis.  Two tensor storages coexist:
 * power sums sum_i w_i v_i^(x k), held as a weight array (p,) and a row
   array of vectors (p, N) (a symmetric CP, or Waring, decomposition).  They
   stay exact at high order and are what Wick exponentials and the
-  escape-direction generators produce.
+  escape-direction chain produce.
 
 WickCombo is a deliberately small closed algebra of terms
 (alpha + I(f)) e^(wick g) used for exact closed-form cross-checks; requests
@@ -521,28 +521,21 @@ class WickCombo:
         constant = 0.0
         for base in bases:
             constant += base
+        # order k holds one row base_i / k! times g_i per term, in term order,
+        # plus the dense cross term sym(f x g^(k-1)) / (k-1)! of each term with an f
+        V = np.array([g for _, _, g in self.terms]).reshape(len(bases), self.dim)
         coeffs = [SymmetricTensor.scalar(constant, self.dim)]
-        if all(f is None for _, f, _ in self.terms):
-            # order k holds one row base_i / k! times g_i per term, in term order
-            V = np.array([g for _, _, g in self.terms]).reshape(len(bases), self.dim)
-            coeffs += [SymmetricTensor.from_powers(
+        for k in range(1, K + 1):
+            part = SymmetricTensor.from_powers(
                 k, self.dim, [base / math.factorial(k) for base in bases], V)
-                for k in range(1, K + 1)]
-            return ChaosVector(coeffs, self.dim)
-        coeffs += [SymmetricTensor.zero(k, self.dim) for k in range(1, K + 1)]
-        for base, (_, f, g) in zip(bases, self.terms):
-            for k in range(1, K + 1):
-                part = SymmetricTensor.from_powers(
-                    k, self.dim, [base / math.factorial(k)], [g])
+            for _, f, g in self.terms:
                 if f is not None:
-                    # cross term sym(f x g^(k-1)) / (k-1)!
                     gt = np.float64(1.0)
                     for _ in range(k - 1):
                         gt = np.multiply.outer(gt, g)
                     cross = sym_insert_last(np.multiply.outer(gt, f))
-                    part = part.add(SymmetricTensor.from_dense(
-                        cross / math.factorial(k - 1)))
-                coeffs[k] = coeffs[k].add(part)
+                    part = part.add(SymmetricTensor.from_dense(cross / math.factorial(k - 1)))
+            coeffs.append(part)
         return ChaosVector(coeffs, self.dim)
 
     def evaluate(self, ctx: GramContext, increments: np.ndarray) -> np.ndarray:

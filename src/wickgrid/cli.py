@@ -47,7 +47,6 @@ from .qce import (
     ShiftContext,
     domain_diagnostic,
     escape_direction,
-    normalized_power_series,
     shifted_qce,
 )
 from .skorokhod import SimpleIntegrand, verify_s_transform_identity
@@ -350,6 +349,8 @@ def exp_opnorm_sweep(cfg, seed, threads):
 
 
 def exp_dr_sweep(cfg, seed, threads):
+    if cfg["N"] < 2:
+        raise ParameterError(f"N must be >= 2 for an interior grid node, got {cfg['N']}")
     grid = grid_from_config(cfg)
     rows = _sweep_rows(threads, grid, [(cfg["H"], float(r)) for r in grid.points[1:-1]])
     return [], {"dr_sweep.csv": (["H", "N", "r", "d_r", "opnorm"], rows)}
@@ -374,9 +375,14 @@ def exp_jensen(cfg, seed, threads):
 
 
 def exp_qce_check(cfg, seed, threads):
+    if cfg["trials"] < 1:
+        raise ParameterError("trials must be >= 1; with none nothing is checked")
     ctx = gram_from_config(cfg)
     grid = ctx.grid
     r = _default_r(cfg, grid)
+    i_r = grid.index_of(r)
+    if i_r == grid.n:
+        raise ParameterError(f"r = {r!r} has no later grid node; the towering check needs r < T")
     c = cfg["c_scale"] * grid.indicator(grid.T)
     sc = ShiftContext(ctx, r, c)
     rng = np.random.default_rng(seed)
@@ -408,16 +414,14 @@ def exp_qce_check(cfg, seed, threads):
                                         - s_transform(ctx, want, probe)))
 
     # towering r1 < r2
-    i_r = grid.index_of(r)
     err_tow = 0.0
-    if i_r + 1 <= grid.n:
-        sc2 = ShiftContext(ctx, grid.points[min(i_r + 1, grid.n)], c)
-        for _ in range(5):
-            xi = _random_chaos(rng, ctx, order=3)
-            once = shifted_qce(sc, xi)
-            twice = shifted_qce(sc, shifted_qce(sc2, xi))
-            diff = once.sub(twice)
-            err_tow = _worst(err_tow, math.sqrt(max(diff.l2_norm_sq(ctx), 0.0)))
+    sc2 = ShiftContext(ctx, grid.points[i_r + 1], c)
+    for _ in range(5):
+        xi = _random_chaos(rng, ctx, order=3)
+        once = shifted_qce(sc, xi)
+        twice = shifted_qce(sc, shifted_qce(sc2, xi))
+        diff = once.sub(twice)
+        err_tow = _worst(err_tow, math.sqrt(max(diff.l2_norm_sq(ctx), 0.0)))
 
     checks = [("first_chaos_error", err_fc, "<=", 1e-12), ("wick_s_error", err_we, "<=", 1e-8),
               ("towering_error", err_tow, "<=", 1e-10)]
@@ -448,7 +452,7 @@ def exp_domain_diagnostic(cfg, seed, threads):
         f = ctx.indicator(grid.points[1])
         f = 0.5 * f / max(ctx.norm(f), 1e-300)
 
-    diag = domain_diagnostic(sc, normalized_power_series(f), K_max)
+    diag = domain_diagnostic(sc, f, K_max)
     rows = [(k, float(diag.partial_sums[k]),
              float(diag.term_ratios[k - 1]) if k >= 1 else float("nan"))
             for k in range(K_max + 1)]

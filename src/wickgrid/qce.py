@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List
+from typing import List
 
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
 from .covariance import GramContext
-from .chaos import MAX_SERIES_ORDER, ChaosVector, GramImage, SymmetricTensor, tensor_inner
+from .chaos import ChaosVector, GramImage, SymmetricTensor, _check_series_order, tensor_inner
 from .errors import MartingaleCaseError, ParameterError, ShapeError
 from .firstchaos import SubspaceGeometry, TruncationOperator, _fix_sign, operator_norm
 
@@ -31,7 +31,6 @@ __all__ = [
     "shifted_qce",
     "DomainDiagnostic",
     "domain_diagnostic",
-    "normalized_power_series",
     "escape_direction",
 ]
 
@@ -127,19 +126,20 @@ class DomainDiagnostic:
     overflowed: bool
 
 
-def domain_diagnostic(sc: ShiftContext,
-                      coeff_gen: Callable[[int], SymmetricTensor],
-                      K_max: int) -> DomainDiagnostic:
-    """Partial sums of the domain series for a coefficient rule k -> f_k.
+def domain_diagnostic(sc: ShiftContext, f, K_max: int) -> DomainDiagnostic:
+    """Partial sums of the domain series for the chain f_k = f^(x k) / sqrt(k!),
+    for which k! |f_k|^2 = |f|^(2k).
 
     Coefficients beyond order K_max are not supplied, so every reported f~_n
-    misses its tail terms k > K_max.  Accumulation switches to log space once
-    sums pass 1e300.
+    misses its tail terms k > K_max; K_max above 170 is a ParameterError.
+    Accumulation switches to log space once sums pass 1e300.
     """
     if K_max < 0:
         raise ParameterError("K_max must be >= 0")
-    tensors = [coeff_gen(k) for k in range(K_max + 1)]
-    xi = ChaosVector(tensors, sc.ctx.n)
+    _check_series_order(K_max)
+    n = sc.ctx.n
+    xi = ChaosVector([SymmetricTensor.scalar(1.0, n)] + [SymmetricTensor.from_powers(
+        k, n, [1.0 / math.sqrt(math.factorial(k))], [f]) for k in range(1, K_max + 1)], n)
     tilde = shifted_qce(sc, xi)
     log_terms = np.full(K_max + 1, -np.inf)
     for k in range(K_max + 1):
@@ -152,29 +152,6 @@ def domain_diagnostic(sc: ShiftContext,
     ratios = np.exp(np.diff(log_terms))
     return DomainDiagnostic(partial_sums=sums, log_terms=log_terms,
                             term_ratios=ratios, overflowed=overflow)
-
-
-def normalized_power_series(f) -> Callable[[int], SymmetricTensor]:
-    """Coefficient rule k -> f^(x k) / sqrt(k!), for which k! |f_k|^2 = |f|^(2k).
-
-    This is the chain that the certificate and the domain-diagnostic
-    experiment feed to `domain_diagnostic`.  Orders above MAX_SERIES_ORDER
-    raise ParameterError.
-    """
-    f = np.asarray(f, dtype=float)
-    n = f.size
-
-    def gen(k: int) -> SymmetricTensor:
-        if k == 0:
-            return SymmetricTensor.scalar(1.0, n)
-        if k > MAX_SERIES_ORDER:
-            raise ParameterError(
-                f"series order {k} exceeds {MAX_SERIES_ORDER}: the weight "
-                f"1/sqrt(k!) overflows a double beyond order {MAX_SERIES_ORDER}")
-        return SymmetricTensor.from_powers(
-            k, n, [1.0 / math.sqrt(math.factorial(k))], [f])
-
-    return gen
 
 
 def _norm_sq_stable(ctx: GramContext, t: SymmetricTensor) -> float:

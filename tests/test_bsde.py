@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -18,7 +19,6 @@ from wickgrid import (
     example33_residual,
     integrating_factor,
     nonexistence_certificate,
-    normalized_power_series,
     represent_Y,
     represent_solution,
     sample_increments,
@@ -464,16 +464,25 @@ def test_certificate_order_limit_is_a_parameter_error():
         nonexistence_certificate(model, grid, 0.5, K_max=171)
 
 
-def test_normalized_power_series_weights():
-    f = np.linspace(-1.0, 1.0, 5)
-    gen = normalized_power_series(f)
-    assert gen(0).dense == 1.0
-    for k in range(1, 171):
-        t = gen(k)
-        assert t.weights.tolist() == [1.0 / math.sqrt(math.factorial(k))]
-        assert np.array_equal(t.vectors, [f])
-    with pytest.raises(ParameterError, match="170"):
-        gen(171)
+def test_certificate_partial_sums_match_the_closed_form():
+    # the chain f^(x k) / sqrt(k!) shifts to f~_n = alpha_n (Gamma_r f)^(x n) with
+    # alpha_n = sum_{k=n..K} C(k, n) x^(k-n) / sqrt(k!), x = <f, c_r>, so
+    # S_K = sum_{n<=K} n! alpha_n^2 rho^n; x >= 0 gives alpha_n >= 1/sqrt(n!)
+    grid = TimeGrid.uniform(64)
+    K = 150
+    cert = nonexistence_certificate(FractionalBrownianMotion(0.75), grid, 0.5, a=np.zeros(64),
+                                    c=0.5 * grid.indicator(grid.T), K_max=K)
+    with mpmath.workdps(50):
+        x = mpmath.mpf(cert.coefficients["escape_shift_pairing"])
+        rho = mpmath.mpf(cert.rho)
+        alpha = [mpmath.fsum(mpmath.binomial(k, n) * x ** (k - n)
+                             / mpmath.sqrt(mpmath.factorial(k)) for k in range(n, K + 1))
+                 for n in range(K + 1)]
+        assert all(a >= 1 / mpmath.sqrt(mpmath.factorial(n)) for n, a in enumerate(alpha))
+        total = mpmath.mpf(0)
+        for n, a in enumerate(alpha):
+            total += mpmath.factorial(n) * a**2 * rho**n
+            assert abs(cert.partial_sums[n] - total) <= 1e-12 * total
 
 
 def test_certificate_with_coefficients(rng):

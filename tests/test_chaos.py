@@ -240,6 +240,18 @@ def test_combo_to_chaos_matches_s_transform(ctx, rng):
     assert all(t.is_powers for t in cv2.coeffs[1:])
 
 
+def test_combo_mixing_exponential_and_first_chaos_terms_matches_s_transform(ctx, rng):
+    # each order sums the power rows of both terms and the dense cross term of
+    # the second; with |g_i| = 1/8 and |h| = 1/2 the tail beyond K = 6 is ~1e-12
+    f, g1, g2 = (v / (8 * ctx.norm(v)) for v in rng.standard_normal((3, 6)))
+    combo = WickCombo([(0.3, None, g1), (0.4, f, g2)], 6)
+    cv = combo.to_chaos(ctx, 6)
+    for _ in range(5):
+        h = rng.standard_normal(6)
+        h /= 2 * ctx.norm(h)
+        assert s_transform(ctx, cv, h) == pytest.approx(combo.s(ctx, h), rel=1e-10)
+
+
 def test_wick_exponential_chaos_is_one_power_row_per_order(ctx, rng):
     # f_0 = 1 and f_k = h^(x k) / k! held as the single row (1/k!, h)
     h = rng.standard_normal(6)

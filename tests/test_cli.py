@@ -224,6 +224,9 @@ def test_domain_diagnostic_csv(tmp_path):
     ("bsde-verify", "N = 6\ntrials = 0\n", "trials"),
     ("bsde-verify", "N = 6\nsolution = wick\ntrials = -3\n", "trials"),
     ("skorokhod-check", "N = 8\ntrials = 0\n", "trials"),
+    ("qce-check", "N = 4\ntrials = 0\n", "trials"),
+    ("qce-check", "N = 4\nr = 1.0\n", "r = 1.0 has no later grid node"),
+    ("dr-sweep", "N = 1\n", "N must be >= 2"),
     ("domain-diagnostic", "N = 8\nK_max = 171\n", "170"),
     ("nonexist-cert", "N = 8\nK_max = 171\n", "170"),
     ("mc-crosscheck", "N = 4\nn_paths = 0\n", "n_paths"),
@@ -256,14 +259,15 @@ def test_domain_diagnostic_csv(tmp_path):
 ])
 def test_unusable_check_settings_are_config_errors(tmp_path, capsys, experiment,
                                                   cfg, message):
-    # trials = 0 used to write "passes": true after checking nothing,
-    # K_max = 171 ended in a bare OverflowError, n_paths < 2 wrote NaN z
-    # statistics, solution = wik or plot = ture fell back to a default, a
-    # value that did not parse raised a bare ValueError that named no key,
-    # checks = apendix ran nothing and wrote "passes": true, a shift too
-    # large for the chaos order or K = 400 ended in a bare OverflowError, and
-    # N_kstar = 1 compared one calibration target with itself and passed, an
-    # empty list wrote a header-only table, and epsilon = nan failed the
+    # trials = 0 used to write "passes": true after checking nothing, as did
+    # r = T in qce-check for its towering check, dr-sweep at N = 1 wrote a
+    # header-only table, K_max = 171 ended in a bare OverflowError, n_paths < 2
+    # wrote NaN z statistics, solution = wik or plot = ture fell back to a
+    # default, a value that did not parse raised a bare ValueError that named
+    # no key, checks = apendix ran nothing and wrote "passes": true, a shift
+    # too large for the chaos order or K = 400 ended in a bare OverflowError,
+    # and N_kstar = 1 compared one calibration target with itself and passed,
+    # an empty list wrote a header-only table, and epsilon = nan failed the
     # check rather than the config; the model lines go only to experiments
     # that read those keys
     prefix = "".join(line for line in ("model = fbm\n", "H = 0.75\n")
