@@ -404,13 +404,13 @@ def _example33_residual_sq(H: float, n: int, T: float) -> float:
     With left-point Z = 2(X + V) the residual telescopes to
     sum_j [(dX_j + dV_j)^2 - G_jj]; its second moment follows from the
     Gaussian fourth-moment factorization:
-    2 sum G_jk^2 + 4 dV' G dV + (sum dV_j^2)^2.  No sampling involved.
+    2 sum G_jk^2 + 4 dV' G dV + (sum dV_j^2)^2.  No sampling involved, and no
+    factorization: the moment reads G alone.
     """
-    from .covariance import FractionalBrownianMotion
+    from .covariance import FractionalBrownianMotion, _gram_from_cov
 
     grid = TimeGrid.uniform(n, T)
-    ctx = build_gram(FractionalBrownianMotion(H), grid)
-    G = ctx.G
+    G = _gram_from_cov(FractionalBrownianMotion(H), grid)
     dV = np.diff(grid.points ** (2.0 * H))
     return float(2.0 * np.sum(G * G) + 4.0 * dV @ G @ dV + np.sum(dV**2) ** 2)
 

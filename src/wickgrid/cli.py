@@ -72,6 +72,9 @@ USAGE_EXIT = 64
 # takes other BLAS kernels than one matrix of every path, which round the
 # products differently, so blocks are never shorter than this
 _MC_BLOCK = 4096
+# rows of a CSV body formatted and written at a time; the text of one block,
+# never of the whole body, is held at once
+_CSV_BLOCK = 64
 # the only words a boolean key accepts
 _BOOLS = {"1": True, "true": True, "yes": True, "on": True,
           "0": False, "false": False, "no": False, "off": False}
@@ -174,21 +177,27 @@ def _fmt(x) -> str:
 def write_csv(path: Path, header, rows) -> None:
     """rows: a sequence of value rows, or a 2-D float64 array.
 
-    An array's distinct values are formatted once each and gathered back,
+    The body streams to the file in blocks of _CSV_BLOCK rows.  An array's
+    distinct values are formatted once each and gathered back block by block,
     giving the same bytes as the per-value write of rows.tolist().
     """
-    lines = [",".join(header)]
     if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype == np.float64:
         # unique on the bit patterns, not the values: by value -0.0 == 0.0,
         # and one of "-0" and "0" would be written for both
-        bits, inverse = np.unique(np.ascontiguousarray(rows).view(np.uint64),
-                                  return_inverse=True)
+        keys = np.ascontiguousarray(rows).view(np.uint64)
+        bits = np.unique(keys)
         text = np.array([format(x, ".17g") for x in bits.view(np.float64).tolist()],
                         dtype=object)
-        lines += [",".join(row) for row in text[inverse.reshape(rows.shape)].tolist()]
+
+        def block(lo, hi):
+            return text[np.searchsorted(bits, keys[lo:hi])].tolist()
     else:
-        lines += [",".join(_fmt(v) for v in row) for row in rows]
-    path.write_text("\n".join(lines) + "\n")
+        def block(lo, hi):
+            return [[_fmt(v) for v in row] for row in rows[lo:hi]]
+    with path.open("w") as f:
+        f.write(",".join(header) + "\n")
+        for lo in range(0, len(rows), _CSV_BLOCK):
+            f.write("".join(",".join(row) + "\n" for row in block(lo, lo + _CSV_BLOCK)))
 
 
 def _numpy_to_python(obj):

@@ -124,8 +124,8 @@ def _pow(x, p: float):
     """
     if not isinstance(x, np.ndarray):
         return float(x) ** p
-    uniq, inv = np.unique(x, return_inverse=True)
-    return np.array([v ** p for v in uniq.tolist()])[inv].reshape(np.shape(x))
+    uniq = np.unique(x)
+    return np.array([v ** p for v in uniq.tolist()])[np.searchsorted(uniq, x)]
 
 
 class BrownianMotion:
@@ -218,8 +218,15 @@ class SumModel:
 def _gram_from_cov(model, grid: TimeGrid) -> np.ndarray:
     pts = grid.points
     R = model.cov(pts[:, None], pts[None, :])
-    G = R[1:, 1:] - R[1:, :-1] - R[:-1, 1:] + R[:-1, :-1]
-    return 0.5 * (G + G.T)
+    # in place, in the order of R[1:, 1:] - R[1:, :-1] - R[:-1, 1:] + R[:-1, :-1],
+    # so that no full-size temporary outlives its step
+    G = R[1:, 1:] - R[1:, :-1]
+    G -= R[:-1, 1:]
+    G += R[:-1, :-1]
+    del R
+    S = G + G.T
+    S *= 0.5
+    return S
 
 
 # ---------------------------------------------------------------------------

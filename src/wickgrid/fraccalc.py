@@ -503,7 +503,7 @@ def calibrate_c_h(H: float, ctx: GramContext, m: int = 600):
     c_H = ||g||_L2 / ||1_(0,t*]|| = ||g||_L2 / t*^H.  The spread of the
     per-target constants is the calibration residual; a grid too coarse for
     two distinct targets, whose spread would be 0 by construction, is a
-    ParameterError.
+    ParameterError, as is a mesh with no node below some target.
     """
     targets = [ctx.grid.points[max(1, int(round(q * ctx.grid.n)))]
                for q in (0.3, 0.45, 0.6, 0.75)]
@@ -511,10 +511,20 @@ def calibrate_c_h(H: float, ctx: GramContext, m: int = 600):
         raise ParameterError(f"calibrate_c_h needs two distinct target times t*, and a grid "
                              f"of {ctx.grid.n} interval(s) rounds all four to {targets[0]}")
     T = ctx.grid.T
-    x = cosine_mesh(m, T)
+    t_low = min(targets)
+    x = cosine_mesh(max(m, 1), T)
+    # a target below the first positive node has a zero indicator and a zero
+    # recovery, whose log would make the spread NaN or infinite
+    if m < 1 or x[1] > t_low + 1e-12:
+        raise ParameterError(f"calibrate_c_h mesh of m = {m} cell(s) has no node in "
+                             f"(0, {t_low:g}], so that target recovers zero; refine the mesh")
     W = _kstar_matrix(x, H)
     lam = 1e-6 * np.linalg.norm(W, ord="fro") / math.sqrt(W.shape[0])
-    A = np.vstack([W, lam * np.eye(x.size)])
+    # [W; lam I] built in place: W is dropped before the solves
+    A = np.zeros((2 * x.size, x.size))
+    A[:x.size] = W
+    del W
+    np.fill_diagonal(A[x.size:], lam)
     estimates = []
     for t_star in targets:
         y = (x <= t_star + 1e-12).astype(float)

@@ -521,6 +521,21 @@ def test_example33_monotone_regimes():
     assert np.all(np.diff(res_h02) >= 0)
 
 
+@pytest.mark.parametrize("H", [0.5, 0.35, 0.2])
+def test_example33_residual_equals_the_factorized_gram_route(H):
+    # the residual reads the assembled Gram without build_gram's eigh; its
+    # numbers are those of the factorized context's G bit for bit
+    ns = [16, 32, 64, 128, 256, 512]
+
+    def via_build_gram(n):
+        grid = TimeGrid.uniform(n, 1.0)
+        G = build_gram(FractionalBrownianMotion(H), grid).G
+        dV = np.diff(grid.points ** (2.0 * H))
+        return math.sqrt(float(2.0 * np.sum(G * G) + 4.0 * dV @ G @ dV + np.sum(dV**2) ** 2))
+
+    assert example33_residual(H, ns).residuals.tolist() == [via_build_gram(n) for n in ns]
+
+
 def test_example33_against_monte_carlo():
     # raw-definition residual sampled pathwise vs the closed-form moment
     H, n = 0.3, 8

@@ -4,6 +4,7 @@ import json
 import math
 import re
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -277,6 +278,20 @@ def test_unusable_check_settings_are_config_errors(tmp_path, capsys, experiment,
     err = capsys.readouterr().err
     assert err.startswith("config error:") and message in err
     assert not (out / "run-manifest.json").exists()
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_kstar_mesh_without_a_node_below_a_target_is_a_config_error(tmp_path, capsys, m):
+    # a zero indicator recovery used to reach np.log(0): a RuntimeWarning, then
+    # kstar_spread = nan (exit 2) or "disagree by inf%" (exit 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run(tmp_path, "frac-verify", f"checks = kstar\nM_kstar = {m}\n", seed=1)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"m = {m} cell(s)" in err
+    assert "refine the mesh" in err
+    assert not out.exists()
 
 
 def test_gram_export_and_plot(tmp_path):
@@ -556,6 +571,12 @@ CSV_ARRAYS = {
     "Nx1": _rng.standard_normal((9, 1)),
     "transposed": _rng.standard_normal((4, 6)).T,
     "no rows": np.zeros((0, 3)),
+    # around the 64-row block the body streams in
+    "63 rows": _rng.standard_normal((63, 5)),
+    "64 rows": _rng.choice([0.25, -0.0, 0.0, 1e-300], size=(64, 4)),
+    "65 rows": _rng.choice([0.1, -2.5, 1 / 3], size=(65, 7)),
+    "129 rows": _rng.standard_normal((129, 3)),
+    "transposed block": _rng.choice([0.5, -0.0, 7.0, 1e-200], size=(3, 130)).T,
 }
 
 
@@ -567,6 +588,28 @@ def test_array_csv_equals_the_per_value_write(tmp_path, name):
     header = [f"c{j}" for j in range(array.shape[1])]
     cli.write_csv(tmp_path / "a.csv", header, array)
     assert (tmp_path / "a.csv").read_bytes() == _per_value_csv(tmp_path / "b.csv", header, array)
+
+
+def test_row_csv_streams_every_block(tmp_path):
+    # value rows take the same 64-row blocks as arrays
+    rows = [(i, i / 7, "x" if i % 2 else 0.0) for i in range(129)]
+    cli.write_csv(tmp_path / "r.csv", ["i", "v", "s"], rows)
+    want = "i,v,s\n" + "".join(",".join(cli._fmt(v) for v in row) + "\n" for row in rows)
+    assert (tmp_path / "r.csv").read_text() == want
+
+
+def test_gram_csv_write_memory_is_bounded_by_the_block(tmp_path):
+    # the 6 MB body of the N = 512 Gram; holding its whole text and the inverse
+    # of a 262k-element sort at once peaked at ~20 MB
+    ctx = cli.gram_from_config(cli.resolve("gram", {"model": "fbm", "H": "0.3", "N": "512"}))
+    header = [f"c{j}" for j in range(ctx.n)]
+    tracemalloc.start()
+    try:
+        cli.write_csv(tmp_path / "gram.csv", header, ctx.G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 def test_gram_csv_equals_the_per_value_write_of_the_gram(tmp_path):

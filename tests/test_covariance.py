@@ -16,7 +16,7 @@ from wickgrid import (
     build_gram,
     sample_increments,
 )
-from wickgrid.covariance import _EIG_FLOOR_REL, _gram_from_cov
+from wickgrid.covariance import _EIG_FLOOR_REL, _gram_from_cov, _pow
 from wickgrid.errors import GridAlignmentError, ModelGridError, ParameterError
 
 
@@ -244,6 +244,22 @@ def test_vectorized_gram_bit_identical_to_scalar_loop(model):
                  TimeGrid.uniform(5, 1.5), TimeGrid(irregular)):
         assert np.array_equal(_gram_from_cov(model, grid),
                               _scalar_loop_gram(model, grid))
+
+
+@pytest.mark.parametrize("x", [
+    np.abs(np.subtract.outer(np.linspace(0.0, 1.0, 33), np.linspace(0.0, 1.0, 33))),
+    np.array([0.0, 0.0, 0.5, -0.0, 2.0, 0.5]),
+    np.array([[0.7]]),
+    np.full((3, 4), 0.3),
+    np.zeros((0, 2)),
+], ids=["repeats", "zeros", "1x1", "one value", "empty"])
+@pytest.mark.parametrize("p", [0.2, 0.6, 1.5])
+def test_pow_is_the_scalar_power_per_element(x, p):
+    # each distinct value is raised once and gathered back by a sorted search
+    want = np.array([v ** p for v in x.ravel().tolist()]).reshape(x.shape)
+    got = _pow(x, p)
+    assert got.shape == x.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_scalar_cov_returns_float_and_arrays_broadcast():
