@@ -23,6 +23,7 @@ from .chaos import (
     WickCombo,
     chaos_inner,
     evaluate_chaos_on_sample,
+    random_chaos,
     s_transform,
     sym_insert_last,
     symmetrize_full,

@@ -41,6 +41,7 @@ __all__ = [
     "symmetrize_full",
     "sym_insert_last",
     "chaos_inner",
+    "random_chaos",
 ]
 
 MAX_DIM = 32
@@ -382,8 +383,20 @@ class ChaosVector:
     def l2_norm_sq(self, ctx: GramContext) -> float:
         return chaos_inner(ctx, self, self)
 
+    def l2_norm(self, ctx: GramContext) -> float:
+        """sqrt(E[xi^2]), with a roundoff-negative square floored at zero."""
+        return math.sqrt(max(self.l2_norm_sq(ctx), 0.0))
+
     def __repr__(self) -> str:
         return f"ChaosVector(K={self.max_order}, dim={self.dim})"
+
+
+def random_chaos(rng: np.random.Generator, n: int, order: int) -> ChaosVector:
+    """Dense chaos vector: a normal f_0, then each f_k symmetrized from an (n,)*k normal draw."""
+    coeffs = [SymmetricTensor.scalar(float(rng.standard_normal()), n)]
+    for k in range(1, order + 1):
+        coeffs.append(SymmetricTensor.from_dense(symmetrize_full(rng.standard_normal((n,) * k))))
+    return ChaosVector(coeffs, n)
 
 
 def chaos_inner(ctx: GramContext, xi: ChaosVector, eta: ChaosVector) -> float:

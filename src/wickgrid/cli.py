@@ -38,6 +38,7 @@ from .chaos import (
     WickCombo,
     chaos_inner,
     evaluate_chaos_on_sample,
+    random_chaos,
     s_transform,
     wick_exponential_chaos,
 )
@@ -279,15 +280,25 @@ def gram_from_config(cfg: dict) -> GramContext:
 
 
 def _default_r(cfg: dict, grid: TimeGrid) -> float:
-    r = grid.points[grid.n // 2] if cfg["r"] is None else cfg["r"]
+    """The configured r, by default the middle node, written back into cfg."""
+    r = cfg["r"] = grid.points[grid.n // 2] if cfg["r"] is None else cfg["r"]
     grid.index_of(r)
     return r
+
+
+def _shift_from_config(cfg: dict) -> ShiftContext:
+    """The shift (r, c = c_scale 1_(0, T]) over the configured Gram."""
+    ctx = gram_from_config(cfg)
+    grid = ctx.grid
+    return ShiftContext(ctx, _default_r(cfg, grid), cfg["c_scale"] * grid.indicator(grid.T))
 
 
 # ---------------------------------------------------------------------------
 # experiments; each returns (checks, {file name: body}) and main writes the
 # files: a .csv body is (header, rows), a .json body the object, a .svg body
-# text; a check is a (name, value, relation, bound) record
+# text; a check is a (name, value, relation, bound) record.  A key whose
+# default the experiment works out is written back into cfg, so that the
+# manifest echoes the value the run used
 # ---------------------------------------------------------------------------
 
 def _passes(checks) -> bool:
@@ -386,14 +397,11 @@ def exp_jensen(cfg, seed, threads):
 def exp_qce_check(cfg, seed, threads):
     if cfg["trials"] < 1:
         raise ParameterError("trials must be >= 1; with none nothing is checked")
-    ctx = gram_from_config(cfg)
-    grid = ctx.grid
-    r = _default_r(cfg, grid)
-    i_r = grid.index_of(r)
-    if i_r == grid.n:
-        raise ParameterError(f"r = {r!r} has no later grid node; the towering check needs r < T")
-    c = cfg["c_scale"] * grid.indicator(grid.T)
-    sc = ShiftContext(ctx, r, c)
+    sc = _shift_from_config(cfg)
+    ctx, grid = sc.ctx, sc.ctx.grid
+    if sc.m == grid.n:
+        raise ParameterError(f"r = {cfg['r']!r} has no later grid node; "
+                             "the towering check needs r < T")
     rng = np.random.default_rng(seed)
     K = cfg["K"]
 
@@ -402,64 +410,44 @@ def exp_qce_check(cfg, seed, threads):
     for t in grid.points[1:]:
         ind = ctx.indicator(t)
         got = shifted_qce(sc, ChaosVector.first_chaos(ind))
-        shift = -ctx.inner(ind - sc.op.forward(ind), c)
+        shift = -ctx.inner(ind - sc.op.forward(ind), sc.c)
         want = ChaosVector.first_chaos(sc.op.forward(ind), constant=shift)
-        diff = got.sub(want)
-        err_fc = _worst(err_fc, math.sqrt(max(diff.l2_norm_sq(ctx), 0.0)))
+        err_fc = _worst(err_fc, got.sub(want).l2_norm(ctx))
 
     # Wick-exponential closed form, compared through the S-transform
     err_we = 0.0
     for _ in range(cfg["trials"]):
-        h = rng.standard_normal(ctx.n)
-        h /= max(ctx.norm(h), 1e-300)
+        h = ctx.unit(rng.standard_normal(ctx.n))
         got = shifted_qce(sc, wick_exponential_chaos(ctx, h, K))
         gh = sc.op.forward(h)
         factor = math.exp(ctx.inner(h, sc.c_r))
         want = wick_exponential_chaos(ctx, gh, K).scaled(factor)
         for _ in range(5):
-            probe = rng.standard_normal(ctx.n)
-            probe /= max(ctx.norm(probe), 1e-300)
+            probe = ctx.unit(rng.standard_normal(ctx.n))
             err_we = _worst(err_we, abs(s_transform(ctx, got, probe)
                                         - s_transform(ctx, want, probe)))
 
     # towering r1 < r2
     err_tow = 0.0
-    sc2 = ShiftContext(ctx, grid.points[i_r + 1], c)
+    sc2 = ShiftContext(ctx, grid.points[sc.m + 1], sc.c)
     for _ in range(5):
-        xi = _random_chaos(rng, ctx, order=3)
+        xi = random_chaos(rng, ctx.n, 3)
         once = shifted_qce(sc, xi)
         twice = shifted_qce(sc, shifted_qce(sc2, xi))
-        diff = once.sub(twice)
-        err_tow = _worst(err_tow, math.sqrt(max(diff.l2_norm_sq(ctx), 0.0)))
+        err_tow = _worst(err_tow, once.sub(twice).l2_norm(ctx))
 
     checks = [("first_chaos_error", err_fc, "<=", 1e-12), ("wick_s_error", err_we, "<=", 1e-8),
               ("towering_error", err_tow, "<=", 1e-10)]
     return checks, {"qce_check.json": _verdict(checks)}
 
 
-def _random_chaos(rng, ctx, order=3) -> ChaosVector:
-    from .chaos import SymmetricTensor, symmetrize_full
-
-    n = ctx.n
-    coeffs = [SymmetricTensor.scalar(float(rng.standard_normal()), n)]
-    for k in range(1, order + 1):
-        t = symmetrize_full(rng.standard_normal((n,) * k))
-        coeffs.append(SymmetricTensor.from_dense(t))
-    return ChaosVector(coeffs, n)
-
-
 def exp_domain_diagnostic(cfg, seed, threads):
-    ctx = gram_from_config(cfg)
-    grid = ctx.grid
-    r = _default_r(cfg, grid)
-    c = cfg["c_scale"] * grid.indicator(grid.T)
-    sc = ShiftContext(ctx, r, c)
+    sc = _shift_from_config(cfg)
     K_max = cfg["K_max"]
     if cfg["generator"] == "escape":
         f = escape_direction(sc)
     else:
-        f = ctx.indicator(grid.points[1])
-        f = 0.5 * f / max(ctx.norm(f), 1e-300)
+        f = 0.5 * sc.ctx.unit(sc.ctx.indicator(sc.ctx.grid.points[1]))
 
     diag = domain_diagnostic(sc, f, K_max)
     rows = [(k, float(diag.partial_sums[k]),
@@ -474,17 +462,24 @@ def exp_skorokhod_check(cfg, seed, threads):
     pts = grid.points
     a, b, u = (pts[i * grid.n // 4] if cfg[key] is None else cfg[key]
                for i, key in enumerate("abu", 1))
+    cfg.update(a=a, b=b, u=u)
     Z = SimpleIntegrand(ctx, [(a, b, WickCombo.exponential(ctx.indicator(u)))])
     err = verify_s_transform_identity(ctx, Z, cfg["trials"], seed)
     checks = [("max_rel_error", err, "<=", 1e-10)]
     return checks, {"skorokhod_check.json": _verdict(checks, a=a, b=b, u=u)}
 
 
-def _problem_from_config(cfg, ctx, rng):
+def _problem_from_config(cfg, ctx, xi, G=None) -> BSDEProblem:
+    """The configured a, gamma = t and c = c_scale 1_(0, T] over ctx, with xi and driver G."""
+    grid = ctx.grid
+    return BSDEProblem(ctx, np.full(ctx.n, cfg["a_const"]), grid.points.copy(),
+                       c=cfg["c_scale"] * grid.indicator(grid.T), G=G, xi=xi)
+
+
+def _random_problem(cfg, ctx, rng) -> BSDEProblem:
+    """The configured problem with a random adapted driver (when with_driver) drawn
+    first, then a random xi of order xi_order."""
     n = ctx.n
-    a = np.full(n, cfg["a_const"])
-    gamma = ctx.grid.points.copy()
-    c = cfg["c_scale"] * ctx.grid.indicator(ctx.grid.T)
     G = [None] * (n + 1)
     if cfg["with_driver"]:
         for i in range(n + 1):
@@ -493,18 +488,17 @@ def _problem_from_config(cfg, ctx, rng):
             const = float(rng.standard_normal())
             G[i] = ChaosVector.first_chaos(v, constant=const) if i > 0 \
                 else ChaosVector.constant(const, n)
-    xi = _random_chaos(rng, ctx, order=cfg["xi_order"])
-    return BSDEProblem(ctx, a, gamma, c=c, G=G, xi=xi)
+    return _problem_from_config(cfg, ctx, random_chaos(rng, n, cfg["xi_order"]), G)
 
 
 def exp_bsde_solve(cfg, seed, threads):
     ctx = gram_from_config(cfg)
     rng = np.random.default_rng(seed)
-    problem = _problem_from_config(cfg, ctx, rng)
+    problem = _random_problem(cfg, ctx, rng)
     sol = represent_solution(problem)
-    rows = [(float(t), float(a), y.expectation(), math.sqrt(max(y.l2_norm_sq(ctx), 0.0)))
+    rows = [(float(t), float(a), y.expectation(), y.l2_norm(ctx))
             for t, a, y in zip(ctx.grid.points, sol.A, sol.Y_nodes)]
-    terminal_err = math.sqrt(max(sol.Y_nodes[-1].sub(problem.xi).l2_norm_sq(ctx), 0.0))
+    terminal_err = sol.Y_nodes[-1].sub(problem.xi).l2_norm(ctx)
     checks = [("terminal_error", terminal_err, "<=", 1e-10)]
     return checks, {"bsde_solution.csv": (["t", "A", "mean_Y", "l2_Y"], rows),
                     "bsde_solution.json": _verdict(checks)}
@@ -513,21 +507,15 @@ def exp_bsde_solve(cfg, seed, threads):
 def exp_bsde_verify(cfg, seed, threads):
     kind = cfg["solution"]
     ctx = gram_from_config(cfg)
-    grid = ctx.grid
     rng = np.random.default_rng(seed)
     if kind == "wick":
-        n = ctx.n
-        problem = BSDEProblem(
-            ctx, np.full(n, cfg["a_const"]), grid.points,
-            c=cfg["c_scale"] * grid.indicator(grid.T),
-            xi=ChaosVector.constant(1.0, n))
-        f = rng.standard_normal(n)
-        f /= 2.0 * max(ctx.norm(f), 1e-300)
+        problem = _problem_from_config(cfg, ctx, ChaosVector.constant(1.0, ctx.n))
+        f = 0.5 * ctx.unit(rng.standard_normal(ctx.n))
         sol = wick_exponential_solution(problem, f, K=cfg["K"])
         problem.xi = sol.Y_nodes[-1]
         tol = 1e-9
     else:
-        problem = _problem_from_config(cfg, ctx, rng)
+        problem = _random_problem(cfg, ctx, rng)
         sol = represent_solution(problem)
         tol = 1e-8
     res = verify_solution_weak(problem, sol, cfg["trials"], seed)
@@ -607,10 +595,9 @@ def exp_mc_crosscheck(cfg, seed, threads):
             f"n_paths must be >= 2 for a sample standard deviation, got {n_paths}")
     ctx = gram_from_config(cfg)
     rng = np.random.default_rng(seed)
-    h = rng.standard_normal(ctx.n)
-    h /= max(ctx.norm(h), 1e-300)
-    xi = _random_chaos(rng, ctx, order=2)
-    eta = _random_chaos(rng, ctx, order=2)
+    h = ctx.unit(rng.standard_normal(ctx.n))
+    xi = random_chaos(rng, ctx.n, 2)
+    eta = random_chaos(rng, ctx.n, 2)
     # the paths come from a stream of their own in blocks of _MC_BLOCK rows,
     # the last block taking the remainder; only the two per-path vectors are
     # held whole, so mean and std reduce them as one vector each

@@ -39,6 +39,8 @@ __all__ = [
 _ALIGN_TOL = 1e-9
 # most negative Gram eigenvalue, relative to trace(G)/N, that is still roundoff
 _EIG_FLOOR_REL = 1e-10
+# condition estimate above which a Gram context sets conditioning_warning
+_COND_CAP = 1e12
 
 
 class TimeGrid:
@@ -241,8 +243,7 @@ class GramContext:
     model/grid inconsistency rather than roundoff.
     """
 
-    def __init__(self, model, grid: TimeGrid, gram: np.ndarray,
-                 cond_cap: float = 1e12):
+    def __init__(self, model, grid: TimeGrid, gram: np.ndarray):
         self.model = model
         self.grid = grid
         self.n = grid.n
@@ -259,7 +260,7 @@ class GramContext:
         lam_max = float(self.eigvals[-1]) if self.eigvals[-1] > 0 else 0.0
         lam_min = float(self.eigvals[0])
         self.cond_estimate = np.inf if lam_min <= 0 else lam_max / lam_min
-        self.conditioning_warning = bool(self.cond_estimate > cond_cap)
+        self.conditioning_warning = bool(self.cond_estimate > _COND_CAP)
         # guards the lazily built matrices below; sweeps share one context
         # across worker threads
         self._lock = threading.Lock()
@@ -275,6 +276,10 @@ class GramContext:
 
     def norm(self, u) -> float:
         return float(np.sqrt(self.norm_sq(u)))
+
+    def unit(self, v) -> np.ndarray:
+        """v scaled to unit Gram norm; a zero vector stays zero."""
+        return v / max(self.norm(v), 1e-300)
 
     def indicator(self, t: float) -> np.ndarray:
         return self.grid.indicator(t)
@@ -331,13 +336,13 @@ def _inv_sqrt(lam: np.ndarray, U: np.ndarray) -> np.ndarray:
     return (U / np.sqrt(lam)) @ U.T
 
 
-def build_gram(model, grid: TimeGrid, cond_cap: float = 1e12) -> GramContext:
+def build_gram(model, grid: TimeGrid) -> GramContext:
     """Assemble the increment Gram of `model` on `grid` and factorize it."""
     if isinstance(model, WeightedFbm):
         gram = model.gram(grid)
     else:
         gram = _gram_from_cov(model, grid)
-    return GramContext(model, grid, gram, cond_cap=cond_cap)
+    return GramContext(model, grid, gram)
 
 
 def sample_increments(ctx: GramContext, n_paths: int, seed: int) -> np.ndarray:

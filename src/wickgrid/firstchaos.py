@@ -125,8 +125,7 @@ def max_correlation(ctx: GramContext, r: float) -> SubspaceGeometry:
                             extremal_pair=(upsilon, psi))
 
 
-def jensen_counterexample(ctx: GramContext, r: float, eps: float = 1e-3,
-                          tol: float = 1e-12) -> np.ndarray:
+def jensen_counterexample(ctx: GramContext, r: float, eps: float = 1e-3) -> np.ndarray:
     """A first-chaos h whose truncation has strictly larger second moment.
 
     Uses the exact extremal pair, h = Upsilon - d_r Psi, so E[Upsilon Psi]
@@ -137,7 +136,7 @@ def jensen_counterexample(ctx: GramContext, r: float, eps: float = 1e-3,
     if not (np.isfinite(eps) and eps > 0):
         raise ParameterError(f"eps must be finite and positive, got {eps}")
     geo = max_correlation(ctx, r)
-    if geo.d_r <= tol:
+    if geo.d_r <= 1e-12:
         raise MartingaleCaseError(
             "past and future are uncorrelated at this r; "
             "truncation is an orthogonal projection and no counterexample exists"

@@ -491,8 +491,7 @@ def hh_step_norm(ctx: GramContext, f: FuncOnGrid) -> float:
     """
     pts = ctx.grid.points
     mids = 0.5 * (pts[:-1] + pts[1:])
-    step = f.interp(mids)
-    return math.sqrt(max(ctx.inner(step, step), 0.0))
+    return ctx.norm(f.interp(mids))
 
 
 def calibrate_c_h(H: float, ctx: GramContext, m: int = 600):

@@ -183,8 +183,9 @@ def _escape_from(sc: ShiftContext, geo: SubspaceGeometry) -> np.ndarray:
     lam = geo.opnorm**2
     if geo.opnorm <= 1.0 + 1e-9:
         raise MartingaleCaseError(
-            "truncation has operator norm 1 at this r; every direction "
-            "contracts and no escape direction exists"
+            "operator norm is 1 at this r: martingale grid, the linear "
+            "equation admits solutions for every square-integrable terminal "
+            "value; no non-existence certificate"
         )
     v = geo.extremal_direction
     v = v / sc.ctx.norm(v)

@@ -37,6 +37,7 @@ from wickgrid import (
     max_correlation,
     nonexistence_certificate,
     operator_norm,
+    random_chaos,
     represent_Y,
     appendix_reconstruction_check,
     s_transform,
@@ -56,18 +57,6 @@ from wickgrid.errors import MartingaleCaseError
 
 def report(num, name):
     print(f"[criterion {num:02d}] PASS {name}")
-
-
-def random_chaos(rng, n, order):
-    coeffs = [SymmetricTensor.scalar(float(rng.standard_normal()), n)]
-    for k in range(1, order + 1):
-        coeffs.append(SymmetricTensor.from_dense(
-            symmetrize_full(rng.standard_normal((n,) * k))))
-    return ChaosVector(coeffs, n)
-
-
-def l2(ctx, cv):
-    return math.sqrt(max(cv.l2_norm_sq(ctx), 0.0))
 
 
 def test_criterion_01_martingale_dichotomy():
@@ -150,18 +139,16 @@ def test_criterion_05_shifted_qce_closed_forms():
         got = shifted_qce(sc, ChaosVector.first_chaos(ind))
         trunc = sc.op.forward(ind)
         want = ChaosVector.first_chaos(trunc, constant=-ctx.inner(ind - trunc, c))
-        assert l2(ctx, got.sub(want)) <= 1e-12
+        assert got.sub(want).l2_norm(ctx) <= 1e-12
     # Wick exponentials at K = 12, |h| <= 1, compared through the S-transform
     K = 12
     for _ in range(10):
-        h = rng.standard_normal(16)
-        h /= ctx.norm(h)
+        h = ctx.unit(rng.standard_normal(16))
         got = shifted_qce(sc, wick_exponential_chaos(ctx, h, K))
         factor = math.exp(ctx.inner(h, sc.c_r))
         want = wick_exponential_chaos(ctx, sc.op.forward(h), K).scaled(factor)
         for _ in range(5):
-            p = rng.standard_normal(16)
-            p /= ctx.norm(p)
+            p = ctx.unit(rng.standard_normal(16))
             assert abs(s_transform(ctx, got, p) - s_transform(ctx, want, p)) <= 1e-8
     report(5, "shifted-QCE closed forms (first chaos exact, Wick exp at K=12)")
 
@@ -176,11 +163,11 @@ def test_criterion_06_towering_and_measurability():
         xi = random_chaos(rng, 8, 3)
         once = shifted_qce(sc1, xi)
         twice = shifted_qce(sc1, shifted_qce(sc2, xi))
-        assert l2(ctx, once.sub(twice)) <= 1e-10
+        assert once.sub(twice).l2_norm(ctx) <= 1e-10
         # fixed points are exactly the measurable vectors
         out = shifted_qce(sc2, xi)
         assert out.support_bound() <= sc2.m
-        assert l2(ctx, shifted_qce(sc2, out).sub(out)) <= 1e-10
+        assert shifted_qce(sc2, out).sub(out).l2_norm(ctx) <= 1e-10
     m = sc2.m
     for _ in range(10):
         coeffs = [SymmetricTensor.scalar(float(rng.standard_normal()), 8)]
@@ -189,7 +176,7 @@ def test_criterion_06_towering_and_measurability():
             t[(slice(0, m),) * k] = rng.standard_normal((m,) * k)
             coeffs.append(SymmetricTensor.from_dense(symmetrize_full(t)))
         xi = ChaosVector(coeffs, 8)
-        assert l2(ctx, shifted_qce(sc2, xi).sub(xi)) <= 1e-10
+        assert shifted_qce(sc2, xi).sub(xi).l2_norm(ctx) <= 1e-10
     report(6, "towering composition and measurability fixed points")
 
 
@@ -202,8 +189,7 @@ def test_criterion_07_martingale_measure_change():
         c = rng.standard_normal(8)
         c *= 0.6 / ctx.norm(c)
         sc = ShiftContext(ctx, r, c)
-        f = rng.standard_normal(8)
-        f /= ctx.norm(f)
+        f = ctx.unit(rng.standard_normal(8))
         got = shifted_qce(sc, wick_exponential_chaos(ctx, f, K))
         c_fut = c.copy()
         c_fut[:sc.m] = 0.0
@@ -211,8 +197,7 @@ def test_criterion_07_martingale_measure_change():
                  .multiply_exponential(ctx, -c_fut)
                  .conditional_expectation_independent(ctx, r))
         for _ in range(5):
-            p = rng.standard_normal(8)
-            p /= ctx.norm(p)
+            p = ctx.unit(rng.standard_normal(8))
             assert abs(s_transform(ctx, got, p) - bayes.s(ctx, p)) <= 1e-8
     report(7, "martingale measure-change Bayes formula")
 
@@ -236,7 +221,7 @@ def test_criterion_08_skorokhod_identities():
     xi = skorokhod_chaos(ctx, Z, t, a).add(cm_pathwise_integral(ctx, Z, c, t, a))
     for v in (0.125, 0.375, 0.5):
         out = shifted_qce(ShiftContext(ctx, v, c), xi)
-        assert l2(ctx, out) <= 1e-9
+        assert out.l2_norm(ctx) <= 1e-9
     # quasi-adapted integrands are fixed by conditioning at the endpoint
     slots_a = [np.zeros((8,) * (k + 1)) for k in range(2)]
     slots_a[0] = rng.standard_normal(8)
@@ -249,7 +234,7 @@ def test_criterion_08_skorokhod_identities():
         xi_a = skorokhod_chaos(ctx, Za, 0.0, s).add(
             cm_pathwise_integral(ctx, Za, c, 0.0, s))
         diff = shifted_qce(ShiftContext(ctx, s, c), xi_a).sub(xi_a)
-        assert l2(ctx, diff) <= 1e-9
+        assert diff.l2_norm(ctx) <= 1e-9
     report(8, "Skorokhod S-identity, vanishing QCE, quasi-adapted fixity")
 
 
@@ -282,7 +267,7 @@ def test_criterion_10_bsde_representation():
                      else ChaosVector.constant(const, 8))
         xi = random_chaos(rng, 8, 3)
         p = BSDEProblem(ctx, a, gamma, c=c, G=G, xi=xi)
-        assert l2(ctx, represent_Y(p, 1.0).sub(xi)) <= 1e-12
+        assert represent_Y(p, 1.0).sub(xi).l2_norm(ctx) <= 1e-12
         Y = [represent_Y(p, t) for t in ctx.grid.points]
         sol = BSDESolution(Y_nodes=Y, A=integrating_factor(p), xi_tilde=xi_shifted(p))
         assert verify_solution_weak(p, sol, trials=20, seed=seed) <= 1e-8
@@ -292,8 +277,7 @@ def test_criterion_10_bsde_representation():
         p = BSDEProblem(ctx, rng.standard_normal(8), ctx.grid.points,
                         c=0.4 * rng.standard_normal(8),
                         xi=ChaosVector.constant(1.0, 8))
-        f = rng.standard_normal(8)
-        f /= 2 * ctx.norm(f)
+        f = 0.5 * ctx.unit(rng.standard_normal(8))
         sol = wick_exponential_solution(p, f, K=12)
         p.xi = sol.Y_nodes[-1]
         assert verify_solution_weak(p, sol, trials=20, seed=11) <= 1e-9

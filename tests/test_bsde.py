@@ -19,6 +19,7 @@ from wickgrid import (
     example33_residual,
     integrating_factor,
     nonexistence_certificate,
+    random_chaos,
     represent_Y,
     represent_solution,
     sample_increments,
@@ -32,14 +33,6 @@ from wickgrid.bsde import xi_shifted
 from wickgrid.errors import MartingaleCaseError, ParameterError, UnsupportedOperationError
 
 import pairing_oracle as oracle
-
-
-def random_chaos(rng, n, order):
-    coeffs = [SymmetricTensor.scalar(float(rng.standard_normal()), n)]
-    for k in range(1, order + 1):
-        coeffs.append(SymmetricTensor.from_dense(
-            symmetrize_full(rng.standard_normal((n,) * k))))
-    return ChaosVector(coeffs, n)
 
 
 def adapted_driver(rng, n):
@@ -60,10 +53,6 @@ def make_problem(ctx, rng, order=3):
     c = 0.7 * rng.standard_normal(n)
     return BSDEProblem(ctx, a, gamma, c=c, G=adapted_driver(rng, n),
                        xi=random_chaos(rng, n, order))
-
-
-def l2(ctx, cv):
-    return math.sqrt(max(cv.l2_norm_sq(ctx), 0.0))
 
 
 @pytest.fixture
@@ -117,7 +106,7 @@ def test_integrating_factor_step_drift():
 def test_terminal_consistency(ctx, rng):
     p = make_problem(ctx, rng)
     y = represent_Y(p, 1.0)
-    assert l2(ctx, y.sub(p.xi)) <= 1e-12
+    assert y.sub(p.xi).l2_norm(ctx) <= 1e-12
 
 
 def test_reduction_to_quasi_conditional(ctx, rng):
@@ -126,7 +115,7 @@ def test_reduction_to_quasi_conditional(ctx, rng):
     for t in (0.25, 0.625):
         y = represent_Y(p, t)
         want = shifted_qce(ShiftContext(ctx, t, None), xi)
-        assert l2(ctx, y.sub(want)) <= 1e-13
+        assert y.sub(want).l2_norm(ctx) <= 1e-13
 
 
 def test_adaptedness(ctx, rng):
@@ -149,7 +138,7 @@ def test_linearity(ctx, rng):
     for t in (0.375, 0.75):
         lhs = represent_Y(p12, t)
         rhs = represent_Y(p1, t).add(represent_Y(p2, t).scaled(lam))
-        assert l2(ctx, lhs.sub(rhs)) <= 1e-10
+        assert lhs.sub(rhs).l2_norm(ctx) <= 1e-10
 
 
 def test_higher_order_driver_entries(ctx, rng):
@@ -169,7 +158,7 @@ def test_higher_order_driver_entries(ctx, rng):
                     xi=random_chaos(rng, 8, 3))
     sol = represent_solution(p)
     Y = sol.Y_nodes
-    assert l2(ctx, Y[-1].sub(p.xi)) <= 1e-12
+    assert Y[-1].sub(p.xi).l2_norm(ctx) <= 1e-12
     assert all(Y[i].support_bound() <= i for i in range(9))
     assert verify_solution_weak(p, sol, trials=8, seed=4) <= 1e-8
 
@@ -306,8 +295,7 @@ def test_full_equation_residual_of_a_nan_z_is_nan(rng):
     ctx = build_gram(FractionalBrownianMotion(0.7), TimeGrid.uniform(n))
     p = BSDEProblem(ctx, 0.3 * rng.standard_normal(n), ctx.grid.points,
                     xi=ChaosVector.constant(1.0, n))
-    f = rng.standard_normal(n)
-    f /= 4 * ctx.norm(f)
+    f = 0.25 * ctx.unit(rng.standard_normal(n))
     sol = wick_exponential_solution(p, f, K=5)
     p.xi = sol.Y_nodes[-1]
     nan_z = BSDESolution(Y_nodes=sol.Y_nodes, A=sol.A, xi_tilde=sol.xi_tilde,
@@ -338,7 +326,7 @@ def test_backward_recursion_equals_representation(ctx, rng):
     nodes.reverse()
     for i, t in enumerate(ctx.grid.points):
         direct = represent_Y(p, t)
-        assert l2(ctx, direct.sub(nodes[i])) <= 1e-8
+        assert direct.sub(nodes[i]).l2_norm(ctx) <= 1e-8
 
 
 @pytest.mark.parametrize("model", [BrownianMotion(), FractionalBrownianMotion(0.3)])
@@ -347,8 +335,7 @@ def test_wick_solution_full_verification(model, rng):
     a = rng.standard_normal(8)
     c = 0.5 * rng.standard_normal(8)
     p = BSDEProblem(ctx, a, ctx.grid.points, c=c, xi=ChaosVector.constant(1.0, 8))
-    f = rng.standard_normal(8)
-    f /= 2 * ctx.norm(f)
+    f = 0.5 * ctx.unit(rng.standard_normal(8))
     sol = wick_exponential_solution(p, f, K=12)
     p.xi = sol.Y_nodes[-1]
     assert verify_solution_weak(p, sol, trials=10, seed=5) <= 1e-9
@@ -360,14 +347,13 @@ def test_wick_solution_reductions(ctx, rng):
     # a = 0, c = 0: plain truncated exponentials with unit front factor
     p = BSDEProblem(ctx, np.zeros(8), ctx.grid.points,
                     xi=ChaosVector.constant(1.0, 8))
-    f = rng.standard_normal(8)
-    f /= 2 * ctx.norm(f)
+    f = 0.5 * ctx.unit(rng.standard_normal(8))
     sol = wick_exponential_solution(p, f, K=10)
     for i, t in enumerate(ctx.grid.points):
         fp = f.copy()
         fp[i:] = 0.0
         want = wick_exponential_chaos(ctx, fp, 10)
-        assert l2(ctx, sol.Y_nodes[i].sub(want)) <= 1e-12
+        assert sol.Y_nodes[i].sub(want).l2_norm(ctx) <= 1e-12
         fj, combo = (sol.Z.cells[i] if i < 8 else (None, None))
         if fj is not None:
             assert fj == f[i]
@@ -413,14 +399,13 @@ def test_representation_matches_wick_on_martingale_grid(rng):
     ctx = build_gram(BrownianMotion(), TimeGrid.uniform(8))
     p = BSDEProblem(ctx, np.zeros(8), ctx.grid.points,
                     xi=ChaosVector.constant(1.0, 8))
-    f = rng.standard_normal(8)
-    f /= 2 * ctx.norm(f)
+    f = 0.5 * ctx.unit(rng.standard_normal(8))
     K = 12
     sol = wick_exponential_solution(p, f, K=K)
     p.xi = wick_exponential_chaos(ctx, f, K)
     for i, t in enumerate(ctx.grid.points):
         y = represent_Y(p, t)
-        assert l2(ctx, y.sub(sol.Y_nodes[i])) <= 1e-10
+        assert y.sub(sol.Y_nodes[i]).l2_norm(ctx) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -569,8 +554,7 @@ def _wick_solved(ctx, rng, K):
     n = ctx.n
     p = BSDEProblem(ctx, 0.5 * rng.standard_normal(n), ctx.grid.points,
                     c=0.3 * rng.standard_normal(n), xi=ChaosVector.constant(1.0, n))
-    f = rng.standard_normal(n)
-    f /= 2 * ctx.norm(f)
+    f = 0.5 * ctx.unit(rng.standard_normal(n))
     sol = wick_exponential_solution(p, f, K=K)
     p.xi = sol.Y_nodes[-1]
     return p, sol

@@ -16,6 +16,7 @@ from wickgrid import (
     build_gram,
     chaos_inner,
     evaluate_chaos_on_sample,
+    random_chaos,
     s_transform,
     sample_increments,
     symmetrize_full,
@@ -37,6 +38,23 @@ def ctx():
 @pytest.fixture
 def rng():
     return np.random.default_rng(42)
+
+
+def test_random_chaos_is_the_dense_draw_it_replaces(ctx):
+    # f_0 from one normal, then each order from one (n,)*k block, symmetrized
+    got = random_chaos(np.random.default_rng(3), 6, 3)
+    rng = np.random.default_rng(3)
+    want = [SymmetricTensor.scalar(float(rng.standard_normal()), 6)]
+    for k in (1, 2, 3):
+        want.append(SymmetricTensor.from_dense(symmetrize_full(rng.standard_normal((6,) * k))))
+    oracle.assert_same_chaos(got, ChaosVector(want, 6))
+
+
+def test_l2_norm_is_the_floored_root_of_l2_norm_sq(ctx):
+    for xi in (random_chaos(np.random.default_rng(5), 6, 2), ChaosVector.constant(0.0, 6),
+               wick_exponential_chaos(ctx, np.full(6, 0.3), 8)):
+        sq = xi.l2_norm_sq(ctx)
+        assert xi.l2_norm(ctx) == math.sqrt(max(sq, 0.0))
 
 
 def random_symmetric(rng, n, k):
@@ -80,8 +98,7 @@ def test_inner_shape_guard(ctx, rng):
 
 def test_wick_norm_series(ctx, rng):
     # sum_k k! |h^k / k!|^2 telescopes to e^{|h|^2}
-    h = rng.standard_normal(6)
-    h /= ctx.norm(h)
+    h = ctx.unit(rng.standard_normal(6))
     cv = wick_exponential_chaos(ctx, 1.3 * h, 25)
     assert cv.l2_norm_sq(ctx) == pytest.approx(math.exp(1.3**2), rel=1e-12)
 
@@ -232,8 +249,7 @@ def test_combo_to_chaos_matches_s_transform(ctx, rng):
     combo = WickCombo([(0.4, f / (8 * ctx.norm(f)), g / (8 * ctx.norm(g)))], 6)
     cv = combo.to_chaos(ctx, 6)
     for _ in range(5):
-        h = rng.standard_normal(6)
-        h /= 2 * ctx.norm(h)
+        h = 0.5 * ctx.unit(rng.standard_normal(6))
         assert s_transform(ctx, cv, h) == pytest.approx(
             combo.s(ctx, h), rel=1e-10)
     # pure-exponential terms stay in power form at any order
@@ -248,8 +264,7 @@ def test_combo_mixing_exponential_and_first_chaos_terms_matches_s_transform(ctx,
     combo = WickCombo([(0.3, None, g1), (0.4, f, g2)], 6)
     cv = combo.to_chaos(ctx, 6)
     for _ in range(5):
-        h = rng.standard_normal(6)
-        h /= 2 * ctx.norm(h)
+        h = 0.5 * ctx.unit(rng.standard_normal(6))
         assert s_transform(ctx, cv, h) == pytest.approx(combo.s(ctx, h), rel=1e-10)
 
 
@@ -346,8 +361,7 @@ def test_eval_first_chaos_is_linear(ctx, rng):
 
 
 def test_eval_second_order_hermite(ctx, rng):
-    h = rng.standard_normal(6)
-    h /= ctx.norm(h)
+    h = ctx.unit(rng.standard_normal(6))
     cv = ChaosVector([SymmetricTensor.scalar(0.0, 6),
                       SymmetricTensor.zero(1, 6),
                       SymmetricTensor.from_powers(2, 6, [1.0], [h])], 6)

@@ -15,6 +15,7 @@ from wickgrid import (
     chaos_inner,
     cli,
     evaluate_chaos_on_sample,
+    random_chaos,
     sample_increments,
 )
 from wickgrid.errors import ParameterError
@@ -131,7 +132,24 @@ def test_nonexist_cert_bm_refusal(tmp_path):
     code, out = run(tmp_path, "nonexist-cert", "model = bm\nN = 16\n")
     assert code == 0
     payload = json.loads((out / "certificate.json").read_text())
-    assert payload["status"] == "refusal"
+    assert payload == {"status": "refusal", "reason": (
+        "operator norm is 1 at this r: martingale grid, the linear equation admits "
+        "solutions for every square-integrable terminal value; no non-existence certificate")}
+
+
+@pytest.mark.parametrize("experiment,cfg,echo", [
+    ("nonexist-cert", "model = bm\nN = 16\n", {"r": 0.5}),
+    ("jensen", "N = 8\n", {"r": 0.5}),
+    ("qce-check", "N = 4\ntrials = 1\nK = 2\nr = 0.25\n", {"r": 0.25}),
+    ("skorokhod-check", "N = 8\ntrials = 1\nb = 0.75\n", {"a": 0.25, "b": 0.75, "u": 0.75}),
+])
+def test_manifest_echoes_the_defaults_the_run_used(tmp_path, experiment, cfg, echo):
+    # a key whose default the experiment works out is echoed with the value it
+    # took, not as null
+    code, out = run(tmp_path, experiment, cfg, seed=1)
+    assert code == 0
+    config = json.loads((out / "run-manifest.json").read_text())["config"]
+    assert {key: config[key] for key in echo} == echo
 
 
 def test_reproducibility_byte_identical(tmp_path):
@@ -333,12 +351,11 @@ def _mc_crosscheck_unblocked(cfg, seed):
     ctx = cli.gram_from_config(cfg)
     rng = np.random.default_rng(seed)
     X = sample_increments(ctx, n_paths, seed)
-    h = rng.standard_normal(ctx.n)
-    h /= max(ctx.norm(h), 1e-300)
+    h = ctx.unit(rng.standard_normal(ctx.n))
     vals = np.exp(X @ h - 0.5 * ctx.norm_sq(h))
     z_mean = abs(vals.mean() - 1.0) / (vals.std(ddof=1) / math.sqrt(n_paths))
-    xi = cli._random_chaos(rng, ctx, order=2)
-    eta = cli._random_chaos(rng, ctx, order=2)
+    xi = random_chaos(rng, ctx.n, 2)
+    eta = random_chaos(rng, ctx.n, 2)
     prod = (evaluate_chaos_on_sample(ctx, xi, X)
             * evaluate_chaos_on_sample(ctx, eta, X))
     want = chaos_inner(ctx, xi, eta)
@@ -670,8 +687,7 @@ def test_domain_diagnostic_contract_generator_converges(tmp_path):
     assert code == 0
     sums = np.array([float(row["S_K"]) for row in read_csv(out / "domain_diagnostic.csv")])
     ctx = cli.gram_from_config(cli.resolve("domain-diagnostic", {"H": "0.3", "N": "8"}))
-    f = ctx.indicator(ctx.grid.points[1])
-    f = 0.5 * f / ctx.norm(f)
+    f = 0.5 * ctx.unit(ctx.indicator(ctx.grid.points[1]))
     rho = ctx.norm_sq(TruncationOperator(ctx, ctx.grid.points[4]).forward(f))
     assert sums.size == 21
     assert np.all(np.isfinite(sums))

@@ -170,11 +170,25 @@ def test_indefinite_model_rejected():
 
 
 def test_conditioning_warning_flag():
-    ctx = build_gram(FractionalBrownianMotion(0.2), TimeGrid.uniform(16),
-                     cond_cap=1.5)
+    # one increment weighted 1e-7 puts the condition estimate near 2e14, past 1e12
+    grid = TimeGrid.uniform(4)
+    ctx = build_gram(WeightedFbm(0.75, [1e-7, 1.0, 1.0, 1.0], grid), grid)
+    assert ctx.cond_estimate > 1e12
     assert ctx.conditioning_warning
     ctx2 = build_gram(BrownianMotion(), TimeGrid.uniform(16))
     assert not ctx2.conditioning_warning
+
+
+def test_unit_is_the_guarded_division_it_replaces():
+    ctx = build_gram(FractionalBrownianMotion(0.3), TimeGrid.uniform(8))
+    rng = np.random.default_rng(11)
+    for v in rng.standard_normal((200, 8)) * 10.0 ** rng.integers(-5, 6, size=(200, 1)):
+        m = max(ctx.norm(v), 1e-300)
+        assert np.array_equal(ctx.unit(v), v / m)
+        # the half-norm probes of bsde-verify and domain-diagnostic keep their bits
+        assert np.array_equal(0.5 * ctx.unit(v), v / (2.0 * m))
+        assert np.array_equal(0.5 * ctx.unit(v), 0.5 * v / m)
+    assert np.array_equal(ctx.unit(np.zeros(8)), np.zeros(8))
 
 
 def test_sampling_deterministic_and_empty():

@@ -20,6 +20,7 @@ from wickgrid import (
     domain_diagnostic,
     escape_direction,
     operator_norm,
+    random_chaos,
     s_transform,
     shifted_qce,
     symmetrize_full,
@@ -38,18 +39,6 @@ def ctx():
 @pytest.fixture
 def rng():
     return np.random.default_rng(7)
-
-
-def random_chaos(rng, n, order):
-    coeffs = [SymmetricTensor.scalar(float(rng.standard_normal()), n)]
-    for k in range(1, order + 1):
-        coeffs.append(SymmetricTensor.from_dense(
-            symmetrize_full(rng.standard_normal((n,) * k))))
-    return ChaosVector(coeffs, n)
-
-
-def l2_diff(ctx, a, b):
-    return math.sqrt(max(a.sub(b).l2_norm_sq(ctx), 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +96,7 @@ def test_unshifted_first_chaos_is_truncation(ctx, rng):
     v = rng.standard_normal(8)
     got = shifted_qce(sc, ChaosVector.first_chaos(v))
     want = ChaosVector.first_chaos(sc.op.forward(v))
-    assert l2_diff(ctx, got, want) <= 1e-14
+    assert got.sub(want).l2_norm(ctx) <= 1e-14
 
 
 def test_shifted_process_value_closed_form(ctx, rng):
@@ -119,7 +108,7 @@ def test_shifted_process_value_closed_form(ctx, rng):
         # X_{t and r} - E[(X_t - X_{t and r}) I(c)]
         trunc = sc.op.forward(ind)
         want = ChaosVector.first_chaos(trunc, constant=-ctx.inner(ind - trunc, c))
-        assert l2_diff(ctx, got, want) <= 1e-12
+        assert got.sub(want).l2_norm(ctx) <= 1e-12
 
 
 def test_shifted_wick_exponential_closed_form(ctx, rng):
@@ -127,14 +116,12 @@ def test_shifted_wick_exponential_closed_form(ctx, rng):
     sc = ShiftContext(ctx, 0.5, c)
     K = 12
     for _ in range(6):
-        h = rng.standard_normal(8)
-        h /= ctx.norm(h)
+        h = ctx.unit(rng.standard_normal(8))
         got = shifted_qce(sc, wick_exponential_chaos(ctx, h, K))
         factor = math.exp(ctx.inner(h, sc.c_r))
         want = wick_exponential_chaos(ctx, sc.op.forward(h), K).scaled(factor)
         for _ in range(4):
-            p = rng.standard_normal(8)
-            p /= ctx.norm(p)
+            p = ctx.unit(rng.standard_normal(8))
             assert abs(s_transform(ctx, got, p)
                        - s_transform(ctx, want, p)) <= 1e-8
 
@@ -164,7 +151,7 @@ def test_towering(ctx, rng):
             xi = random_chaos(rng, 8, 3)
             once = shifted_qce(sc1, xi)
             twice = shifted_qce(sc1, shifted_qce(sc2, xi))
-            assert l2_diff(ctx, once, twice) <= 1e-10
+            assert once.sub(twice).l2_norm(ctx) <= 1e-10
 
 
 @st.composite
@@ -189,7 +176,7 @@ def test_towering_property(case):
     sc2 = ShiftContext(ctx, ctx.grid.points[i2], c)
     xi = random_chaos(rng, N, 3)
     once = shifted_qce(sc1, xi)
-    assert l2_diff(ctx, once, shifted_qce(sc1, shifted_qce(sc2, xi))) <= 1e-10
+    assert once.sub(shifted_qce(sc1, shifted_qce(sc2, xi))).l2_norm(ctx) <= 1e-10
 
 
 def test_measurable_fixed_point(ctx, rng):
@@ -202,7 +189,7 @@ def test_measurable_fixed_point(ctx, rng):
         t[(slice(0, m),) * k] = rng.standard_normal((m,) * k)
         coeffs.append(SymmetricTensor.from_dense(symmetrize_full(t)))
     xi = ChaosVector(coeffs, 8)
-    assert l2_diff(ctx, shifted_qce(sc, xi), xi) <= 1e-10
+    assert shifted_qce(sc, xi).sub(xi).l2_norm(ctx) <= 1e-10
 
 
 def test_fixed_points_are_measurable(ctx, rng):
@@ -212,7 +199,7 @@ def test_fixed_points_are_measurable(ctx, rng):
     out = shifted_qce(sc, xi)
     # the output is measurable, i.e. itself a fixed point with support <= m
     assert out.support_bound() <= sc.m
-    assert l2_diff(ctx, shifted_qce(sc, out), out) <= 1e-10
+    assert shifted_qce(sc, out).sub(out).l2_norm(ctx) <= 1e-10
 
 
 def test_martingale_bayes_formula(rng):
@@ -224,8 +211,7 @@ def test_martingale_bayes_formula(rng):
     sc = ShiftContext(ctx, r, c)
     K = 12
     for _ in range(5):
-        f = rng.standard_normal(8)
-        f /= ctx.norm(f)
+        f = ctx.unit(rng.standard_normal(8))
         got = shifted_qce(sc, wick_exponential_chaos(ctx, f, K))
         c_fut = c.copy()
         c_fut[:sc.m] = 0.0
@@ -233,8 +219,7 @@ def test_martingale_bayes_formula(rng):
                  .multiply_exponential(ctx, -c_fut)
                  .conditional_expectation_independent(ctx, r))
         for _ in range(4):
-            p = rng.standard_normal(8)
-            p /= ctx.norm(p)
+            p = ctx.unit(rng.standard_normal(8))
             assert abs(s_transform(ctx, got, p) - bayes.s(ctx, p)) <= 1e-8
 
 
