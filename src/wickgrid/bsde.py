@@ -21,6 +21,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+# build_gram is unused here; perfbench/test_tracer.py checks the tracer rebinds bsde.build_gram
 from .covariance import FractionalBrownianMotion, GramContext, TimeGrid, _gram_from_cov, build_gram
 from .chaos import ChaosVector, GramImage, SymmetricTensor, WickCombo
 from .errors import (
@@ -341,9 +342,10 @@ class NonexistenceCertificate:
         }
 
 
-def nonexistence_certificate(model, grid: TimeGrid, r: float,
-                             a=None, c=None, G=None, K_max: int = 12) -> NonexistenceCertificate:
-    """Certificate that some square-integrable terminal value defeats (a, gamma, c, G).
+def nonexistence_certificate(sc: ShiftContext, a=None, G=None,
+                             K_max: int = 12) -> NonexistenceCertificate:
+    """Certificate that some square-integrable terminal value defeats (a, gamma, c, G)
+    at the time r and shift c of sc.
 
     Construction: take the escape direction f (norm < 1 < truncated norm,
     <f, c_r> >= 0), generate xi~ with coefficients f^(x k) / sqrt(k!), and
@@ -355,10 +357,10 @@ def nonexistence_certificate(model, grid: TimeGrid, r: float,
     """
     if K_max < 1:
         raise ParameterError("K_max must be >= 1")
-    ctx = build_gram(model, grid)
-    problem = BSDEProblem(ctx, a, grid.points, c=c, G=G, xi=ChaosVector.constant(0.0, ctx.n))
-    geo = operator_norm(ctx, r)
-    sc = ShiftContext(ctx, r, problem.c)
+    ctx = sc.ctx
+    problem = BSDEProblem(ctx, a, ctx.grid.points, c=sc.c, G=G,
+                          xi=ChaosVector.constant(0.0, ctx.n))
+    geo = operator_norm(ctx, sc.r)
     f = _escape_from(sc, geo)
     rho = ctx.norm_sq(sc.op.forward(f))
     diag = domain_diagnostic(sc, f, K_max)
@@ -376,7 +378,7 @@ def nonexistence_certificate(model, grid: TimeGrid, r: float,
         "K_max": int(K_max),
     }
     return NonexistenceCertificate(
-        rho=float(rho), r=float(r), opnorm=float(geo.opnorm), escape=f,
+        rho=float(rho), r=sc.r, opnorm=float(geo.opnorm), escape=f,
         partial_sums=diag.partial_sums, lower_bounds=bounds, bound_ok=ok,
         tail_ratio=tail_ratio, coefficients=coeffs_echo,
     )

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from itertools import repeat
 from operator import mul
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -185,20 +185,19 @@ class SymmetricTensor:
             t[tuple(idx)] = 0.0
         return SymmetricTensor(self.order, self.dim, dense=t)
 
-    def contract_last(self, ctx: GramContext, w: np.ndarray, times: int,
-                      image: Optional["GramImage"] = None) -> "SymmetricTensor":
+    def contract_last(self, image: "GramImage", times: int) -> "SymmetricTensor":
         """Contract the last `times` axes with w through the Gram matrix.
 
-        `image` is w's GramImage when the caller contracts many tensors against
-        the same w; without it the image is formed here.
+        `image` is GramImage(ctx, w); a caller that contracts many tensors
+        against the same w forms it once.
         """
         if times < 0 or times > self.order:
             raise ShapeError(f"cannot contract {times} axes of an order-{self.order} tensor")
         if times == 0:
             return self.copy()
-        _require_grid(ctx, (self.dim,), "tensor")
-        if image is None:
-            image = GramImage(ctx, w)
+        if image.gw.size != self.dim:
+            raise ShapeError(f"tensor of shape {(self.dim,)} on a grid of "
+                             f"{image.gw.size} increments")
         new_order = self.order - times
         if self.is_powers:
             weights = image.terms(self, times)

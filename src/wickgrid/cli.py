@@ -329,8 +329,10 @@ def exp_gram(cfg, seed, threads):
 def _sweep_rows(threads, grid, points):
     """(H, N, r, d_r, opnorm) rows of (H, r) points, one Gram factorization per H.
 
-    The groups run one after another so that only one Gram is alive at a
-    time; the r values of a group fan out on the executor.
+    The groups run one after another, each waited for before the next, so
+    that only one Gram is alive at a time; only the r values of one group fan
+    out on the executor.  So `threads` speeds up dr-sweep (many r, one H) and
+    not opnorm-sweep (one r per H).
     """
     groups = {}
     for H, r in points:
@@ -382,11 +384,10 @@ def exp_jensen(cfg, seed, threads):
     r = _default_r(cfg, grid)
     eps = cfg["epsilon"]
     try:
-        h = jensen_counterexample(ctx, r, eps)
+        h, d = jensen_counterexample(ctx, r, eps)
     except MartingaleCaseError as exc:
         return [], {"jensen.json": {"status": "martingale-case", "detail": str(exc)}}
     op = TruncationOperator(ctx, r)
-    d = max_correlation(ctx, r).d_r
     ratio = ctx.norm_sq(op.forward(h)) / ctx.norm_sq(h)
     bound = 1.0 / (1.0 - d * d + 2.0 * d * eps)
     checks = [("ratio", ratio, ">", 1.0), ("ratio", ratio, ">=", bound - 1e-9)]
@@ -464,7 +465,7 @@ def exp_skorokhod_check(cfg, seed, threads):
                for i, key in enumerate("abu", 1))
     cfg.update(a=a, b=b, u=u)
     Z = SimpleIntegrand(ctx, [(a, b, WickCombo.exponential(ctx.indicator(u)))])
-    err = verify_s_transform_identity(ctx, Z, cfg["trials"], seed)
+    err = verify_s_transform_identity(Z, cfg["trials"], seed)
     checks = [("max_rel_error", err, "<=", 1e-10)]
     return checks, {"skorokhod_check.json": _verdict(checks, a=a, b=b, u=u)}
 
@@ -524,20 +525,16 @@ def exp_bsde_verify(cfg, seed, threads):
 
 
 def exp_nonexist_cert(cfg, seed, threads):
-    grid = grid_from_config(cfg)
-    model = model_from_config(cfg, grid)
-    r = _default_r(cfg, grid)
-    c = cfg["c_scale"] * grid.indicator(grid.T)
-    n = grid.n
-    a = np.full(n, cfg["a_const"])
+    sc = _shift_from_config(cfg)
+    ctx = sc.ctx
     try:
-        cert = nonexistence_certificate(model, grid, r, a=a, c=c, K_max=cfg["K_max"])
+        cert = nonexistence_certificate(sc, a=np.full(ctx.n, cfg["a_const"]), K_max=cfg["K_max"])
     except MartingaleCaseError as exc:
         return [], {"certificate.json": {"status": "refusal", "reason": str(exc)}}
     payload = cert.to_json_dict()
     payload["status"] = "certificate"
-    payload["H"] = getattr(model, "H", None)
-    payload["N"] = grid.n
+    payload["H"] = getattr(ctx.model, "H", None)
+    payload["N"] = ctx.n
     checks = [("rho", cert.rho, ">", 1.0), ("bound_ok", cert.bound_ok, ">=", True)]
     return checks, {"certificate.json": payload}
 
@@ -579,9 +576,7 @@ def exp_frac_verify(cfg, seed, threads):
         records.append(("truncation_high_error", err, "<=", 1e-2))
     if "kstar" in cfg["checks"]:
         H = cfg["H_kstar"]
-        grid = TimeGrid.uniform(cfg["N_kstar"], 1.0)
-        ctx = build_gram(FractionalBrownianMotion(H), grid)
-        c_h, spread = calibrate_c_h(H, ctx, m=cfg["M_kstar"])
+        c_h, spread = calibrate_c_h(H, TimeGrid.uniform(cfg["N_kstar"], 1.0), m=cfg["M_kstar"])
         report["kstar_c_h"] = c_h
         records.append(("kstar_spread", spread, "<=", 0.02))
     bodies["frac_verify.json"] = _verdict(records, **report)
@@ -680,7 +675,7 @@ def main(argv=None) -> int:
     try:
         cfg = resolve(args.experiment, raw)
         checks, bodies = EXPERIMENTS[args.experiment](cfg, seed, args.threads)
-    except (ParameterError, GridAlignmentError) as exc:
+    except (ParameterError, GridAlignmentError, MartingaleCaseError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # runtime failure

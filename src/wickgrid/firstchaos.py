@@ -12,7 +12,7 @@ Gram block vanishes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -125,8 +125,10 @@ def max_correlation(ctx: GramContext, r: float) -> SubspaceGeometry:
                             extremal_pair=(upsilon, psi))
 
 
-def jensen_counterexample(ctx: GramContext, r: float, eps: float = 1e-3) -> np.ndarray:
-    """A first-chaos h whose truncation has strictly larger second moment.
+def jensen_counterexample(ctx: GramContext, r: float,
+                          eps: float = 1e-3) -> Tuple[np.ndarray, float]:
+    """(h, d_r): a first-chaos h whose truncation has strictly larger second
+    moment, and the maximal correlation d_r it is built from.
 
     Uses the exact extremal pair, h = Upsilon - d_r Psi, so E[Upsilon Psi]
     equals d_r (>= d_r - eps for any eps >= 0) and the second-moment ratio is
@@ -142,4 +144,4 @@ def jensen_counterexample(ctx: GramContext, r: float, eps: float = 1e-3) -> np.n
             "truncation is an orthogonal projection and no counterexample exists"
         )
     upsilon, psi = geo.extremal_pair
-    return upsilon - geo.d_r * psi
+    return upsilon - geo.d_r * psi, geo.d_r

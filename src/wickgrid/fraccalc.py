@@ -23,7 +23,7 @@ import numpy as np
 from scipy.special import beta as beta_fn
 from scipy.special import betainc, gamma as gamma_fn, gammaln, gammasgn
 
-from .covariance import GramContext
+from .covariance import GramContext, TimeGrid
 from .errors import CalibrationError, GridAlignmentError, ParameterError, RegimeError
 
 __all__ = [
@@ -494,7 +494,7 @@ def hh_step_norm(ctx: GramContext, f: FuncOnGrid) -> float:
     return ctx.norm(f.interp(mids))
 
 
-def calibrate_c_h(H: float, ctx: GramContext, m: int = 600):
+def calibrate_c_h(H: float, grid: TimeGrid, m: int = 600):
     """Calibrate the constant in K* from indicator recovery.
 
     For several grid times t*, solve the regularized least-squares problem
@@ -504,12 +504,12 @@ def calibrate_c_h(H: float, ctx: GramContext, m: int = 600):
     two distinct targets, whose spread would be 0 by construction, is a
     ParameterError, as is a mesh with no node below some target.
     """
-    targets = [ctx.grid.points[max(1, int(round(q * ctx.grid.n)))]
+    targets = [grid.points[max(1, int(round(q * grid.n)))]
                for q in (0.3, 0.45, 0.6, 0.75)]
     if len(set(targets)) < 2:
         raise ParameterError(f"calibrate_c_h needs two distinct target times t*, and a grid "
-                             f"of {ctx.grid.n} interval(s) rounds all four to {targets[0]}")
-    T = ctx.grid.T
+                             f"of {grid.n} interval(s) rounds all four to {targets[0]}")
+    T = grid.T
     t_low = min(targets)
     x = cosine_mesh(max(m, 1), T)
     # a target below the first positive node has a zero indicator and a zero

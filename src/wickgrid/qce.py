@@ -62,7 +62,7 @@ def contract_with_shift(sc: ShiftContext, f: SymmetricTensor, i: int) -> Symmetr
     """Contract the last order-i axes of f with c_r through the Gram pairing."""
     if i > f.order:
         raise ShapeError("target order exceeds tensor order")
-    return f.contract_last(sc.ctx, sc.c_r, f.order - i)
+    return f.contract_last(GramImage(sc.ctx, sc.c_r), f.order - i)
 
 
 def shifted_qce(sc: ShiftContext, xi: ChaosVector) -> ChaosVector:
@@ -106,7 +106,7 @@ def shifted_qce(sc: ShiftContext, xi: ChaosVector) -> ChaosVector:
             else:
                 acc = SymmetricTensor.zero(n, xi.dim)
                 for k in range(n, K + 1):
-                    term = xi.coeffs[k].contract_last(sc.ctx, sc.c_r, k - n, image)
+                    term = xi.coeffs[k].contract_last(image, k - n)
                     acc = acc.add(term.scaled(math.comb(k, n)).project_coords(sc.m))
             out.append(acc)
     except OverflowError:

@@ -51,7 +51,7 @@ class SimpleIntegrand:
             self.pieces.append((float(a), float(b), combo))
 
 
-def skorokhod_simple(ctx: GramContext, Z: SimpleIntegrand) -> WickCombo:
+def skorokhod_simple(Z: SimpleIntegrand) -> WickCombo:
     """Exact integral of a simple integrand.
 
     Each piece alpha e^(wick g) on (a, b] contributes
@@ -59,6 +59,7 @@ def skorokhod_simple(ctx: GramContext, Z: SimpleIntegrand) -> WickCombo:
     term forces zero expectation and vanishes for adapted integrands over a
     martingale grid.
     """
+    ctx = Z.ctx
     terms = []
     for a, b, combo in Z.pieces:
         u = ctx.indicator_interval(a, b)
@@ -68,8 +69,7 @@ def skorokhod_simple(ctx: GramContext, Z: SimpleIntegrand) -> WickCombo:
     return WickCombo(terms, ctx.n)
 
 
-def verify_s_transform_identity(ctx: GramContext, Z: SimpleIntegrand,
-                                trials: int, seed: int) -> float:
+def verify_s_transform_identity(Z: SimpleIntegrand, trials: int, seed: int) -> float:
     """Max deviation between S of the integral and the direct pairing formula.
 
     The right-hand side integrates the S-transformed integrand against the
@@ -78,7 +78,8 @@ def verify_s_transform_identity(ctx: GramContext, Z: SimpleIntegrand,
     """
     if trials < 1:
         raise ParameterError("trials must be >= 1; with none nothing is checked")
-    integral = skorokhod_simple(ctx, Z)
+    ctx = Z.ctx
+    integral = skorokhod_simple(Z)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(int(trials)):
@@ -125,7 +126,7 @@ class ChaosField:
         return ChaosField(self.ctx, [t * mask for t in self.slots])
 
 
-def skorokhod_chaos(ctx: GramContext, Z: ChaosField, a: float, b: float) -> ChaosVector:
+def skorokhod_chaos(Z: ChaosField, a: float, b: float) -> ChaosVector:
     """Divergence of Z over (a, b]: slot restricted, then symmetrized upward.
 
     The result xi satisfies (S xi)(h) = <(S Z)(h), h> for every grid h, which
@@ -133,29 +134,29 @@ def skorokhod_chaos(ctx: GramContext, Z: ChaosField, a: float, b: float) -> Chao
     """
     Zr = Z.restricted(a, b)
     K = Zr.max_order
-    coeffs = [SymmetricTensor.zero(k, ctx.n) for k in range(K + 2)]
+    coeffs = [SymmetricTensor.zero(k, Z.dim) for k in range(K + 2)]
     for k, t in enumerate(Zr.slots):
         coeffs[k + 1] = coeffs[k + 1].add(
             SymmetricTensor.from_dense(sym_insert_last(t)))
-    return ChaosVector(coeffs, ctx.n)
+    return ChaosVector(coeffs, Z.dim)
 
 
-def cm_pathwise_integral(ctx: GramContext, Z: ChaosField, c, a: float, b: float) -> ChaosVector:
+def cm_pathwise_integral(Z: ChaosField, c, a: float, b: float) -> ChaosVector:
     """Integral of Z against the Cameron-Martin function of c over (a, b]."""
     c = np.asarray(c, dtype=float)
     Zr = Z.restricted(a, b)
-    gc = ctx.G @ c
-    K = Zr.max_order
+    gc = Z.ctx.G @ c
     coeffs = []
     for k, t in enumerate(Zr.slots):
         v = np.tensordot(t, gc, axes=([-1], [0]))
         coeffs.append(SymmetricTensor.from_dense(v) if k > 0
-                      else SymmetricTensor.scalar(float(v), ctx.n))
-    return ChaosVector(coeffs, ctx.n)
+                      else SymmetricTensor.scalar(float(v), Z.dim))
+    return ChaosVector(coeffs, Z.dim)
 
 
-def simple_to_chaos_field(ctx: GramContext, Z: SimpleIntegrand, K: int) -> ChaosField:
+def simple_to_chaos_field(Z: SimpleIntegrand, K: int) -> ChaosField:
     """Truncate a simple integrand into slot-tensor form (for cross-checks)."""
+    ctx = Z.ctx
     slots = [np.zeros((ctx.n,) * (k + 1)) for k in range(K + 1)]
     for a, b, combo in Z.pieces:
         u = ctx.indicator_interval(a, b)

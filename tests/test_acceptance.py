@@ -84,8 +84,7 @@ def test_criterion_03_jensen_failure():
     ctx = build_gram(FractionalBrownianMotion(0.75), TimeGrid.uniform(16))
     eps = 1e-3
     r = 0.5
-    h = jensen_counterexample(ctx, r, eps)
-    d = max_correlation(ctx, r).d_r
+    h, d = jensen_counterexample(ctx, r, eps)
     op = TruncationOperator(ctx, r)
     ratio = ctx.norm_sq(op.forward(h)) / ctx.norm_sq(h)
     assert ratio >= 1.0 / (1.0 - d * d + 2 * d * eps) - 1e-9
@@ -208,7 +207,7 @@ def test_criterion_08_skorokhod_identities():
         ctx = build_gram(model, TimeGrid.uniform(8))
         pieces = [(0.125, 0.5, WickCombo.exponential(rng.standard_normal(8))),
                   (0.375, 0.875, WickCombo.exponential(rng.standard_normal(8), alpha=-0.6))]
-        err = verify_s_transform_identity(ctx, SimpleIntegrand(ctx, pieces), 20, seed=1)
+        err = verify_s_transform_identity(SimpleIntegrand(ctx, pieces), 20, seed=1)
         assert err <= 1e-10
     ctx = build_gram(FractionalBrownianMotion(0.25), TimeGrid.uniform(8))
     # zero quasi-conditional expectation of future integrals
@@ -218,7 +217,7 @@ def test_criterion_08_skorokhod_identities():
                            for _ in range(8)], axis=-1))
     Z = ChaosField(ctx, slots)
     t, a = 0.5, 1.0
-    xi = skorokhod_chaos(ctx, Z, t, a).add(cm_pathwise_integral(ctx, Z, c, t, a))
+    xi = skorokhod_chaos(Z, t, a).add(cm_pathwise_integral(Z, c, t, a))
     for v in (0.125, 0.375, 0.5):
         out = shifted_qce(ShiftContext(ctx, v, c), xi)
         assert out.l2_norm(ctx) <= 1e-9
@@ -231,8 +230,8 @@ def test_criterion_08_skorokhod_identities():
         slots_a[1][:, i] = v
     Za = ChaosField(ctx, slots_a)
     for s in (0.25, 0.625):
-        xi_a = skorokhod_chaos(ctx, Za, 0.0, s).add(
-            cm_pathwise_integral(ctx, Za, c, 0.0, s))
+        xi_a = skorokhod_chaos(Za, 0.0, s).add(
+            cm_pathwise_integral(Za, c, 0.0, s))
         diff = shifted_qce(ShiftContext(ctx, s, c), xi_a).sub(xi_a)
         assert diff.l2_norm(ctx) <= 1e-9
     report(8, "Skorokhod S-identity, vanishing QCE, quasi-adapted fixity")
@@ -240,14 +239,15 @@ def test_criterion_08_skorokhod_identities():
 
 def test_criterion_09_domain_divergence_certificate():
     for H in (0.75, 0.25):
-        cert = nonexistence_certificate(FractionalBrownianMotion(H),
-                                        TimeGrid.uniform(16), 0.5, K_max=12)
+        ctx = build_gram(FractionalBrownianMotion(H), TimeGrid.uniform(16))
+        cert = nonexistence_certificate(ShiftContext(ctx, 0.5), K_max=12)
         assert cert.rho > 1.0
         bounds = np.cumsum(cert.rho ** np.arange(13))
         assert np.all(cert.partial_sums >= bounds * (1 - 1e-12))
         assert cert.partial_sums[12] / cert.partial_sums[11] >= cert.rho * (1 - 1e-6)
+    bm = build_gram(BrownianMotion(), TimeGrid.uniform(16))
     with pytest.raises(MartingaleCaseError):
-        nonexistence_certificate(BrownianMotion(), TimeGrid.uniform(16), 0.5)
+        nonexistence_certificate(ShiftContext(bm, 0.5))
     report(9, "domain-divergence certificate and martingale refusal")
 
 
@@ -315,8 +315,7 @@ def test_criterion_13_truncation_identities():
     _, err_high = cm_truncate_fbm_high(psi, 0.5, 0.75)
     assert err_high <= 1e-2
     H = 0.3
-    ctx = build_gram(FractionalBrownianMotion(H), TimeGrid.uniform(64))
-    _, spread = calibrate_c_h(H, ctx, m=900)
+    _, spread = calibrate_c_h(H, TimeGrid.uniform(64), m=900)
     assert spread <= 0.02
     report(13, "Cameron-Martin truncation identities and K* calibration")
 

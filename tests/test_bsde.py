@@ -413,14 +413,15 @@ def test_representation_matches_wick_on_martingale_grid(rng):
 # ---------------------------------------------------------------------------
 
 def test_certificate_refused_on_martingale_grid():
+    bm = build_gram(BrownianMotion(), TimeGrid.uniform(16))
     with pytest.raises(MartingaleCaseError):
-        nonexistence_certificate(BrownianMotion(), TimeGrid.uniform(16), 0.5)
+        nonexistence_certificate(ShiftContext(bm, 0.5))
 
 
 @pytest.mark.parametrize("H", [0.75, 0.25])
 def test_certificate_geometric_bound(H):
-    cert = nonexistence_certificate(FractionalBrownianMotion(H),
-                                    TimeGrid.uniform(16), 0.5, K_max=12)
+    ctx = build_gram(FractionalBrownianMotion(H), TimeGrid.uniform(16))
+    cert = nonexistence_certificate(ShiftContext(ctx, 0.5), K_max=12)
     assert cert.rho > 1.0
     assert cert.bound_ok
     want = np.cumsum(cert.rho ** np.arange(13))
@@ -432,21 +433,21 @@ def test_certificate_geometric_bound(H):
 def test_certificate_rejects_k_max_below_one_before_any_work(K_max, monkeypatch):
     import wickgrid.bsde as bsde
 
-    def no_gram(*args, **kwargs):
-        raise AssertionError("Gram built before K_max was checked")
+    def no_eigenproblem(*args, **kwargs):
+        raise AssertionError("operator norm computed before K_max was checked")
 
-    monkeypatch.setattr(bsde, "build_gram", no_gram)
+    monkeypatch.setattr(bsde, "operator_norm", no_eigenproblem)
+    sc = ShiftContext(build_gram(FractionalBrownianMotion(0.75), TimeGrid.uniform(16)), 0.5)
     with pytest.raises(ParameterError, match="K_max must be"):
-        nonexistence_certificate(FractionalBrownianMotion(0.75),
-                                 TimeGrid.uniform(16), 0.5, K_max=K_max)
+        nonexistence_certificate(sc, K_max=K_max)
 
 
 def test_certificate_order_limit_is_a_parameter_error():
     # 1/sqrt(171!) used to end in a bare OverflowError
-    model, grid = FractionalBrownianMotion(0.75), TimeGrid.uniform(8)
-    assert nonexistence_certificate(model, grid, 0.5, K_max=170).bound_ok
+    sc = ShiftContext(build_gram(FractionalBrownianMotion(0.75), TimeGrid.uniform(8)), 0.5)
+    assert nonexistence_certificate(sc, K_max=170).bound_ok
     with pytest.raises(ParameterError, match="170"):
-        nonexistence_certificate(model, grid, 0.5, K_max=171)
+        nonexistence_certificate(sc, K_max=171)
 
 
 def test_certificate_partial_sums_match_the_closed_form():
@@ -455,8 +456,9 @@ def test_certificate_partial_sums_match_the_closed_form():
     # S_K = sum_{n<=K} n! alpha_n^2 rho^n; x >= 0 gives alpha_n >= 1/sqrt(n!)
     grid = TimeGrid.uniform(64)
     K = 150
-    cert = nonexistence_certificate(FractionalBrownianMotion(0.75), grid, 0.5, a=np.zeros(64),
-                                    c=0.5 * grid.indicator(grid.T), K_max=K)
+    sc = ShiftContext(build_gram(FractionalBrownianMotion(0.75), grid), 0.5,
+                      0.5 * grid.indicator(grid.T))
+    cert = nonexistence_certificate(sc, a=np.zeros(64), K_max=K)
     with mpmath.workdps(50):
         x = mpmath.mpf(cert.coefficients["escape_shift_pairing"])
         rho = mpmath.mpf(cert.rho)
@@ -477,8 +479,7 @@ def test_certificate_with_coefficients(rng):
     c = rng.standard_normal(n)
     a = np.where(np.arange(n) < 8, 0.5, -0.25)
     G = adapted_driver(rng, n)
-    cert = nonexistence_certificate(FractionalBrownianMotion(0.25), grid, 0.5,
-                                    a=a, c=c, G=G, K_max=10)
+    cert = nonexistence_certificate(ShiftContext(ctx, 0.5, c), a=a, G=G, K_max=10)
     assert cert.rho > 1.0 and cert.bound_ok
     assert cert.coefficients["escape_shift_pairing"] >= -1e-12
     assert not cert.coefficients["driver_zero"]

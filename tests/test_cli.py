@@ -137,6 +137,15 @@ def test_nonexist_cert_bm_refusal(tmp_path):
         "solutions for every square-integrable terminal value; no non-existence certificate")}
 
 
+def test_domain_diagnostic_on_a_martingale_grid_is_a_config_error(tmp_path, capsys):
+    # no escape direction exists where the operator norm is 1; the refusal
+    # used to reach the catch-all and print "error: ..."
+    code, out = run(tmp_path, "domain-diagnostic", "model = bm\nN = 8\n")
+    assert code == 1
+    assert capsys.readouterr().err.startswith("config error: operator norm is 1 at this r")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("experiment,cfg,echo", [
     ("nonexist-cert", "model = bm\nN = 16\n", {"r": 0.5}),
     ("jensen", "N = 8\n", {"r": 0.5}),
@@ -653,6 +662,25 @@ def test_default_certificate_solves_one_operator_norm(tmp_path, monkeypatch):
     code, out = run(tmp_path, "nonexist-cert", None)
     assert code == 0
     assert json.loads((out / "certificate.json").read_text())["status"] == "certificate"
+    assert len(calls) == 1
+
+
+def test_jensen_solves_one_max_correlation(tmp_path, monkeypatch):
+    # the counterexample and its reported d_r share one geometry
+    from wickgrid import firstchaos
+
+    calls = []
+    real = firstchaos.max_correlation
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(firstchaos, "max_correlation", counted)
+    monkeypatch.setattr(cli, "max_correlation", counted)
+    code, out = run(tmp_path, "jensen", "N = 8\n")
+    assert code == 0
+    assert json.loads((out / "jensen.json").read_text())["status"] == "counterexample"
     assert len(calls) == 1
 
 

@@ -220,9 +220,10 @@ def test_jensen_eps_must_be_finite_and_positive(eps):
 def test_jensen_hand_2x2():
     ctx = build_gram(FractionalBrownianMotion(0.75), TimeGrid([0.0, 1.0, 2.0]))
     eps = 1e-3
-    h = jensen_counterexample(ctx, 1.0, eps)
+    h, d_r = jensen_counterexample(ctx, 1.0, eps)
     op = TruncationOperator(ctx, 1.0)
     d = 2.0**0.5 - 1.0
+    assert d_r == pytest.approx(d, rel=1e-12)
     ratio = ctx.norm_sq(op.forward(h)) / ctx.norm_sq(h)
     # exact extremal pair: the ratio is 1/(1-d^2), above the guaranteed bound
     assert ratio == pytest.approx(1.0 / (1.0 - d * d), rel=1e-12)
@@ -233,7 +234,7 @@ def test_jensen_hand_2x2():
 
 def test_jensen_low_hurst_ratio_above_one():
     ctx = build_gram(FractionalBrownianMotion(0.25), TimeGrid.uniform(16))
-    h = jensen_counterexample(ctx, 0.5, 1e-3)
+    h, _ = jensen_counterexample(ctx, 0.5, 1e-3)
     op = TruncationOperator(ctx, 0.5)
     assert ctx.norm_sq(op.forward(h)) / ctx.norm_sq(h) > 1.0
     # conditioning h returns exactly the past extremal vector

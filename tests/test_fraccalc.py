@@ -356,7 +356,7 @@ def kstar_setup():
     H = 0.3
     grid = TimeGrid.uniform(64, 1.0)
     ctx = build_gram(FractionalBrownianMotion(H), grid)
-    c_h, spread = calibrate_c_h(H, ctx, m=900)
+    c_h, spread = calibrate_c_h(H, grid, m=900)
     return H, ctx, c_h, spread
 
 
@@ -368,12 +368,9 @@ def test_kstar_calibration_spread(kstar_setup):
 def test_kstar_calibration_needs_two_distinct_targets():
     # on one interval all four targets round to t* = 1, and one target
     # compared with itself has spread 0; two intervals give two targets
-    def grid(n):
-        return build_gram(FractionalBrownianMotion(0.3), TimeGrid.uniform(n, 1.0))
-
     with pytest.raises(ParameterError, match="two distinct target times"):
-        calibrate_c_h(0.3, grid(1), m=100)
-    assert calibrate_c_h(0.3, grid(2), m=100)[1] > 0.0
+        calibrate_c_h(0.3, TimeGrid.uniform(1, 1.0), m=100)
+    assert calibrate_c_h(0.3, TimeGrid.uniform(2, 1.0), m=100)[1] > 0.0
 
 
 def test_kstar_isometry_random_smooth(kstar_setup):

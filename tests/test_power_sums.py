@@ -99,9 +99,10 @@ def test_contract_last_matches_dense(case, times):
     A, _, w = case
     ctx = ctx_for(A.dim)
     times = min(times, A.order)
-    scale = absolute(A).contract_last(ctx, np.abs(w), times).to_dense()
-    assert_close(A.contract_last(ctx, w, times).to_dense(),
-                 dense(A).contract_last(ctx, w, times).to_dense(), scale)
+    image = GramImage(ctx, w)
+    scale = absolute(A).contract_last(GramImage(ctx, np.abs(w)), times).to_dense()
+    assert_close(A.contract_last(image, times).to_dense(),
+                 dense(A).contract_last(image, times).to_dense(), scale)
 
 
 @property_test
@@ -127,10 +128,11 @@ def test_merge_keeps_value_and_leaves_distinct_rows(chain):
     got = shifted_qce(sc, xi)
     want = shifted_qce(sc, ChaosVector([dense(f) if f.order else f for f in xi.coeffs],
                                        xi.dim))
+    abs_image = GramImage(ctx, np.abs(sc.c_r))
     for n, (g, w) in enumerate(zip(got.coeffs, want.coeffs)):
         if n:
             assert g.is_powers
             assert len({v.tobytes() for v in g.vectors}) == g.weights.size
-        scale = sum(math.comb(k, n) * absolute(f).contract_last(ctx, np.abs(sc.c_r), k - n)
+        scale = sum(math.comb(k, n) * absolute(f).contract_last(abs_image, k - n)
                     .project_coords(sc.m).to_dense() for k, f in enumerate(xi.coeffs[n:], n))
         assert_close(g.to_dense(), w.to_dense(), scale)

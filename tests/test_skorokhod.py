@@ -54,7 +54,7 @@ def random_field(ctx, rng, K):
 
 def test_plain_increment(ctx):
     Z = SimpleIntegrand(ctx, [(0.25, 0.5, WickCombo.exponential(np.zeros(8)))])
-    out = skorokhod_simple(ctx, Z)
+    out = skorokhod_simple(Z)
     assert len(out.terms) == 1
     alpha, f, g = out.terms[0]
     assert alpha == 0.0
@@ -87,13 +87,13 @@ def test_skorokhod_simple_s_identity_property(case):
     pts = ctx.grid.points
     Z = SimpleIntegrand(ctx, [(pts[i], pts[j], WickCombo.exponential(
         scale * rng.standard_normal(N), alpha=alpha)) for i, j, alpha, scale in pieces])
-    assert verify_s_transform_identity(ctx, Z, 5, seed) <= 1e-10
+    assert verify_s_transform_identity(Z, 5, seed) <= 1e-10
 
 
 def test_martingale_adapted_trace_vanishes():
     ctx = build_gram(BrownianMotion(), TimeGrid.uniform(8))
     Z = SimpleIntegrand(ctx, [(0.5, 0.75, WickCombo.exponential(ctx.indicator(0.25)))])
-    out = skorokhod_simple(ctx, Z)
+    out = skorokhod_simple(Z)
     assert out.terms[0][0] == pytest.approx(0.0, abs=1e-15)
 
 
@@ -101,7 +101,7 @@ def test_memory_trace_term(ctx):
     # nonadapted coefficient picks up -E[X_u (X_b - X_a)]
     u, a, b = 0.875, 0.25, 0.5
     Z = SimpleIntegrand(ctx, [(a, b, WickCombo.exponential(ctx.indicator(u)))])
-    out = skorokhod_simple(ctx, Z)
+    out = skorokhod_simple(Z)
     model = ctx.model
     want = -(model.cov(u, b) - model.cov(u, a))
     assert out.terms[0][0] == pytest.approx(want, rel=1e-12)
@@ -111,7 +111,7 @@ def test_memory_trace_term(ctx):
 def test_zero_expectation(ctx, rng):
     pieces = [(0.125, 0.375, WickCombo.exponential(rng.standard_normal(8), alpha=1.3)),
               (0.5, 1.0, WickCombo.exponential(rng.standard_normal(8), alpha=-0.4))]
-    out = skorokhod_simple(ctx, SimpleIntegrand(ctx, pieces))
+    out = skorokhod_simple(SimpleIntegrand(ctx, pieces))
     assert out.expectation(ctx) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -128,26 +128,26 @@ def test_s_transform_identity(H, rng):
     ctx = build_gram(model, TimeGrid.uniform(8))
     pieces = [(0.125, 0.5, WickCombo.exponential(rng.standard_normal(8))),
               (0.625, 0.875, WickCombo.exponential(rng.standard_normal(8), alpha=0.7))]
-    err = verify_s_transform_identity(ctx, SimpleIntegrand(ctx, pieces), 20, seed=3)
+    err = verify_s_transform_identity(SimpleIntegrand(ctx, pieces), 20, seed=3)
     assert err <= 1e-10
 
 
 def test_s_identity_deviation_of_a_nan_integrand_is_nan(ctx):
     Z = SimpleIntegrand(ctx, [(0.25, 0.5, WickCombo.exponential(ctx.indicator(0.875))),
                               (0.5, 0.75, WickCombo.exponential(np.zeros(8), alpha=math.nan))])
-    assert math.isnan(verify_s_transform_identity(ctx, Z, 3, seed=0))
+    assert math.isnan(verify_s_transform_identity(Z, 3, seed=0))
 
 
 @pytest.mark.parametrize("trials", [0, -3])
 def test_s_identity_check_needs_a_trial(ctx, trials):
     Z = SimpleIntegrand(ctx, [(0.25, 0.5, WickCombo.exponential(ctx.indicator(0.875)))])
     with pytest.raises(ParameterError, match="trials"):
-        verify_s_transform_identity(ctx, Z, trials, seed=0)
+        verify_s_transform_identity(Z, trials, seed=0)
 
 
 def test_s_identity_at_zero_direction(ctx):
     Z = SimpleIntegrand(ctx, [(0.25, 0.5, WickCombo.exponential(ctx.indicator(0.875)))])
-    out = skorokhod_simple(ctx, Z)
+    out = skorokhod_simple(Z)
     assert out.s(ctx, np.zeros(8)) == pytest.approx(0.0, abs=1e-14)
 
 
@@ -157,17 +157,17 @@ def test_s_identity_at_zero_direction(ctx):
 
 def test_deterministic_slot_gives_first_chaos(ctx, rng):
     g = rng.standard_normal(8)
-    out = skorokhod_chaos(ctx, ChaosField.deterministic(ctx, g), 0.0, 1.0)
+    out = skorokhod_chaos(ChaosField.deterministic(ctx, g), 0.0, 1.0)
     assert np.allclose(out.coeffs[1].dense, g)
     assert out.expectation() == 0.0
 
 
 def test_empty_interval_is_zero(ctx, rng):
     Z = random_field(ctx, rng, 1)
-    out = skorokhod_chaos(ctx, Z, 0.5, 0.5)
+    out = skorokhod_chaos(Z, 0.5, 0.5)
     assert out.l2_norm_sq(ctx) == pytest.approx(0.0, abs=1e-15)
     with pytest.raises(IntervalError):
-        skorokhod_chaos(ctx, Z, 0.5, 0.25)
+        skorokhod_chaos(Z, 0.5, 0.25)
 
 
 def test_slot_pair_symmetrization(ctx):
@@ -176,7 +176,7 @@ def test_slot_pair_symmetrization(ctx):
     slot = np.zeros((8, 8))
     slot[i, j] = 1.0
     Z = ChaosField(ctx, [np.zeros(8), slot])
-    out = skorokhod_chaos(ctx, Z, 0.0, 1.0)
+    out = skorokhod_chaos(Z, 0.0, 1.0)
     want = np.zeros((8, 8))
     want[i, j] = want[j, i] = 0.5
     assert np.allclose(out.coeffs[2].dense, want)
@@ -186,7 +186,7 @@ def test_defining_s_relation(ctx, rng):
     # (S integral)(h) = <(S Z)(h), h> with the pairing taken through the Gram
     Z = random_field(ctx, rng, 2)
     a, b = 0.25, 0.875
-    out = skorokhod_chaos(ctx, Z, a, b)
+    out = skorokhod_chaos(Z, a, b)
     mask = np.zeros(8)
     mask[ctx.grid.index_of(a):ctx.grid.index_of(b)] = 1.0
     for _ in range(10):
@@ -205,9 +205,9 @@ def test_defining_s_relation(ctx, rng):
 def test_cm_pathwise_deterministic(ctx, rng):
     g = rng.standard_normal(8)
     c = rng.standard_normal(8)
-    out = cm_pathwise_integral(ctx, ChaosField.deterministic(ctx, g), c, 0.0, 1.0)
+    out = cm_pathwise_integral(ChaosField.deterministic(ctx, g), c, 0.0, 1.0)
     assert out.expectation() == pytest.approx(ctx.inner(g, c), rel=1e-12)
-    zero = cm_pathwise_integral(ctx, ChaosField.deterministic(ctx, g), np.zeros(8), 0.0, 1.0)
+    zero = cm_pathwise_integral(ChaosField.deterministic(ctx, g), np.zeros(8), 0.0, 1.0)
     assert zero.l2_norm_sq(ctx) == 0.0
 
 
@@ -218,7 +218,7 @@ def test_cm_pathwise_hand_n3(rng):
     Z = ChaosField(ctx, [np.zeros(3), slot1])
     c = rng.standard_normal(3)
     a, b = ctx.grid.points[1], ctx.grid.points[3]
-    out = cm_pathwise_integral(ctx, Z, c, a, b)
+    out = cm_pathwise_integral(Z, c, a, b)
     gc = ctx.G @ c
     want = np.zeros(3)
     for slot_idx in (1, 2):
@@ -232,10 +232,10 @@ def test_simple_vs_field_paths(ctx, rng):
     g = 0.5 * ctx.unit(rng.standard_normal(8))
     a, b = 0.25, 0.625
     simple = SimpleIntegrand(ctx, [(a, b, WickCombo.exponential(g))])
-    via_combo = skorokhod_simple(ctx, simple).to_chaos(ctx, 6)
+    via_combo = skorokhod_simple(simple).to_chaos(ctx, 6)
     K = 5
-    field = simple_to_chaos_field(ctx, simple, K)
-    via_field = skorokhod_chaos(ctx, field, a, b)
+    field = simple_to_chaos_field(simple, K)
+    via_field = skorokhod_chaos(field, a, b)
     diff = via_combo.sub(via_field).l2_norm(ctx)
     # always below the truncation budget of the field route; at matched
     # truncation the coefficients even coincide
@@ -249,7 +249,7 @@ def test_qce_annihilates_future_integrals(ctx, rng):
     c = rng.standard_normal(8)
     Z = random_field(ctx, rng, 2)
     t, a = 0.5, 0.875
-    xi = skorokhod_chaos(ctx, Z, t, a).add(cm_pathwise_integral(ctx, Z, c, t, a))
+    xi = skorokhod_chaos(Z, t, a).add(cm_pathwise_integral(Z, c, t, a))
     for v in (0.125, 0.25, 0.5):
         sc = ShiftContext(ctx, v, c)
         out = shifted_qce(sc, xi)
@@ -271,8 +271,8 @@ def test_quasi_adapted_fixed_point(ctx, rng):
     Z = ChaosField(ctx, slots)
     c = rng.standard_normal(8)
     for s in (0.25, 0.5, 0.75):
-        xi = skorokhod_chaos(ctx, Z, 0.0, s).add(
-            cm_pathwise_integral(ctx, Z, c, 0.0, s))
+        xi = skorokhod_chaos(Z, 0.0, s).add(
+            cm_pathwise_integral(Z, c, 0.0, s))
         sc = ShiftContext(ctx, s, c)
         diff = shifted_qce(sc, xi).sub(xi)
         assert diff.l2_norm(ctx) <= 1e-9
@@ -280,5 +280,5 @@ def test_quasi_adapted_fixed_point(ctx, rng):
 
 def test_chaos_integral_zero_mean(ctx, rng):
     Z = random_field(ctx, rng, 2)
-    out = skorokhod_chaos(ctx, Z, 0.25, 0.75)
+    out = skorokhod_chaos(Z, 0.25, 0.75)
     assert out.expectation() == 0.0
