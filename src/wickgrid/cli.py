@@ -42,7 +42,8 @@ from .chaos import (
     s_transform,
     wick_exponential_chaos,
 )
-from .errors import GridAlignmentError, MartingaleCaseError, ParameterError, _worst
+from .errors import (DegenerateSplitError, GridAlignmentError, MartingaleCaseError, ParameterError,
+                     _worst)
 from .firstchaos import jensen_counterexample, max_correlation, operator_norm, TruncationOperator
 from .qce import (
     ShiftContext,
@@ -675,7 +676,7 @@ def main(argv=None) -> int:
     try:
         cfg = resolve(args.experiment, raw)
         checks, bodies = EXPERIMENTS[args.experiment](cfg, seed, args.threads)
-    except (ParameterError, GridAlignmentError, MartingaleCaseError) as exc:
+    except (ParameterError, GridAlignmentError, DegenerateSplitError, MartingaleCaseError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # runtime failure

@@ -18,11 +18,11 @@ from dataclasses import dataclass
 from typing import List
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 from .covariance import GramContext
 from .chaos import ChaosVector, GramImage, SymmetricTensor, _check_series_order, tensor_inner
-from .errors import MartingaleCaseError, ParameterError, ShapeError
+from .errors import DegenerateSplitError, MartingaleCaseError, ParameterError, ShapeError
 from .firstchaos import SubspaceGeometry, TruncationOperator, _fix_sign, operator_norm
 
 __all__ = [
@@ -122,7 +122,7 @@ class DomainDiagnostic:
 
     partial_sums: np.ndarray          # S_0 <= S_1 <= ...
     log_terms: np.ndarray             # log of k! |f~_k|^2 (-inf for zero)
-    term_ratios: np.ndarray           # term_k / term_{k-1}
+    term_ratios: np.ndarray           # term_k / term_{k-1}; nan where both are 0
     overflowed: bool
 
 
@@ -132,7 +132,8 @@ def domain_diagnostic(sc: ShiftContext, f, K_max: int) -> DomainDiagnostic:
 
     Coefficients beyond order K_max are not supplied, so every reported f~_n
     misses its tail terms k > K_max; K_max above 170 is a ParameterError.
-    Accumulation switches to log space once sums pass 1e300.
+    Sums are accumulated in log space; a partial sum past 1e300 reads inf and
+    sets `overflowed`.  A term ratio is nan where both of its terms are 0.
     """
     if K_max < 0:
         raise ParameterError("K_max must be >= 0")
@@ -146,12 +147,37 @@ def domain_diagnostic(sc: ShiftContext, f, K_max: int) -> DomainDiagnostic:
         nrm_sq = _norm_sq_stable(sc.ctx, tilde.get(k))
         if nrm_sq > 0:
             log_terms[k] = gammaln(k + 1) + math.log(nrm_sq)
-    log_sums = np.array([logsumexp(log_terms[: k + 1]) for k in range(K_max + 1)])
+    log_sums = _prefix_logsumexp(log_terms)
     overflow = bool(np.any(log_sums > _LOG_OVERFLOW))
     sums = np.where(log_sums > _LOG_OVERFLOW, np.inf, np.exp(log_sums))
-    ratios = np.exp(np.diff(log_terms))
+    with np.errstate(invalid="ignore"):         # -inf - -inf where two terms vanish
+        ratios = np.exp(np.diff(log_terms))
     return DomainDiagnostic(partial_sums=sums, log_terms=log_terms,
                             term_ratios=ratios, overflowed=overflow)
+
+
+def _prefix_logsumexp(a: np.ndarray) -> np.ndarray:
+    """[scipy.special.logsumexp(a[:k + 1]) for every k], bit for bit, in one pass.
+
+    Row k repeats scipy's steps on the prefix a[:k + 1]: shift by its max,
+    drop the m entries equal to it, sum the exponentials with one contiguous
+    .sum() over exactly k + 1 entries (numpy's pairwise grouping depends on
+    the length, so rows are not padded), form log1p(s / m) + log(m) + max,
+    and where that is not finite take log(sum(exp(prefix))).  The triangle is
+    len(a)^2 doubles, at most 171^2 under the series-order cap.
+    """
+    n = a.size
+    top = np.maximum.accumulate(a)
+    lower = np.tri(n, dtype=bool)
+    ties = lower & (a == top[:, None])
+    m = ties.sum(axis=1).astype(float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        e = np.exp(np.where(ties | ~lower, -np.inf, a) - top[:, None])
+        s = np.array([row[: k + 1].sum() for k, row in enumerate(e)])
+        out = np.log1p(s / m) + np.log(m) + top
+        for k in np.flatnonzero(~np.isfinite(out)):
+            out[k] = np.log(np.exp(a[: k + 1]).sum())
+    return out
 
 
 def _norm_sq_stable(ctx: GramContext, t: SymmetricTensor) -> float:
@@ -173,13 +199,16 @@ def escape_direction(sc: ShiftContext) -> np.ndarray:
 
     Scaling uses the geometric mean: with lam = opnorm^2 the extremal unit
     direction v is scaled to lam^{-1/4}, so |f| = lam^{-1/4} < 1 and
-    |Gamma_r f| = lam^{+1/4} > 1 with equal log-margins.
+    |Gamma_r f| = lam^{+1/4} > 1 with equal log-margins.  At r = 0 or r = T
+    one side of the split is empty: a DegenerateSplitError, on every model.
     """
     return _escape_from(sc, operator_norm(sc.ctx, sc.r))
 
 
 def _escape_from(sc: ShiftContext, geo: SubspaceGeometry) -> np.ndarray:
     """escape_direction(sc) from geo, the operator_norm of (sc.ctx, sc.r)."""
+    if sc.m in (0, sc.ctx.n):
+        raise DegenerateSplitError("past/future split needs 0 < r < T")
     lam = geo.opnorm**2
     if geo.opnorm <= 1.0 + 1e-9:
         raise MartingaleCaseError(

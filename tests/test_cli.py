@@ -146,6 +146,18 @@ def test_domain_diagnostic_on_a_martingale_grid_is_a_config_error(tmp_path, caps
     assert not out.exists()
 
 
+@pytest.mark.parametrize("experiment", ["nonexist-cert", "domain-diagnostic", "jensen"])
+@pytest.mark.parametrize("cfg", ["N = 8\nr = 0\n", "N = 8\nr = 1\n", "model = bm\nN = 8\nr = 0\n"])
+def test_a_degenerate_split_is_a_config_error(tmp_path, capsys, experiment, cfg):
+    # r = 0 or r = T leaves one side of the split empty; nonexist-cert wrote a
+    # "martingale grid" refusal for it, also on fBm, and jensen reached the
+    # catch-all
+    code, out = run(tmp_path, experiment, cfg, seed=1)
+    assert code == 1
+    assert capsys.readouterr().err == "config error: past/future split needs 0 < r < T\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("experiment,cfg,echo", [
     ("nonexist-cert", "model = bm\nN = 16\n", {"r": 0.5}),
     ("jensen", "N = 8\n", {"r": 0.5}),
@@ -721,6 +733,16 @@ def test_domain_diagnostic_contract_generator_converges(tmp_path):
     assert np.all(np.isfinite(sums))
     assert np.all(np.diff(sums) >= 0.0)
     assert np.all(sums <= 1.0 / (1.0 - rho))
+
+
+def test_domain_diagnostic_contract_generator_at_r_zero_warns_nothing(tmp_path):
+    # at r = 0 every term past order 0 vanishes; the ratio of two vanishing
+    # terms reads nan, and computing it warned -inf - -inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run(tmp_path, "domain-diagnostic", "N = 8\nr = 0\nK_max = 3\ngenerator = contract\n")
+    assert code == 0
+    assert (out / "domain_diagnostic.csv").read_text() == "K,S_K,ratio\n0,1,nan\n1,1,0\n2,1,nan\n3,1,nan\n"
 
 
 def test_domain_diagnostic_unknown_generator_is_config_error(tmp_path, capsys):

@@ -25,7 +25,13 @@ from wickgrid import (
     uniform_mesh,
 )
 from wickgrid.errors import GridAlignmentError, ParameterError, RegimeError
-from wickgrid.fraccalc import _2f1_array_near_one, _appendix_profile, _kstar_matrix
+from wickgrid.fraccalc import (
+    _2f1_array_near_one,
+    _appendix_profile,
+    _beta_cell_weights,
+    _cell_weights,
+    _kstar_matrix,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -51,6 +57,77 @@ def test_rl_power_law():
     out = rl_integral(FuncOnGrid.from_callable(lambda s: s**mu, x), alpha, "left")
     want = gamma_fn(mu + 1) / gamma_fn(mu + alpha + 1) * x ** (mu + alpha)
     assert np.max(np.abs(out.values - want)) <= 1e-4
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.7, 1.5])
+@pytest.mark.parametrize("mesh", [uniform_mesh, cosine_mesh])
+def test_rl_of_the_identity_is_exact(mesh, alpha):
+    # f(s) = s is linear, so product integration is exact up to roundoff:
+    # I^alpha s = t^(1+alpha) / Gamma(2+alpha) from the left, and from the right
+    # t (T-t)^alpha / Gamma(1+alpha) + (T-t)^(1+alpha) / ((1+alpha) Gamma(alpha))
+    x = mesh(300, 1.0)
+    f = FuncOnGrid(x, x.copy())
+    left = x ** (1 + alpha) / gamma_fn(2 + alpha)
+    right = (x * (1 - x) ** alpha / gamma_fn(1 + alpha)
+             + (1 - x) ** (1 + alpha) / ((1 + alpha) * gamma_fn(alpha)))
+    assert np.max(np.abs(rl_integral(f, alpha, "left").values - left)) <= 1e-13
+    assert np.max(np.abs(rl_integral(f, alpha, "right").values - right)) <= 1e-13
+
+
+def _incomplete_beta_moments(lo, hi, p, q, L):
+    """int u^(p-1) (L-u)^(q-1) du and int u^p (L-u)^(q-1) du over [lo, hi], as
+    non-regularized incomplete beta functions at mpmath's working precision."""
+    y0, y1 = lo / L, hi / L
+    return (L ** (p + q - 1) * mpmath.betainc(p, q, y0, y1, regularized=False),
+            L ** (p + q) * mpmath.betainc(p + 1, q, y0, y1, regularized=False))
+
+
+# rows of a 16-cell mesh with t at a node: the c1 weights are differences
+# that cancel on cells far from t (relative error ~ eps distance / width), so
+# a finer mesh would test that cancellation rather than the formula
+_MESH16 = uniform_mesh(16, 1.0)
+
+
+@pytest.mark.parametrize("a", [0.8, 0.25])
+def test_cell_weights_against_mpmath(a):
+    # the power-kernel exponents of frac-verify's defaults: H_low + 1/2 and
+    # H_high - 1/2; 30-digit moments of u^(a-1) from mpmath's incomplete beta
+    # (mpmath.quad loses ~1e-10 at the singular endpoint cell)
+    x = _MESH16
+    rows = [x[i] - x[:i + 1] for i in (1, 5, 16)] + [x[i:] - x[i] for i in (0, 7, 15)]
+    with mpmath.workdps(30):
+        for e in rows:
+            L, ap = mpmath.mpf(e.max()), mpmath.mpf(a)
+            want0, want1 = [], []
+            for e0, e1 in zip(map(mpmath.mpf, e[:-1]), map(mpmath.mpf, e[1:])):
+                # e decreasing: t right of the cell, u runs over [e1, e0]
+                sign = 1 if e0 > e1 else -1
+                m0, m1 = _incomplete_beta_moments(min(e0, e1), max(e0, e1), ap, 1, L)
+                want0.append(float(sign * m0))
+                want1.append(float(sign * (e0 * m0 - m1)))
+            c0, c1 = _cell_weights(e, a)
+            np.testing.assert_allclose(c0, want0, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(c1, want1, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("b,nu", [(0.3, -0.3), (0.2, 0.0)])
+def test_beta_cell_weights_against_mpmath(b, nu):
+    # the (s-t)^(b-1) (T-s)^nu kernels of frac-verify's appendix check
+    # (H_app = 0.2) and K* calibration (H_kstar = 0.3)
+    x = _MESH16
+    with mpmath.workdps(30):
+        for i in (0, 5, 14):
+            t = x[i]
+            e, L = x[i:] - t, x[-1] - t
+            want0, want1 = [], []
+            for e0, e1 in zip(map(mpmath.mpf, e[:-1]), map(mpmath.mpf, e[1:])):
+                m0, m1 = _incomplete_beta_moments(e0, e1, mpmath.mpf(b), mpmath.mpf(nu) + 1,
+                                                  mpmath.mpf(L))
+                want0.append(float(m0))
+                want1.append(float(m1 - e0 * m0))
+            c0, c1 = _beta_cell_weights(e, L, b, nu)
+            np.testing.assert_allclose(c0, want0, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(c1, want1, rtol=1e-12, atol=0)
 
 
 def test_rl_semigroup():

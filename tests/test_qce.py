@@ -1,10 +1,12 @@
 """Shifted quasi-conditional expectation: closed forms, towering, domain, escape."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
+from scipy.special import logsumexp
 
 from wickgrid import (
     BrownianMotion,
@@ -26,7 +28,8 @@ from wickgrid import (
     symmetrize_full,
     wick_exponential_chaos,
 )
-from wickgrid.errors import MartingaleCaseError, ParameterError, ShapeError
+from wickgrid.errors import DegenerateSplitError, MartingaleCaseError, ParameterError, ShapeError
+from wickgrid.qce import _LOG_OVERFLOW, _prefix_logsumexp
 
 import pairing_oracle as oracle
 
@@ -262,6 +265,64 @@ def test_domain_overflow_guard(ctx):
     assert np.all(np.isfinite(diag.log_terms[1:]))
 
 
+def test_domain_diagnostic_with_vanishing_terms_warns_nothing(ctx):
+    # f supported after r has Gamma_r f = 0, so every term past order 0 is 0
+    # and each ratio of two of them is nan; -inf - -inf used to warn
+    sc = ShiftContext(ctx, 0.5, None)
+    f = np.zeros(8)
+    f[sc.m:] = 0.3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        diag = domain_diagnostic(sc, f, 6)
+    assert diag.log_terms[0] == 0.0 and np.all(diag.log_terms[1:] == -np.inf)
+    assert np.array_equal(diag.partial_sums, np.ones(7))
+    assert diag.term_ratios[0] == 0.0 and np.all(np.isnan(diag.term_ratios[1:]))
+
+
+def _scipy_prefix_logsumexp(a):
+    return np.array([logsumexp(a[: k + 1]) for k in range(a.size)])
+
+
+@st.composite
+def _log_term_arrays(draw):
+    # lengths 1-171 cross numpy's 8- and 128-element pairwise-sum blocks;
+    # rounding makes ties at the running max, and the knobs add -inf entries,
+    # an all -inf prefix and a +inf entry
+    n = draw(st.integers(1, 171))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = draw(st.sampled_from([1.0, 30.0, 700.0])) * rng.standard_normal(n)
+    if draw(st.booleans()):
+        a = np.cumsum(np.abs(a))            # growing, like the domain series' terms
+    if draw(st.booleans()):
+        a = np.round(a)
+    a[rng.random(n) < draw(st.sampled_from([0.0, 0.1, 0.5]))] = -np.inf
+    a[: draw(st.integers(0, n))] = -np.inf
+    if draw(st.booleans()):
+        a[draw(st.integers(0, n - 1))] = np.inf
+    return a
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_log_term_arrays())
+@example(np.array([0.0, 0.0, -np.inf, 1.0, 1.0, np.inf, 1.0]))
+@example(np.full(171, -np.inf))
+def test_prefix_logsumexp_is_scipy_per_prefix_bit_for_bit(a):
+    got, want = _prefix_logsumexp(a), _scipy_prefix_logsumexp(a)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("H", [0.75, 0.3])
+def test_domain_partial_sums_are_the_scipy_formula_bit_for_bit(H):
+    # the two K_max = 150 series of the chaos-powers benchmark (nonexist-cert
+    # at H = 0.75, domain-diagnostic at H = 0.3: N = 64, c_scale = 0.5, r = T/2)
+    ctx = build_gram(FractionalBrownianMotion(H), TimeGrid.uniform(64))
+    sc = ShiftContext(ctx, 0.5, 0.5 * ctx.grid.indicator(ctx.grid.T))
+    diag = domain_diagnostic(sc, escape_direction(sc), 150)
+    log_sums = _scipy_prefix_logsumexp(diag.log_terms)
+    want = np.where(log_sums > _LOG_OVERFLOW, np.inf, np.exp(log_sums))
+    assert np.array_equal(diag.partial_sums.view(np.uint64), want.view(np.uint64))
+
+
 def test_shifted_qce_overflow_is_a_parameter_error_naming_the_order(ctx):
     # <h, c_r>^2 at a shift of 1e200 leaves the double range; the float power
     # raised a bare OverflowError
@@ -280,6 +341,16 @@ def test_escape_martingale_refusal():
     ctx = build_gram(BrownianMotion(), TimeGrid.uniform(8))
     with pytest.raises(MartingaleCaseError):
         escape_direction(ShiftContext(ctx, 0.5, None))
+
+
+@pytest.mark.parametrize("model", [FractionalBrownianMotion(0.75), BrownianMotion()])
+@pytest.mark.parametrize("r", [0.0, 1.0])
+def test_escape_at_a_degenerate_split_is_a_degenerate_split_error(model, r):
+    # at r = 0 or r = T one side of the split is empty; the operator norm test
+    # used to call this a martingale grid, also on fBm
+    ctx = build_gram(model, TimeGrid.uniform(8))
+    with pytest.raises(DegenerateSplitError, match=r"past/future split needs 0 < r < T"):
+        escape_direction(ShiftContext(ctx, r, None))
 
 
 def test_escape_strict_inequalities(ctx):
