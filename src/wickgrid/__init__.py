@@ -1,5 +1,7 @@
 """Grid-level Wick calculus for centered Gaussian processes."""
 
+import logging
+
 from .covariance import (
     BrownianMotion,
     FractionalBrownianMotion,
@@ -77,3 +79,6 @@ from .fraccalc import (
 )
 
 __version__ = "0.1.0"
+
+# the library logs nothing unless an application configures this logger
+logging.getLogger(__name__).addHandler(logging.NullHandler())

@@ -278,11 +278,23 @@ class GramImage:
         return math.fsum(self.terms(f, f.order))
 
     def s(self, xi: "ChaosVector") -> float:
-        """(S xi)(w) = sum_k <f_k, w^(x k)> of a chaos vector."""
+        """(S xi)(w) = sum_k <f_k, w^(x k)> of a chaos vector.
+
+        One pairings call covers the distinct rows of xi's one-row power
+        sums (`ChaosVector.pairing_plan`), and one fsum takes every summand.
+        Each summand is the double pair(f) gives, up to the sign of a zero,
+        and fsum is correctly rounded whatever the order of its inputs, so
+        the sum is bit for bit the fsum of pair(f) over the coefficients.
+        """
         if xi.dim != self.gw.size:
             raise ShapeError(f"chaos vector of dim {xi.dim} paired with a direction "
                              f"of {self.gw.size} increments")
-        return math.fsum([self.pair(f) for f in xi.coeffs])
+        constants, singles, rows, rest = xi.pairing_plan()
+        terms = constants + [self.pair(f) for f in rest]
+        if singles:
+            xs = self.pairings(rows)
+            terms += [w * xs[i] ** k for w, i, k in singles]
+        return math.fsum(terms)
 
 
 def sym_insert_last(t: np.ndarray) -> np.ndarray:
@@ -340,8 +352,9 @@ class ChaosVector:
         for k, f in enumerate(coeffs):
             if f.order != k or f.dim != dim:
                 raise ShapeError("coefficient list must be graded by order")
-        self.coeffs = coeffs
+        self.coeffs = tuple(coeffs)
         self.dim = dim
+        self._plan = None
 
     @property
     def max_order(self) -> int:
@@ -356,6 +369,31 @@ class ChaosVector:
         v = np.asarray(v, dtype=float)
         return cls([SymmetricTensor.scalar(constant, v.size),
                     SymmetricTensor.from_vector(v)], v.size)
+
+    def pairing_plan(self):
+        """(constants, singles, rows, rest), built on first use and kept.
+
+        constants are the order-0 values; singles holds (weight, row id,
+        order) for each power sum of one row, its row stored once per
+        distinct bytes in rows; rest holds the other coefficients (dense,
+        several rows, empty).  The coefficients are a tuple, so the plan
+        cannot go stale.
+        """
+        if self._plan is None:
+            constants, singles, rows, rest, ids = [], [], [], [], {}
+            for f in self.coeffs:
+                if f.order == 0:
+                    constants.append(float(f.dense))
+                elif f.is_powers and f.weights.size == 1:
+                    i = ids.setdefault(f.vectors.tobytes(), len(ids))
+                    if i == len(rows):
+                        rows.append(f.vectors[0])
+                    singles.append((f.weights.item(), i, f.order))
+                else:
+                    rest.append(f)
+            rows = np.array(rows, dtype=float).reshape(len(rows), self.dim)
+            self._plan = (constants, singles, rows, rest)
+        return self._plan
 
     def get(self, k: int) -> SymmetricTensor:
         if k < len(self.coeffs):

@@ -15,6 +15,7 @@ import json
 import math
 import sys
 import time
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 from operator import ge, gt, le
@@ -313,7 +314,7 @@ def _verdict(checks, **fields) -> dict:
     return {**fields, **{name: value for name, value, _, _ in checks}, "passes": _passes(checks)}
 
 
-def exp_gram(cfg, seed, threads):
+def exp_gram(cfg, seed):
     ctx = gram_from_config(cfg)
     return [], {
         "gram.csv": ([f"c{j}" for j in range(ctx.n)], ctx.G),
@@ -379,7 +380,7 @@ def exp_dr_sweep(cfg, seed, threads):
     return [], {"dr_sweep.csv": (["H", "N", "r", "d_r", "opnorm"], rows)}
 
 
-def exp_jensen(cfg, seed, threads):
+def exp_jensen(cfg, seed):
     ctx = gram_from_config(cfg)
     grid = ctx.grid
     r = _default_r(cfg, grid)
@@ -396,7 +397,7 @@ def exp_jensen(cfg, seed, threads):
                                             guaranteed_bound=bound, h=list(map(float, h)))}
 
 
-def exp_qce_check(cfg, seed, threads):
+def exp_qce_check(cfg, seed):
     if cfg["trials"] < 1:
         raise ParameterError("trials must be >= 1; with none nothing is checked")
     sc = _shift_from_config(cfg)
@@ -443,7 +444,7 @@ def exp_qce_check(cfg, seed, threads):
     return checks, {"qce_check.json": _verdict(checks)}
 
 
-def exp_domain_diagnostic(cfg, seed, threads):
+def exp_domain_diagnostic(cfg, seed):
     sc = _shift_from_config(cfg)
     K_max = cfg["K_max"]
     if cfg["generator"] == "escape":
@@ -458,7 +459,7 @@ def exp_domain_diagnostic(cfg, seed, threads):
     return [], {"domain_diagnostic.csv": (["K", "S_K", "ratio"], rows)}
 
 
-def exp_skorokhod_check(cfg, seed, threads):
+def exp_skorokhod_check(cfg, seed):
     ctx = gram_from_config(cfg)
     grid = ctx.grid
     pts = grid.points
@@ -493,7 +494,7 @@ def _random_problem(cfg, ctx, rng) -> BSDEProblem:
     return _problem_from_config(cfg, ctx, random_chaos(rng, n, cfg["xi_order"]), G)
 
 
-def exp_bsde_solve(cfg, seed, threads):
+def exp_bsde_solve(cfg, seed):
     ctx = gram_from_config(cfg)
     rng = np.random.default_rng(seed)
     problem = _random_problem(cfg, ctx, rng)
@@ -506,7 +507,7 @@ def exp_bsde_solve(cfg, seed, threads):
                     "bsde_solution.json": _verdict(checks)}
 
 
-def exp_bsde_verify(cfg, seed, threads):
+def exp_bsde_verify(cfg, seed):
     kind = cfg["solution"]
     ctx = gram_from_config(cfg)
     rng = np.random.default_rng(seed)
@@ -525,7 +526,7 @@ def exp_bsde_verify(cfg, seed, threads):
     return checks, {"bsde_verify.json": _verdict(checks, tolerance=tol, solution=kind)}
 
 
-def exp_nonexist_cert(cfg, seed, threads):
+def exp_nonexist_cert(cfg, seed):
     sc = _shift_from_config(cfg)
     ctx = sc.ctx
     try:
@@ -540,7 +541,7 @@ def exp_nonexist_cert(cfg, seed, threads):
     return checks, {"certificate.json": payload}
 
 
-def exp_example33(cfg, seed, threads):
+def exp_example33(cfg, seed):
     hs, ns = cfg["H_list"], cfg["N_list"]
     rows = []
     for H in hs:
@@ -555,7 +556,7 @@ def exp_example33(cfg, seed, threads):
     return [], bodies
 
 
-def exp_frac_verify(cfg, seed, threads):
+def exp_frac_verify(cfg, seed):
     report = {}
     bodies = {}
     records = []
@@ -584,7 +585,7 @@ def exp_frac_verify(cfg, seed, threads):
     return records, bodies
 
 
-def exp_mc_crosscheck(cfg, seed, threads):
+def exp_mc_crosscheck(cfg, seed):
     n_paths = cfg["n_paths"]
     if n_paths < 2:
         raise ParameterError(
@@ -633,6 +634,8 @@ EXPERIMENTS = {
 # experiments that draw randomness; these require an explicit seed
 STOCHASTIC = {"qce-check", "skorokhod-check", "bsde-solve", "bsde-verify",
               "mc-crosscheck"}
+# experiments that take --threads as a third argument; the rest take (cfg, seed)
+SWEEPS = {"dr-sweep", "opnorm-sweep"}
 
 
 def main(argv=None) -> int:
@@ -642,6 +645,8 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="out")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--debug", action="store_true",
+                        help="print the traceback of a runtime error")
     try:
         args = parser.parse_args(argv)
         if args.threads < 1:
@@ -675,12 +680,15 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         cfg = resolve(args.experiment, raw)
-        checks, bodies = EXPERIMENTS[args.experiment](cfg, seed, args.threads)
+        run = (cfg, seed, args.threads) if args.experiment in SWEEPS else (cfg, seed)
+        checks, bodies = EXPERIMENTS[args.experiment](*run)
     except (ParameterError, GridAlignmentError, DegenerateSplitError, MartingaleCaseError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # runtime failure
         print(f"error: {exc}", file=sys.stderr)
+        if args.debug:
+            traceback.print_exception(exc, file=sys.stderr)
         return 1
     out = Path(args.out)
     outputs = [out / name for name in bodies]

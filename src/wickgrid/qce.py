@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
+from operator import add
 from typing import List
 
 import numpy as np
@@ -69,51 +71,125 @@ def shifted_qce(sc: ShiftContext, xi: ChaosVector) -> ChaosVector:
     """Apply the shifted operator to a finite-order chaos vector (exact).
 
     G c_r is formed once and every coefficient is contracted against it.
-    Orders above the highest dense coefficient are fed by power sums only.
-    Their rows are stacked by order k, each paired with c_r and cut to
-    coordinates < m once; order n takes the rows of every k >= n, a suffix
-    of the stack, with weights C(k, n) w <v, c_r>^(k-n); rows with equal bytes
-    collapse into their first occurrence in the suffix, np.add.at adding the
-    weights in row order.  Lower orders add contracted tensors and are dense.
+    Orders up to the highest dense coefficient add contracted tensors and are
+    dense; the orders above it are fed by power sums only (`_power_orders`).
     A power of a pairing past the double range is a ParameterError naming
     the order.
     """
     K = xi.max_order
     image = GramImage(sc.ctx, sc.c_r)
     top_dense = max(k for k, f in enumerate(xi.coeffs) if not f.is_powers)
-    sums = xi.coeffs[top_dense + 1:]
-    terms = [(k, wt, x) for k, f in enumerate(sums, top_dense + 1)
-             for wt, x in zip(f.weights.tolist(), image.pairings(f.vectors))]
-    cut = np.concatenate([np.zeros((0, xi.dim))] + [f.vectors for f in sums])
-    cut[:, sc.m:] = 0.0
-    keys = np.unique(cut.view(np.dtype((np.void, cut.itemsize * xi.dim))).ravel(),
-                     return_inverse=True)[1]
-    s = 0                       # first row of order n in the stack
     out: List[SymmetricTensor] = []
     try:
-        for n in range(K + 1):
-            if n > top_dense:
-                weights = [math.comb(k, n) * (wt * x ** (k - n)) for k, wt, x in terms[s:]]
-                acc = SymmetricTensor(n, xi.dim, weights=np.array(weights), vectors=cut[s:])
-                if len(weights) > 1:
-                    head = np.full(len(cut), len(cut))      # first suffix row of each key
-                    np.minimum.at(head, keys[s:], np.arange(s, len(cut)))
-                    rows = np.sort(head[head < len(cut)])
-                    merged = np.zeros(rows.size)
-                    np.add.at(merged, np.searchsorted(rows, head[keys[s:]]), weights)
-                    acc = SymmetricTensor.from_powers(n, xi.dim, merged, cut[rows])
-                s += xi.coeffs[n].weights.size
-            else:
-                acc = SymmetricTensor.zero(n, xi.dim)
-                for k in range(n, K + 1):
-                    term = xi.coeffs[k].contract_last(image, k - n)
-                    acc = acc.add(term.scaled(math.comb(k, n)).project_coords(sc.m))
+        for n in range(top_dense + 1):
+            acc = SymmetricTensor.zero(n, xi.dim)
+            for k in range(n, K + 1):
+                term = xi.coeffs[k].contract_last(image, k - n)
+                acc = acc.add(term.scaled(math.comb(k, n)).project_coords(sc.m))
             out.append(acc)
+        # order 0 raised first if any power of a pairing overflows, as n = 0
+        # takes every row's highest power
+        out += _power_orders(image, xi.coeffs[top_dense + 1:], top_dense, sc.m)
     except OverflowError:
         raise ParameterError(f"shifted QCE order {n} overflows a double: a power of a pairing "
                              "<v, c_r> leaves the double range; use a smaller shift c or a "
                              "lower chaos order") from None
     return ChaosVector(out, xi.dim)
+
+
+def _power_orders(image: GramImage, sums, top_dense: int, m: int) -> List[SymmetricTensor]:
+    """Orders top_dense + 1 ... K of the shifted operator, fed by the power
+    sums `sums` of those orders.
+
+    Their rows are stacked by order k, each paired with c_r and cut to
+    coordinates < m once; order n takes the rows of every k >= n, a suffix
+    of the stack, with weights C(k, n) w <v, c_r>^(k-n), formed for all
+    orders at once (`_suffix_weights`).  Rows with equal bytes collapse into
+    their first occurrence in the suffix, with the weights of the group
+    added in row order from 0.0: one np.add.at does this for every order,
+    the rows below a suffix adding an exact 0.0.  A suffix of one row (or
+    none) is kept as it is, a zero weight too; otherwise zero weights are
+    dropped.
+    """
+    if not sums:
+        return []
+    K, dim = top_dense + len(sums), sums[0].dim
+    orders = np.repeat(np.arange(top_dense + 1, K + 1), [f.weights.size for f in sums])
+    cut = np.concatenate([np.zeros((0, dim))] + [f.vectors for f in sums])
+    cut[:, m:] = 0.0
+    keys = np.unique(cut.view(np.dtype((np.void, cut.itemsize * dim))).ravel(),
+                     return_inverse=True)[1]
+    # prev[r]: the last row before r with the bytes of row r, or -1; row r
+    # heads its group in the suffix from s exactly when r >= s > prev[r]
+    by_key = np.argsort(keys, kind="stable")
+    same = np.flatnonzero(keys[by_key[1:]] == keys[by_key[:-1]])
+    prev = np.full(len(cut), -1)
+    prev[by_key[same + 1]] = by_key[same]
+    weights = _suffix_weights(image, sums, orders, top_dense, K)
+    merged = np.zeros((keys.max(initial=-1) + 1, K + 1))
+    np.add.at(merged, keys, weights)
+    # the heads of every order's groups at once, sorted by order and then
+    # row, with their merged weights; zero weights are dropped, as
+    # from_powers drops them
+    ns = np.arange(top_dense + 1, K + 1)
+    starts = np.searchsorted(orders, ns)            # first row of each order in the stack
+    r = np.arange(len(cut))[:, None]
+    at, head = np.nonzero(((r >= starts) & (prev[:, None] < starts)).T)
+    w = merged[keys[head], ns[at]]
+    keep = w != 0.0
+    at, head, w = at[keep], head[keep], w[keep]
+    bounds = np.searchsorted(at, np.arange(ns.size + 1)).tolist()
+    out = []
+    for j, (n, s) in enumerate(zip(ns.tolist(), starts.tolist())):
+        if len(cut) - s > 1:
+            part = slice(bounds[j], bounds[j + 1])
+            out.append(SymmetricTensor(n, dim, weights=w[part], vectors=cut[head[part]]))
+        else:
+            out.append(SymmetricTensor(n, dim, weights=weights[s:, n].copy(), vectors=cut[s:]))
+    return out
+
+
+def _suffix_weights(image: GramImage, sums, orders: np.ndarray, top_dense: int,
+                    K: int) -> np.ndarray:
+    """(rows, K + 1) array: C(k, n) (w <v, c_r>^(k-n)) at row (k, w, v) of the
+    stack and order top_dense < n <= k, an exact 0.0 elsewhere.
+
+    Each power is Python's float pow, taken once per distinct pairing bits
+    and exponent (numpy's power can differ in the last bit); each binomial is
+    the double that int * float rounds it to; numpy's products are the IEEE
+    products Python forms.
+    """
+    wt = np.concatenate([f.weights for f in sums])
+    xs = np.array([x for f in sums for x in image.pairings(f.vectors)])
+    bits, ids = np.unique(xs.view(np.uint64), return_inverse=True)
+    top = np.zeros(bits.size, dtype=int)
+    np.maximum.at(top, ids, orders - top_dense - 1)
+    powers = np.zeros((bits.size, K - top_dense))
+    for i, (x, j) in enumerate(zip(bits.view(float).tolist(), top.tolist())):
+        powers[i, : j + 1] = [x ** e for e in range(j + 1)]
+    exps = orders[:, None] - np.arange(K + 1)
+    dead = (exps < 0) | (np.arange(K + 1) <= top_dense)
+    np.clip(exps, 0, K - top_dense - 1, out=exps)
+    out = powers[ids[:, None], exps]
+    with np.errstate(over="ignore", invalid="ignore"):     # Python's float * is silent too
+        out *= wt[:, None]
+        out *= _binomials(K)[orders]
+    out[dead] = 0.0
+    return out
+
+
+@cache
+def _binomials(K: int) -> np.ndarray:
+    """C(k, n) for 0 <= n <= k <= K as doubles, 0 above the diagonal: exact
+    integers from Pascal's rule, each rounded once by float(), as int * float
+    rounds it.  Read-only, since it is shared between calls."""
+    out = np.zeros((K + 1, K + 1))
+    row = [1]
+    for k in range(K + 1):
+        out[k, : k + 1] = [float(c) for c in row]
+        row = [1, *map(add, row, row[1:]), 1]
+    out.flags.writeable = False
+    return out
 
 
 @dataclass
@@ -143,8 +219,9 @@ def domain_diagnostic(sc: ShiftContext, f, K_max: int) -> DomainDiagnostic:
         k, n, [1.0 / math.sqrt(math.factorial(k))], [f]) for k in range(1, K_max + 1)], n)
     tilde = shifted_qce(sc, xi)
     log_terms = np.full(K_max + 1, -np.inf)
+    norms = {}
     for k in range(K_max + 1):
-        nrm_sq = _norm_sq_stable(sc.ctx, tilde.get(k))
+        nrm_sq = _norm_sq_stable(sc.ctx, tilde.get(k), norms)
         if nrm_sq > 0:
             log_terms[k] = gammaln(k + 1) + math.log(nrm_sq)
     log_sums = _prefix_logsumexp(log_terms)
@@ -180,9 +257,19 @@ def _prefix_logsumexp(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _norm_sq_stable(ctx: GramContext, t: SymmetricTensor) -> float:
-    # factor out the largest vector norm to keep <v_i, v_j>^k finite
-    smax = np.max([ctx.norm(v) for v in t.vectors]) if t.is_powers and t.weights.size else 0.0
+def _norm_sq_stable(ctx: GramContext, t: SymmetricTensor, norms: dict) -> float:
+    """max(|t|^2, 0) with the largest row norm factored out, so that
+    <v_i, v_j>^k stays finite; `norms` keeps ctx.norm of each row by its
+    bytes, so orders that share rows compute each norm once."""
+    smax = 0.0
+    if t.is_powers and t.weights.size:
+        row_norms = []
+        for v in t.vectors:
+            key = v.tobytes()
+            if key not in norms:
+                norms[key] = ctx.norm(v)
+            row_norms.append(norms[key])
+        smax = np.max(row_norms)
     if smax == 0.0:
         return max(tensor_inner(ctx, t, t), 0.0)
     scaled = SymmetricTensor.from_powers(t.order, t.dim, t.weights, t.vectors / smax)

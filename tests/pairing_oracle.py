@@ -5,7 +5,10 @@ These are the formulas that `s_transform`, `shifted_qce` and
 direction was hoisted out of the per-coefficient contractions.  Here every
 coefficient forms G w itself, `shifted_qce` contracts once per (n, k) pair,
 and the weak check rebuilds its shift contexts in every trial and pairs every
-node.  The tests compare the package against them with ==, not a tolerance.
+node.  `shifted_qce_by_order` is the stacked power-sum route as it was before
+its weights and row groups were formed for all orders at once.  The tests
+compare the package against them with ==, not a tolerance, and
+`assert_same_bits` also tells 0.0 from -0.0.
 
 The module also builds the chaos vectors those tests feed to both routes.
 """
@@ -23,6 +26,7 @@ from wickgrid import (
     wick_exponential_chaos,
 )
 from wickgrid.bsde import WickZ
+from wickgrid.chaos import GramImage
 from wickgrid.errors import ShapeError, UnsupportedOperationError
 
 
@@ -89,6 +93,43 @@ def shifted_qce(sc, xi):
             term = contract_last(fk, sc.ctx, sc.c_r, fk.order - n).scaled(math.comb(k, n))
             acc = acc.add(term.project_coords(sc.m))
         out.append(merge_powers(acc))
+    return ChaosVector(out, xi.dim)
+
+
+def shifted_qce_by_order(sc, xi):
+    """The stacked route with its weights formed order by order: a Python
+    comprehension of C(k, n) * (w * x ** (k - n)) per order n, and per order a
+    grouping of equal rows by np.minimum.at / sort / np.add.at / searchsorted."""
+    K = xi.max_order
+    image = GramImage(sc.ctx, sc.c_r)
+    top_dense = max(k for k, f in enumerate(xi.coeffs) if not f.is_powers)
+    sums = xi.coeffs[top_dense + 1:]
+    terms = [(k, wt, x) for k, f in enumerate(sums, top_dense + 1)
+             for wt, x in zip(f.weights.tolist(), image.pairings(f.vectors))]
+    cut = np.concatenate([np.zeros((0, xi.dim))] + [f.vectors for f in sums])
+    cut[:, sc.m:] = 0.0
+    keys = np.unique(cut.view(np.dtype((np.void, cut.itemsize * xi.dim))).ravel(),
+                     return_inverse=True)[1]
+    s = 0
+    out = []
+    for n in range(K + 1):
+        if n > top_dense:
+            weights = [math.comb(k, n) * (wt * x ** (k - n)) for k, wt, x in terms[s:]]
+            acc = SymmetricTensor(n, xi.dim, weights=np.array(weights), vectors=cut[s:])
+            if len(weights) > 1:
+                head = np.full(len(cut), len(cut))
+                np.minimum.at(head, keys[s:], np.arange(s, len(cut)))
+                rows = np.sort(head[head < len(cut)])
+                merged = np.zeros(rows.size)
+                np.add.at(merged, np.searchsorted(rows, head[keys[s:]]), weights)
+                acc = SymmetricTensor.from_powers(n, xi.dim, merged, cut[rows])
+            s += xi.coeffs[n].weights.size
+        else:
+            acc = SymmetricTensor.zero(n, xi.dim)
+            for k in range(n, K + 1):
+                term = xi.coeffs[k].contract_last(image, k - n)
+                acc = acc.add(term.scaled(math.comb(k, n)).project_coords(sc.m))
+        out.append(acc)
     return ChaosVector(out, xi.dim)
 
 
@@ -222,3 +263,18 @@ def assert_same_chaos(a, b):
     assert a.max_order == b.max_order and a.dim == b.dim
     for fa, fb in zip(a.coeffs, b.coeffs):
         assert_same_tensor(fa, fb)
+
+
+def assert_same_bits(a, b):
+    """Chaos vectors or floats equal byte for byte: storage, shapes, and the
+    sign of every zero."""
+    if not isinstance(a, ChaosVector):
+        assert np.float64(a).tobytes() == np.float64(b).tobytes(), (a, b)
+        return
+    assert a.max_order == b.max_order and a.dim == b.dim
+    for fa, fb in zip(a.coeffs, b.coeffs):
+        assert (fa.order, fa.is_powers) == (fb.order, fb.is_powers)
+        for x, y in ([(fa.weights, fb.weights), (fa.vectors, fb.vectors)] if fa.is_powers
+                     else [(fa.dense, fb.dense)]):
+            x, y = np.asarray(x), np.asarray(y)
+            assert x.shape == y.shape and x.tobytes() == y.tobytes()

@@ -1,6 +1,8 @@
 """Experiment harness: dispatch, exit codes, artifacts, reproducibility."""
 
+import inspect
 import json
+import logging
 import math
 import re
 import tracemalloc
@@ -196,7 +198,7 @@ def test_stochastic_experiments_require_seed(tmp_path):
 
 
 def test_check_failure_exits_two(tmp_path, monkeypatch, capsys):
-    def failing(cfg, seed, threads):
+    def failing(cfg, seed):
         return [("dummy_error", 0.5, "<=", 0.25), ("dummy_ratio", 2.0, ">", 1.0)], \
             {"dummy.json": {}}
 
@@ -404,7 +406,7 @@ def test_mc_crosscheck_memory_is_bounded_by_the_block():
     cfg = cli.resolve("mc-crosscheck", {"N": "32", "n_paths": "100000"})
     tracemalloc.start()
     try:
-        cli.exp_mc_crosscheck(cfg, 1, 1)
+        cli.exp_mc_crosscheck(cfg, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -440,6 +442,43 @@ def test_example33_exit_and_slopes(tmp_path):
     slopes = {float(r["H"]): float(r["slope"]) for r in rows}
     assert slopes[0.5] < -0.4
     assert slopes[0.2] >= -0.02
+
+
+def test_only_the_sweeps_take_threads():
+    takes = {name: list(inspect.signature(fn).parameters) for name, fn in cli.EXPERIMENTS.items()}
+    assert {name for name, params in takes.items() if "threads" in params} == cli.SWEEPS
+    assert all(params[:2] == ["cfg", "seed"] for params in takes.values())
+
+
+def test_debug_prints_the_traceback_a_runtime_error_discards(tmp_path, monkeypatch, capsys):
+    def broken(cfg, seed):
+        raise RuntimeError("injected")
+
+    monkeypatch.setitem(cli.EXPERIMENTS, "broken", broken)
+    monkeypatch.setitem(cli.KEYS, "broken", {})
+    assert cli.main(["broken", "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == "error: injected\n"
+    assert cli.main(["broken", "--out", str(tmp_path / "o"), "--debug"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: injected\nTraceback (most recent call last):\n")
+    assert "in broken\n" in err and err.endswith("RuntimeError: injected\n")
+    assert not (tmp_path / "o").exists()
+
+
+def test_debug_leaves_bodies_and_stderr_of_a_good_run_alone(tmp_path, capsys):
+    cfgp = tmp_path / "q.cfg"
+    cfgp.write_text("N = 6\nc_scale = 0.3\ntrials = 2\n")
+    for sub, extra in (("plain", []), ("debug", ["--debug"])):
+        assert cli.main(["qce-check", "--config", str(cfgp), "--out", str(tmp_path / sub),
+                         "--seed", "3"] + extra) == 0
+        assert capsys.readouterr().err == ""
+    assert (tmp_path / "plain" / "qce_check.json").read_bytes() == \
+        (tmp_path / "debug" / "qce_check.json").read_bytes()
+
+
+def test_the_package_logger_has_a_null_handler():
+    handlers = logging.getLogger("wickgrid").handlers
+    assert any(isinstance(h, logging.NullHandler) for h in handlers)
 
 
 def test_threads_do_not_change_output(tmp_path):
@@ -559,7 +598,8 @@ def test_manifest_lists_exactly_the_files_written(tmp_path, experiment, cfg, nam
 def test_passes_is_the_and_of_the_returned_checks(tmp_path, experiment, cfg, names):
     (tmp_path / "c.cfg").write_text(cfg)
     cfg = cli.resolve(experiment, cli.parse_config(str(tmp_path / "c.cfg")))
-    checks, bodies = cli.EXPERIMENTS[experiment](cfg, 1, 1)
+    threads = (1,) if experiment in cli.SWEEPS else ()
+    checks, bodies = cli.EXPERIMENTS[experiment](cfg, 1, *threads)
     verdicts = [body for name, body in bodies.items()
                 if name.endswith(".json") and ("passes" in body or "rho" in body)]
     if not checks:
@@ -819,7 +859,8 @@ def test_every_table_key_is_read_and_every_read_key_is_in_the_table(tmp_path, ex
             (tmp_path / "c.cfg").write_text(text)
             raw = cli.parse_config(str(tmp_path / "c.cfg"))
             raw = {**{k: v for k, v in small.items() if k in cli.KEYS[exp] and k not in raw}, **raw}
-            cli.EXPERIMENTS[exp](_Recording(cli.resolve(exp, raw), read), 1, 1)
+            threads = (1,) if exp in cli.SWEEPS else ()
+            cli.EXPERIMENTS[exp](_Recording(cli.resolve(exp, raw), read), 1, *threads)
     # a key that accepts one word only is checked by resolve and read by none
     fixed = {key for key, spec in cli.KEYS[experiment].items()
              if isinstance(spec, tuple) and len(spec) == 1}

@@ -1,0 +1,163 @@
+"""Oracle tests: the whole-vector pairing plan and the whole-order weights of
+`shifted_qce` give the per-coefficient and per-order routes byte for byte.
+
+The chaos vectors mix dense coefficients, one-row power sums, power sums of
+several rows drawn from a pool of three (so rows repeat within and across
+orders) and empty power sums; weights, constants and row entries include 0.0
+and -0.0.  Every comparison is of bytes, so the sign of a zero counts.
+"""
+
+import math
+from functools import cache
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.special import gammaln
+
+from wickgrid import (ChaosVector, FractionalBrownianMotion, ShiftContext, SymmetricTensor,
+                      TimeGrid, WickCombo, build_gram, domain_diagnostic, escape_direction,
+                      shifted_qce, symmetrize_full)
+from wickgrid.chaos import GramImage
+from wickgrid.errors import ParameterError
+from wickgrid.qce import _norm_sq_stable
+
+import pairing_oracle as oracle
+
+_values = st.sampled_from([0.0, -0.0]) | st.floats(
+    -2.0, 2.0, allow_nan=False, allow_infinity=False, allow_subnormal=False)
+
+oracle_test = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+
+@cache
+def ctx_for(dim):
+    return build_gram(FractionalBrownianMotion(0.7), TimeGrid.uniform(dim))
+
+
+@st.composite
+def mixed_chaos(draw):
+    dim, K = draw(st.integers(1, 4)), draw(st.integers(0, 6))
+    pool = draw(arrays(float, (3, dim), elements=_values))
+    coeffs = [SymmetricTensor.scalar(draw(_values), dim)]
+    for k in range(1, K + 1):
+        kind = draw(st.sampled_from(["dense", "single", "multi", "empty"]))
+        if kind == "dense" and k <= 3:
+            t = draw(arrays(float, (dim,) * k, elements=_values))
+            coeffs.append(SymmetricTensor.from_dense(symmetrize_full(t)))
+        elif kind == "empty":
+            coeffs.append(SymmetricTensor.zero(k, dim))
+        else:
+            rows = draw(st.lists(st.integers(0, 2), min_size=1 if kind == "single" else 2,
+                                 max_size=1 if kind == "single" else 4))
+            weights = draw(st.lists(_values, min_size=len(rows), max_size=len(rows)))
+            # the constructor keeps zero weights, as shifted_qce's one-row orders do
+            coeffs.append(SymmetricTensor(k, dim, weights=np.array(weights), vectors=pool[rows]))
+    return ChaosVector(coeffs, dim)
+
+
+@oracle_test
+@given(st.data())
+def test_gram_image_s_matches_the_per_coefficient_route(data):
+    xi = data.draw(mixed_chaos())
+    ctx = ctx_for(xi.dim)
+    for _ in range(2):          # the second direction reuses the cached plan
+        h = data.draw(arrays(float, xi.dim, elements=_values))
+        image = GramImage(ctx, h)
+        want = oracle.s_transform(ctx, xi, h)
+        oracle.assert_same_bits(image.s(xi), want)
+        oracle.assert_same_bits(image.s(xi), want)      # memoized pairings
+
+
+@oracle_test
+@given(st.data())
+def test_shifted_qce_matches_the_by_order_route(data):
+    xi = data.draw(mixed_chaos())
+    ctx = ctx_for(xi.dim)
+    c = data.draw(arrays(float, xi.dim, elements=_values))
+    sc = ShiftContext(ctx, ctx.grid.points[data.draw(st.integers(0, xi.dim))], c)
+    got = shifted_qce(sc, xi)
+    oracle.assert_same_bits(got, oracle.shifted_qce_by_order(sc, xi))
+    oracle.assert_same_chaos(got, oracle.shifted_qce(sc, xi))
+
+
+def long_chains(ctx, sc, K):
+    """The escape chain f^(x k) / sqrt(k!), a Wick combo whose orders hold
+    three rows, two of them equal once cut at m, and a chain of K distinct
+    random rows with weights of order one; their pairings with c_r and the
+    probe are of order one, so the last bit of every pairing and every
+    C(k, n) reaches the result."""
+    f = escape_direction(sc)
+    n = ctx.n
+    g = np.where(np.arange(n) < sc.m, f, -f)
+    chain = ChaosVector([SymmetricTensor.scalar(1.0, n)] + [SymmetricTensor.from_powers(
+        k, n, [1.0 / math.sqrt(math.factorial(k))], [f]) for k in range(1, K + 1)], n)
+    combo = WickCombo([(0.7, None, 0.3 * f), (-0.4, None, 0.3 * g), (1.1, None, 0.2 * f)], n)
+    rng = np.random.default_rng(K)
+    distinct = ChaosVector([SymmetricTensor.scalar(0.5, n)] + [SymmetricTensor.from_powers(
+        k, n, [rng.standard_normal()], [0.2 * rng.standard_normal(n)])
+        for k in range(1, K + 1)], n)
+    return {"chain": chain, "combo": combo.to_chaos(ctx, K), "distinct": distinct}
+
+
+def long_chain_shift(c_scale=10.0):
+    ctx = build_gram(FractionalBrownianMotion(0.3), TimeGrid.uniform(16))
+    return ctx, ShiftContext(ctx, 0.5, c_scale * np.ones(16))
+
+
+@pytest.mark.parametrize("K", [150, 170])
+def test_long_chains_match_the_by_order_and_per_coefficient_routes(K):
+    ctx, sc = long_chain_shift()
+    w = sc.shifted_direction(np.linspace(-1.0, 1.0, 16))
+    chains = long_chains(ctx, sc, K)
+    assert 1.0 < GramImage(ctx, sc.c_r).pairings(chains["chain"].coeffs[1].vectors)[0] < 3.0
+    for xi in chains.values():
+        oracle.assert_same_bits(shifted_qce(sc, xi), oracle.shifted_qce_by_order(sc, xi))
+        oracle.assert_same_bits(GramImage(ctx, w).s(xi), oracle.s_transform(ctx, xi, w))
+
+
+def test_weights_past_the_double_range_are_inf_as_in_python():
+    # w <v, c_r>^j overflows in the product, not in the power: Python's float
+    # * gives inf without a warning, and so must the whole-order weights
+    ctx, sc = long_chain_shift()
+    f = long_chains(ctx, sc, 1)["chain"].coeffs[1].vectors
+    xi = ChaosVector([SymmetricTensor.scalar(1.0, 16)]
+                     + [SymmetricTensor.zero(k, 16) for k in range(1, 100)]
+                     + [SymmetricTensor.from_powers(100, 16, [1e300], f)], 16)
+    got = shifted_qce(sc, xi)
+    assert np.isinf(got.coeffs[1].weights).all() and np.isfinite(got.coeffs[99].weights).all()
+    oracle.assert_same_bits(got, oracle.shifted_qce_by_order(sc, xi))
+
+
+def test_an_infinite_weight_reaches_no_order_above_its_own():
+    # order n takes a row's weight only from orders k >= n, so the inf at
+    # order 1 must stay out of the group its row forms at orders 2 and 3
+    ctx, sc = long_chain_shift()
+    u = np.linspace(0.1, 0.4, 16)
+    xi = ChaosVector([SymmetricTensor.scalar(1.0, 16)] + [SymmetricTensor.from_powers(
+        k, 16, [w], [u]) for k, w in ((1, np.inf), (2, 0.5), (3, 0.25))], 16)
+    got = shifted_qce(sc, xi)
+    assert np.isinf(got.coeffs[1].weights).all() and np.isfinite(got.coeffs[2].weights).all()
+    oracle.assert_same_bits(got, oracle.shifted_qce_by_order(sc, xi))
+
+
+def test_domain_terms_match_a_fresh_row_norm_per_order():
+    ctx, sc = long_chain_shift(0.5)
+    tilde = shifted_qce(sc, long_chains(ctx, sc, 150)["chain"])
+    got = domain_diagnostic(sc, escape_direction(sc), 150).log_terms
+    for k in range(151):
+        nrm_sq = _norm_sq_stable(ctx, tilde.get(k), {})
+        assert nrm_sq > 0 and got[k] == gammaln(k + 1) + math.log(nrm_sq)
+
+
+def test_a_power_table_overflow_names_order_0():
+    # <1, c_r>^169 leaves the double range while the table is built, before
+    # any order is formed; the error still names order 0, as the per-order
+    # route, which overflows first at order 0, does
+    ctx = build_gram(FractionalBrownianMotion(0.3), TimeGrid.uniform(8))
+    sc = ShiftContext(ctx, 0.5, 500.0 * np.ones(8))
+    xi = ChaosVector([SymmetricTensor.scalar(1.0, 8)] + [SymmetricTensor.from_powers(
+        k, 8, [1.0], [np.ones(8)]) for k in range(1, 171)], 8)
+    with pytest.raises(ParameterError, match="order 0 overflows a double"):
+        shifted_qce(sc, xi)
