@@ -190,7 +190,10 @@ def wick_exponential_solution(problem: BSDEProblem, f, K: int = 12) -> BSDESolut
 
     Y_t = beta(t) e^(wick I(Gamma_t f)) with
     beta(t) = exp(-int_t^T a dgamma - <(Id - Gamma_t) f, c>), and the Z slot
-    on cell j is f_j Y_{t_{j-1}}.  beta(T) = 1.
+    on cell j is f_j Y_{t_{j-1}}.  beta(T) = 1.  An integrating factor A or a
+    beta that is 0 or inf (or whose exponential overflows) at some node is a
+    ParameterError naming the node; a NaN coefficient is left to fail the
+    weak check.
     """
     if problem.has_driver():
         raise UnsupportedOperationError(
@@ -200,12 +203,24 @@ def wick_exponential_solution(problem: BSDEProblem, f, K: int = 12) -> BSDESolut
     f = np.asarray(f, dtype=float)
     if f.shape != (ctx.n,):
         raise ShapeError("f must have one entry per increment")
-    A = integrating_factor(problem)
+    with np.errstate(over="ignore"):        # an overflowing A is refused below
+        A = integrating_factor(problem)
     combos, chaos_nodes = [], []
     for i in range(ctx.n + 1):
         fp = f.copy()
         fp[i:] = 0.0
-        beta = math.exp(-ctx.inner(f - fp, problem.c)) / A[i]
+        A_i = float(A[i])
+        if A_i == 0.0 or A_i == math.inf:
+            raise ParameterError(f"integrating factor A = {A_i!r} at node {i}: exp(int a dgamma) "
+                                 "leaves the double range; use a smaller |a|")
+        try:
+            beta = math.exp(-ctx.inner(f - fp, problem.c)) / A_i
+        except OverflowError:
+            beta = math.inf
+        if beta == 0.0 or beta == math.inf:
+            raise ParameterError(f"solution factor beta = {beta!r} at node {i}: "
+                                 "exp(-<f - f_t, c>) / A leaves the double range; use a "
+                                 "smaller shift c or |a|")
         combo = WickCombo.exponential(fp, alpha=beta)
         combos.append(combo)
         chaos_nodes.append(combo.to_chaos(ctx, K))
@@ -236,7 +251,8 @@ def verify_solution_weak(problem: BSDEProblem, solution: BSDESolution,
     ctx = problem.ctx
     n = ctx.n
     dg = problem.dgamma
-    a_w = 1.0 - np.exp(-problem.a * dg)          # product-rule weights
+    a_w = (1.0 - np.exp(-problem.a * dg)).tolist()      # product-rule weights
+    dg = dg.tolist()
     rng = np.random.default_rng(seed)
     worst = 0.0
     Y = solution.Y_nodes
@@ -248,8 +264,8 @@ def verify_solution_weak(problem: BSDEProblem, solution: BSDESolution,
         for iv, sc in enumerate(shifts):
             # only nodes iv..n enter the equation probed at h^c_v
             image = GramImage(ctx, sc.shifted_direction(h))
-            x = image.s(problem.xi)
             s_next = image.s(Y[n])
+            x = s_next if problem.xi is Y[n] else image.s(problem.xi)
             residual_here = abs(s_next - x)
             tail = 0.0
             for i in range(n - 1, iv - 1, -1):

@@ -280,11 +280,12 @@ class GramImage:
     def s(self, xi: "ChaosVector") -> float:
         """(S xi)(w) = sum_k <f_k, w^(x k)> of a chaos vector.
 
-        One pairings call covers the distinct rows of xi's one-row power
-        sums (`ChaosVector.pairing_plan`), and one fsum takes every summand.
-        Each summand is the double pair(f) gives, up to the sign of a zero,
-        and fsum is correctly rounded whatever the order of its inputs, so
-        the sum is bit for bit the fsum of pair(f) over the coefficients.
+        Each distinct row of xi's one-row power sums (`ChaosVector.pairing_plan`)
+        is paired once, as the float(v @ gw) that pairings forms but without
+        its memo, and one fsum takes every summand.  Each summand is the
+        double pair(f) gives, up to the sign of a zero, and fsum is correctly
+        rounded whatever the order of its inputs, so the sum is bit for bit
+        the fsum of pair(f) over the coefficients.
         """
         if xi.dim != self.gw.size:
             raise ShapeError(f"chaos vector of dim {xi.dim} paired with a direction "
@@ -292,7 +293,8 @@ class GramImage:
         constants, singles, rows, rest = xi.pairing_plan()
         terms = constants + [self.pair(f) for f in rest]
         if singles:
-            xs = self.pairings(rows)
+            gw = self.gw
+            xs = [float(v @ gw) for v in rows]
             terms += [w * xs[i] ** k for w, i, k in singles]
         return math.fsum(terms)
 

@@ -122,12 +122,17 @@ def _pow(x, p: float):
 
     numpy's vectorized power may differ from libm pow in the last bit, so the
     scalar power is applied once per distinct value and gathered back; Grams
-    stay bit-identical to the scalar formula at O(#distinct) pow calls.
+    stay bit-identical to the scalar formula at O(#distinct) pow calls.  A
+    power past the double range is a ParameterError naming the largest value.
     """
-    if not isinstance(x, np.ndarray):
-        return float(x) ** p
-    uniq = np.unique(x)
-    return np.array([v ** p for v in uniq.tolist()])[np.searchsorted(uniq, x)]
+    try:
+        if not isinstance(x, np.ndarray):
+            return float(x) ** p
+        uniq = np.unique(x)
+        return np.array([v ** p for v in uniq.tolist()])[np.searchsorted(uniq, x)]
+    except OverflowError:
+        raise ParameterError(f"{float(np.max(x))!r} ** {p!r} overflows a double: use a "
+                             "smaller horizon T") from None
 
 
 class BrownianMotion:

@@ -71,17 +71,23 @@ def shifted_qce(sc: ShiftContext, xi: ChaosVector) -> ChaosVector:
     """Apply the shifted operator to a finite-order chaos vector (exact).
 
     G c_r is formed once and every coefficient is contracted against it.
-    Orders up to the highest dense coefficient add contracted tensors and are
-    dense; the orders above it are fed by power sums only (`_power_orders`).
-    A power of a pairing past the double range is a ParameterError naming
-    the order.
+    Order 0 is the left fold from 0.0 of every coefficient contracted to a
+    scalar, which is what adding each contraction, scaled by C(k, 0) = 1, to
+    a zero scalar forms.  The other orders up to the highest dense
+    coefficient add contracted tensors and are dense; the orders above it
+    are fed by power sums only (`_power_orders`).  A power of a pairing past
+    the double range is a ParameterError naming the order.
     """
     K = xi.max_order
     image = GramImage(sc.ctx, sc.c_r)
     top_dense = max(k for k, f in enumerate(xi.coeffs) if not f.is_powers)
-    out: List[SymmetricTensor] = []
+    n = 0
     try:
-        for n in range(top_dense + 1):
+        acc = 0.0
+        for k, f in enumerate(xi.coeffs):
+            acc += float(f.contract_last(image, k).dense)
+        out = [SymmetricTensor.scalar(acc, xi.dim)]
+        for n in range(1, top_dense + 1):
             acc = SymmetricTensor.zero(n, xi.dim)
             for k in range(n, K + 1):
                 term = xi.coeffs[k].contract_last(image, k - n)
@@ -209,25 +215,32 @@ def domain_diagnostic(sc: ShiftContext, f, K_max: int) -> DomainDiagnostic:
     Coefficients beyond order K_max are not supplied, so every reported f~_n
     misses its tail terms k > K_max; K_max above 170 is a ParameterError.
     Sums are accumulated in log space; a partial sum past 1e300 reads inf and
-    sets `overflowed`.  A term ratio is nan where both of its terms are 0.
+    sets `overflowed`; a term past the double range reads inf, without a
+    warning.  A term ratio is nan where both of its terms are 0.
     """
     if K_max < 0:
         raise ParameterError("K_max must be >= 0")
     _check_series_order(K_max)
     n = sc.ctx.n
-    xi = ChaosVector([SymmetricTensor.scalar(1.0, n)] + [SymmetricTensor.from_powers(
-        k, n, [1.0 / math.sqrt(math.factorial(k))], [f]) for k in range(1, K_max + 1)], n)
+    # every order holds the one row f, checked and stored once; no weight
+    # 1/sqrt(k!) with k <= 170 is zero, so from_powers would keep each
+    row = SymmetricTensor.from_powers(1, n, [1.0], [f]).vectors
+    xi = ChaosVector([SymmetricTensor.scalar(1.0, n)] + [SymmetricTensor(
+        k, n, weights=np.array([1.0 / math.sqrt(math.factorial(k))]), vectors=row)
+        for k in range(1, K_max + 1)], n)
     tilde = shifted_qce(sc, xi)
     log_terms = np.full(K_max + 1, -np.inf)
-    norms = {}
-    for k in range(K_max + 1):
-        nrm_sq = _norm_sq_stable(sc.ctx, tilde.get(k), norms)
-        if nrm_sq > 0:
-            log_terms[k] = gammaln(k + 1) + math.log(nrm_sq)
+    rows = {}
+    with np.errstate(over="ignore"):            # a term past the double range reads inf
+        for k in range(K_max + 1):
+            nrm_sq = _norm_sq_stable(sc.ctx, tilde.get(k), rows)
+            if nrm_sq > 0:
+                log_terms[k] = gammaln(k + 1) + math.log(nrm_sq)
     log_sums = _prefix_logsumexp(log_terms)
     overflow = bool(np.any(log_sums > _LOG_OVERFLOW))
-    sums = np.where(log_sums > _LOG_OVERFLOW, np.inf, np.exp(log_sums))
-    with np.errstate(invalid="ignore"):         # -inf - -inf where two terms vanish
+    # exp past the double range is inf; -inf - -inf where two terms vanish
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = np.where(log_sums > _LOG_OVERFLOW, np.inf, np.exp(log_sums))
         ratios = np.exp(np.diff(log_terms))
     return DomainDiagnostic(partial_sums=sums, log_terms=log_terms,
                             term_ratios=ratios, overflowed=overflow)
@@ -257,27 +270,32 @@ def _prefix_logsumexp(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _norm_sq_stable(ctx: GramContext, t: SymmetricTensor, norms: dict) -> float:
-    """max(|t|^2, 0) with the largest row norm factored out, so that
-    <v_i, v_j>^k stays finite; `norms` keeps ctx.norm of each row by its
-    bytes, so orders that share rows compute each norm once."""
-    smax = 0.0
-    if t.is_powers and t.weights.size:
-        row_norms = []
-        for v in t.vectors:
-            key = v.tobytes()
-            if key not in norms:
-                norms[key] = ctx.norm(v)
-            row_norms.append(norms[key])
-        smax = np.max(row_norms)
-    if smax == 0.0:
-        return max(tensor_inner(ctx, t, t), 0.0)
-    scaled = SymmetricTensor.from_powers(t.order, t.dim, t.weights, t.vectors / smax)
-    base = max(tensor_inner(ctx, scaled, scaled), 0.0)
-    if base == 0.0:
-        return 0.0
-    log_val = math.log(base) + 2 * t.order * math.log(smax)
-    return math.exp(log_val) if log_val < _LOG_OVERFLOW else math.inf
+def _norm_sq_stable(ctx: GramContext, t: SymmetricTensor, rows: dict) -> float:
+    """max(|t|^2, 0) of one order of a one-row chain.
+
+    A power sum w v^(x k) of one nonzero row has its norm smax = |v| factored
+    out, so that C^k stays finite: it costs w (C^k) w, the products
+    tensor_inner forms for the rescaled order, with the 1x1 pairing
+    C = (v / smax) G (v / smax)^T kept in `rows` by the bytes of v for the
+    whole diagnostic, and smax^(2k) put back in log space (inf past 1e300).
+    A zero weight gives 0.0, as from_powers drops it.  The other orders
+    (order 0, empty sums, a zero row) are tensor_inner's.
+    """
+    if t.is_powers and t.weights.size == 1:
+        key = t.vectors.tobytes()
+        if key not in rows:
+            smax = ctx.norm(t.vectors[0])
+            u = t.vectors / (smax or 1.0)
+            rows[key] = smax, (u @ ctx.G @ u.T if smax else None)
+        smax, C = rows[key]
+        if C is not None:
+            w = t.weights
+            base = 0.0 if w[0] == 0.0 else max(float(w @ (C**t.order) @ w), 0.0)
+            if base == 0.0:
+                return 0.0
+            log_val = math.log(base) + 2 * t.order * math.log(smax)
+            return math.exp(log_val) if log_val < _LOG_OVERFLOW else math.inf
+    return max(tensor_inner(ctx, t, t), 0.0)
 
 
 def escape_direction(sc: ShiftContext) -> np.ndarray:

@@ -5,10 +5,15 @@ These are the formulas that `s_transform`, `shifted_qce` and
 direction was hoisted out of the per-coefficient contractions.  Here every
 coefficient forms G w itself, `shifted_qce` contracts once per (n, k) pair,
 and the weak check rebuilds its shift contexts in every trial and pairs every
-node.  `shifted_qce_by_order` is the stacked power-sum route as it was before
-its weights and row groups were formed for all orders at once.  The tests
-compare the package against them with ==, not a tolerance, and
-`assert_same_bits` also tells 0.0 from -0.0.
+node, folding residuals with the NaN-keeping `_worst`.  `shifted_qce_by_order`
+is the stacked power-sum route as it was before its weights and row groups
+were formed for all orders at once.
+`domain_diagnostic` is the domain series as it was formed order by order:
+order 0 of the shifted chain folded from one contraction per coefficient
+(`shifted_qce_by_coefficient`), and each term from a rescaled power sum and
+`tensor_inner` (`norm_sq_stable`).  The tests compare the package against
+them with ==, not a tolerance, and `assert_same_bits` also tells 0.0 from
+-0.0.
 
 The module also builds the chaos vectors those tests feed to both routes.
 """
@@ -16,18 +21,22 @@ The module also builds the chaos vectors those tests feed to both routes.
 import math
 
 import numpy as np
+from scipy.special import gammaln
 
 from wickgrid import (
     ChaosVector,
+    DomainDiagnostic,
     ShiftContext,
     SymmetricTensor,
     WickCombo,
     symmetrize_full,
+    tensor_inner,
     wick_exponential_chaos,
 )
 from wickgrid.bsde import WickZ
-from wickgrid.chaos import GramImage
-from wickgrid.errors import ShapeError, UnsupportedOperationError
+from wickgrid.chaos import GramImage, _check_series_order
+from wickgrid.errors import ParameterError, ShapeError, UnsupportedOperationError, _worst
+from wickgrid.qce import _LOG_OVERFLOW, _power_orders, _prefix_logsumexp
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +142,71 @@ def shifted_qce_by_order(sc, xi):
     return ChaosVector(out, xi.dim)
 
 
+def shifted_qce_by_coefficient(sc, xi):
+    """shifted_qce with every dense order, order 0 included, added up from one
+    contract_last / scaled / project_coords per coefficient; the power orders
+    above them are the package's `_power_orders`."""
+    K = xi.max_order
+    image = GramImage(sc.ctx, sc.c_r)
+    top_dense = max(k for k, f in enumerate(xi.coeffs) if not f.is_powers)
+    out = []
+    n = 0
+    try:
+        for n in range(top_dense + 1):
+            acc = SymmetricTensor.zero(n, xi.dim)
+            for k in range(n, K + 1):
+                term = xi.coeffs[k].contract_last(image, k - n)
+                acc = acc.add(term.scaled(math.comb(k, n)).project_coords(sc.m))
+            out.append(acc)
+        out += _power_orders(image, xi.coeffs[top_dense + 1:], top_dense, sc.m)
+    except OverflowError:
+        raise ParameterError(f"shifted QCE order {n} overflows a double: a power of a pairing "
+                             "<v, c_r> leaves the double range; use a smaller shift c or a "
+                             "lower chaos order") from None
+    return ChaosVector(out, xi.dim)
+
+
+def norm_sq_stable(ctx, t):
+    """max(|t|^2, 0) with the largest row norm factored out: a rescaled
+    from_powers and tensor_inner at every order, each row normed afresh."""
+    smax = 0.0
+    if t.is_powers and t.weights.size:
+        smax = np.max([ctx.norm(v) for v in t.vectors])
+    if smax == 0.0:
+        return max(tensor_inner(ctx, t, t), 0.0)
+    scaled = SymmetricTensor.from_powers(t.order, t.dim, t.weights, t.vectors / smax)
+    base = max(tensor_inner(ctx, scaled, scaled), 0.0)
+    if base == 0.0:
+        return 0.0
+    log_val = math.log(base) + 2 * t.order * math.log(smax)
+    return math.exp(log_val) if log_val < _LOG_OVERFLOW else math.inf
+
+
+def domain_diagnostic(sc, f, K_max):
+    """The domain series of the chain f^(x k) / sqrt(k!), its coefficients built
+    by from_powers, its order 0 folded per coefficient and each term formed
+    by norm_sq_stable; the prefix sums are the package's."""
+    if K_max < 0:
+        raise ParameterError("K_max must be >= 0")
+    _check_series_order(K_max)
+    n = sc.ctx.n
+    xi = ChaosVector([SymmetricTensor.scalar(1.0, n)] + [SymmetricTensor.from_powers(
+        k, n, [1.0 / math.sqrt(math.factorial(k))], [f]) for k in range(1, K_max + 1)], n)
+    tilde = shifted_qce_by_coefficient(sc, xi)
+    log_terms = np.full(K_max + 1, -np.inf)
+    for k in range(K_max + 1):
+        nrm_sq = norm_sq_stable(sc.ctx, tilde.get(k))
+        if nrm_sq > 0:
+            log_terms[k] = gammaln(k + 1) + math.log(nrm_sq)
+    log_sums = _prefix_logsumexp(log_terms)
+    overflow = bool(np.any(log_sums > _LOG_OVERFLOW))
+    sums = np.where(log_sums > _LOG_OVERFLOW, np.inf, np.exp(log_sums))
+    with np.errstate(invalid="ignore"):
+        ratios = np.exp(np.diff(log_terms))
+    return DomainDiagnostic(partial_sums=sums, log_terms=log_terms,
+                            term_ratios=ratios, overflowed=overflow)
+
+
 def verify_solution_weak(problem, solution, trials, seed):
     ctx = problem.ctx
     n = ctx.n
@@ -156,10 +230,10 @@ def verify_solution_weak(problem, solution, trials, seed):
             residual_here = abs(s[n] - x)
             for i in range(n - 1, iv - 1, -1):
                 tail += a_w[i] * s[i + 1] + g[i] * dg[i]
-                residual_here = max(residual_here, abs(s[i] - x + tail))
-            worst = max(worst, residual_here)
+                residual_here = _worst(residual_here, abs(s[i] - x + tail))
+            worst = _worst(worst, residual_here)
     if solution.Z is not None:
-        worst = max(worst, _verify_full_equation(problem, solution, trials, seed + 1))
+        worst = _worst(worst, _verify_full_equation(problem, solution, trials, seed + 1))
     return worst
 
 
@@ -186,7 +260,7 @@ def _verify_full_equation(problem, solution, trials, seed):
                 u = _field_cell_s(ctx, Z, j - 1, h)
             res = abs(math.log(s[j]) - math.log(s[j - 1])
                       - problem.a[j - 1] * dg[j - 1] - u * q / s[j - 1])
-            worst = max(worst, res)
+            worst = _worst(worst, res)
     return worst
 
 

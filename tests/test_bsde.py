@@ -1,6 +1,7 @@
 """Linear BSDE representation, weak verification, certificate, residual experiment."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -385,6 +386,33 @@ def test_full_verification_chaos_field_route(ctx, rng):
     sol_field = BSDESolution(Y_nodes=sol.Y_nodes, A=sol.A,
                              xi_tilde=sol.xi_tilde, Z=ChaosField(small, slots))
     assert verify_solution_weak(p, sol_field, trials=5, seed=2) <= 1e-6
+
+
+@pytest.mark.parametrize("a,c,message", [
+    (-1e3, 0.0, "integrating factor A = 0.0 at node 0"),
+    (1e300, 0.0, "integrating factor A = inf at node 0"),
+    (0.5, 1e300, "solution factor beta = 0.0 at node 0"),
+    (0.5, -1e300, "solution factor beta = inf at node 0"),
+])
+def test_wick_solution_outside_the_double_range_is_a_parameter_error(ctx, a, c, message):
+    # A underflowing to 0 divided by zero, A = inf warned in exp, and
+    # exp(-<f - f_t, c>) raised a bare OverflowError; none may warn.  At node
+    # 0, <f, c> = 1e300 <f, 1> and <f, 1> > 0
+    p = BSDEProblem(ctx, np.full(8, a), ctx.grid.points, c=np.full(8, c),
+                    xi=ChaosVector.constant(1.0, 8))
+    f = 0.5 * ctx.unit(np.ones(8))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match=message):
+            wick_exponential_solution(p, f, K=3)
+
+
+def test_wick_solution_with_a_nan_shift_is_left_to_the_weak_check(ctx, rng):
+    p = BSDEProblem(ctx, np.zeros(8), ctx.grid.points, c=np.full(8, math.nan),
+                    xi=ChaosVector.constant(1.0, 8))
+    sol = wick_exponential_solution(p, 0.5 * ctx.unit(rng.standard_normal(8)), K=3)
+    p.xi = sol.Y_nodes[-1]
+    assert math.isnan(verify_solution_weak(p, sol, trials=1, seed=0))
 
 
 def test_wick_solution_needs_zero_driver(ctx, rng):

@@ -321,6 +321,27 @@ def test_unusable_check_settings_are_config_errors(tmp_path, capsys, experiment,
     assert not (out / "run-manifest.json").exists()
 
 
+@pytest.mark.parametrize("cfg,message", [
+    ("solution = wick\nc_scale = 1e300\n", "solution factor beta = 0.0 at node 0"),
+    ("solution = wick\na_const = -1e3\n", "integrating factor A = 0.0 at node 0"),
+    ("solution = wick\na_const = 1e300\n", "integrating factor A = inf at node 0"),
+    ("model = fbm\nT = 1e300\n", "1e+300 ** 1.5 overflows a double"),
+    ("model = weighted_fbm\nT = 1e300\n", "1e+300 ** 1.5 overflows a double"),
+    ("model = sum\nT = 1e300\n", "1e+300 ** 1.5 overflows a double"),
+])
+def test_values_past_the_double_range_are_config_errors(tmp_path, capsys, cfg, message):
+    # these ended in the catch-all: "error: math range error", "error: -inf +
+    # inf in fsum" and an UnsupportedOperationError after RuntimeWarnings,
+    # and "error: (34, 'Numerical result out of range')"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run(tmp_path, "bsde-verify", cfg, seed=1)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("m", [0, 1, 2])
 def test_kstar_mesh_without_a_node_below_a_target_is_a_config_error(tmp_path, capsys, m):
     # a zero indicator recovery used to reach np.log(0): a RuntimeWarning, then

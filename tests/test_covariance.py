@@ -276,6 +276,20 @@ def test_pow_is_the_scalar_power_per_element(x, p):
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+@pytest.mark.parametrize("make", [
+    lambda grid: FractionalBrownianMotion(0.75),
+    lambda grid: WeightedFbm(0.75, np.ones(grid.n), grid),
+    lambda grid: SumModel(BrownianMotion(), FractionalBrownianMotion(0.75), 1.0),
+], ids=["fbm", "weighted_fbm", "sum"])
+def test_a_power_past_the_double_range_is_a_parameter_error(make):
+    # (1e300)^1.5 raised a bare OverflowError from the scalar power
+    grid = TimeGrid.uniform(4, 1e300)
+    with pytest.raises(ParameterError, match=r"^1e\+300 \*\* 1\.5 overflows a double"):
+        build_gram(make(grid), grid)
+    with pytest.raises(ParameterError, match=r"^1e\+300 \*\* 1\.5 overflows a double"):
+        _pow(1e300, 1.5)
+
+
 def test_scalar_cov_returns_float_and_arrays_broadcast():
     grid = TimeGrid.uniform(6, 1.5)
     models = [BrownianMotion(), FractionalBrownianMotion(0.3),

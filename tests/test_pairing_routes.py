@@ -1,5 +1,7 @@
-"""Oracle tests: the whole-vector pairing plan and the whole-order weights of
-`shifted_qce` give the per-coefficient and per-order routes byte for byte.
+"""Oracle tests: the whole-vector pairing plan, the whole-order weights of
+`shifted_qce`, its order 0 folded from the pairings, the cached row pairing
+of the domain terms and the hoisted plans of the weak check give the
+per-coefficient and per-order routes byte for byte.
 
 The chaos vectors mix dense coefficients, one-row power sums, power sums of
 several rows drawn from a pool of three (so rows repeat within and across
@@ -12,13 +14,14 @@ from functools import cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.special import gammaln
 
-from wickgrid import (ChaosVector, FractionalBrownianMotion, ShiftContext, SymmetricTensor,
-                      TimeGrid, WickCombo, build_gram, domain_diagnostic, escape_direction,
-                      shifted_qce, symmetrize_full)
+from wickgrid import (BSDEProblem, ChaosVector, FractionalBrownianMotion, ShiftContext,
+                      SymmetricTensor, TimeGrid, WickCombo, build_gram, domain_diagnostic,
+                      escape_direction, random_chaos, represent_solution, shifted_qce,
+                      symmetrize_full, verify_solution_weak, wick_exponential_solution)
 from wickgrid.chaos import GramImage
 from wickgrid.errors import ParameterError
 from wickgrid.qce import _norm_sq_stable
@@ -67,7 +70,7 @@ def test_gram_image_s_matches_the_per_coefficient_route(data):
         image = GramImage(ctx, h)
         want = oracle.s_transform(ctx, xi, h)
         oracle.assert_same_bits(image.s(xi), want)
-        oracle.assert_same_bits(image.s(xi), want)      # memoized pairings
+        oracle.assert_same_bits(image.s(xi), want)      # a second call, the same bits
 
 
 @oracle_test
@@ -161,3 +164,99 @@ def test_a_power_table_overflow_names_order_0():
         k, 8, [1.0], [np.ones(8)]) for k in range(1, 171)], 8)
     with pytest.raises(ParameterError, match="order 0 overflows a double"):
         shifted_qce(sc, xi)
+
+
+def outcome(route, *args):
+    """("value", the result) or ("error", type, message) of route(*args)."""
+    try:
+        return "value", route(*args)
+    except ParameterError as exc:
+        return "error", type(exc), str(exc)
+
+
+_entries = arrays(float, 16, elements=st.floats(-1.0, 1.0), fill=st.nothing())
+
+
+@oracle_test
+@given(H=st.floats(0.05, 0.95), N=st.integers(2, 16), K_max=st.integers(1, 170),
+       r=st.integers(1, 15), f=_entries, f_scale=st.sampled_from([0.0, 0.1, 1.0, 3.0, 10.0, 30.0]),
+       c=_entries, c_scale=st.sampled_from([0.0, 1.0, 10.0, 100.0]))
+# partial sums past 1e300, with exp overflowing past 709; order-0 powers past
+# the double range; zero rows; terms past the double range
+@example(H=0.3, N=8, K_max=170, r=4, f=np.linspace(-0.5, 1.0, 16), f_scale=30.0,
+         c=np.zeros(16), c_scale=0.0)
+@example(H=0.3, N=8, K_max=170, r=4, f=np.linspace(-0.5, 1.0, 16), f_scale=3.0,
+         c=np.ones(16), c_scale=100.0)
+@example(H=0.3, N=8, K_max=170, r=4, f=np.ones(16), f_scale=0.0, c=np.ones(16), c_scale=100.0)
+@example(H=0.5, N=2, K_max=63, r=1, f=np.ones(16), f_scale=30.0,
+         c=np.eye(16)[1], c_scale=100.0)
+@example(H=0.0625, N=2, K_max=95, r=1, f=np.ones(16), f_scale=30.0,
+         c=np.eye(16)[0], c_scale=10.0)
+def test_domain_series_matches_the_per_order_route(H, N, K_max, r, f, f_scale, c, c_scale):
+    # entries in [-1, 1] scaled: |c| up to 100 takes <f, c_r>^k past the
+    # double range (a ParameterError naming order 0), a long f takes the
+    # partial sums past 1e300 (inf, overflowed), and a zero f gives zero rows
+    ctx = build_gram(FractionalBrownianMotion(H), TimeGrid.uniform(N))
+    f = f_scale * f[:N]
+    sc = ShiftContext(ctx, ctx.grid.points[min(r, N - 1)], c_scale * c[:N])
+    got = outcome(domain_diagnostic, sc, f, K_max)
+    with np.errstate(over="ignore", invalid="ignore"):     # the oracle warns on inf terms
+        want = outcome(oracle.domain_diagnostic, sc, f, K_max)
+    event("zero f" if not f.any() else "nonzero f")
+    if want[0] == "error":
+        event(want[2].split(":")[0])
+        assert got == want
+        return
+    event(f"overflowed {want[1].overflowed}")
+    assert got[0] == "value"
+    for name in ("log_terms", "partial_sums", "term_ratios"):
+        assert getattr(got[1], name).tobytes() == getattr(want[1], name).tobytes(), name
+    assert got[1].overflowed is want[1].overflowed
+
+
+@st.composite
+def weak_problems(draw):
+    """A problem and its solution: dense data represented with or without a
+    driver, or the closed-form Wick solution at K in {0, 1, 10, 30} with xi
+    the last node itself or an equal copy of it; sometimes one node is NaN."""
+    n = draw(st.integers(1, 5))
+    ctx = ctx_for(n)
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    a = 0.5 * rng.standard_normal(n)
+    c = 0.5 * rng.standard_normal(n)
+    # the seeded generator picks the kind and K: hypothesis would draw the
+    # first entries of a short list far more often than the others
+    kind = rng.choice(["dense", "dense, with a driver", "wick, xi the last node",
+                       "wick, xi a copy of it"])
+    event(kind)
+    if kind.startswith("dense"):
+        G = None
+        if kind.endswith("driver"):
+            G = [ChaosVector.constant(float(rng.standard_normal()), n)] + [
+                ChaosVector.first_chaos(np.where(np.arange(n) < i, rng.standard_normal(n), 0.0),
+                                        constant=float(rng.standard_normal()))
+                for i in range(1, n + 1)]
+        problem = BSDEProblem(ctx, a, ctx.grid.points, c=c, G=G,
+                              xi=random_chaos(rng, n, draw(st.integers(0, 3))))
+        solution = represent_solution(problem)
+    else:
+        problem = BSDEProblem(ctx, a, ctx.grid.points, c=c, xi=ChaosVector.constant(1.0, n))
+        f = 0.5 * ctx.unit(rng.standard_normal(n))
+        K = int(rng.choice([0, 1, 10, 30]))
+        event(f"wick K = {K}")
+        solution = wick_exponential_solution(problem, f, K=K)
+        last = solution.Y_nodes[-1]
+        problem.xi = last if kind.endswith("node") else ChaosVector(list(last.coeffs), n)
+    if draw(st.booleans()):
+        solution.Y_nodes[draw(st.integers(0, n))] = ChaosVector.constant(math.nan, n)
+        event("a NaN node")
+    return problem, solution
+
+
+@oracle_test
+@given(weak_problems(), st.integers(1, 2), st.integers(0, 99))
+def test_weak_check_matches_the_per_node_route(case, trials, seed):
+    problem, solution = case
+    got = verify_solution_weak(problem, solution, trials, seed)
+    want = oracle.verify_solution_weak(problem, solution, trials, seed)
+    assert got == want or (math.isnan(got) and math.isnan(want))
