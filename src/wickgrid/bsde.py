@@ -24,13 +24,8 @@ import numpy as np
 # build_gram is unused here; perfbench/test_tracer.py checks the tracer rebinds bsde.build_gram
 from .covariance import FractionalBrownianMotion, GramContext, TimeGrid, _gram_from_cov, build_gram
 from .chaos import ChaosVector, GramImage, SymmetricTensor, WickCombo
-from .errors import (
-    ParameterError,
-    ShapeError,
-    UnsupportedOperationError,
-    _worst,
-)
-from .firstchaos import operator_norm
+from .errors import ParameterError, ShapeError, UnsupportedOperationError, _worst
+from .firstchaos import TruncationOperator, operator_norm
 from .qce import (
     ShiftContext,
     _escape_from,
@@ -119,9 +114,15 @@ class BSDESolution:
 
 
 def integrating_factor(problem: BSDEProblem) -> np.ndarray:
-    """A(t_i) = exp(sum_{j>i} a_j dgamma_j); A(T) = 1."""
-    tail = np.concatenate([np.cumsum((problem.a * problem.dgamma)[::-1])[::-1], [0.0]])
-    return np.exp(tail)
+    """A(t_i) = exp(sum_{j>i} a_j dgamma_j); A(T) = 1.  An A or 1/A past the double
+    range is a ParameterError naming its first node; a NaN a is left to the checks."""
+    with np.errstate(all="ignore"):
+        A = np.exp(np.concatenate([np.cumsum((problem.a * problem.dgamma)[::-1])[::-1], [0.0]]))
+        bad = np.flatnonzero(np.isinf(A) | np.isinf(1.0 / A))
+    if bad.size:
+        raise ParameterError(f"integrating factor A = {float(A[bad[0]])!r} at node {bad[0]}: "
+                             "exp(int a dgamma) leaves the double range; use a smaller |a|")
+    return A
 
 
 def _driver_sums(problem: BSDEProblem, A: np.ndarray) -> List[Optional[ChaosVector]]:
@@ -190,10 +191,10 @@ def wick_exponential_solution(problem: BSDEProblem, f, K: int = 12) -> BSDESolut
 
     Y_t = beta(t) e^(wick I(Gamma_t f)) with
     beta(t) = exp(-int_t^T a dgamma - <(Id - Gamma_t) f, c>), and the Z slot
-    on cell j is f_j Y_{t_{j-1}}.  beta(T) = 1.  An integrating factor A or a
-    beta that is 0 or inf (or whose exponential overflows) at some node is a
-    ParameterError naming the node; a NaN coefficient is left to fail the
-    weak check.
+    on cell j is f_j Y_{t_{j-1}}.  beta(T) = 1.  A beta that is 0 or inf (or
+    whose exponential overflows) at some node is a ParameterError naming the
+    node, as integrating_factor refuses A; a NaN coefficient is left to fail
+    the weak check.
     """
     if problem.has_driver():
         raise UnsupportedOperationError(
@@ -203,18 +204,13 @@ def wick_exponential_solution(problem: BSDEProblem, f, K: int = 12) -> BSDESolut
     f = np.asarray(f, dtype=float)
     if f.shape != (ctx.n,):
         raise ShapeError("f must have one entry per increment")
-    with np.errstate(over="ignore"):        # an overflowing A is refused below
-        A = integrating_factor(problem)
+    A = integrating_factor(problem)
     combos, chaos_nodes = [], []
     for i in range(ctx.n + 1):
         fp = f.copy()
         fp[i:] = 0.0
-        A_i = float(A[i])
-        if A_i == 0.0 or A_i == math.inf:
-            raise ParameterError(f"integrating factor A = {A_i!r} at node {i}: exp(int a dgamma) "
-                                 "leaves the double range; use a smaller |a|")
         try:
-            beta = math.exp(-ctx.inner(f - fp, problem.c)) / A_i
+            beta = math.exp(-ctx.inner(f - fp, problem.c)) / float(A[i])
         except OverflowError:
             beta = math.inf
         if beta == 0.0 or beta == math.inf:
@@ -258,23 +254,23 @@ def verify_solution_weak(problem: BSDEProblem, solution: BSDESolution,
     Y = solution.Y_nodes
     if len(Y) != n + 1:
         raise ShapeError("solution must supply Y at every grid node")
-    shifts = [ShiftContext(ctx, t, problem.c) for t in ctx.grid.points]
+    ops = [TruncationOperator(ctx, t) for t in ctx.grid.points]
     for _ in range(int(trials)):
         h = ctx.unit(rng.standard_normal(n))
-        for iv, sc in enumerate(shifts):
-            # only nodes iv..n enter the equation probed at h^c_v
-            image = GramImage(ctx, sc.shifted_direction(h))
+        hc = h + problem.c
+        for iv, op in enumerate(ops):
+            # only nodes iv..n enter the equation probed at h^c_v = Gamma_v^*(h + c) - c
+            image = GramImage(ctx, op.adjoint(hc) - problem.c)
             s_next = image.s(Y[n])
             x = s_next if problem.xi is Y[n] else image.s(problem.xi)
-            residual_here = abs(s_next - x)
+            worst = _worst(worst, abs(s_next - x))
             tail = 0.0
             for i in range(n - 1, iv - 1, -1):
                 s_i = image.s(Y[i])
                 g = 0.0 if problem.G[i] is None else image.s(problem.G[i])
                 tail += a_w[i] * s_next + g * dg[i]
-                residual_here = _worst(residual_here, abs(s_i - x + tail))
+                worst = _worst(worst, abs(s_i - x + tail))
                 s_next = s_i
-            worst = _worst(worst, residual_here)
     if solution.Z is not None:
         worst = _worst(worst, _verify_full_equation(problem, solution, trials, seed + 1))
     return worst
@@ -296,6 +292,7 @@ def _verify_full_equation(problem: BSDEProblem, solution: BSDESolution,
     Z = solution.Z
     for _ in range(int(trials)):
         h = ctx.unit(rng.standard_normal(n))
+        hc = h + problem.c
         image = GramImage(ctx, h)
         s = np.array([image.s(y) for y in solution.Y_nodes])
         if np.any(s <= 0.0):
@@ -304,13 +301,8 @@ def _verify_full_equation(problem: BSDEProblem, solution: BSDESolution,
                 "(multiplicative solutions)"
             )
         for j in range(1, n + 1):
-            e = np.zeros(n)
-            e[j - 1] = 1.0
-            q = ctx.inner(e, h + problem.c)
-            if isinstance(Z, WickZ):
-                u = Z.cell_s(ctx, j - 1, h)
-            else:
-                u = _field_cell_s(image, Z, j - 1)
+            q = float(ctx.G[j - 1] @ hc)        # <e_j, h + c>
+            u = Z.cell_s(ctx, j - 1, h) if isinstance(Z, WickZ) else _field_cell_s(image, Z, j - 1)
             res = abs(math.log(s[j]) - math.log(s[j - 1])
                       - problem.a[j - 1] * dg[j - 1] - u * q / s[j - 1])
             worst = _worst(worst, res)
@@ -367,7 +359,8 @@ def nonexistence_certificate(sc: ShiftContext, a=None, G=None,
     <f, c_r> >= 0), generate xi~ with coefficients f^(x k) / sqrt(k!), and
     report rho = |Gamma_r f|^2 > 1 together with the partial sums S_K, each
     verified against the geometric lower bound sum_{k<=K} rho^k.  The actual
-    terminal value is xi = xi~ + int_0^T A G dgamma (gamma = t), echoed in coefficients.
+    terminal value is xi = xi~ + int_0^T A G dgamma (gamma = t), echoed in coefficients;
+    without a driver A is not formed, and every a gives the same certificate.
     On a martingale grid the construction refuses: the equation is well-posed
     there (time-changed Brownian representation), so no certificate exists.
     """
@@ -383,7 +376,7 @@ def nonexistence_certificate(sc: ShiftContext, a=None, G=None,
     bounds = np.cumsum(rho ** np.arange(K_max + 1))
     ok = bool(np.all(diag.partial_sums >= bounds * (1.0 - 1e-12)))
     tail_ratio = float(diag.partial_sums[-1] / diag.partial_sums[-2])
-    shift = _driver_sums(problem, integrating_factor(problem))[-1]
+    shift = _driver_sums(problem, integrating_factor(problem))[-1] if problem.has_driver() else None
     coeffs_echo = {
         "a": list(map(float, problem.a)),
         "gamma": list(map(float, problem.gamma)),
@@ -416,7 +409,11 @@ def _example33_residual_sq(H: float, n: int, T: float) -> float:
     grid = TimeGrid.uniform(n, T)
     G = _gram_from_cov(FractionalBrownianMotion(H), grid)
     dV = np.diff(grid.points ** (2.0 * H))
-    return float(2.0 * np.sum(G * G) + 4.0 * dV @ G @ dV + np.sum(dV**2) ** 2)
+    with np.errstate(all="ignore"):
+        m2 = float(2.0 * np.sum(G * G) + 4.0 * dV @ G @ dV + np.sum(dV**2) ** 2)
+    if not 0.0 < m2 < math.inf:
+        raise ParameterError(f"residual moment {m2!r} at T = {T!r} leaves the double range")
+    return m2
 
 
 @dataclass

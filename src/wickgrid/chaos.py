@@ -273,8 +273,6 @@ class GramImage:
             return float(f.dense)
         if not f.is_powers:
             return float(self.contract_dense(f.dense, f.order))
-        if f.weights.size == 1:     # fsum([x]) is x + 0.0 bit for bit, at a fraction of the cost
-            return f.weights.item() * self.pairings(f.vectors)[0] ** f.order + 0.0
         return math.fsum(self.terms(f, f.order))
 
     def s(self, xi: "ChaosVector") -> float:

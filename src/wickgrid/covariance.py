@@ -43,6 +43,15 @@ _EIG_FLOOR_REL = 1e-10
 _COND_CAP = 1e12
 
 
+def _nearest_node(pts: np.ndarray, ta: np.ndarray):
+    """Nearest node of the increasing pts to each time in ta, and whether it is aligned."""
+    # upper neighbour in 1..N, then step down when the lower one is at least as near
+    m = np.searchsorted(pts[1:-1], ta) + 1
+    m = m - (ta - pts[m - 1] <= pts[m] - ta)
+    ok = np.abs(pts[m] - ta) <= _ALIGN_TOL * np.maximum(1.0, np.abs(ta))
+    return m, ok & np.isfinite(ta)
+
+
 class TimeGrid:
     """Strictly increasing time nodes t_0 = 0 < t_1 < ... < t_N."""
 
@@ -78,14 +87,8 @@ class TimeGrid:
 
         Broadcasts over an array of times; a scalar time gives an int.
         """
-        pts = self.points
         ta = np.asarray(t, dtype=float)
-        # upper neighbour in 1..N, then step down when the lower one is at
-        # least as near
-        m = np.searchsorted(pts[1:-1], ta) + 1
-        m = m - (ta - pts[m - 1] <= pts[m] - ta)
-        ok = np.abs(pts[m] - ta) <= _ALIGN_TOL * np.maximum(1.0, np.abs(ta))
-        ok &= np.isfinite(ta)
+        m, ok = _nearest_node(self.points, ta)
         if not np.all(ok):
             bad = t if ta.ndim == 0 else float(ta[~ok].flat[0])
             raise GridAlignmentError(f"time {bad!r} is not a grid node")

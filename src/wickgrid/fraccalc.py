@@ -23,7 +23,7 @@ import numpy as np
 from scipy.special import beta as beta_fn
 from scipy.special import betainc, gamma as gamma_fn, gammaln, gammasgn
 
-from .covariance import GramContext, TimeGrid
+from .covariance import GramContext, TimeGrid, _nearest_node
 from .errors import CalibrationError, GridAlignmentError, ParameterError, RegimeError
 
 __all__ = [
@@ -79,12 +79,10 @@ class FuncOnGrid:
         return np.interp(t, self.x, self.values)
 
     def index_of(self, t: float) -> int:
-        if not math.isfinite(t):
+        i, ok = _nearest_node(self.x, np.asarray(t, dtype=float))
+        if not ok:
             raise GridAlignmentError(f"{t!r} is not a mesh node")
-        i = int(np.argmin(np.abs(self.x - t)))
-        if abs(self.x[i] - t) > 1e-9 * max(1.0, abs(t)):
-            raise GridAlignmentError(f"{t!r} is not a mesh node")
-        return i
+        return int(i)
 
     def __repr__(self) -> str:
         return f"FuncOnGrid(m={self.x.size - 1}, [{self.x[0]}, {self.x[-1]}])"

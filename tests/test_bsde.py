@@ -391,13 +391,16 @@ def test_full_verification_chaos_field_route(ctx, rng):
 @pytest.mark.parametrize("a,c,message", [
     (-1e3, 0.0, "integrating factor A = 0.0 at node 0"),
     (1e300, 0.0, "integrating factor A = inf at node 0"),
+    # e^-710 is subnormal, and 1/A overflows
+    (-710.0, 0.0, r"integrating factor A = 4\.47628622567\d*e-309 at node 0"),
     (0.5, 1e300, "solution factor beta = 0.0 at node 0"),
     (0.5, -1e300, "solution factor beta = inf at node 0"),
 ])
 def test_wick_solution_outside_the_double_range_is_a_parameter_error(ctx, a, c, message):
     # A underflowing to 0 divided by zero, A = inf warned in exp, and
     # exp(-<f - f_t, c>) raised a bare OverflowError; none may warn.  At node
-    # 0, <f, c> = 1e300 <f, 1> and <f, 1> > 0
+    # 0, <f, c> = 1e300 <f, 1> and <f, 1> > 0.  The represented solution
+    # divided by the same A without a check
     p = BSDEProblem(ctx, np.full(8, a), ctx.grid.points, c=np.full(8, c),
                     xi=ChaosVector.constant(1.0, 8))
     f = 0.5 * ctx.unit(np.ones(8))
@@ -405,6 +408,10 @@ def test_wick_solution_outside_the_double_range_is_a_parameter_error(ctx, a, c, 
         warnings.simplefilter("error")
         with pytest.raises(ParameterError, match=message):
             wick_exponential_solution(p, f, K=3)
+        if message.startswith("integrating factor"):
+            for route in (represent_solution, xi_shifted, lambda p: represent_Y(p, 0.5)):
+                with pytest.raises(ParameterError, match=message):
+                    route(p)
 
 
 def test_wick_solution_with_a_nan_shift_is_left_to_the_weak_check(ctx, rng):

@@ -130,6 +130,20 @@ def test_a_failed_certificate_exits_two_naming_its_check(tmp_path, monkeypatch, 
     assert json.loads((out / "certificate.json").read_text())[field] == value
 
 
+def test_a_certificate_without_a_driver_never_reads_a(tmp_path, capsys):
+    # no A is formed without a driver; at a = 1000 it used to overflow in exp
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run(tmp_path, "nonexist-cert", "a_const = 1000\n")
+        code0, out0 = run(tmp_path, "nonexist-cert", "a_const = 0\n", subdir="zero")
+    assert code == code0 == 0
+    assert capsys.readouterr().err == ""
+    got, want = (json.loads((o / "certificate.json").read_text()) for o in (out, out0))
+    assert got["coefficients"]["a"] == [1000.0] * got["N"]
+    for key in ("rho", "S_K", "bound_ok"):
+        assert got[key] == want[key]
+
+
 def test_nonexist_cert_bm_refusal(tmp_path):
     code, out = run(tmp_path, "nonexist-cert", "model = bm\nN = 16\n")
     assert code == 0
@@ -321,21 +335,42 @@ def test_unusable_check_settings_are_config_errors(tmp_path, capsys, experiment,
     assert not (out / "run-manifest.json").exists()
 
 
-@pytest.mark.parametrize("cfg,message", [
-    ("solution = wick\nc_scale = 1e300\n", "solution factor beta = 0.0 at node 0"),
-    ("solution = wick\na_const = -1e3\n", "integrating factor A = 0.0 at node 0"),
-    ("solution = wick\na_const = 1e300\n", "integrating factor A = inf at node 0"),
-    ("model = fbm\nT = 1e300\n", "1e+300 ** 1.5 overflows a double"),
-    ("model = weighted_fbm\nT = 1e300\n", "1e+300 ** 1.5 overflows a double"),
-    ("model = sum\nT = 1e300\n", "1e+300 ** 1.5 overflows a double"),
+def _range_case(cfg, message, experiment="bsde-verify"):
+    # a bsde-verify case is named by its config and message alone
+    name = f"{cfg}-{message}" if experiment == "bsde-verify" else f"{experiment}-{cfg}-{message}"
+    return pytest.param(experiment, cfg, message, id=name)
+
+
+# e^-710 is subnormal and its reciprocal overflows; its last digits are left to exp
+_SUBNORMAL_A = "integrating factor A = 4.47628622567"
+
+
+@pytest.mark.parametrize("experiment,cfg,message", [
+    _range_case("solution = wick\nc_scale = 1e300\n", "solution factor beta = 0.0 at node 0"),
+    _range_case("solution = wick\na_const = -1e3\n", "integrating factor A = 0.0 at node 0"),
+    _range_case("solution = wick\na_const = 1e300\n", "integrating factor A = inf at node 0"),
+    _range_case("solution = wick\na_const = -710\n", _SUBNORMAL_A),
+    _range_case("model = fbm\nT = 1e300\n", "1e+300 ** 1.5 overflows a double"),
+    _range_case("model = weighted_fbm\nT = 1e300\n", "1e+300 ** 1.5 overflows a double"),
+    _range_case("model = sum\nT = 1e300\n", "1e+300 ** 1.5 overflows a double"),
+    *(_range_case(prefix + f"a_const = {a}\n", message, experiment)
+      for experiment, prefix in [("bsde-solve", ""), ("bsde-verify", "solution = represent\n")]
+      for a, message in [("-1e3", "integrating factor A = 0.0 at node 0"),
+                         ("-710", _SUBNORMAL_A),
+                         ("1e300", "integrating factor A = inf at node 0")]),
+    _range_case("T = 1e300\n", "residual moment nan at T = 1e+300 leaves the double range",
+                "example33"),
 ])
-def test_values_past_the_double_range_are_config_errors(tmp_path, capsys, cfg, message):
+def test_values_past_the_double_range_are_config_errors(tmp_path, capsys, experiment, cfg,
+                                                        message):
     # these ended in the catch-all: "error: math range error", "error: -inf +
     # inf in fsum" and an UnsupportedOperationError after RuntimeWarnings,
-    # and "error: (34, 'Numerical result out of range')"
+    # and "error: (34, 'Numerical result out of range')"; the represented
+    # solution divided by an A of 0 or inf and example33 wrote nan residuals,
+    # after RuntimeWarnings, and exited 0 or 2
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code, out = run(tmp_path, "bsde-verify", cfg, seed=1)
+        code, out = run(tmp_path, experiment, cfg, seed=1)
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("config error:") and message in err

@@ -190,6 +190,20 @@ def test_index_of_rejects_nonfinite_time(t):
         cm_truncate_fbm_high(phi, t, 0.75)
 
 
+def test_index_of_is_the_grid_nearest_node_rule():
+    # two nodes 2^-30 apart, both within the alignment tolerance of their midpoint
+    x = [0.0, 1.0, 1.0 + 2.0**-30, 2.0]
+    phi, grid = FuncOnGrid.constant(1.0, x), TimeGrid(x)
+    for t, want in [(0.0, 0), (1.0 + 2.0**-31, 1), (1.0 + 2.0**-30, 2), (2.0 + 1e-10, 3),
+                    (-1e-10, 0)]:
+        assert phi.index_of(t) == grid.index_of(t) == want      # the lower node on a tie
+    for t in (0.5, 2.5, -0.5, 1.0 + 2.0**-31 + 2e-9):
+        with pytest.raises(GridAlignmentError, match=f"{t!r} is not a mesh node"):
+            phi.index_of(t)
+        with pytest.raises(GridAlignmentError, match="is not a grid node"):
+            grid.index_of(t)
+
+
 def test_rl_converges_under_doubling():
     mu, alpha = 0.8, 0.4
     errs = []

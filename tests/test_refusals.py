@@ -1,0 +1,110 @@
+"""Typed refusals of the public entry points, one table row per guard."""
+
+import numpy as np
+import pytest
+
+from wickgrid import (
+    BrownianMotion,
+    BSDEProblem,
+    BSDESolution,
+    ChaosField,
+    ChaosVector,
+    FractionalBrownianMotion,
+    FuncOnGrid,
+    GramContext,
+    ShiftContext,
+    SymmetricTensor,
+    TimeGrid,
+    WickCombo,
+    build_gram,
+    cm_truncate_fbm_high,
+    domain_diagnostic,
+    example33_residual,
+    uniform_mesh,
+    verify_solution_weak,
+    wick_exponential_solution,
+)
+from wickgrid.bsde import WickZ
+from wickgrid.errors import (ConditioningError, GridAlignmentError, ParameterError, ShapeError,
+                             UnsupportedOperationError)
+
+N = 4
+GRID = TimeGrid.uniform(N)
+CTX = build_gram(FractionalBrownianMotion(0.75), GRID)
+ONE = ChaosVector.constant(1.0, N)
+MESH = FuncOnGrid.constant(1.0, uniform_mesh(10))
+
+
+def problem(**kw):
+    args = dict(a=np.zeros(N), gamma=GRID.points, xi=ONE)
+    args.update(kw)
+    return BSDEProblem(CTX, **args)
+
+
+def negative_weak_check():
+    # a Z makes the full equation run, and its log-S form needs S-values > 0
+    p = problem(xi=ChaosVector.constant(-1.0, N))
+    sol = BSDESolution(Y_nodes=[p.xi] * (N + 1), A=np.ones(N + 1), xi_tilde=p.xi, Z=WickZ([]))
+    verify_solution_weak(p, sol, trials=1, seed=0)
+
+
+REFUSALS = {
+    "bsde-a-shape": (lambda: problem(a=np.zeros(N + 1)),
+                     ShapeError, "a needs one value per increment"),
+    "bsde-gamma-shape": (lambda: problem(gamma=GRID.points[:-1]),
+                         ShapeError, "gamma needs one value per grid node"),
+    "bsde-c-shape": (lambda: problem(c=np.zeros(N - 1)),
+                     ShapeError, "c needs one value per increment"),
+    "bsde-gamma-finite": (lambda: problem(gamma=np.append(GRID.points[:-1], np.inf)),
+                          ParameterError, "gamma must be finite"),
+    "bsde-driver-length": (lambda: problem(G=[None] * N),
+                           ShapeError, "G needs one entry per grid node"),
+    "bsde-xi-required": (lambda: problem(xi=None),
+                         ParameterError, "terminal condition xi is required"),
+    "wick-f-shape": (lambda: wick_exponential_solution(problem(), np.zeros(N + 1)),
+                     ShapeError, "f must have one entry per increment"),
+    "weak-check-nodes": (lambda: verify_solution_weak(
+        problem(), BSDESolution(Y_nodes=[ONE] * N, A=np.ones(N + 1), xi_tilde=ONE), 1, 0),
+        ShapeError, "solution must supply Y at every grid node"),
+    "weak-check-positive-s": (negative_weak_check,
+                              UnsupportedOperationError, "needs positive S-values"),
+    "example33-one-grid": (lambda: example33_residual(0.5, [16]),
+                           ParameterError, "need at least two grid sizes"),
+    "dense-dim-cap": (lambda: SymmetricTensor.from_dense(np.zeros(33)),
+                      ShapeError, "dimension 33 exceeds cap 32"),
+    "dense-hypercubic": (lambda: SymmetricTensor.from_dense(np.zeros((2, 3))),
+                         ShapeError, "dense tensor must be hyper-cubic"),
+    "powers-shape": (lambda: SymmetricTensor.from_powers(2, N, [1.0], np.zeros((2, N))),
+                     ShapeError, "power sums need weights of shape (p,) and vectors (p, dim)"),
+    "chaos-graded": (lambda: ChaosVector([SymmetricTensor.scalar(1.0, N)] * 2, N),
+                     ShapeError, "coefficient list must be graded by order"),
+    "combo-term-length": (lambda: WickCombo([(1.0, None, np.zeros(N - 1))], N),
+                          ShapeError, "term vectors must have length dim"),
+    "combo-dependent-blocks": (
+        lambda: WickCombo.exponential(np.ones(N)).conditional_expectation_independent(CTX, 0.5),
+        UnsupportedOperationError, "independent past/future blocks"),
+    "singular-gram": (lambda: GramContext(BrownianMotion(), TimeGrid.uniform(2),
+                                          np.ones((2, 2))).inv_matrix,
+                      ConditioningError, "Gram is singular beyond the eigenvalue floor"),
+    "shift-shape": (lambda: ShiftContext(CTX, 0.5, np.zeros(N + 1)),
+                    ShapeError, "shift vector must have one entry per increment"),
+    "domain-negative-order": (lambda: domain_diagnostic(ShiftContext(CTX, 0.5), np.ones(N), -1),
+                              ParameterError, "K_max must be >= 0"),
+    "field-slot-shape": (lambda: ChaosField(CTX, [np.zeros(N + 1)]),
+                         ShapeError, "slot tensor 0 must have shape (N,)*1"),
+    "mesh-values": (lambda: FuncOnGrid([0.0, 0.5, 1.0], [0.0, 1.0]),
+                    ParameterError, "values must match the mesh"),
+    "mesh-off-node": (lambda: MESH.index_of(0.05),
+                      GridAlignmentError, "0.05 is not a mesh node"),
+    "high-truncation-at-zero": (lambda: cm_truncate_fbm_high(MESH, 0.0, 0.75),
+                                ParameterError, "r must not be 0"),
+}
+
+
+@pytest.mark.parametrize("name", list(REFUSALS))
+def test_a_bad_input_is_a_typed_error_naming_it(name):
+    call, error, fragment = REFUSALS[name]
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+    assert fragment in str(info.value)
