@@ -276,24 +276,36 @@ class GramImage:
         return math.fsum(self.terms(f, f.order))
 
     def s(self, xi: "ChaosVector") -> float:
-        """(S xi)(w) = sum_k <f_k, w^(x k)> of a chaos vector.
+        """(S xi)(w) = sum_k <f_k, w^(x k)> of a chaos vector, read from
+        xi's pairing plan (`ChaosVector.pairing_plan`).
 
-        Each distinct row of xi's one-row power sums (`ChaosVector.pairing_plan`)
-        is paired once, as the float(v @ gw) that pairings forms but without
-        its memo, and one fsum takes every summand.  Each summand is the
-        double pair(f) gives, up to the sign of a zero, and fsum is correctly
-        rounded whatever the order of its inputs, so the sum is bit for bit
-        the fsum of pair(f) over the coefficients.
+        Each distinct row of its one-row power sums is paired once, as the
+        float(v @ gw) that pairings forms but without its memo, and raised per
+        order by Python's float pow; each dense coefficient takes the np.dot
+        calls of contract_dense, on operands of the same shapes; only the
+        other power sums go through pair.  Each summand is the double pair(f)
+        gives, up to the sign of a zero, which fsum drops.  One fsum takes
+        them in coefficient order, since it raises on an intermediate
+        overflow that depends on the order, so the sum is bit for bit, and
+        overflows where, the fsum of pair(f) over the coefficients.
         """
         if xi.dim != self.gw.size:
             raise ShapeError(f"chaos vector of dim {xi.dim} paired with a direction "
                              f"of {self.gw.size} increments")
-        constants, singles, rows, rest = xi.pairing_plan()
+        constants, rest, dense, rows, perm = xi.pairing_plan()
+        gw = self.gw
         terms = constants + [self.pair(f) for f in rest]
-        if singles:
-            gw = self.gw
-            xs = [float(v @ gw) for v in rows]
-            terms += [w * xs[i] ** k for w, i, k in singles]
+        if dense:
+            n = gw.size
+            col = gw.reshape(n, 1)
+            for t, k in dense:
+                for _ in range(k - 1):
+                    t = np.dot(t, col).reshape(-1, n)
+                terms.append(np.dot(t, col).item())
+        for v, weights, orders in rows:
+            terms += map(mul, weights, map(pow, repeat(float(v @ gw)), orders))
+        if perm is not None:
+            terms = [terms[i] for i in perm]
         return math.fsum(terms)
 
 
@@ -371,28 +383,39 @@ class ChaosVector:
                     SymmetricTensor.from_vector(v)], v.size)
 
     def pairing_plan(self):
-        """(constants, singles, rows, rest), built on first use and kept.
+        """(constants, rest, dense, rows, perm), built on first use and kept.
 
-        constants are the order-0 values; singles holds (weight, row id,
-        order) for each power sum of one row, its row stored once per
-        distinct bytes in rows; rest holds the other coefficients (dense,
-        several rows, empty).  The coefficients are a tuple, so the plan
-        cannot go stale.
+        constants are the order-0 values.  rest holds the power sums of
+        several rows or none.  dense holds (operand, order) for each dense
+        coefficient, the operand being the (N^(k-1), N) reshape that
+        contract_dense hands to its first np.dot.  rows holds (v, weights,
+        orders) for each distinct row v of the one-row power sums, in order of
+        first occurrence: v is that coefficient's own row, and the lists
+        collect the weight and order of every one-row sum whose row has v's
+        bytes.  GramImage.s forms the summands in this order; perm is None
+        when that is the coefficient order, and otherwise the indices that
+        restore it.  The coefficients are a tuple, so the plan cannot go stale.
         """
         if self._plan is None:
-            constants, singles, rows, rest, ids = [], [], [], [], {}
+            constants, rest, dense, rows = [], [], [], {}
             for f in self.coeffs:
                 if f.order == 0:
                     constants.append(float(f.dense))
-                elif f.is_powers and f.weights.size == 1:
-                    i = ids.setdefault(f.vectors.tobytes(), len(ids))
-                    if i == len(rows):
-                        rows.append(f.vectors[0])
-                    singles.append((f.weights.item(), i, f.order))
+                elif not f.is_powers:
+                    dense.append((f.dense.reshape(-1, self.dim), f.order))
+                elif f.weights.size == 1:
+                    _, weights, orders = rows.setdefault(f.vectors.tobytes(),
+                                                         (f.vectors[0], [], []))
+                    weights.append(f.weights.item())
+                    orders.append(f.order)
                 else:
                     rest.append(f)
-            rows = np.array(rows, dtype=float).reshape(len(rows), self.dim)
-            self._plan = (constants, singles, rows, rest)
+            rows = list(rows.values())
+            formed = ([0] * len(constants) + [f.order for f in rest] + [k for _, k in dense]
+                      + [k for _, _, orders in rows for k in orders])
+            perm = sorted(range(len(formed)), key=formed.__getitem__)
+            self._plan = (constants, rest, dense, rows,
+                          None if perm == list(range(len(formed))) else perm)
         return self._plan
 
     def get(self, k: int) -> SymmetricTensor:
@@ -576,8 +599,12 @@ class WickCombo:
         V = np.array([g for _, _, g in self.terms]).reshape(len(bases), self.dim)
         coeffs = [SymmetricTensor.scalar(constant, self.dim)]
         for k in range(1, K + 1):
-            part = SymmetricTensor.from_powers(
-                k, self.dim, [base / math.factorial(k) for base in bases], V)
+            fk = math.factorial(k)
+            weights = [base / fk for base in bases]
+            # with every weight nonzero, from_powers would keep each row, so the
+            # orders share V; a weight that underflows to 0 takes from_powers
+            part = (SymmetricTensor(k, self.dim, weights=np.array(weights), vectors=V)
+                    if all(weights) else SymmetricTensor.from_powers(k, self.dim, weights, V))
             for _, f, g in self.terms:
                 if f is not None:
                     gt = np.float64(1.0)

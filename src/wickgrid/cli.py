@@ -498,9 +498,20 @@ def exp_bsde_solve(cfg, seed):
     ctx = gram_from_config(cfg)
     rng = np.random.default_rng(seed)
     problem = _random_problem(cfg, ctx, rng)
-    sol = represent_solution(problem)
-    rows = [(float(t), float(a), y.expectation(), y.l2_norm(ctx))
-            for t, a, y in zip(ctx.grid.points, sol.A, sol.Y_nodes)]
+    # with a and c finite, a row that is not finite means Y = A^-1 [...] left the
+    # double range, refused at the first such node (the norms of later ones can
+    # raise in fsum); a NaN a or c is left to fail the check
+    finite = np.isfinite(problem.a).all() and np.isfinite(problem.c).all()
+    rows = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        sol = represent_solution(problem)
+        for i, (t, a, y) in enumerate(zip(ctx.grid.points, sol.A, sol.Y_nodes)):
+            row = (float(t), float(a), y.expectation(), y.l2_norm(ctx))
+            if finite and not all(map(math.isfinite, row)):
+                raise ParameterError(f"solution row at node {i} is not finite: mean_Y = "
+                                     f"{row[2]!r}, l2_Y = {row[3]!r} with A = {row[1]!r}; Y "
+                                     "leaves the double range, use a smaller |a|")
+            rows.append(row)
     terminal_err = sol.Y_nodes[-1].sub(problem.xi).l2_norm(ctx)
     checks = [("terminal_error", terminal_err, "<=", 1e-10)]
     return checks, {"bsde_solution.csv": (["t", "A", "mean_Y", "l2_Y"], rows),
@@ -651,6 +662,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.threads < 1:
             parser.error(f"--threads must be >= 1, got {args.threads}")
+        if args.threads > 1 and args.experiment in EXPERIMENTS.keys() - SWEEPS:
+            parser.error(f"--threads {args.threads}: only {' and '.join(sorted(SWEEPS))} "
+                         f"run on threads; {args.experiment} takes --threads 1")
     except SystemExit:
         return USAGE_EXIT
     if args.experiment not in EXPERIMENTS:

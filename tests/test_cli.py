@@ -360,6 +360,10 @@ _SUBNORMAL_A = "integrating factor A = 4.47628622567"
                          ("1e300", "integrating factor A = inf at node 0")]),
     _range_case("T = 1e300\n", "residual moment nan at T = 1e+300 leaves the double range",
                 "example33"),
+    # A = e^-700 is a normal double, but Y = A^-1 [...] is ~1e303 and its squared norm
+    # overflows: 8 l2_Y cells read inf or nan, and the terminal check passed
+    _range_case("a_const = -700\n", "solution row at node 0 is not finite: mean_Y = ",
+                "bsde-solve"),
 ])
 def test_values_past_the_double_range_are_config_errors(tmp_path, capsys, experiment, cfg,
                                                         message):
@@ -603,6 +607,17 @@ def test_frac_verify_runs_each_listed_check(tmp_path):
     report = json.loads((out / "frac_verify.json").read_text())
     assert sorted(report) == ["appendix_g_l2", "appendix_max_error", "passes",
                               "truncation_low_error"]
+
+
+def test_threads_above_one_outside_the_sweeps_is_usage_error(tmp_path, capsys):
+    # the other experiments run on one thread; a --threads 2 they would ignore
+    # is refused before anything runs
+    for experiment in sorted(cli.EXPERIMENTS.keys() - cli.SWEEPS):
+        out = tmp_path / experiment
+        assert cli.main([experiment, "--out", str(out), "--seed", "1", "--threads", "2"]) == 64
+        err = capsys.readouterr().err
+        assert "--threads 2: only dr-sweep and opnorm-sweep run on threads" in err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("threads", ["0", "-2"])

@@ -73,6 +73,105 @@ def test_gram_image_s_matches_the_per_coefficient_route(data):
         oracle.assert_same_bits(image.s(xi), want)      # a second call, the same bits
 
 
+@st.composite
+def planned_chaos(draw):
+    """A chaos vector on N in {1, 2, 7, 24, 31}: per order a dense tensor (orders
+    1-3, sometimes a transposed, non-contiguous one), a one-row power sum over
+    the rows u, v and an equal-bytes copy of u, a power sum of several of them,
+    or an empty one.  Entries come from a seeded generator; weights and the
+    constant are 0.0 or -0.0 in about a third of the draws."""
+    dim, K = draw(st.sampled_from([1, 2, 7, 24, 31])), draw(st.integers(0, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u, v = rng.standard_normal((2, dim))
+    pool = np.array([u, v, u])
+
+    def value():
+        pick = draw(st.integers(0, 5))
+        return (0.0, -0.0)[pick] if pick < 2 else float(rng.standard_normal())
+
+    coeffs = [SymmetricTensor.scalar(value(), dim)]
+    for k in range(1, K + 1):
+        kind = draw(st.sampled_from(["dense", "transposed", "single", "multi", "empty"]))
+        if kind in ("dense", "transposed") and k <= 3:
+            t = symmetrize_full(rng.standard_normal((dim,) * k))
+            coeffs.append(SymmetricTensor.from_dense(t.T if kind == "transposed" else t))
+        elif kind == "empty":
+            coeffs.append(SymmetricTensor.zero(k, dim))
+        else:
+            rows = draw(st.lists(st.integers(0, 2), min_size=1 if kind == "single" else 2,
+                                 max_size=1 if kind == "single" else 3))
+            # indexing copies the rows, so equal bytes never mean the same array
+            coeffs.append(SymmetricTensor(k, dim, weights=np.array([value() for _ in rows]),
+                                          vectors=pool[rows]))
+    h = rng.standard_normal((2, dim))
+    h[:, rng.random(dim) < 0.2] = 0.0
+    return ChaosVector(coeffs, dim), h
+
+
+@oracle_test
+@given(planned_chaos())
+def test_s_from_the_plan_matches_one_pairing_per_coefficient(case):
+    xi, directions = case
+    ctx = ctx_for(xi.dim)
+    event(f"N = {xi.dim}")
+    for h in directions:        # the second direction reuses the cached plan
+        want = oracle.s_by_coefficient(GramImage(ctx, h), xi)
+        assert repr(GramImage(ctx, h).s(xi)) == repr(want)
+
+
+def _big(kind, k, value):
+    if kind == "dense":
+        return SymmetricTensor.from_dense(np.full((1,) * k, value))
+    rows = 1 if kind == "single" else 2
+    return SymmetricTensor.from_powers(k, 1, [value / rows] * rows, np.ones((rows, 1)))
+
+
+@pytest.mark.parametrize("kinds, signs, want", [
+    (("dense", "single"), (-1, 1), "1e+308"),
+    (("single", "dense"), (-1, 1), "1e+308"),
+    (("single", "dense"), (1, -1), "OverflowError"),
+    (("dense", "multi"), (-1, 1), "1e+308"),
+])
+def test_s_overflows_where_one_pairing_per_coefficient_does(kinds, signs, want):
+    # summands 1e308, +-1e308, +-1e308 at orders 0, 1, 2 on a grid of one
+    # increment with G h = 1: fsum raises on an intermediate overflow, which
+    # depends on the order of its inputs, so S must take them in coefficient
+    # order; taking each storage kind as a block raised in the first two cases
+    ctx = ctx_for(1)
+    h = np.array([1.0 / ctx.G[0, 0]])
+    xi = ChaosVector([SymmetricTensor.scalar(1e308, 1)] + [
+        _big(kind, k, sign * 1e308) for k, (kind, sign) in enumerate(zip(kinds, signs), 1)], 1)
+    got = []
+    for route in (GramImage(ctx, h).s, lambda xi: oracle.s_by_coefficient(GramImage(ctx, h), xi)):
+        try:
+            got.append(repr(route(xi)))
+        except OverflowError:
+            got.append("OverflowError")
+    assert got == [want, want]
+
+
+@pytest.mark.parametrize("alpha, K", [(0.7, 12), (1e-300, 170), (-0.0, 3), (0.0, 5)])
+def test_wick_chain_rows_match_the_from_powers_route(alpha, K):
+    # alpha / k! underflows to 0 from k = 24 at alpha = 1e-300, and a zero alpha
+    # gives zero weights at every order: those orders drop the row, as
+    # from_powers does; the other orders share one row array
+    ctx = ctx_for(7)
+    g = 0.3 * np.linspace(-1.0, 1.0, 7)
+    combo = WickCombo([(alpha, None, g), (1.5, None, -g)], 7)
+    got = combo.to_chaos(ctx, K)
+    oracle.assert_same_bits(got, oracle.to_chaos_by_order(combo, ctx, K))
+    full = [f for f in got.coeffs[1:] if f.weights.size == 2]
+    assert all(f.vectors is full[0].vectors for f in full)
+    assert len(full) == {0.7: K, 1e-300: 23}.get(alpha, 0)
+
+
+def test_wick_chain_with_a_first_chaos_factor_matches_the_from_powers_route():
+    ctx = ctx_for(3)
+    f, g = np.array([0.5, -1.0, 0.25]), np.array([0.2, 0.1, -0.3])
+    combo = WickCombo([(0.5, f, g), (-1.0, None, 2.0 * g)], 3)
+    oracle.assert_same_bits(combo.to_chaos(ctx, 4), oracle.to_chaos_by_order(combo, ctx, 4))
+
+
 @oracle_test
 @given(st.data())
 def test_shifted_qce_matches_the_by_order_route(data):
