@@ -109,15 +109,22 @@ class SymmetricTensor:
 
     @classmethod
     def from_powers(cls, order: int, dim: int, weights, vectors) -> "SymmetricTensor":
-        """sum_i weights[i] vectors[i]^(x order); terms of weight zero are dropped."""
+        """sum_i weights[i] vectors[i]^(x order); terms of weight zero are dropped.
+
+        With no weight zero, the tensor holds `weights` and `vectors`
+        themselves when they are float arrays (np.asarray copies neither), so
+        the orders of a chain built from one row array share it.
+        """
         w = np.asarray(weights, dtype=float)
         if order == 0:
             return cls.scalar(math.fsum(w.tolist()), dim)
         V = np.asarray(vectors, dtype=float)
         if w.ndim != 1 or V.shape != (w.size, dim):
             raise ShapeError("power sums need weights of shape (p,) and vectors (p, dim)")
-        keep = w != 0.0
-        return cls(order, dim, weights=w[keep], vectors=V[keep])
+        if np.count_nonzero(w) < w.size:
+            keep = w != 0.0
+            w, V = w[keep], V[keep]
+        return cls(order, dim, weights=w, vectors=V)
 
     @classmethod
     def from_vector(cls, v) -> "SymmetricTensor":
@@ -281,31 +288,25 @@ class GramImage:
 
         Each distinct row of its one-row power sums is paired once, as the
         float(v @ gw) that pairings forms but without its memo, and raised per
-        order by Python's float pow; each dense coefficient takes the np.dot
-        calls of contract_dense, on operands of the same shapes; only the
-        other power sums go through pair.  Each summand is the double pair(f)
-        gives, up to the sign of a zero, which fsum drops.  One fsum takes
-        them in coefficient order, since it raises on an intermediate
-        overflow that depends on the order, so the sum is bit for bit, and
-        overflows where, the fsum of pair(f) over the coefficients.
+        order by Python's float pow; every other coefficient goes through
+        pair.  Each summand is the double pair(f) gives, up to the sign of a
+        zero, which fsum drops, and is written at its order.  fsum raises on an
+        intermediate overflow that depends on the order of its inputs, so one
+        fsum in coefficient order gives the bits of the fsum of pair(f) over
+        the coefficients, and raises where that one raises.
         """
         if xi.dim != self.gw.size:
             raise ShapeError(f"chaos vector of dim {xi.dim} paired with a direction "
                              f"of {self.gw.size} increments")
-        constants, rest, dense, rows, perm = xi.pairing_plan()
+        rest, rows = xi.pairing_plan()
+        terms = [0.0] * len(xi.coeffs)
+        for f in rest:
+            terms[f.order] = self.pair(f)
         gw = self.gw
-        terms = constants + [self.pair(f) for f in rest]
-        if dense:
-            n = gw.size
-            col = gw.reshape(n, 1)
-            for t, k in dense:
-                for _ in range(k - 1):
-                    t = np.dot(t, col).reshape(-1, n)
-                terms.append(np.dot(t, col).item())
         for v, weights, orders in rows:
-            terms += map(mul, weights, map(pow, repeat(float(v @ gw)), orders))
-        if perm is not None:
-            terms = [terms[i] for i in perm]
+            x = float(v @ gw)
+            for w, k in zip(weights, orders):
+                terms[k] = w * x ** k
         return math.fsum(terms)
 
 
@@ -383,39 +384,26 @@ class ChaosVector:
                     SymmetricTensor.from_vector(v)], v.size)
 
     def pairing_plan(self):
-        """(constants, rest, dense, rows, perm), built on first use and kept.
+        """(rest, rows), built on first use and kept.
 
-        constants are the order-0 values.  rest holds the power sums of
-        several rows or none.  dense holds (operand, order) for each dense
-        coefficient, the operand being the (N^(k-1), N) reshape that
-        contract_dense hands to its first np.dot.  rows holds (v, weights,
-        orders) for each distinct row v of the one-row power sums, in order of
-        first occurrence: v is that coefficient's own row, and the lists
-        collect the weight and order of every one-row sum whose row has v's
-        bytes.  GramImage.s forms the summands in this order; perm is None
-        when that is the coefficient order, and otherwise the indices that
-        restore it.  The coefficients are a tuple, so the plan cannot go stale.
+        rows holds (v, weights, orders) for each distinct row v of the one-row
+        power sums, in order of first occurrence: v is that coefficient's own
+        row, and the lists collect the weight and order of every one-row sum
+        whose row has v's bytes.  rest holds the other coefficients (order 0,
+        dense, several rows, empty).  The coefficients are a tuple, so the
+        plan cannot go stale.
         """
         if self._plan is None:
-            constants, rest, dense, rows = [], [], [], {}
+            rest, rows = [], {}
             for f in self.coeffs:
-                if f.order == 0:
-                    constants.append(float(f.dense))
-                elif not f.is_powers:
-                    dense.append((f.dense.reshape(-1, self.dim), f.order))
-                elif f.weights.size == 1:
+                if f.is_powers and f.weights.size == 1:
                     _, weights, orders = rows.setdefault(f.vectors.tobytes(),
                                                          (f.vectors[0], [], []))
                     weights.append(f.weights.item())
                     orders.append(f.order)
                 else:
                     rest.append(f)
-            rows = list(rows.values())
-            formed = ([0] * len(constants) + [f.order for f in rest] + [k for _, k in dense]
-                      + [k for _, _, orders in rows for k in orders])
-            perm = sorted(range(len(formed)), key=formed.__getitem__)
-            self._plan = (constants, rest, dense, rows,
-                          None if perm == list(range(len(formed))) else perm)
+            self._plan = (rest, list(rows.values()))
         return self._plan
 
     def get(self, k: int) -> SymmetricTensor:
@@ -599,12 +587,8 @@ class WickCombo:
         V = np.array([g for _, _, g in self.terms]).reshape(len(bases), self.dim)
         coeffs = [SymmetricTensor.scalar(constant, self.dim)]
         for k in range(1, K + 1):
-            fk = math.factorial(k)
-            weights = [base / fk for base in bases]
-            # with every weight nonzero, from_powers would keep each row, so the
-            # orders share V; a weight that underflows to 0 takes from_powers
-            part = (SymmetricTensor(k, self.dim, weights=np.array(weights), vectors=V)
-                    if all(weights) else SymmetricTensor.from_powers(k, self.dim, weights, V))
+            part = SymmetricTensor.from_powers(
+                k, self.dim, [base / math.factorial(k) for base in bases], V)
             for _, f, g in self.terms:
                 if f is not None:
                     gt = np.float64(1.0)

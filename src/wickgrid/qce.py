@@ -222,12 +222,11 @@ def domain_diagnostic(sc: ShiftContext, f, K_max: int) -> DomainDiagnostic:
         raise ParameterError("K_max must be >= 0")
     _check_series_order(K_max)
     n = sc.ctx.n
-    # every order holds the one row f, checked and stored once; no weight
-    # 1/sqrt(k!) with k <= 170 is zero, so from_powers would keep each
+    # every order holds the one row f, checked and stored once: no weight
+    # 1/sqrt(k!) with k <= 170 is zero, so from_powers keeps row itself
     row = SymmetricTensor.from_powers(1, n, [1.0], [f]).vectors
-    xi = ChaosVector([SymmetricTensor.scalar(1.0, n)] + [SymmetricTensor(
-        k, n, weights=np.array([1.0 / math.sqrt(math.factorial(k))]), vectors=row)
-        for k in range(1, K_max + 1)], n)
+    xi = ChaosVector([SymmetricTensor.scalar(1.0, n)] + [SymmetricTensor.from_powers(
+        k, n, [1.0 / math.sqrt(math.factorial(k))], row) for k in range(1, K_max + 1)], n)
     tilde = shifted_qce(sc, xi)
     log_terms = np.full(K_max + 1, -np.inf)
     rows = {}

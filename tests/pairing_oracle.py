@@ -9,8 +9,9 @@ node, folding residuals with the NaN-keeping `_worst`.  `shifted_qce_by_order`
 is the stacked power-sum route as it was before its weights and row groups
 were formed for all orders at once.
 `s_by_coefficient` is `GramImage.s` before its per-vector plan, one
-`pair` per coefficient, and `to_chaos_by_order` the Wick chain with every
-order built by `from_powers`.
+`pair` per coefficient, and `from_powers_by_mask` is `from_powers` as it
+was before it kept the arrays it was given, masking and copying them at
+every call.
 `domain_diagnostic` is the domain series as it was formed order by order:
 order 0 of the shifted chain folded from one contraction per coefficient
 (`shifted_qce_by_coefficient`), and each term from a rescaled power sum and
@@ -37,7 +38,7 @@ from wickgrid import (
     wick_exponential_chaos,
 )
 from wickgrid.bsde import WickZ
-from wickgrid.chaos import GramImage, _check_series_order, sym_insert_last
+from wickgrid.chaos import GramImage, _check_series_order
 from wickgrid.errors import ParameterError, ShapeError, UnsupportedOperationError, _worst
 from wickgrid.qce import _LOG_OVERFLOW, _power_orders, _prefix_logsumexp
 
@@ -85,27 +86,15 @@ def s_by_coefficient(image, xi):
     return math.fsum(image.pair(f) for f in xi.coeffs)
 
 
-def to_chaos_by_order(combo, ctx, K):
-    """WickCombo.to_chaos with the power sum of every order k >= 1 built by
-    from_powers, which drops zero weights and copies the rows it keeps."""
-    bases = [alpha if f is None else alpha + ctx.inner(f, g) for alpha, f, g in combo.terms]
-    constant = 0.0
-    for base in bases:
-        constant += base
-    V = np.array([g for _, _, g in combo.terms]).reshape(len(bases), combo.dim)
-    coeffs = [SymmetricTensor.scalar(constant, combo.dim)]
-    for k in range(1, K + 1):
-        part = SymmetricTensor.from_powers(
-            k, combo.dim, [base / math.factorial(k) for base in bases], V)
-        for _, f, g in combo.terms:
-            if f is not None:
-                gt = np.float64(1.0)
-                for _ in range(k - 1):
-                    gt = np.multiply.outer(gt, g)
-                cross = sym_insert_last(np.multiply.outer(gt, f))
-                part = part.add(SymmetricTensor.from_dense(cross / math.factorial(k - 1)))
-        coeffs.append(part)
-    return ChaosVector(coeffs, combo.dim)
+def from_powers_by_mask(order, dim, weights, vectors):
+    """SymmetricTensor.from_powers for order >= 1, with the zero-weight mask
+    applied, and so the arrays copied, even where it keeps every term."""
+    w = np.asarray(weights, dtype=float)
+    V = np.asarray(vectors, dtype=float)
+    if w.ndim != 1 or V.shape != (w.size, dim):
+        raise ShapeError("power sums need weights of shape (p,) and vectors (p, dim)")
+    keep = w != 0.0
+    return SymmetricTensor(order, dim, weights=w[keep], vectors=V[keep])
 
 
 def merge_powers(t):

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from wickgrid import (
+    ChaosVector,
     TruncationOperator,
     chaos_inner,
     cli,
@@ -378,6 +379,34 @@ def test_values_past_the_double_range_are_config_errors(tmp_path, capsys, experi
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("config error:") and message in err
+    assert not out.exists()
+
+
+def test_solution_norm_whose_order_terms_overflow_in_fsum_is_a_config_error(
+        tmp_path, capsys, monkeypatch):
+    # Y_0 is a constant, so the configured runs overflow at node 0 in one term;
+    # here node 1 holds two finite order terms whose sum passes the double
+    # range, where fsum raises OverflowError instead of returning inf.  The
+    # row reads l2_Y = inf and is refused like one that overflows in a term
+    represent = cli.represent_solution
+
+    def overflowing_node_1(problem):
+        sol = represent(problem)
+        ctx = problem.ctx
+        v = 1.2e154 * ctx.unit(np.linspace(1.0, 2.0, ctx.n))
+        sol.Y_nodes[1] = ChaosVector.first_chaos(v, constant=1.2e154)
+        with pytest.raises(OverflowError):
+            sol.Y_nodes[1].l2_norm(ctx)
+        return sol
+
+    monkeypatch.setattr(cli, "represent_solution", overflowing_node_1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run(tmp_path, "bsde-solve", "", seed=1)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: solution row at node 1 is not finite: mean_Y = ")
+    assert "l2_Y = inf" in err
     assert not out.exists()
 
 

@@ -150,26 +150,39 @@ def test_s_overflows_where_one_pairing_per_coefficient_does(kinds, signs, want):
     assert got == [want, want]
 
 
+@pytest.mark.parametrize("weights, kept", [
+    ([0.5, -2.0, 5e-324], True),          # a subnormal weight is not zero
+    ([math.nan, 1.0], True),
+    ([], True),
+    ([0.5, 0.0, -1.0], False),
+    ([-0.0, 0.0, 1e-300], False),
+])
+def test_from_powers_keeps_its_arrays_where_no_weight_is_zero(weights, kept):
+    # the masked route copies at every call; from_powers gives the same bytes
+    # and holds the caller's float arrays themselves when it drops no term
+    w = np.array(weights, dtype=float)
+    V = np.linspace(-1.0, 1.0, 3 * w.size).reshape(w.size, 3)
+    got, want = SymmetricTensor.from_powers(4, 3, w, V), oracle.from_powers_by_mask(4, 3, w, V)
+    for x, y in [(got.weights, want.weights), (got.vectors, want.vectors)]:
+        assert x.shape == y.shape and x.tobytes() == y.tobytes()
+    assert (got.weights is w, got.vectors is V) == (kept, kept)
+
+
 @pytest.mark.parametrize("alpha, K", [(0.7, 12), (1e-300, 170), (-0.0, 3), (0.0, 5)])
-def test_wick_chain_rows_match_the_from_powers_route(alpha, K):
+def test_wick_chain_rows_match_the_masked_route(alpha, K):
     # alpha / k! underflows to 0 from k = 24 at alpha = 1e-300, and a zero alpha
-    # gives zero weights at every order: those orders drop the row, as
-    # from_powers does; the other orders share one row array
-    ctx = ctx_for(7)
+    # gives zero weights at every order: those orders drop the row; the other
+    # orders share one row array, which from_powers keeps
     g = 0.3 * np.linspace(-1.0, 1.0, 7)
-    combo = WickCombo([(alpha, None, g), (1.5, None, -g)], 7)
-    got = combo.to_chaos(ctx, K)
-    oracle.assert_same_bits(got, oracle.to_chaos_by_order(combo, ctx, K))
+    got = WickCombo([(alpha, None, g), (1.5, None, -g)], 7).to_chaos(ctx_for(7), K)
+    for k, f in enumerate(got.coeffs[1:], 1):
+        want = oracle.from_powers_by_mask(k, 7, [alpha / math.factorial(k),
+                                                 1.5 / math.factorial(k)], np.array([g, -g]))
+        for x, y in [(f.weights, want.weights), (f.vectors, want.vectors)]:
+            assert x.shape == y.shape and x.tobytes() == y.tobytes()
     full = [f for f in got.coeffs[1:] if f.weights.size == 2]
     assert all(f.vectors is full[0].vectors for f in full)
     assert len(full) == {0.7: K, 1e-300: 23}.get(alpha, 0)
-
-
-def test_wick_chain_with_a_first_chaos_factor_matches_the_from_powers_route():
-    ctx = ctx_for(3)
-    f, g = np.array([0.5, -1.0, 0.25]), np.array([0.2, 0.1, -0.3])
-    combo = WickCombo([(0.5, f, g), (-1.0, None, 2.0 * g)], 3)
-    oracle.assert_same_bits(combo.to_chaos(ctx, 4), oracle.to_chaos_by_order(combo, ctx, 4))
 
 
 @oracle_test
