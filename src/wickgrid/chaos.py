@@ -206,16 +206,12 @@ class SymmetricTensor:
             raise ShapeError(f"tensor of shape {(self.dim,)} on a grid of "
                              f"{image.gw.size} increments")
         new_order = self.order - times
-        if self.is_powers:
-            weights = image.terms(self, times)
-            if new_order == 0:
-                return SymmetricTensor.scalar(math.fsum(weights), self.dim)
-            return SymmetricTensor(new_order, self.dim, weights=np.fromiter(weights, float),
-                                   vectors=self.vectors)
-        t = image.contract_dense(self.dense, times)
         if new_order == 0:
-            return SymmetricTensor.scalar(float(t), self.dim)
-        return SymmetricTensor(new_order, self.dim, dense=t)
+            return SymmetricTensor.scalar(image.pair(self), self.dim)
+        if self.is_powers:
+            return SymmetricTensor(new_order, self.dim, vectors=self.vectors,
+                                   weights=np.fromiter(image.terms(self, times), float))
+        return SymmetricTensor(new_order, self.dim, dense=image.contract_dense(self.dense, times))
 
     def support_bound(self) -> int:
         """Smallest m such that all mass sits on coordinates < m."""
@@ -234,29 +230,23 @@ class SymmetricTensor:
 class GramImage:
     """Gram image G w of one direction w, formed once and paired many times.
 
-    The pairings <v, w> of a power sum's rows are memoized by the bytes of
-    its `vectors`, so a Wick chain costs one dot product even when its orders
-    hold copies of one vector.  Each pairing is a per-row dot v @ G w and each
-    power a Python float power (a matrix product over all rows, or a numpy
-    power, rounds differently), so every value is bit-identical to a
-    per-tensor contraction.
+    Each pairing is a per-row dot v @ G w and each power a Python float power
+    (a matrix product over all rows, or a numpy power, rounds differently), so
+    every value is bit-identical to a per-tensor contraction.  Rows that
+    several orders share are paired once through the chain's pairing plan
+    (`ChaosVector.pairing_plan`), not here.
     """
 
-    __slots__ = ("gw", "_memo")
+    __slots__ = ("gw",)
 
     def __init__(self, ctx: GramContext, w):
         w = np.asarray(w, dtype=float)
         _require_grid(ctx, w.shape, "direction")
         self.gw = ctx.G @ w
-        self._memo = {}
 
     def pairings(self, vectors: np.ndarray) -> List[float]:
         """<v, w> through the Gram matrix for each row v of `vectors`."""
-        key = vectors.tobytes()
-        xs = self._memo.get(key)
-        if xs is None:
-            xs = self._memo[key] = [float(v @ self.gw) for v in vectors]
-        return xs
+        return [float(v @ self.gw) for v in vectors]
 
     def terms(self, f: SymmetricTensor, times: int):
         """Iterator over w_i <v_i, w>^times for the terms w_i v_i^(x k) of f."""
@@ -287,13 +277,13 @@ class GramImage:
         xi's pairing plan (`ChaosVector.pairing_plan`).
 
         Each distinct row of its one-row power sums is paired once, as the
-        float(v @ gw) that pairings forms but without its memo, and raised per
-        order by Python's float pow; every other coefficient goes through
-        pair.  Each summand is the double pair(f) gives, up to the sign of a
-        zero, which fsum drops, and is written at its order.  fsum raises on an
-        intermediate overflow that depends on the order of its inputs, so one
-        fsum in coefficient order gives the bits of the fsum of pair(f) over
-        the coefficients, and raises where that one raises.
+        float(v @ gw) that pairings forms, and raised per order by Python's
+        float pow; every other coefficient goes through pair.  Each summand is
+        the double pair(f) gives, up to the sign of a zero, which fsum drops,
+        and is written at its order.  fsum raises on an intermediate overflow
+        that depends on the order of its inputs, so one fsum in coefficient
+        order gives the bits of the fsum of pair(f) over the coefficients, and
+        raises where that one raises.
         """
         if xi.dim != self.gw.size:
             raise ShapeError(f"chaos vector of dim {xi.dim} paired with a direction "
@@ -391,7 +381,8 @@ class ChaosVector:
         row, and the lists collect the weight and order of every one-row sum
         whose row has v's bytes.  rest holds the other coefficients (order 0,
         dense, several rows, empty).  The coefficients are a tuple, so the
-        plan cannot go stale.
+        plan cannot go stale.  It is the one index of shared rows, which
+        `GramImage.s`, `shifted_qce` and the domain terms read.
         """
         if self._plan is None:
             rest, rows = [], {}
@@ -448,11 +439,18 @@ def random_chaos(rng: np.random.Generator, n: int, order: int) -> ChaosVector:
 
 
 def chaos_inner(ctx: GramContext, xi: ChaosVector, eta: ChaosVector) -> float:
-    """E[xi eta] = sum_k k! <f_k, h_k>, accumulated with compensated summation."""
+    """E[xi eta] = sum_k k! <f_k, h_k>, accumulated with compensated summation,
+    or left to right (inf or nan) where fsum cannot add the terms."""
     K = max(xi.max_order, eta.max_order)
     terms = [math.factorial(k) * tensor_inner(ctx, xi.get(k), eta.get(k))
              for k in range(K + 1)]
-    return math.fsum(terms)
+    try:
+        return math.fsum(terms)
+    except (OverflowError, ValueError):     # an intermediate overflow, or inf - inf
+        total = 0.0                         # not sum(), which compensates from Python 3.12
+        for term in terms:
+            total += term
+        return total
 
 
 def wick_exponential_chaos(ctx: GramContext, h: np.ndarray, K: int) -> ChaosVector:

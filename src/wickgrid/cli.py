@@ -499,19 +499,14 @@ def exp_bsde_solve(cfg, seed):
     rng = np.random.default_rng(seed)
     problem = _random_problem(cfg, ctx, rng)
     # with a and c finite, a row that is not finite means Y = A^-1 [...] left the
-    # double range, refused at its first node; an l2_Y whose order terms fsum
-    # cannot add (an intermediate overflow, or inf - inf) reads inf.  A NaN a
-    # or c is left to fail the check
+    # double range, refused at its first node.  A NaN a or c is left to fail
+    # the check
     finite = np.isfinite(problem.a).all() and np.isfinite(problem.c).all()
     rows = []
     with np.errstate(over="ignore", invalid="ignore"):
         sol = represent_solution(problem)
         for i, (t, a, y) in enumerate(zip(ctx.grid.points, sol.A, sol.Y_nodes)):
-            try:
-                l2 = y.l2_norm(ctx)
-            except (OverflowError, ValueError):
-                l2 = math.inf
-            row = (float(t), float(a), y.expectation(), l2)
+            row = (float(t), float(a), y.expectation(), y.l2_norm(ctx))
             if finite and not all(map(math.isfinite, row)):
                 raise ParameterError(f"solution row at node {i} is not finite: mean_Y = "
                                      f"{row[2]!r}, l2_Y = {row[3]!r} with A = {row[1]!r}; Y "

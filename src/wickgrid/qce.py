@@ -23,7 +23,8 @@ import numpy as np
 from scipy.special import gammaln
 
 from .covariance import GramContext
-from .chaos import ChaosVector, GramImage, SymmetricTensor, _check_series_order, tensor_inner
+from .chaos import (ChaosVector, GramImage, SymmetricTensor, _check_series_order, _require_grid,
+                    tensor_inner)
 from .errors import DegenerateSplitError, MartingaleCaseError, ParameterError, ShapeError
 from .firstchaos import SubspaceGeometry, TruncationOperator, _fix_sign, operator_norm
 
@@ -70,22 +71,36 @@ def contract_with_shift(sc: ShiftContext, f: SymmetricTensor, i: int) -> Symmetr
 def shifted_qce(sc: ShiftContext, xi: ChaosVector) -> ChaosVector:
     """Apply the shifted operator to a finite-order chaos vector (exact).
 
-    G c_r is formed once and every coefficient is contracted against it.
-    Order 0 is the left fold from 0.0 of every coefficient contracted to a
-    scalar, which is what adding each contraction, scaled by C(k, 0) = 1, to
-    a zero scalar forms.  The other orders up to the highest dense
+    G c_r is formed once; each row of xi's `pairing_plan` is paired with it
+    once and every other coefficient contracted against it.  Order 0 is the
+    left fold from 0.0 of every coefficient contracted to a scalar, which is
+    what adding each contraction, scaled by C(k, 0) = 1, to a zero scalar
+    forms; a one-row sum w v^(x k) gives w <v, c_r>^k, the one term
+    contract_last would fsum.  The other orders up to the highest dense
     coefficient add contracted tensors and are dense; the orders above it
     are fed by power sums only (`_power_orders`).  A power of a pairing past
     the double range is a ParameterError naming the order.
     """
+    _require_grid(sc.ctx, (xi.dim,), "chaos vector")
     K = xi.max_order
     image = GramImage(sc.ctx, sc.c_r)
+    rest, rows = xi.pairing_plan()
     top_dense = max(k for k, f in enumerate(xi.coeffs) if not f.is_powers)
+    scalars = [0.0] * (K + 1)       # each coefficient contracted to a scalar
+    xs = [None] * (K + 1)           # the pairings of each power sum's rows
     n = 0
     try:
+        for f in rest:
+            scalars[f.order] = float(f.contract_last(image, f.order).dense)
+            xs[f.order] = image.pairings(f.vectors) if f.is_powers else []
+        for v, weights, orders in rows:
+            x = float(v @ image.gw)
+            for w, k in zip(weights, orders):
+                scalars[k] = w * x ** k
+                xs[k] = [x]
         acc = 0.0
-        for k, f in enumerate(xi.coeffs):
-            acc += float(f.contract_last(image, k).dense)
+        for scalar in scalars:
+            acc += scalar
         out = [SymmetricTensor.scalar(acc, xi.dim)]
         for n in range(1, top_dense + 1):
             acc = SymmetricTensor.zero(n, xi.dim)
@@ -95,7 +110,7 @@ def shifted_qce(sc: ShiftContext, xi: ChaosVector) -> ChaosVector:
             out.append(acc)
         # order 0 raised first if any power of a pairing overflows, as n = 0
         # takes every row's highest power
-        out += _power_orders(image, xi.coeffs[top_dense + 1:], top_dense, sc.m)
+        out += _power_orders(xi.coeffs[top_dense + 1:], xs[top_dense + 1:], top_dense, sc.m)
     except OverflowError:
         raise ParameterError(f"shifted QCE order {n} overflows a double: a power of a pairing "
                              "<v, c_r> leaves the double range; use a smaller shift c or a "
@@ -103,19 +118,19 @@ def shifted_qce(sc: ShiftContext, xi: ChaosVector) -> ChaosVector:
     return ChaosVector(out, xi.dim)
 
 
-def _power_orders(image: GramImage, sums, top_dense: int, m: int) -> List[SymmetricTensor]:
+def _power_orders(sums, xs, top_dense: int, m: int) -> List[SymmetricTensor]:
     """Orders top_dense + 1 ... K of the shifted operator, fed by the power
-    sums `sums` of those orders.
+    sums `sums` of those orders; xs holds each sum's list of row pairings
+    <v, c_r>.
 
-    Their rows are stacked by order k, each paired with c_r and cut to
-    coordinates < m once; order n takes the rows of every k >= n, a suffix
-    of the stack, with weights C(k, n) w <v, c_r>^(k-n), formed for all
-    orders at once (`_suffix_weights`).  Rows with equal bytes collapse into
-    their first occurrence in the suffix, with the weights of the group
-    added in row order from 0.0: one np.add.at does this for every order,
-    the rows below a suffix adding an exact 0.0.  A suffix of one row (or
-    none) is kept as it is, a zero weight too; otherwise zero weights are
-    dropped.
+    Their rows are stacked by order k and cut to coordinates < m once; order
+    n takes the rows of every k >= n, a suffix of the stack, with weights
+    C(k, n) w <v, c_r>^(k-n), formed for all orders at once
+    (`_suffix_weights`).  Rows with equal bytes collapse into their first
+    occurrence in the suffix, with the weights of the group added in row
+    order from 0.0: one np.add.at does this for every order, the rows below
+    a suffix adding an exact 0.0.  A suffix of one row (or none) is kept as
+    it is, a zero weight too; otherwise zero weights are dropped.
     """
     if not sums:
         return []
@@ -131,7 +146,7 @@ def _power_orders(image: GramImage, sums, top_dense: int, m: int) -> List[Symmet
     same = np.flatnonzero(keys[by_key[1:]] == keys[by_key[:-1]])
     prev = np.full(len(cut), -1)
     prev[by_key[same + 1]] = by_key[same]
-    weights = _suffix_weights(image, sums, orders, top_dense, K)
+    weights = _suffix_weights(sums, xs, orders, top_dense, K)
     merged = np.zeros((keys.max(initial=-1) + 1, K + 1))
     np.add.at(merged, keys, weights)
     # the heads of every order's groups at once, sorted by order and then
@@ -155,10 +170,10 @@ def _power_orders(image: GramImage, sums, top_dense: int, m: int) -> List[Symmet
     return out
 
 
-def _suffix_weights(image: GramImage, sums, orders: np.ndarray, top_dense: int,
-                    K: int) -> np.ndarray:
+def _suffix_weights(sums, xs, orders: np.ndarray, top_dense: int, K: int) -> np.ndarray:
     """(rows, K + 1) array: C(k, n) (w <v, c_r>^(k-n)) at row (k, w, v) of the
-    stack and order top_dense < n <= k, an exact 0.0 elsewhere.
+    stack and order top_dense < n <= k, an exact 0.0 elsewhere; xs holds each
+    sum's list of row pairings <v, c_r>.
 
     Each power is Python's float pow, taken once per distinct pairing bits
     and exponent (numpy's power can differ in the last bit); each binomial is
@@ -166,8 +181,8 @@ def _suffix_weights(image: GramImage, sums, orders: np.ndarray, top_dense: int,
     products Python forms.
     """
     wt = np.concatenate([f.weights for f in sums])
-    xs = np.array([x for f in sums for x in image.pairings(f.vectors)])
-    bits, ids = np.unique(xs.view(np.uint64), return_inverse=True)
+    bits, ids = np.unique(np.array([x for p in xs for x in p]).view(np.uint64),
+                          return_inverse=True)
     top = np.zeros(bits.size, dtype=int)
     np.maximum.at(top, ids, orders - top_dense - 1)
     powers = np.zeros((bits.size, K - top_dense))
@@ -227,14 +242,30 @@ def domain_diagnostic(sc: ShiftContext, f, K_max: int) -> DomainDiagnostic:
     row = SymmetricTensor.from_powers(1, n, [1.0], [f]).vectors
     xi = ChaosVector([SymmetricTensor.scalar(1.0, n)] + [SymmetricTensor.from_powers(
         k, n, [1.0 / math.sqrt(math.factorial(k))], row) for k in range(1, K_max + 1)], n)
-    tilde = shifted_qce(sc, xi)
-    log_terms = np.full(K_max + 1, -np.inf)
-    rows = {}
+    # |f~_k|^2 per order: a one-row order w v^(x k) has smax = |v| factored
+    # out, so that C^k stays finite, as w (C^k) w with C = (v / smax) G (v /
+    # smax)^T formed once per plan row, and smax^(2k) put back in log space
+    # (inf past 1e300).  A zero weight (which from_powers drops) and a zero row
+    # (whose tensor_inner is 0 or nan) give no term; order 0 and empty sums are
+    # tensor_inner's
+    rest, rows = shifted_qce(sc, xi).pairing_plan()
+    nrm_sq = [0.0] * (K_max + 1)
     with np.errstate(over="ignore"):            # a term past the double range reads inf
-        for k in range(K_max + 1):
-            nrm_sq = _norm_sq_stable(sc.ctx, tilde.get(k), rows)
-            if nrm_sq > 0:
-                log_terms[k] = gammaln(k + 1) + math.log(nrm_sq)
+        for t in rest:
+            nrm_sq[t.order] = tensor_inner(sc.ctx, t, t)
+        for v, weights, orders in rows:
+            smax = sc.ctx.norm(v)
+            if not smax:
+                continue
+            u = v[None] / smax
+            C = u @ sc.ctx.G @ u.T
+            for w, k in zip(np.array(weights)[:, None], orders):     # w of shape (1,)
+                base = 0.0 if w[0] == 0.0 else max(float(w @ (C**k) @ w), 0.0)
+                if base:
+                    log_val = math.log(base) + 2 * k * math.log(smax)
+                    nrm_sq[k] = math.exp(log_val) if log_val < _LOG_OVERFLOW else math.inf
+    log_terms = np.array([gammaln(k + 1) + math.log(x) if x > 0 else -np.inf
+                          for k, x in enumerate(nrm_sq)])
     log_sums = _prefix_logsumexp(log_terms)
     overflow = bool(np.any(log_sums > _LOG_OVERFLOW))
     # exp past the double range is inf; -inf - -inf where two terms vanish
@@ -267,34 +298,6 @@ def _prefix_logsumexp(a: np.ndarray) -> np.ndarray:
         for k in np.flatnonzero(~np.isfinite(out)):
             out[k] = np.log(np.exp(a[: k + 1]).sum())
     return out
-
-
-def _norm_sq_stable(ctx: GramContext, t: SymmetricTensor, rows: dict) -> float:
-    """max(|t|^2, 0) of one order of a one-row chain.
-
-    A power sum w v^(x k) of one nonzero row has its norm smax = |v| factored
-    out, so that C^k stays finite: it costs w (C^k) w, the products
-    tensor_inner forms for the rescaled order, with the 1x1 pairing
-    C = (v / smax) G (v / smax)^T kept in `rows` by the bytes of v for the
-    whole diagnostic, and smax^(2k) put back in log space (inf past 1e300).
-    A zero weight gives 0.0, as from_powers drops it.  The other orders
-    (order 0, empty sums, a zero row) are tensor_inner's.
-    """
-    if t.is_powers and t.weights.size == 1:
-        key = t.vectors.tobytes()
-        if key not in rows:
-            smax = ctx.norm(t.vectors[0])
-            u = t.vectors / (smax or 1.0)
-            rows[key] = smax, (u @ ctx.G @ u.T if smax else None)
-        smax, C = rows[key]
-        if C is not None:
-            w = t.weights
-            base = 0.0 if w[0] == 0.0 else max(float(w @ (C**t.order) @ w), 0.0)
-            if base == 0.0:
-                return 0.0
-            log_val = math.log(base) + 2 * t.order * math.log(smax)
-            return math.exp(log_val) if log_val < _LOG_OVERFLOW else math.inf
-    return max(tensor_inner(ctx, t, t), 0.0)
 
 
 def escape_direction(sc: ShiftContext) -> np.ndarray:

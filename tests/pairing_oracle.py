@@ -82,7 +82,7 @@ def s_transform(ctx, xi, h):
 
 def s_by_coefficient(image, xi):
     """GramImage.s as one fsum of image.pair(f) over the coefficients: each
-    dense one through contract_dense, each power sum through the memo."""
+    dense one through contract_dense, each power sum through terms."""
     return math.fsum(image.pair(f) for f in xi.coeffs)
 
 
@@ -179,7 +179,8 @@ def shifted_qce_by_coefficient(sc, xi):
                 term = xi.coeffs[k].contract_last(image, k - n)
                 acc = acc.add(term.scaled(math.comb(k, n)).project_coords(sc.m))
             out.append(acc)
-        out += _power_orders(image, xi.coeffs[top_dense + 1:], top_dense, sc.m)
+        sums = xi.coeffs[top_dense + 1:]
+        out += _power_orders(sums, [image.pairings(f.vectors) for f in sums], top_dense, sc.m)
     except OverflowError:
         raise ParameterError(f"shifted QCE order {n} overflows a double: a power of a pairing "
                              "<v, c_r> leaves the double range; use a smaller shift c or a "
@@ -304,9 +305,9 @@ def sample_chaos_vectors(rng, ctx):
 
     The power sums repeat one vector within and across orders, and also hold
     an equal-valued copy of it (a distinct array with the same bytes), so the
-    pairing memo and the merge by value are both exercised.  In
-    "powers-reordered" u comes first among the rows that feed order n = 1
-    and v among those that feed n = 2, so a merge must keep the
+    pairing plan's grouping by bytes and the merge by value are both
+    exercised.  In "powers-reordered" u comes first among the rows that feed
+    order n = 1 and v among those that feed n = 2, so a merge must keep the
     first-occurrence order of each output order, not a global one.
     """
     n = ctx.n

@@ -1,6 +1,7 @@
 """Symmetric tensors, chaos vectors, Wick algebra, S-transform, evaluation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -55,6 +56,23 @@ def test_l2_norm_is_the_floored_root_of_l2_norm_sq(ctx):
                wick_exponential_chaos(ctx, np.full(6, 0.3), 8)):
         sq = xi.l2_norm_sq(ctx)
         assert xi.l2_norm(ctx) == math.sqrt(max(sq, 0.0))
+
+
+def test_norm_whose_order_terms_fsum_cannot_add_is_their_double_sum():
+    # two finite order terms 1.44e308 and 1.5e308: fsum raises OverflowError
+    # on the intermediate sum, and the norm is their double sum, inf
+    ctx = build_gram(FractionalBrownianMotion(0.7), TimeGrid.uniform(2))
+    u = ctx.unit(np.array([1.0, 2.0]))
+    xi = ChaosVector.first_chaos(1.2e154 * u, constant=1.2e154)
+    assert xi.l2_norm_sq(ctx) == math.inf and xi.l2_norm(ctx) == math.inf
+
+    # order terms -inf, 0.0 and inf: fsum raises ValueError on inf - inf, and
+    # the inner product is their left-to-right double sum, nan
+    def chain(c):
+        return ChaosVector([SymmetricTensor.scalar(c, 2), SymmetricTensor.zero(1, 2),
+                            SymmetricTensor.from_powers(2, 2, [1e154], [u])], 2)
+
+    assert math.isnan(chaos_inner(ctx, chain(1e200), chain(-1e200)))
 
 
 def random_symmetric(rng, n, k):
@@ -384,6 +402,20 @@ def test_eval_dense_vs_powers(ctx, rng):
                        evaluate_chaos_on_sample(ctx, cvD, X), rtol=1e-9, atol=1e-9)
 
 
+def test_eval_skips_a_zero_row(ctx, rng):
+    # X @ v / |v| would be 0 / 0 for a zero row: a RuntimeWarning and NaN
+    a, b = rng.standard_normal((2, 6))
+    X = sample_increments(ctx, 30, seed=3)
+    with_zero, without = (ChaosVector([SymmetricTensor.scalar(0.0, 6), SymmetricTensor.zero(1, 6),
+                                       SymmetricTensor.from_powers(2, 6, w, V)], 6)
+                          for w, V in (([0.5, 2.0, 1.5], [a, np.zeros(6), b]),
+                                       ([0.5, 1.5], [a, b])))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = evaluate_chaos_on_sample(ctx, with_zero, X)
+    assert np.array_equal(got, evaluate_chaos_on_sample(ctx, without, X))
+
+
 def test_eval_zero_mean_mc(ctx, rng):
     cv = ChaosVector([SymmetricTensor.scalar(0.0, 6),
                       random_symmetric(rng, 6, 1),
@@ -460,6 +492,13 @@ def test_dense_size_guard():
         SymmetricTensor.zero(7, 8).to_dense()
     with pytest.raises(ShapeError):
         SymmetricTensor.from_dense(np.zeros((2,) * 7))
+
+
+def test_from_powers_at_order_0_is_the_fsum_of_the_weights():
+    # the rows are ignored; a left-to-right sum of these weights would give 0.0
+    t = SymmetricTensor.from_powers(0, 3, [1e16, 1.0, -1e16], np.ones((3, 3)))
+    assert (t.order, t.dim, t.is_powers) == (0, 3, False)
+    assert float(t.dense) == 1.0
 
 
 def test_from_dense_refuses_a_0d_array():

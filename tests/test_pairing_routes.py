@@ -1,7 +1,7 @@
 """Oracle tests: the whole-vector pairing plan, the whole-order weights of
-`shifted_qce`, its order 0 folded from the pairings, the cached row pairing
-of the domain terms and the hoisted plans of the weak check give the
-per-coefficient and per-order routes byte for byte.
+`shifted_qce`, its order 0 folded from the plan's row pairings, the domain
+terms formed once per plan row and the hoisted plans of the weak check give
+the per-coefficient and per-order routes byte for byte.
 
 The chaos vectors mix dense coefficients, one-row power sums, power sums of
 several rows drawn from a pool of three (so rows repeat within and across
@@ -24,7 +24,6 @@ from wickgrid import (BSDEProblem, ChaosVector, FractionalBrownianMotion, ShiftC
                       symmetrize_full, verify_solution_weak, wick_exponential_solution)
 from wickgrid.chaos import GramImage
 from wickgrid.errors import ParameterError
-from wickgrid.qce import _norm_sq_stable
 
 import pairing_oracle as oracle
 
@@ -262,8 +261,23 @@ def test_domain_terms_match_a_fresh_row_norm_per_order():
     tilde = shifted_qce(sc, long_chains(ctx, sc, 150)["chain"])
     got = domain_diagnostic(sc, escape_direction(sc), 150).log_terms
     for k in range(151):
-        nrm_sq = _norm_sq_stable(ctx, tilde.get(k), {})
+        nrm_sq = oracle.norm_sq_stable(ctx, tilde.get(k))
         assert nrm_sq > 0 and got[k] == gammaln(k + 1) + math.log(nrm_sq)
+
+
+def test_a_zero_row_with_nan_weights_gives_no_domain_term():
+    # f is NaN past the split and zero before it: every order of the shifted
+    # chain holds the zero cut row with a NaN weight, whose tensor_inner is
+    # nan, so no order has a term; factoring out its norm 0 would take log(0)
+    ctx = build_gram(FractionalBrownianMotion(0.3), TimeGrid.uniform(8))
+    sc = ShiftContext(ctx, 0.5, np.ones(8))
+    f = np.where(np.arange(8) < sc.m, 0.0, np.nan)
+    got = domain_diagnostic(sc, f, 5)
+    with np.errstate(invalid="ignore"):     # the oracle warns on the NaN terms
+        want = oracle.domain_diagnostic(sc, f, 5)
+    assert np.isneginf(got.log_terms).all()
+    for name in ("log_terms", "partial_sums", "term_ratios"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
 
 def test_a_power_table_overflow_names_order_0():
