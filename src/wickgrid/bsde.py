@@ -23,7 +23,7 @@ import numpy as np
 
 # build_gram is unused here; perfbench/test_tracer.py checks the tracer rebinds bsde.build_gram
 from .covariance import FractionalBrownianMotion, GramContext, TimeGrid, _gram_from_cov, build_gram
-from .chaos import ChaosVector, GramImage, SymmetricTensor, WickCombo
+from .chaos import ChaosVector, GramImage, WickCombo
 from .errors import ParameterError, ShapeError, UnsupportedOperationError, _worst
 from .firstchaos import TruncationOperator, operator_norm
 from .qce import (
@@ -110,7 +110,6 @@ class BSDESolution:
     A: np.ndarray
     xi_tilde: ChaosVector
     Z: Optional[object] = None          # WickZ or ChaosField
-    Y_combos: Optional[List[WickCombo]] = None
 
 
 def integrating_factor(problem: BSDEProblem) -> np.ndarray:
@@ -140,24 +139,25 @@ def _driver_sums(problem: BSDEProblem, A: np.ndarray) -> List[Optional[ChaosVect
     return sums
 
 
-def _xi_minus(problem: BSDEProblem, shift: Optional[ChaosVector]) -> ChaosVector:
-    """xi~ = xi - shift, where shift is the last of the _driver_sums."""
-    return problem.xi if shift is None else problem.xi.sub(shift)
+def _represented(problem: BSDEProblem, nodes) -> tuple:
+    """(A, xi~, [Y_i for i in nodes]) of the represented solution, each Y_i as
+    represent_Y gives it; A, the driver integrals and xi~ are formed once."""
+    ctx = problem.ctx
+    A = integrating_factor(problem)
+    sums = _driver_sums(problem, A)
+    xt = problem.xi if sums[-1] is None else problem.xi.sub(sums[-1])
+    Y = []
+    for i in nodes:
+        y = shifted_qce(ShiftContext(ctx, ctx.grid.points[i], problem.c), xt)
+        if sums[i] is not None:
+            y = y.add(sums[i])
+        Y.append(y.scaled(1.0 / A[i]))
+    return A, xt, Y
 
 
 def xi_shifted(problem: BSDEProblem) -> ChaosVector:
     """xi~ = xi - int_0^T A G dgamma (left-point rule)."""
-    return _xi_minus(problem, _driver_sums(problem, integrating_factor(problem))[-1])
-
-
-def _node_Y(problem: BSDEProblem, A: np.ndarray, xt: ChaosVector, i: int,
-            run: Optional[ChaosVector]) -> ChaosVector:
-    """Y at node i from xi~ and run = int_0^{t_i} A G dgamma (None for zero)."""
-    ctx = problem.ctx
-    out = shifted_qce(ShiftContext(ctx, ctx.grid.points[i], problem.c), xt)
-    if run is not None:
-        out = out.add(run)
-    return out.scaled(1.0 / A[i])
+    return _represented(problem, [])[1]
 
 
 def represent_Y(problem: BSDEProblem, t: float) -> ChaosVector:
@@ -167,22 +167,13 @@ def represent_Y(problem: BSDEProblem, t: float) -> ChaosVector:
     Exact for finite-order xi and G; at t = T it telescopes back to xi.
     """
     i = problem.ctx.grid.index_of(t)
-    A = integrating_factor(problem)
-    sums = _driver_sums(problem, A)
-    return _node_Y(problem, A, _xi_minus(problem, sums[-1]), i, sums[i])
+    return _represented(problem, [i])[2][0]
 
 
 def represent_solution(problem: BSDEProblem) -> BSDESolution:
-    """The represented solution at every grid node, each as represent_Y gives it.
-
-    A and xi~ are formed once, and the driver integrals, xi~'s shift among
-    them, come from one call of _driver_sums, so the N+1 nodes cost O(N)
-    chaos additions, not O(N^2).
-    """
-    A = integrating_factor(problem)
-    sums = _driver_sums(problem, A)
-    xt = _xi_minus(problem, sums[-1])
-    Y = [_node_Y(problem, A, xt, i, run) for i, run in enumerate(sums)]
+    """The represented solution at every grid node, each as represent_Y gives
+    it; the N+1 nodes cost O(N) chaos additions, not O(N^2)."""
+    A, xt, Y = _represented(problem, range(problem.ctx.n + 1))
     return BSDESolution(Y_nodes=Y, A=A, xi_tilde=xt)
 
 
@@ -217,17 +208,10 @@ def wick_exponential_solution(problem: BSDEProblem, f, K: int = 12) -> BSDESolut
             raise ParameterError(f"solution factor beta = {beta!r} at node {i}: "
                                  "exp(-<f - f_t, c>) / A leaves the double range; use a "
                                  "smaller shift c or |a|")
-        combo = WickCombo.exponential(fp, alpha=beta)
-        combos.append(combo)
-        chaos_nodes.append(combo.to_chaos(ctx, K))
-    cells = [(float(f[j]), combos[j]) for j in range(ctx.n)]
-    return BSDESolution(
-        Y_nodes=chaos_nodes,
-        A=A,
-        xi_tilde=problem.xi,
-        Z=WickZ(cells),
-        Y_combos=combos,
-    )
+        combos.append(WickCombo.exponential(fp, alpha=beta))
+        chaos_nodes.append(combos[-1].to_chaos(ctx, K))
+    return BSDESolution(Y_nodes=chaos_nodes, A=A, xi_tilde=problem.xi,
+                        Z=WickZ(zip(f.tolist(), combos)))
 
 
 def verify_solution_weak(problem: BSDEProblem, solution: BSDESolution,
@@ -302,22 +286,11 @@ def _verify_full_equation(problem: BSDEProblem, solution: BSDESolution,
             )
         for j in range(1, n + 1):
             q = float(ctx.G[j - 1] @ hc)        # <e_j, h + c>
-            u = Z.cell_s(ctx, j - 1, h) if isinstance(Z, WickZ) else _field_cell_s(image, Z, j - 1)
+            u = Z.cell_s(ctx, j - 1, h)
             res = abs(math.log(s[j]) - math.log(s[j - 1])
                       - problem.a[j - 1] * dg[j - 1] - u * q / s[j - 1])
             worst = _worst(worst, res)
     return worst
-
-
-def _field_cell_s(image: GramImage, Z, cell: int) -> float:
-    """S-transform at the image's direction of a ChaosField's slot coefficient on one cell."""
-    total = 0.0
-    for k, t in enumerate(Z.slots):
-        comp = np.take(t, cell, axis=-1)
-        tensor = (SymmetricTensor.scalar(float(comp), image.gw.size) if k == 0
-                  else SymmetricTensor.from_dense(comp))
-        total += image.pair(tensor)
-    return total
 
 
 # ---------------------------------------------------------------------------

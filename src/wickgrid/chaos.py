@@ -68,6 +68,20 @@ def _check_dense_size(order: int, dim: int) -> None:
         )
 
 
+def _fold(values) -> float:
+    """Left-to-right double sum from 0.0, stopped at the first nan: where two
+    nans meet, CPython's float add keeps the second until the loop is
+    specialised and the first after, as numpy's add does.  Not sum(), which
+    compensates from Python 3.12; not reduce(operator.add), which keeps the
+    second nan; not np.sum, which warns on inf - inf."""
+    total = 0.0
+    for value in values:
+        total += value
+        if total != total:
+            break
+    return total
+
+
 def _require_grid(ctx: GramContext, shape, what: str) -> None:
     if tuple(shape) != (ctx.n,):
         raise ShapeError(f"{what} of shape {tuple(shape)} on a grid of {ctx.n} increments")
@@ -447,10 +461,7 @@ def chaos_inner(ctx: GramContext, xi: ChaosVector, eta: ChaosVector) -> float:
     try:
         return math.fsum(terms)
     except (OverflowError, ValueError):     # an intermediate overflow, or inf - inf
-        total = 0.0                         # not sum(), which compensates from Python 3.12
-        for term in terms:
-            total += term
-        return total
+        return _fold(terms)
 
 
 def wick_exponential_chaos(ctx: GramContext, h: np.ndarray, K: int) -> ChaosVector:
@@ -576,14 +587,10 @@ class WickCombo:
         _check_series_order(K)
         bases = [alpha if f is None else alpha + ctx.inner(f, g)
                  for alpha, f, g in self.terms]
-        # left to right, as float64 adds (sum() compensates from Python 3.12)
-        constant = 0.0
-        for base in bases:
-            constant += base
         # order k holds one row base_i / k! times g_i per term, in term order,
         # plus the dense cross term sym(f x g^(k-1)) / (k-1)! of each term with an f
         V = np.array([g for _, _, g in self.terms]).reshape(len(bases), self.dim)
-        coeffs = [SymmetricTensor.scalar(constant, self.dim)]
+        coeffs = [SymmetricTensor.scalar(_fold(bases), self.dim)]
         for k in range(1, K + 1):
             part = SymmetricTensor.from_powers(
                 k, self.dim, [base / math.factorial(k) for base in bases], V)

@@ -288,14 +288,18 @@ def _appendix_profile(H: float, T: float, s: np.ndarray) -> np.ndarray:
     return _2f1_array_near_one(4.0 * H, H - 0.5, H + 0.5, z)
 
 
-def appendix_reconstruction_check(H: float, T: float = 1.0, m: int = 2000,
-                                  window: tuple = (0.05, 0.95)) -> AppendixReport:
+# the interior window [0.05 T, 0.95 T] of the reconstruction's sup error; it
+# ends below T, where the right-sided integral is empty
+_APPENDIX_WINDOW = (0.05, 0.95)
+
+
+def appendix_reconstruction_check(H: float, T: float = 1.0, m: int = 2000) -> AppendixReport:
     """Reconstruct t^{2H} as a weighted right-sided fractional integral.
 
     Builds the generating function g in its Euler-transformed form (the 2F1
     factor stays finite at t = 0 because 1 - 4H > 0), applies the operator
     with endpoint-singularity-aware cells, and reports the sup error over the
-    interior window.  Valid for H in (0, 1/4).
+    interior window _APPENDIX_WINDOW.  Valid for H in (0, 1/4).
     """
     if not 0.0 < H < 0.25:
         raise RegimeError("reconstruction regime is H in (0, 1/4)")
@@ -307,7 +311,7 @@ def appendix_reconstruction_check(H: float, T: float = 1.0, m: int = 2000,
         u = np.where(x > 0, x ** (4.0 * H - 1.0), 0.0) * const * F
     beta = 0.5 - H
     nu = H - 0.5
-    lo, hi = window[0] * T, window[1] * T
+    lo, hi = _APPENDIX_WINDOW[0] * T, _APPENDIX_WINDOW[1] * T
     idx = [i for i in range(x.size) if lo <= x[i] <= hi]
     if not idx:
         raise ParameterError(
@@ -315,8 +319,6 @@ def appendix_reconstruction_check(H: float, T: float = 1.0, m: int = 2000,
     slopes = np.diff(u) / np.diff(x)
     recon = np.zeros(len(idx))
     for k, i in enumerate(idx):
-        if i == m:
-            continue                      # t = T: the integral is empty
         t = x[i]
         c0, c1 = _beta_cell_weights(x[i:] - t, x[-1] - t, beta, nu)
         val = float((u[i:-1] * c0 + slopes[i:] * c1).sum())

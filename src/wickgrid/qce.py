@@ -23,8 +23,8 @@ import numpy as np
 from scipy.special import gammaln
 
 from .covariance import GramContext
-from .chaos import (ChaosVector, GramImage, SymmetricTensor, _check_series_order, _require_grid,
-                    tensor_inner)
+from .chaos import (ChaosVector, GramImage, SymmetricTensor, _check_series_order, _fold,
+                    _require_grid, tensor_inner)
 from .errors import DegenerateSplitError, MartingaleCaseError, ParameterError, ShapeError
 from .firstchaos import SubspaceGeometry, TruncationOperator, _fix_sign, operator_norm
 
@@ -98,10 +98,7 @@ def shifted_qce(sc: ShiftContext, xi: ChaosVector) -> ChaosVector:
             for w, k in zip(weights, orders):
                 scalars[k] = w * x ** k
                 xs[k] = [x]
-        acc = 0.0
-        for scalar in scalars:
-            acc += scalar
-        out = [SymmetricTensor.scalar(acc, xi.dim)]
+        out = [SymmetricTensor.scalar(_fold(scalars), xi.dim)]
         for n in range(1, top_dense + 1):
             acc = SymmetricTensor.zero(n, xi.dim)
             for k in range(n, K + 1):
@@ -148,7 +145,8 @@ def _power_orders(sums, xs, top_dense: int, m: int) -> List[SymmetricTensor]:
     prev[by_key[same + 1]] = by_key[same]
     weights = _suffix_weights(sums, xs, orders, top_dense, K)
     merged = np.zeros((keys.max(initial=-1) + 1, K + 1))
-    np.add.at(merged, keys, weights)
+    with np.errstate(invalid="ignore"):         # inf + -inf merges to nan, silent as in Python
+        np.add.at(merged, keys, weights)
     # the heads of every order's groups at once, sorted by order and then
     # row, with their merged weights; zero weights are dropped, as
     # from_powers drops them
@@ -245,9 +243,8 @@ def domain_diagnostic(sc: ShiftContext, f, K_max: int) -> DomainDiagnostic:
     # |f~_k|^2 per order: a one-row order w v^(x k) has smax = |v| factored
     # out, so that C^k stays finite, as w (C^k) w with C = (v / smax) G (v /
     # smax)^T formed once per plan row, and smax^(2k) put back in log space
-    # (inf past 1e300).  A zero weight (which from_powers drops) and a zero row
-    # (whose tensor_inner is 0 or nan) give no term; order 0 and empty sums are
-    # tensor_inner's
+    # (inf past 1e300).  A zero row (whose tensor_inner is 0 or nan) gives no
+    # term; order 0 and empty sums are tensor_inner's
     rest, rows = shifted_qce(sc, xi).pairing_plan()
     nrm_sq = [0.0] * (K_max + 1)
     with np.errstate(over="ignore"):            # a term past the double range reads inf
@@ -260,7 +257,7 @@ def domain_diagnostic(sc: ShiftContext, f, K_max: int) -> DomainDiagnostic:
             u = v[None] / smax
             C = u @ sc.ctx.G @ u.T
             for w, k in zip(np.array(weights)[:, None], orders):     # w of shape (1,)
-                base = 0.0 if w[0] == 0.0 else max(float(w @ (C**k) @ w), 0.0)
+                base = max(float(w @ (C**k) @ w), 0.0)
                 if base:
                     log_val = math.log(base) + 2 * k * math.log(smax)
                     nrm_sq[k] = math.exp(log_val) if log_val < _LOG_OVERFLOW else math.inf

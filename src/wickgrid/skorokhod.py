@@ -18,7 +18,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .covariance import GramContext
-from .chaos import ChaosVector, SymmetricTensor, WickCombo, sym_insert_last
+from .chaos import ChaosVector, GramImage, SymmetricTensor, WickCombo, sym_insert_last
 from .errors import IntervalError, ParameterError, ShapeError, _worst
 
 __all__ = [
@@ -124,6 +124,16 @@ class ChaosField:
         mask = np.zeros(self.dim)
         mask[ia:ib] = 1.0
         return ChaosField(self.ctx, [t * mask for t in self.slots])
+
+    def cell_s(self, ctx: GramContext, j: int, h) -> float:
+        """S-transform at direction h of the slot coefficient on cell j, as WickZ.cell_s."""
+        image = GramImage(ctx, h)
+        total = 0.0
+        for k, t in enumerate(self.slots):
+            comp = np.take(t, j, axis=-1)
+            total += image.pair(SymmetricTensor.scalar(float(comp), ctx.n) if k == 0
+                                else SymmetricTensor.from_dense(comp))
+        return total
 
 
 def skorokhod_chaos(Z: ChaosField, a: float, b: float) -> ChaosVector:

@@ -341,7 +341,7 @@ def test_wick_solution_full_verification(model, rng):
     p.xi = sol.Y_nodes[-1]
     assert verify_solution_weak(p, sol, trials=10, seed=5) <= 1e-9
     assert sol.A[-1] == 1.0
-    assert sol.Y_combos[-1].terms[0][0] == pytest.approx(1.0, rel=1e-12)
+    assert sol.Y_nodes[-1].expectation() == pytest.approx(1.0, rel=1e-12)
 
 
 def test_wick_solution_reductions(ctx, rng):

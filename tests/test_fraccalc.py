@@ -343,11 +343,10 @@ def test_appendix_regime_guard():
         appendix_reconstruction_check(0.3, 1.0, 200)
 
 
-@pytest.mark.parametrize("m,window", [(1, (0.05, 0.95)), (2, (0.6, 0.7))])
-def test_appendix_empty_window_is_a_parameter_error(m, window):
+def test_appendix_empty_window_is_a_parameter_error():
     # no mesh node inside the window used to end in numpy's bare ValueError
     with pytest.raises(ParameterError, match="window"):
-        appendix_reconstruction_check(0.2, 1.0, m, window=window)
+        appendix_reconstruction_check(0.2, 1.0, 1)
 
 
 def test_appendix_profile_finite_at_origin():
