@@ -155,10 +155,13 @@ class SymmetricTensor:
             return self.dense
         _check_dense_size(self.order, self.dim)
         out = np.zeros((self.dim,) * self.order)
-        for t, v in zip(self.weights.tolist(), self.vectors):
-            for _ in range(self.order):
-                t = np.multiply.outer(t, v)
-            out += t
+        # inf * 0 gives nan and a product past the double range inf, silent
+        # as Python's float * is
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t, v in zip(self.weights.tolist(), self.vectors):
+                for _ in range(self.order):
+                    t = np.multiply.outer(t, v)
+                out += t
         return out
 
     def copy(self) -> "SymmetricTensor":
@@ -279,12 +282,18 @@ class GramImage:
         return t
 
     def pair(self, f: SymmetricTensor) -> float:
-        """Full pairing <f, w^(x k)>."""
+        """Full pairing <f, w^(x k)>: a power sum's terms added with
+        compensated summation, or left to right (inf or nan) where fsum
+        cannot add them."""
         if f.order == 0:
             return float(f.dense)
         if not f.is_powers:
             return float(self.contract_dense(f.dense, f.order))
-        return math.fsum(self.terms(f, f.order))
+        terms = list(self.terms(f, f.order))
+        try:
+            return math.fsum(terms)
+        except (OverflowError, ValueError):     # an intermediate overflow, or inf - inf
+            return _fold(terms)
 
     def s(self, xi: "ChaosVector") -> float:
         """(S xi)(w) = sum_k <f_k, w^(x k)> of a chaos vector, read from

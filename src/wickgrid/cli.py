@@ -17,6 +17,7 @@ import sys
 import time
 import traceback
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 from datetime import datetime, timezone
 from operator import ge, gt, le
 from pathlib import Path
@@ -334,20 +335,23 @@ def _sweep_rows(threads, grid, points):
     The groups run one after another, each waited for before the next, so
     that only one Gram is alive at a time; only the r values of one group fan
     out on the executor.  So `threads` speeds up dr-sweep (many r, one H) and
-    not opnorm-sweep (one r per H).
+    not opnorm-sweep (one r per H).  With one thread the sweep runs on the
+    calling thread and no executor is started.
     """
     groups = {}
     for H, r in points:
         groups.setdefault(H, []).append(r)
     rows = []
-    with ThreadPoolExecutor(max_workers=threads) as ex:
+    with ExitStack() as stack:
+        mapper = (map if threads == 1 else
+                  stack.enter_context(ThreadPoolExecutor(max_workers=threads)).map)
         for H, rs in groups.items():
-            rows += _group_rows(ex, grid, H, rs)
+            rows += _group_rows(mapper, grid, H, rs)
     rows.sort(key=lambda t: (t[0], t[2]))
     return rows
 
 
-def _group_rows(ex, grid, H, rs):
+def _group_rows(mapper, grid, H, rs):
     model = BrownianMotion() if H == 0.5 else FractionalBrownianMotion(H)
     ctx = build_gram(model, grid)
 
@@ -356,7 +360,7 @@ def _group_rows(ex, grid, H, rs):
         geo_d = max_correlation(ctx, r)
         return (H, grid.n, r, geo_d.d_r, geo_n.opnorm)
 
-    return list(ex.map(work, rs))
+    return list(mapper(work, rs))
 
 
 def exp_opnorm_sweep(cfg, seed, threads):

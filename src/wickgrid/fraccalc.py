@@ -303,6 +303,8 @@ def appendix_reconstruction_check(H: float, T: float = 1.0, m: int = 2000) -> Ap
     """
     if not 0.0 < H < 0.25:
         raise RegimeError("reconstruction regime is H in (0, 1/4)")
+    if not (math.isfinite(T) and T > 0.0):
+        raise ParameterError(f"horizon T must be finite and > 0, got T = {T}")
     x = cosine_mesh(m, T)
     const = T ** (0.5 - H) / gamma_fn(H + 0.5)
     F = _appendix_profile(H, T, x)
@@ -437,17 +439,18 @@ def cm_truncate_fbm_high(psi: FuncOnGrid, r: float, H: float):
 # the K* operator and its isometry calibration
 # ---------------------------------------------------------------------------
 
-def _kstar_matrix(x: np.ndarray, H: float, nu: float = 0.0) -> np.ndarray:
+def _kstar_matrix(x: np.ndarray, H: float, nu: float = 0.0, out=None) -> np.ndarray:
     """Weights W with (K0 g)(x_i) = (W g)_i for piecewise-linear g.
 
     K0 g(t) = t^{1/2-H} (I_{T-}^{1/2-H} s^{H-1/2} g(s))(t); the optional nu
-    factors an extra (T-s)^nu singularity out of g analytically.
+    factors an extra (T-s)^nu singularity out of g analytically.  W is
+    written into `out`, a zero (m1, m1) float array, when one is given.
     """
     m1 = x.size
     beta = 0.5 - H
     gb = gamma_fn(beta)
     h = np.diff(x)
-    W = np.zeros((m1, m1))
+    W = np.zeros((m1, m1)) if out is None else out
     for i in range(m1 - 1):
         t = x[i]
         if t <= 0.0:
@@ -462,7 +465,8 @@ def _kstar_matrix(x: np.ndarray, H: float, nu: float = 0.0) -> np.ndarray:
         scale = np.where(x > 0, x ** (H - 0.5), 0.0)
         if nu != 0.0:
             scale = scale * np.where(x < x[-1], (x[-1] - x) ** (-nu), 0.0)
-    return W * scale[None, :]
+    W *= scale[None, :]
+    return W
 
 
 def kstar(g: FuncOnGrid, H: float, c_h: float, end_exponent: float = 0.0) -> FuncOnGrid:
@@ -517,12 +521,11 @@ def calibrate_c_h(H: float, grid: TimeGrid, m: int = 600):
     if m < 1 or x[1] > t_low + 1e-12:
         raise ParameterError(f"calibrate_c_h mesh of m = {m} cell(s) has no node in "
                              f"(0, {t_low:g}], so that target recovers zero; refine the mesh")
-    W = _kstar_matrix(x, H)
-    lam = 1e-6 * np.linalg.norm(W, ord="fro") / math.sqrt(W.shape[0])
-    # [W; lam I] built in place: W is dropped before the solves
+    # [W; lam I] with the K* rows written into its top half, so that W has
+    # no second copy
     A = np.zeros((2 * x.size, x.size))
-    A[:x.size] = W
-    del W
+    W = _kstar_matrix(x, H, out=A[:x.size])
+    lam = 1e-6 * np.linalg.norm(W, ord="fro") / math.sqrt(W.shape[0])
     np.fill_diagonal(A[x.size:], lam)
     estimates = []
     for t_star in targets:

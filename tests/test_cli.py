@@ -613,6 +613,21 @@ def test_sweeps_byte_identical_across_threads(tmp_path, experiment, cfg, csv):
     assert bodies[0] == bodies[1]
 
 
+@pytest.mark.parametrize("experiment, cfg", [
+    ("dr-sweep", "H = 0.3\nN = 16\n"),
+    ("opnorm-sweep", "H_list = 0.2,0.5,0.8\nN = 16\n"),
+])
+def test_one_thread_sweeps_start_no_executor(tmp_path, monkeypatch, experiment, cfg):
+    # --threads 1 maps over r on the calling thread; cli.main turns the
+    # raise into exit 1
+    def no_executor(*args, **kwargs):
+        raise AssertionError("--threads 1 started an executor")
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", no_executor)
+    code, _ = run(tmp_path, experiment, cfg)
+    assert code == 0
+
+
 def test_unparsable_seed_is_usage_error(tmp_path, capsys):
     code, out = run(tmp_path, "gram", "N = 4\nseed = abc\n")
     assert code == 64

@@ -1,6 +1,8 @@
 """Fractional integrals, 2F1, the reconstruction identity, truncations, K*."""
 
 import math
+import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -349,6 +351,16 @@ def test_appendix_empty_window_is_a_parameter_error():
         appendix_reconstruction_check(0.2, 1.0, 1)
 
 
+@pytest.mark.parametrize("T", [0.0, -1.0, math.inf, math.nan])
+def test_appendix_horizon_must_be_finite_and_positive(T):
+    # 0 and inf warned on 0/0 and inf * 0, -1 on a power of a negative base,
+    # and nan blamed the 2F1 series; none named T
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match=r"horizon T must be finite and > 0, got T = "):
+            appendix_reconstruction_check(0.2, T, 200)
+
+
 def test_appendix_profile_finite_at_origin():
     # z -> 1 limit of the 2F1 factor exists because c - a - b = 1 - 4H > 0
     H = 0.2
@@ -461,6 +473,20 @@ def test_kstar_calibration_needs_two_distinct_targets():
     with pytest.raises(ParameterError, match="two distinct target times"):
         calibrate_c_h(0.3, TimeGrid.uniform(1, 1.0), m=100)
     assert calibrate_c_h(0.3, TimeGrid.uniform(2, 1.0), m=100)[1] > 0.0
+
+
+def test_calibrate_c_h_holds_one_copy_of_its_least_squares_matrix():
+    # [W; lam I] is 2 (m+1)^2 doubles and the K* rows are written into its
+    # top half; W formed on its own and copied in peaked at 1.5 times that
+    grid, m = TimeGrid.uniform(48), 600
+    calibrate_c_h(0.3, grid, m)     # a warm call, so only the call's own arrays count
+    tracemalloc.start()
+    try:
+        calibrate_c_h(0.3, grid, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.1 * 2 * (m + 1) ** 2 * 8
 
 
 def test_kstar_isometry_random_smooth(kstar_setup):
@@ -763,3 +789,30 @@ def test_oracle_appendix_bit_identical(H):
 def test_oracle_kstar_matrix_bit_identical(H, nu):
     for x in (cosine_mesh(150, 1.0), uniform_mesh(97, 2.0)):
         assert np.array_equal(_kstar_matrix(x, H, nu), _ref_kstar_matrix(x, H, nu))
+
+
+def _ref_calibrate_c_h(H, grid, m):
+    """calibrate_c_h with W formed on its own and copied into [W; lam I]."""
+    targets = [grid.points[max(1, int(round(q * grid.n)))] for q in (0.3, 0.45, 0.6, 0.75)]
+    x = cosine_mesh(m, grid.T)
+    W = _ref_kstar_matrix(x, H, 0.0)
+    lam = 1e-6 * np.linalg.norm(W, ord="fro") / math.sqrt(W.shape[0])
+    A = np.zeros((2 * x.size, x.size))
+    A[:x.size] = W
+    np.fill_diagonal(A[x.size:], lam)
+    estimates = []
+    for t_star in targets:
+        y = (x <= t_star + 1e-12).astype(float)
+        y[0] = 0.0
+        sol, *_ = np.linalg.lstsq(A, np.concatenate([y, np.zeros(x.size)]), rcond=None)
+        estimates.append(math.sqrt(float(np.trapezoid(sol**2, x))) / t_star**H)
+    estimates = np.asarray(estimates)
+    c_h = float(np.exp(np.mean(np.log(estimates))))
+    return c_h, float(np.max(np.abs(estimates - c_h)) / c_h)
+
+
+@pytest.mark.parametrize("H", [0.1, 0.3, 0.45])
+def test_oracle_calibrate_c_h_bit_identical(H):
+    for n, m in ((16, 200), (48, 300)):
+        grid = TimeGrid.uniform(n)
+        assert calibrate_c_h(H, grid, m) == _ref_calibrate_c_h(H, grid, m)

@@ -22,7 +22,7 @@ from wickgrid import (BSDEProblem, ChaosVector, FractionalBrownianMotion, ShiftC
                       SymmetricTensor, TimeGrid, WickCombo, build_gram, domain_diagnostic,
                       escape_direction, random_chaos, represent_solution, shifted_qce,
                       symmetrize_full, verify_solution_weak, wick_exponential_solution)
-from wickgrid.chaos import GramImage
+from wickgrid.chaos import GramImage, _fold
 from wickgrid.errors import ParameterError
 
 import pairing_oracle as oracle
@@ -232,6 +232,48 @@ def test_shifted_qce_on_nonfinite_weights_matches_the_per_coefficient_route(case
     sc = ShiftContext(ctx, ctx.grid.points[i], c)
     got = shifted_qce(sc, xi)
     with np.errstate(invalid="ignore"):     # the oracle's numpy adds warn
+        want = oracle.shifted_qce_by_coefficient(sc, xi)
+    oracle.assert_same_bits(got, want)
+
+
+def _two_node_shift():
+    ctx = ctx_for(2)
+    return ShiftContext(ctx, ctx.grid.points[1], np.array([0.3, -0.2]))
+
+
+def test_a_power_sum_pairing_of_inf_minus_inf_is_nan():
+    # fsum raised a bare ValueError (-inf + inf) from GramImage.pair, which
+    # shifted_qce reaches through contract_last; the terms fold left to right
+    sc = _two_node_shift()
+    f = SymmetricTensor.from_powers(1, 2, [math.inf, -math.inf], [[1.0, 0.5], [0.2, 1.0]])
+    xi = ChaosVector([SymmetricTensor.scalar(0.0, 2), f], 2)
+    image = GramImage(sc.ctx, sc.c_r)
+    assert math.isnan(image.pair(f))
+    assert np.float64(image.pair(f)).tobytes() == np.float64(_fold(image.terms(f, 1))).tobytes()
+    got = shifted_qce(sc, xi)
+    assert math.isnan(got.coeffs[0].dense)
+    with np.errstate(invalid="ignore"):     # the oracle's numpy adds warn
+        want = oracle.shifted_qce_by_coefficient(sc, xi)
+    oracle.assert_same_bits(got, want)
+
+
+def test_a_power_sum_pairing_past_the_double_range_is_inf():
+    # fsum raises OverflowError on 1e308 + 1e308; the left fold gives inf
+    ctx = ctx_for(1)
+    f = SymmetricTensor.from_powers(2, 1, [1e308, 1e308], np.ones((2, 1)))
+    assert GramImage(ctx, np.array([1.0 / ctx.G[0, 0]])).pair(f) == math.inf
+
+
+@pytest.mark.parametrize("w, v", [(math.inf, [1.0, 0.0]), (1e300, [1e10, 1.0])])
+def test_densifying_a_power_sum_is_silent_where_python_floats_are(w, v):
+    # inf * 0 and a product past the double range warned in the outer
+    # products under an order-1 dense coefficient
+    sc = _two_node_shift()
+    f = SymmetricTensor.from_powers(2, 2, [w], [v])
+    assert f.to_dense().tobytes() == np.array([[w * a * b for b in v] for a in v]).tobytes()
+    xi = ChaosVector([SymmetricTensor.scalar(0.0, 2), SymmetricTensor.from_dense([0.1, 0.2]), f], 2)
+    got = shifted_qce(sc, xi)
+    with np.errstate(invalid="ignore"):
         want = oracle.shifted_qce_by_coefficient(sc, xi)
     oracle.assert_same_bits(got, want)
 
