@@ -82,6 +82,15 @@ def _fold(values) -> float:
     return total
 
 
+def _sum(terms) -> float:
+    """math.fsum of a list of doubles, or their left fold (_fold) where fsum
+    cannot add them: on an intermediate overflow (inf) or on inf - inf (nan)."""
+    try:
+        return math.fsum(terms)
+    except (OverflowError, ValueError):
+        return _fold(terms)
+
+
 def _require_grid(ctx: GramContext, shape, what: str) -> None:
     if tuple(shape) != (ctx.n,):
         raise ShapeError(f"{what} of shape {tuple(shape)} on a grid of {ctx.n} increments")
@@ -282,18 +291,12 @@ class GramImage:
         return t
 
     def pair(self, f: SymmetricTensor) -> float:
-        """Full pairing <f, w^(x k)>: a power sum's terms added with
-        compensated summation, or left to right (inf or nan) where fsum
-        cannot add them."""
+        """Full pairing <f, w^(x k)>: a power sum's terms added by _sum."""
         if f.order == 0:
             return float(f.dense)
         if not f.is_powers:
             return float(self.contract_dense(f.dense, f.order))
-        terms = list(self.terms(f, f.order))
-        try:
-            return math.fsum(terms)
-        except (OverflowError, ValueError):     # an intermediate overflow, or inf - inf
-            return _fold(terms)
+        return _sum(list(self.terms(f, f.order)))
 
     def s(self, xi: "ChaosVector") -> float:
         """(S xi)(w) = sum_k <f_k, w^(x k)> of a chaos vector, read from
@@ -303,10 +306,9 @@ class GramImage:
         float(v @ gw) that pairings forms, and raised per order by Python's
         float pow; every other coefficient goes through pair.  Each summand is
         the double pair(f) gives, up to the sign of a zero, which fsum drops,
-        and is written at its order.  fsum raises on an intermediate overflow
-        that depends on the order of its inputs, so one fsum in coefficient
-        order gives the bits of the fsum of pair(f) over the coefficients, and
-        raises where that one raises.
+        and is written at its order.  Whether fsum overflows on an intermediate
+        sum depends on the order of its inputs, so one _sum in coefficient
+        order gives the bits of the _sum of pair(f) over the coefficients.
         """
         if xi.dim != self.gw.size:
             raise ShapeError(f"chaos vector of dim {xi.dim} paired with a direction "
@@ -320,7 +322,7 @@ class GramImage:
             x = float(v @ gw)
             for w, k in zip(weights, orders):
                 terms[k] = w * x ** k
-        return math.fsum(terms)
+        return _sum(terms)
 
 
 def sym_insert_last(t: np.ndarray) -> np.ndarray:
@@ -357,8 +359,8 @@ def tensor_inner(ctx: GramContext, A: SymmetricTensor, B: SymmetricTensor) -> fl
     if A.is_powers:
         A, B = B, A
     if B.is_powers:
-        return math.fsum(w * GramImage(ctx, v).pair(A)
-                         for w, v in zip(B.weights.tolist(), B.vectors))
+        return _sum([w * GramImage(ctx, v).pair(A)
+                     for w, v in zip(B.weights.tolist(), B.vectors)])
     t = B.dense
     for _ in range(k):
         t = np.tensordot(t, ctx.G, axes=([0], [0]))
@@ -462,15 +464,10 @@ def random_chaos(rng: np.random.Generator, n: int, order: int) -> ChaosVector:
 
 
 def chaos_inner(ctx: GramContext, xi: ChaosVector, eta: ChaosVector) -> float:
-    """E[xi eta] = sum_k k! <f_k, h_k>, accumulated with compensated summation,
-    or left to right (inf or nan) where fsum cannot add the terms."""
+    """E[xi eta] = sum_k k! <f_k, h_k>, the terms added by _sum."""
     K = max(xi.max_order, eta.max_order)
-    terms = [math.factorial(k) * tensor_inner(ctx, xi.get(k), eta.get(k))
-             for k in range(K + 1)]
-    try:
-        return math.fsum(terms)
-    except (OverflowError, ValueError):     # an intermediate overflow, or inf - inf
-        return _fold(terms)
+    return _sum([math.factorial(k) * tensor_inner(ctx, xi.get(k), eta.get(k))
+                 for k in range(K + 1)])
 
 
 def wick_exponential_chaos(ctx: GramContext, h: np.ndarray, K: int) -> ChaosVector:

@@ -44,8 +44,7 @@ from .chaos import (
     s_transform,
     wick_exponential_chaos,
 )
-from .errors import (DegenerateSplitError, GridAlignmentError, MartingaleCaseError, ParameterError,
-                     _worst)
+from .errors import MartingaleCaseError, ParameterError, _worst
 from .firstchaos import jensen_counterexample, max_correlation, operator_norm, TruncationOperator
 from .qce import (
     ShiftContext,
@@ -526,17 +525,20 @@ def exp_bsde_verify(cfg, seed):
     kind = cfg["solution"]
     ctx = gram_from_config(cfg)
     rng = np.random.default_rng(seed)
-    if kind == "wick":
-        problem = _problem_from_config(cfg, ctx, ChaosVector.constant(1.0, ctx.n))
-        f = 0.5 * ctx.unit(rng.standard_normal(ctx.n))
-        sol = wick_exponential_solution(problem, f, K=cfg["K"])
-        problem.xi = sol.Y_nodes[-1]
-        tol = 1e-9
-    else:
-        problem = _random_problem(cfg, ctx, rng)
-        sol = represent_solution(problem)
-        tol = 1e-8
-    res = verify_solution_weak(problem, sol, cfg["trials"], seed)
+    # a contraction past the double range (a huge c_scale) reads inf or nan,
+    # without a warning, and the residual fails the check by name
+    with np.errstate(over="ignore", invalid="ignore"):
+        if kind == "wick":
+            problem = _problem_from_config(cfg, ctx, ChaosVector.constant(1.0, ctx.n))
+            f = 0.5 * ctx.unit(rng.standard_normal(ctx.n))
+            sol = wick_exponential_solution(problem, f, K=cfg["K"])
+            problem.xi = sol.Y_nodes[-1]
+            tol = 1e-9
+        else:
+            problem = _random_problem(cfg, ctx, rng)
+            sol = represent_solution(problem)
+            tol = 1e-8
+        res = verify_solution_weak(problem, sol, cfg["trials"], seed)
     checks = [("max_residual", float(res), "<=", tol)]
     return checks, {"bsde_verify.json": _verdict(checks, tolerance=tol, solution=kind)}
 
@@ -686,21 +688,19 @@ def main(argv=None) -> int:
             near = difflib.get_close_matches(key, keys, n=1)
             raise ParameterError(f"{args.experiment} reads no key {key!r}; " + (
                 f"did you mean {near[0]!r}?" if near else f"its keys are {', '.join(keys)}"))
+        if seed is None and args.experiment in STOCHASTIC:
+            raise ParameterError("stochastic experiments require a seed "
+                                 "(--seed or 'seed =' in the config)")
     except (OSError, ParameterError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    if seed is None:
-        if args.experiment in STOCHASTIC:
-            print("config error: stochastic experiments require a seed "
-                  "(--seed or 'seed =' in the config)", file=sys.stderr)
-            return USAGE_EXIT
-        seed = 0
+    seed = 0 if seed is None else seed
     t0 = time.perf_counter()
     try:
         cfg = resolve(args.experiment, raw)
         run = (cfg, seed, args.threads) if args.experiment in SWEEPS else (cfg, seed)
         checks, bodies = EXPERIMENTS[args.experiment](*run)
-    except (ParameterError, GridAlignmentError, DegenerateSplitError, MartingaleCaseError) as exc:
+    except ParameterError as exc:     # every input error (errors.py)
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # runtime failure

@@ -14,6 +14,7 @@ the grid nodes exactly.
 
 from __future__ import annotations
 
+import math
 import threading
 
 import numpy as np
@@ -71,6 +72,8 @@ class TimeGrid:
     def uniform(cls, n: int, T: float = 1.0) -> "TimeGrid":
         if n < 1:
             raise ParameterError(f"a uniform grid needs n >= 1 increments, got {n}")
+        if not (math.isfinite(T) and T > 0.0):
+            raise ParameterError(f"a uniform grid needs a finite T > 0, got T = {T!r}")
         return cls(np.linspace(0.0, T, n + 1))
 
     def refine(self, k: int = 2) -> "TimeGrid":
@@ -362,10 +365,12 @@ def sample_increments(ctx: GramContext, n_paths: int, seed: int) -> np.ndarray:
     call for all their rows would.  The rows match that call bit for bit when
     every call is long enough for the same BLAS kernels (4096 rows are); calls
     of a few rows round the product differently.  n_paths = 0 yields an
-    empty (0, N) array.
+    empty (0, N) array.  A negative int seed is a ParameterError.
     """
     if n_paths < 0:
         raise ParameterError(f"n_paths must be >= 0, got {n_paths}")
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((int(n_paths), ctx.n))
     return z @ ctx.sample_factor.T

@@ -1,4 +1,7 @@
-"""Exception types, and the residual reduction of the checks, shared across the package."""
+"""Exception types, and the residual reduction of the checks, shared across the package.
+
+An error that means the caller's inputs are out of range is a ParameterError,
+which cli.main reports as a config error; a RuntimeError here means the computation failed."""
 
 
 def _worst(a: float, b: float) -> float:
@@ -11,26 +14,26 @@ def _worst(a: float, b: float) -> float:
 
 
 class ParameterError(ValueError):
-    """A model or operator parameter is outside its admissible range."""
+    """An input is outside its admissible range; the base of every input error."""
 
 
-class GridAlignmentError(ValueError):
+class GridAlignmentError(ParameterError):
     """A time was used that is not a node of the relevant grid."""
 
 
-class ModelGridError(ValueError):
+class ModelGridError(ParameterError):
     """Gram matrix of a model/grid pair is indefinite beyond the eigenvalue floor."""
 
 
-class ConditioningError(RuntimeError):
+class ConditioningError(ParameterError):
     """Gram matrix is numerically singular beyond what flooring can repair."""
 
 
-class DegenerateSplitError(ValueError):
+class DegenerateSplitError(ParameterError):
     """A past/future split was requested at r = 0 or r = T."""
 
 
-class MartingaleCaseError(RuntimeError):
+class MartingaleCaseError(ParameterError):
     """The requested construction exists only for non-martingale processes."""
 
 
@@ -38,11 +41,11 @@ class UnsupportedOperationError(RuntimeError):
     """Operation would leave the closed algebra the object lives in."""
 
 
-class ShapeError(ValueError):
+class ShapeError(ParameterError):
     """Tensor order or dimension mismatch."""
 
 
-class IntervalError(ValueError):
+class IntervalError(ParameterError):
     """Interval endpoints are in the wrong order."""
 
 

@@ -469,14 +469,18 @@ def _kstar_matrix(x: np.ndarray, H: float, nu: float = 0.0, out=None) -> np.ndar
     return W
 
 
+def _require_low_hurst(H: float) -> None:
+    if not 0.0 < H < 0.5:
+        raise RegimeError(f"K* is the low-Hurst transfer operator, H in (0, 1/2), got H = {H!r}")
+
+
 def kstar(g: FuncOnGrid, H: float, c_h: float, end_exponent: float = 0.0) -> FuncOnGrid:
     """Apply the weighted fractional operator K* with the given constant.
 
     end_exponent declares a (T-s)^end_exponent factor inside g that should be
     integrated analytically (used when g itself blows up at T).
     """
-    if not 0.0 < H < 0.5:
-        raise RegimeError("K* is the low-Hurst transfer operator, H in (0, 1/2)")
+    _require_low_hurst(H)
     if not (math.isfinite(end_exponent) and end_exponent > -1.0):
         raise ParameterError("end_exponent must be finite and > -1")
     W = _kstar_matrix(g.x, H, nu=end_exponent)
@@ -506,8 +510,10 @@ def calibrate_c_h(H: float, grid: TimeGrid, m: int = 600):
     c_H = ||g||_L2 / ||1_(0,t*]|| = ||g||_L2 / t*^H.  The spread of the
     per-target constants is the calibration residual; a grid too coarse for
     two distinct targets, whose spread would be 0 by construction, is a
-    ParameterError, as is a mesh with no node below some target.
+    ParameterError, as is a mesh with no node below some target; an H
+    outside (0, 1/2) is kstar's RegimeError.
     """
+    _require_low_hurst(H)
     targets = [grid.points[max(1, int(round(q * grid.n)))]
                for q in (0.3, 0.45, 0.6, 0.75)]
     if len(set(targets)) < 2:

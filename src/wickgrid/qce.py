@@ -229,11 +229,14 @@ def domain_diagnostic(sc: ShiftContext, f, K_max: int) -> DomainDiagnostic:
     misses its tail terms k > K_max; K_max above 170 is a ParameterError.
     Sums are accumulated in log space; a partial sum past 1e300 reads inf and
     sets `overflowed`; a term past the double range reads inf, without a
-    warning.  A term ratio is nan where both of its terms are 0.
+    warning.  A term ratio is nan where both of its terms are 0.  A direction
+    f with a non-finite entry is a ParameterError.
     """
     if K_max < 0:
         raise ParameterError("K_max must be >= 0")
     _check_series_order(K_max)
+    if not np.isfinite(f).all():
+        raise ParameterError("direction f has a non-finite entry")
     n = sc.ctx.n
     # every order holds the one row f, checked and stored once: no weight
     # 1/sqrt(k!) with k <= 170 is zero, so from_powers keeps row itself

@@ -38,7 +38,7 @@ from wickgrid import (
     wick_exponential_chaos,
 )
 from wickgrid.bsde import WickZ
-from wickgrid.chaos import GramImage, _check_series_order
+from wickgrid.chaos import GramImage, _check_series_order, _sum
 from wickgrid.errors import ParameterError, ShapeError, UnsupportedOperationError, _worst
 from wickgrid.qce import _LOG_OVERFLOW, _power_orders, _prefix_logsumexp
 
@@ -81,9 +81,9 @@ def s_transform(ctx, xi, h):
 
 
 def s_by_coefficient(image, xi):
-    """GramImage.s as one fsum of image.pair(f) over the coefficients: each
+    """GramImage.s as one _sum of image.pair(f) over the coefficients: each
     dense one through contract_dense, each power sum through terms."""
-    return math.fsum(image.pair(f) for f in xi.coeffs)
+    return _sum([image.pair(f) for f in xi.coeffs])
 
 
 def from_powers_by_mask(order, dim, weights, vectors):

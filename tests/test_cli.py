@@ -17,11 +17,12 @@ from wickgrid import (
     TruncationOperator,
     chaos_inner,
     cli,
+    errors,
     evaluate_chaos_on_sample,
     random_chaos,
     sample_increments,
 )
-from wickgrid.errors import ParameterError
+from wickgrid.errors import CalibrationError, ParameterError, UnsupportedOperationError
 
 
 def run(tmp_path, experiment, config_text="", seed=None, subdir="run"):
@@ -552,6 +553,66 @@ def test_debug_prints_the_traceback_a_runtime_error_discards(tmp_path, monkeypat
     assert err.startswith("error: injected\nTraceback (most recent call last):\n")
     assert "in broken\n" in err and err.endswith("RuntimeError: injected\n")
     assert not (tmp_path / "o").exists()
+
+
+ERRORS = [cls for _, cls in inspect.getmembers(errors, inspect.isclass)
+          if issubclass(cls, Exception)]
+
+
+def test_every_error_but_two_computation_failures_is_an_input_error():
+    failures = {cls for cls in ERRORS if not issubclass(cls, ParameterError)}
+    assert failures == {CalibrationError, UnsupportedOperationError}
+    assert all(issubclass(cls, RuntimeError) for cls in failures)
+
+
+@pytest.mark.parametrize("error", ERRORS, ids=lambda cls: cls.__name__)
+def test_each_error_class_exits_1_with_its_stderr_prefix(tmp_path, monkeypatch, capsys, error):
+    # main catches ParameterError alone as an input error; an IntervalError
+    # or a ConditioningError used to print "error:", as a crash does
+    def broken(cfg, seed):
+        raise error("injected")
+
+    monkeypatch.setitem(cli.EXPERIMENTS, "broken", broken)
+    monkeypatch.setitem(cli.KEYS, "broken", {})
+    out = tmp_path / "o"
+    assert cli.main(["broken", "--out", str(out)]) == 1
+    prefix = "config error" if issubclass(error, ParameterError) else "error"
+    assert capsys.readouterr().err == f"{prefix}: injected\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("experiment, cfg, message", [
+    ("skorokhod-check", "a = 0.5\nb = 0.25\n", "each piece needs a < b"),
+    ("dr-sweep", "T = 1e-300\n", "Gram is singular beyond the eigenvalue floor"),
+    ("frac-verify", "checks = kstar\nH_kstar = 0.7\n", "H in (0, 1/2), got H = 0.7"),
+    ("frac-verify", "checks = kstar\nH_kstar = nan\n", "H in (0, 1/2), got H = nan"),
+    ("gram", "T = nan\n", "a finite T > 0, got T = nan"),
+    ("gram", "T = inf\n", "a finite T > 0, got T = inf"),
+    ("gram", "T = -1\n", "a finite T > 0, got T = -1.0"),
+])
+def test_input_errors_of_the_layers_are_config_errors(tmp_path, capfd, experiment, cfg, message):
+    # a < b and the singular Gram of T = 1e-300 printed "error:"; H_kstar =
+    # 0.7 ended in a bare LinAlgError after LAPACK printed DLASCL lines; T =
+    # nan blamed t_0, and T = inf warned first.  capfd reads the descriptor,
+    # so a LAPACK line would show
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run(tmp_path, experiment, cfg, seed=1)
+    assert code == 1
+    err = capfd.readouterr().err
+    assert err.startswith("config error:") and message in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_a_shift_past_the_double_range_fails_the_weak_check_by_name(tmp_path, capfd):
+    # the fsum of the S-values raised on -inf + inf, after RuntimeWarnings,
+    # and the run ended in the catch-all, "error: -inf + inf in fsum"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run(tmp_path, "bsde-verify", "c_scale = 1e300\n", seed=1)
+    assert code == 2
+    assert capfd.readouterr().err == "check failed: max_residual = nan, needs <= 1e-08\n"
+    assert json.loads((out / "bsde_verify.json").read_text())["passes"] is False
 
 
 def test_debug_leaves_bodies_and_stderr_of_a_good_run_alone(tmp_path, capsys):

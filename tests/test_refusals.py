@@ -1,5 +1,7 @@
 """Typed refusals of the public entry points, one table row per guard."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -17,16 +19,18 @@ from wickgrid import (
     TimeGrid,
     WickCombo,
     build_gram,
+    calibrate_c_h,
     cm_truncate_fbm_high,
     domain_diagnostic,
     example33_residual,
+    sample_increments,
     uniform_mesh,
     verify_solution_weak,
     wick_exponential_solution,
 )
 from wickgrid.bsde import WickZ
-from wickgrid.errors import (ConditioningError, GridAlignmentError, ParameterError, ShapeError,
-                             UnsupportedOperationError)
+from wickgrid.errors import (ConditioningError, GridAlignmentError, ParameterError, RegimeError,
+                             ShapeError, UnsupportedOperationError)
 
 N = 4
 GRID = TimeGrid.uniform(N)
@@ -98,13 +102,29 @@ REFUSALS = {
                       GridAlignmentError, "0.05 is not a mesh node"),
     "high-truncation-at-zero": (lambda: cm_truncate_fbm_high(MESH, 0.0, 0.75),
                                 ParameterError, "r must not be 0"),
+    # T = nan blamed t_0, and T = inf warned in linspace before it did
+    **{f"uniform-T-{T}": (lambda T=T: TimeGrid.uniform(N, T), ParameterError, f"got T = {T!r}")
+       for T in (np.nan, np.inf, 0.0, -1.0)},
+    # numpy refused a negative seed with a bare ValueError
+    "sample-negative-seed": (lambda: sample_increments(CTX, 2, -1),
+                             ParameterError, "seed must be >= 0, got -1"),
+    # a NaN or infinite entry warned "invalid value encountered in matmul"
+    **{f"domain-direction-{x}": (
+        lambda x=x: domain_diagnostic(ShiftContext(CTX, 0.5), [0.1, x, 0.2, 0.3], 3),
+        ParameterError, "direction f has a non-finite entry") for x in (np.nan, -np.inf)},
+    # H above 1/2 and NaN ended in a bare LinAlgError after LAPACK printed to
+    # stderr, and H = -50 in a CalibrationError
+    **{f"kstar-calibration-H-{H}": (lambda H=H: calibrate_c_h(H, TimeGrid.uniform(48)),
+                                    RegimeError, f"H in (0, 1/2), got H = {H!r}")
+       for H in (0.55, 0.7, 0.99, np.nan, -50.0, 0.0, 0.5)},
 }
 
 
 @pytest.mark.parametrize("name", list(REFUSALS))
 def test_a_bad_input_is_a_typed_error_naming_it(name):
     call, error, fragment = REFUSALS[name]
-    with pytest.raises(error) as info:
+    with warnings.catch_warnings(), pytest.raises(error) as info:
+        warnings.simplefilter("error")
         call()
     assert type(info.value) is error
     assert fragment in str(info.value)
