@@ -91,6 +91,12 @@ def _sum(terms) -> float:
         return _fold(terms)
 
 
+def _power_overflow(k: int) -> ParameterError:
+    return ParameterError(f"pairing order {k} overflows a double: a power <v, w>^{k} leaves "
+                          "the double range; use a smaller direction or shift, or a lower "
+                          "chaos order")
+
+
 def _require_grid(ctx: GramContext, shape, what: str) -> None:
     if tuple(shape) != (ctx.n,):
         raise ShapeError(f"{what} of shape {tuple(shape)} on a grid of {ctx.n} increments")
@@ -232,11 +238,16 @@ class SymmetricTensor:
             raise ShapeError(f"tensor of shape {(self.dim,)} on a grid of "
                              f"{image.gw.size} increments")
         new_order = self.order - times
+        if self.is_powers:
+            # a power past the double range raises OverflowError here, for the
+            # caller to name (shifted_qce names the order it was forming)
+            terms = image.terms(self, times)
+            if new_order == 0:
+                return SymmetricTensor.scalar(_sum(list(terms)), self.dim)
+            return SymmetricTensor(new_order, self.dim, vectors=self.vectors,
+                                   weights=np.fromiter(terms, float))
         if new_order == 0:
             return SymmetricTensor.scalar(image.pair(self), self.dim)
-        if self.is_powers:
-            return SymmetricTensor(new_order, self.dim, vectors=self.vectors,
-                                   weights=np.fromiter(image.terms(self, times), float))
         return SymmetricTensor(new_order, self.dim, dense=image.contract_dense(self.dense, times))
 
     def support_bound(self) -> int:
@@ -291,12 +302,16 @@ class GramImage:
         return t
 
     def pair(self, f: SymmetricTensor) -> float:
-        """Full pairing <f, w^(x k)>: a power sum's terms added by _sum."""
+        """Full pairing <f, w^(x k)>: a power sum's terms added by _sum.  A
+        power <v, w>^k past the double range is a ParameterError naming k."""
         if f.order == 0:
             return float(f.dense)
         if not f.is_powers:
             return float(self.contract_dense(f.dense, f.order))
-        return _sum(list(self.terms(f, f.order)))
+        try:
+            return _sum(list(self.terms(f, f.order)))
+        except OverflowError:
+            raise _power_overflow(f.order) from None
 
     def s(self, xi: "ChaosVector") -> float:
         """(S xi)(w) = sum_k <f_k, w^(x k)> of a chaos vector, read from
@@ -309,6 +324,7 @@ class GramImage:
         and is written at its order.  Whether fsum overflows on an intermediate
         sum depends on the order of its inputs, so one _sum in coefficient
         order gives the bits of the _sum of pair(f) over the coefficients.
+        A power past the double range is a ParameterError naming its order.
         """
         if xi.dim != self.gw.size:
             raise ShapeError(f"chaos vector of dim {xi.dim} paired with a direction "
@@ -318,10 +334,13 @@ class GramImage:
         for f in rest:
             terms[f.order] = self.pair(f)
         gw = self.gw
-        for v, weights, orders in rows:
-            x = float(v @ gw)
-            for w, k in zip(weights, orders):
-                terms[k] = w * x ** k
+        try:
+            for v, weights, orders in rows:
+                x = float(v @ gw)
+                for w, k in zip(weights, orders):
+                    terms[k] = w * x ** k
+        except OverflowError:
+            raise _power_overflow(k) from None
         return _sum(terms)
 
 
@@ -463,8 +482,10 @@ def random_chaos(rng: np.random.Generator, n: int, order: int) -> ChaosVector:
     return ChaosVector(coeffs, n)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def chaos_inner(ctx: GramContext, xi: ChaosVector, eta: ChaosVector) -> float:
-    """E[xi eta] = sum_k k! <f_k, h_k>, the terms added by _sum."""
+    """E[xi eta] = sum_k k! <f_k, h_k>, the terms added by _sum; a contraction
+    past the double range reads inf or nan without a warning."""
     K = max(xi.max_order, eta.max_order)
     return _sum([math.factorial(k) * tensor_inner(ctx, xi.get(k), eta.get(k))
                  for k in range(K + 1)])

@@ -17,7 +17,7 @@ import sys
 import time
 import traceback
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import ExitStack
+from contextlib import nullcontext
 from datetime import datetime, timezone
 from operator import ge, gt, le
 from pathlib import Path
@@ -331,35 +331,28 @@ def exp_gram(cfg, seed):
 def _sweep_rows(threads, grid, points):
     """(H, N, r, d_r, opnorm) rows of (H, r) points, one Gram factorization per H.
 
-    The groups run one after another, each waited for before the next, so
-    that only one Gram is alive at a time; only the r values of one group fan
-    out on the executor.  So `threads` speeds up dr-sweep (many r, one H) and
-    not opnorm-sweep (one r per H).  With one thread the sweep runs on the
-    calling thread and no executor is started.
+    The groups run one after another, each consumed before the next Gram is
+    built, so that only one Gram is alive at a time; only the r values of one
+    group fan out on the executor.  So `threads` speeds up dr-sweep (many r,
+    one H) and not opnorm-sweep (one r per H).  With one thread the sweep runs
+    on the calling thread and no executor is started.
     """
     groups = {}
     for H, r in points:
         groups.setdefault(H, []).append(r)
     rows = []
-    with ExitStack() as stack:
-        mapper = (map if threads == 1 else
-                  stack.enter_context(ThreadPoolExecutor(max_workers=threads)).map)
+    with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
         for H, rs in groups.items():
-            rows += _group_rows(mapper, grid, H, rs)
+            ctx = build_gram(BrownianMotion() if H == 0.5 else FractionalBrownianMotion(H), grid)
+
+            def work(r):
+                opnorm = operator_norm(ctx, r).opnorm
+                return (H, grid.n, r, max_correlation(ctx, r).d_r, opnorm)
+
+            rows += (pool.map if pool else map)(work, rs)
+            del ctx         # before the next Gram is built
     rows.sort(key=lambda t: (t[0], t[2]))
     return rows
-
-
-def _group_rows(mapper, grid, H, rs):
-    model = BrownianMotion() if H == 0.5 else FractionalBrownianMotion(H)
-    ctx = build_gram(model, grid)
-
-    def work(r):
-        geo_n = operator_norm(ctx, r)
-        geo_d = max_correlation(ctx, r)
-        return (H, grid.n, r, geo_d.d_r, geo_n.opnorm)
-
-    return list(mapper(work, rs))
 
 
 def exp_opnorm_sweep(cfg, seed, threads):
@@ -506,15 +499,14 @@ def exp_bsde_solve(cfg, seed):
     # the check
     finite = np.isfinite(problem.a).all() and np.isfinite(problem.c).all()
     rows = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        sol = represent_solution(problem)
-        for i, (t, a, y) in enumerate(zip(ctx.grid.points, sol.A, sol.Y_nodes)):
-            row = (float(t), float(a), y.expectation(), y.l2_norm(ctx))
-            if finite and not all(map(math.isfinite, row)):
-                raise ParameterError(f"solution row at node {i} is not finite: mean_Y = "
-                                     f"{row[2]!r}, l2_Y = {row[3]!r} with A = {row[1]!r}; Y "
-                                     "leaves the double range, use a smaller |a|")
-            rows.append(row)
+    sol = represent_solution(problem)
+    for i, (t, a, y) in enumerate(zip(ctx.grid.points, sol.A, sol.Y_nodes)):
+        row = (float(t), float(a), y.expectation(), y.l2_norm(ctx))
+        if finite and not all(map(math.isfinite, row)):
+            raise ParameterError(f"solution row at node {i} is not finite: mean_Y = "
+                                 f"{row[2]!r}, l2_Y = {row[3]!r} with A = {row[1]!r}; Y "
+                                 "leaves the double range, use a smaller |a|")
+        rows.append(row)
     terminal_err = sol.Y_nodes[-1].sub(problem.xi).l2_norm(ctx)
     checks = [("terminal_error", terminal_err, "<=", 1e-10)]
     return checks, {"bsde_solution.csv": (["t", "A", "mean_Y", "l2_Y"], rows),
@@ -525,20 +517,17 @@ def exp_bsde_verify(cfg, seed):
     kind = cfg["solution"]
     ctx = gram_from_config(cfg)
     rng = np.random.default_rng(seed)
-    # a contraction past the double range (a huge c_scale) reads inf or nan,
-    # without a warning, and the residual fails the check by name
-    with np.errstate(over="ignore", invalid="ignore"):
-        if kind == "wick":
-            problem = _problem_from_config(cfg, ctx, ChaosVector.constant(1.0, ctx.n))
-            f = 0.5 * ctx.unit(rng.standard_normal(ctx.n))
-            sol = wick_exponential_solution(problem, f, K=cfg["K"])
-            problem.xi = sol.Y_nodes[-1]
-            tol = 1e-9
-        else:
-            problem = _random_problem(cfg, ctx, rng)
-            sol = represent_solution(problem)
-            tol = 1e-8
-        res = verify_solution_weak(problem, sol, cfg["trials"], seed)
+    if kind == "wick":
+        problem = _problem_from_config(cfg, ctx, ChaosVector.constant(1.0, ctx.n))
+        f = 0.5 * ctx.unit(rng.standard_normal(ctx.n))
+        sol = wick_exponential_solution(problem, f, K=cfg["K"])
+        problem.xi = sol.Y_nodes[-1]
+        tol = 1e-9
+    else:
+        problem = _random_problem(cfg, ctx, rng)
+        sol = represent_solution(problem)
+        tol = 1e-8
+    res = verify_solution_weak(problem, sol, cfg["trials"], seed)
     checks = [("max_residual", float(res), "<=", tol)]
     return checks, {"bsde_verify.json": _verdict(checks, tolerance=tol, solution=kind)}
 

@@ -118,9 +118,9 @@ def measure_pinned() -> dict:
     return json.loads(proc.stdout)
 
 
-def read_digests(path: Path = DIGESTS) -> dict:
+def read_digests() -> dict:
     env, digests = {}, {}
-    for line in path.read_text().splitlines():
+    for line in DIGESTS.read_text().splitlines():
         if line.startswith("# "):
             key, _, value = line[2:].partition(" ")
             env[key] = value
@@ -130,10 +130,10 @@ def read_digests(path: Path = DIGESTS) -> dict:
     return {"env": env, "digests": digests}
 
 
-def write_digests(result: dict, path: Path = DIGESTS) -> None:
+def write_digests(result: dict) -> None:
     lines = [f"# {key} {value}" for key, value in result["env"].items()]
     lines += [f"{digest}  {label}" for label, digest in result["digests"].items()]
-    path.write_text("\n".join(lines) + "\n")
+    DIGESTS.write_text("\n".join(lines) + "\n")
 
 
 def test_bodies_match_the_recorded_digests():

@@ -17,6 +17,7 @@ from wickgrid import (
     SymmetricTensor,
     TimeGrid,
     build_gram,
+    chaos_inner,
     example33_residual,
     integrating_factor,
     nonexistence_certificate,
@@ -413,6 +414,24 @@ def test_wick_solution_outside_the_double_range_is_a_parameter_error(ctx, a, c, 
                 with pytest.raises(ParameterError, match=message):
                     route(p)
 
+
+
+def test_the_bsde_routes_read_inf_or_nan_past_the_double_range_without_a_warning(ctx, rng):
+    # the dense contractions of a shift of 1e300 warned "overflow encountered
+    # in dot" on every library call, and <f - f_t, c> of f = c = 1e155 warned
+    # in matmul before beta was refused; only the CLI silenced them
+    p = BSDEProblem(ctx, np.zeros(8), ctx.grid.points, c=np.full(8, 1e300),
+                    xi=random_chaos(rng, 8, 2))
+    q = BSDEProblem(ctx, np.zeros(8), ctx.grid.points, c=np.full(8, 1e155),
+                    xi=ChaosVector.constant(1.0, 8))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = represent_solution(p)
+        norms = [chaos_inner(ctx, y, y) for y in sol.Y_nodes]
+        res = verify_solution_weak(p, sol, trials=1, seed=0)
+        with pytest.raises(ParameterError, match="solution factor beta = 0.0 at node 0"):
+            wick_exponential_solution(q, 1e155 * ctx.unit(np.ones(8)), K=3)
+    assert not any(map(math.isfinite, norms)) and math.isnan(res)
 
 def test_wick_solution_with_a_nan_shift_is_left_to_the_weak_check(ctx, rng):
     p = BSDEProblem(ctx, np.zeros(8), ctx.grid.points, c=np.full(8, math.nan),

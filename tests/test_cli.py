@@ -589,12 +589,15 @@ def test_each_error_class_exits_1_with_its_stderr_prefix(tmp_path, monkeypatch, 
     ("gram", "T = nan\n", "a finite T > 0, got T = nan"),
     ("gram", "T = inf\n", "a finite T > 0, got T = inf"),
     ("gram", "T = -1\n", "a finite T > 0, got T = -1.0"),
+    ("bsde-verify", "solution = wick\nK = 170\nc_scale = 300\n",
+     "pairing order 169 overflows a double"),
 ])
 def test_input_errors_of_the_layers_are_config_errors(tmp_path, capfd, experiment, cfg, message):
     # a < b and the singular Gram of T = 1e-300 printed "error:"; H_kstar =
     # 0.7 ended in a bare LinAlgError after LAPACK printed DLASCL lines; T =
-    # nan blamed t_0, and T = inf warned first.  capfd reads the descriptor,
-    # so a LAPACK line would show
+    # nan blamed t_0, and T = inf warned first; w * x ** k in GramImage.s
+    # raised a bare OverflowError, "error: (34, 'Numerical result out of
+    # range')".  capfd reads the descriptor, so a LAPACK line would show
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out = run(tmp_path, experiment, cfg, seed=1)
@@ -613,6 +616,17 @@ def test_a_shift_past_the_double_range_fails_the_weak_check_by_name(tmp_path, ca
     assert code == 2
     assert capfd.readouterr().err == "check failed: max_residual = nan, needs <= 1e-08\n"
     assert json.loads((out / "bsde_verify.json").read_text())["passes"] is False
+
+
+def test_a_solve_past_the_double_range_fails_its_check_without_a_warning(tmp_path, capfd):
+    # terminal_error's l2_norm ran outside the errstate of exp_bsde_solve and
+    # printed two RuntimeWarnings (overflow and invalid value in dot)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run(tmp_path, "bsde-solve", "a_const = nan\nc_scale = 1e300\n", seed=1)
+    assert code == 2
+    assert capfd.readouterr().err == "check failed: terminal_error = nan, needs <= 1e-10\n"
+    assert json.loads((out / "bsde_solution.json").read_text())["passes"] is False
 
 
 def test_debug_leaves_bodies_and_stderr_of_a_good_run_alone(tmp_path, capsys):

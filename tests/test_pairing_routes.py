@@ -10,6 +10,7 @@ and -0.0.  Every comparison is of bytes, so the sign of a zero counts.
 """
 
 import math
+import warnings
 from functools import cache
 
 import numpy as np
@@ -20,7 +21,7 @@ from scipy.special import gammaln
 
 from wickgrid import (BSDEProblem, ChaosVector, FractionalBrownianMotion, ShiftContext,
                       SymmetricTensor, TimeGrid, WickCombo, build_gram, domain_diagnostic,
-                      escape_direction, random_chaos, represent_solution, shifted_qce,
+                      escape_direction, random_chaos, represent_solution, s_transform, shifted_qce,
                       symmetrize_full, verify_solution_weak, wick_exponential_solution)
 from wickgrid.chaos import GramImage, _fold
 from wickgrid.errors import ParameterError
@@ -145,6 +146,27 @@ def test_s_overflows_where_one_pairing_per_coefficient_does(kinds, signs, want):
            (GramImage(ctx, h).s, lambda xi: oracle.s_by_coefficient(GramImage(ctx, h), xi))]
     assert got == [want, want]
 
+
+
+@pytest.mark.parametrize("rows", [1, 2])
+def test_a_power_past_the_double_range_is_a_parameter_error_naming_its_order(rows):
+    # <v, w>^3 = 1e360 as a Python float power raised a bare OverflowError
+    # from pair, s and s_transform.  A one-row sum is paired through the plan
+    # and a two-row one through pair.  shifted_qce contracts the same rows
+    # raw, and still names the order it was forming
+    ctx = ctx_for(2)
+    f = SymmetricTensor.from_powers(3, 2, [1.0] * rows, [[1e120, 1.0], [1.0, 1.0]][:rows])
+    xi = ChaosVector([SymmetricTensor.scalar(0.0, 2), SymmetricTensor.zero(1, 2),
+                      SymmetricTensor.zero(2, 2), f], 2)
+    image = GramImage(ctx, [1.0, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for route, arg in ((image.pair, f), (image.s, xi),
+                           (lambda xi: s_transform(ctx, xi, [1.0, 0.0]), xi)):
+            with pytest.raises(ParameterError, match=r"^pairing order 3 overflows a double"):
+                route(arg)
+        with pytest.raises(ParameterError, match=r"^shifted QCE order 0 overflows a double"):
+            shifted_qce(ShiftContext(ctx, 0.5, [1e120, 1e120]), xi)
 
 @pytest.mark.parametrize("weights, kept", [
     ([0.5, -2.0, 5e-324], True),          # a subnormal weight is not zero
