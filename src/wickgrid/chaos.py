@@ -97,6 +97,16 @@ def _power_overflow(k: int) -> ParameterError:
                           "chaos order")
 
 
+def _exp_pairing(x: float) -> float:
+    """e^x of a pairing x = <g, h>; past the double range a ParameterError
+    naming x."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        raise ParameterError(f"pairing <g, h> = {x!r} overflows a double in e^<g, h>; use a "
+                             "smaller direction or horizon") from None
+
+
 def _require_grid(ctx: GramContext, shape, what: str) -> None:
     if tuple(shape) != (ctx.n,):
         raise ShapeError(f"{what} of shape {tuple(shape)} on a grid of {ctx.n} increments")
@@ -289,11 +299,13 @@ class GramImage:
         """Iterator over w_i <v_i, w>^times for the terms w_i v_i^(x k) of f."""
         return map(mul, f.weights.tolist(), map(pow, self.pairings(f.vectors), repeat(times)))
 
+    @np.errstate(over="ignore", invalid="ignore")
     def contract_dense(self, t: np.ndarray, times: int) -> np.ndarray:
         """Contract the last `times` axes of a dense tensor with w.
 
         Each step is the one dot product np.tensordot(t, gw, ([-1], [0]))
-        makes, without its axis bookkeeping.
+        makes, without its axis bookkeeping.  A contraction past the double
+        range reads inf or nan without a warning, as the power sums do.
         """
         n = self.gw.size
         col = self.gw.reshape(n, 1)
@@ -549,7 +561,7 @@ class WickCombo:
             lin = alpha
             if f is not None:
                 lin += ctx.inner(f, h) + ctx.inner(f, g)
-            out += lin * math.exp(ctx.inner(g, h))
+            out += lin * _exp_pairing(ctx.inner(g, h))
         return out
 
     def multiply_first_chaos(self, ctx: GramContext, x) -> "WickCombo":
@@ -569,7 +581,7 @@ class WickCombo:
         w = np.asarray(w, dtype=float)
         new = []
         for alpha, f, g in self.terms:
-            c = math.exp(ctx.inner(g, w))
+            c = _exp_pairing(ctx.inner(g, w))
             new.append((c * alpha, None if f is None else c * f, g + w))
         return WickCombo(new, self.dim)
 

@@ -52,7 +52,8 @@ class ShiftContext:
         if self.c.shape != (ctx.n,):
             raise ShapeError("shift vector must have one entry per increment")
         if np.any(self.c != 0.0):
-            self.c_r = self.op.adjoint(self.c) - self.c
+            with np.errstate(over="ignore", invalid="ignore"):     # a shift past range reads nan
+                self.c_r = self.op.adjoint(self.c) - self.c
         else:
             self.c_r = np.zeros(ctx.n)
 

@@ -12,13 +12,13 @@ direction contract the slot with the shift vector instead.
 
 from __future__ import annotations
 
-import math
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .covariance import GramContext
-from .chaos import ChaosVector, GramImage, SymmetricTensor, WickCombo, sym_insert_last
+from .chaos import (ChaosVector, GramImage, SymmetricTensor, WickCombo, _exp_pairing,
+                    sym_insert_last)
 from .errors import IntervalError, ParameterError, ShapeError, _worst
 
 __all__ = [
@@ -89,7 +89,7 @@ def verify_s_transform_identity(Z: SimpleIntegrand, trials: int, seed: int) -> f
         for a, b, combo in Z.pieces:
             du = ctx.inner(ctx.indicator_interval(a, b), h)
             for alpha, _f, g in combo.terms:
-                rhs += alpha * math.exp(ctx.inner(g, h)) * du
+                rhs += alpha * _exp_pairing(ctx.inner(g, h)) * du
         worst = _worst(worst, abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))
     return worst
 

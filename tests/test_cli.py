@@ -34,7 +34,9 @@ def run(tmp_path, experiment, config_text="", seed=None, subdir="run"):
         args += ["--config", str(cfg)]
     if seed is not None:
         args += ["--seed", str(seed)]
-    code = cli.main(args)
+    with warnings.catch_warnings():     # a warning of the run fails the test
+        warnings.simplefilter("error")
+        code = cli.main(args)
     return code, out
 
 
@@ -134,10 +136,8 @@ def test_a_failed_certificate_exits_two_naming_its_check(tmp_path, monkeypatch, 
 
 def test_a_certificate_without_a_driver_never_reads_a(tmp_path, capsys):
     # no A is formed without a driver; at a = 1000 it used to overflow in exp
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code, out = run(tmp_path, "nonexist-cert", "a_const = 1000\n")
-        code0, out0 = run(tmp_path, "nonexist-cert", "a_const = 0\n", subdir="zero")
+    code, out = run(tmp_path, "nonexist-cert", "a_const = 1000\n")
+    code0, out0 = run(tmp_path, "nonexist-cert", "a_const = 0\n", subdir="zero")
     assert code == code0 == 0
     assert capsys.readouterr().err == ""
     got, want = (json.loads((o / "certificate.json").read_text()) for o in (out, out0))
@@ -334,7 +334,7 @@ def test_unusable_check_settings_are_config_errors(tmp_path, capsys, experiment,
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("config error:") and message in err
-    assert not (out / "run-manifest.json").exists()
+    assert not out.exists()
 
 
 def _range_case(cfg, message, experiment="bsde-verify"):
@@ -374,9 +374,7 @@ def test_values_past_the_double_range_are_config_errors(tmp_path, capsys, experi
     # and "error: (34, 'Numerical result out of range')"; the represented
     # solution divided by an A of 0 or inf and example33 wrote nan residuals,
     # after RuntimeWarnings, and exited 0 or 2
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code, out = run(tmp_path, experiment, cfg, seed=1)
+    code, out = run(tmp_path, experiment, cfg, seed=1)
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("config error:") and message in err
@@ -401,9 +399,7 @@ def test_solution_norm_whose_order_terms_overflow_in_fsum_is_a_config_error(
         return sol
 
     monkeypatch.setattr(cli, "represent_solution", overflowing_node_1)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code, out = run(tmp_path, "bsde-solve", "", seed=1)
+    code, out = run(tmp_path, "bsde-solve", "", seed=1)
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: solution row at node 1 is not finite: mean_Y = ")
@@ -415,9 +411,7 @@ def test_solution_norm_whose_order_terms_overflow_in_fsum_is_a_config_error(
 def test_kstar_mesh_without_a_node_below_a_target_is_a_config_error(tmp_path, capsys, m):
     # a zero indicator recovery used to reach np.log(0): a RuntimeWarning, then
     # kstar_spread = nan (exit 2) or "disagree by inf%" (exit 1)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code, out = run(tmp_path, "frac-verify", f"checks = kstar\nM_kstar = {m}\n", seed=1)
+    code, out = run(tmp_path, "frac-verify", f"checks = kstar\nM_kstar = {m}\n", seed=1)
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("config error:") and f"m = {m} cell(s)" in err
@@ -503,10 +497,17 @@ def test_mc_crosscheck_memory_is_bounded_by_the_block():
     assert peak < 8e6
 
 
+_QCE_KEYS = ["first_chaos_error", "wick_s_error", "towering_error"]
+
+
 @pytest.mark.parametrize("experiment, cfg, keys", [
-    ("qce-check", "c_scale = nan\n", ["first_chaos_error", "wick_s_error", "towering_error"]),
+    ("qce-check", "c_scale = nan\n", _QCE_KEYS),
     ("bsde-verify", "c_scale = nan\n", ["max_residual"]),
     ("bsde-verify", "c_scale = nan\nsolution = wick\n", ["max_residual"]),
+    # c_r = inf - inf and the first-chaos shift warned "invalid value"
+    ("qce-check", "c_scale = inf\n", _QCE_KEYS),
+    # the paths have no spread, and each z statistic's 0 / 0 warned "invalid value"
+    ("mc-crosscheck", "T = 1e-300\n", ["z_wick_mean", "z_inner"]),
 ])
 def test_nan_shift_fails_the_checks(tmp_path, capsys, experiment, cfg, keys):
     code, out = run(tmp_path, experiment, cfg, seed=1)
@@ -591,16 +592,18 @@ def test_each_error_class_exits_1_with_its_stderr_prefix(tmp_path, monkeypatch, 
     ("gram", "T = -1\n", "a finite T > 0, got T = -1.0"),
     ("bsde-verify", "solution = wick\nK = 170\nc_scale = 300\n",
      "pairing order 169 overflows a double"),
+    ("skorokhod-check", "T = 1e30\n", "overflows a double in e^<g, h>"),
+    ("qce-check", "c_scale = 1e5\n", "overflows a double in e^<g, h>"),
 ])
 def test_input_errors_of_the_layers_are_config_errors(tmp_path, capfd, experiment, cfg, message):
     # a < b and the singular Gram of T = 1e-300 printed "error:"; H_kstar =
     # 0.7 ended in a bare LinAlgError after LAPACK printed DLASCL lines; T =
     # nan blamed t_0, and T = inf warned first; w * x ** k in GramImage.s
     # raised a bare OverflowError, "error: (34, 'Numerical result out of
-    # range')".  capfd reads the descriptor, so a LAPACK line would show
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code, out = run(tmp_path, experiment, cfg, seed=1)
+    # range')", and so did e^<g, h> of the S-identity check at T = 1e30 and
+    # of qce-check's Wick factor at c_scale = 1e5, "error: math range error".
+    # capfd reads the descriptor, so a LAPACK line would show
+    code, out = run(tmp_path, experiment, cfg, seed=1)
     assert code == 1
     err = capfd.readouterr().err
     assert err.startswith("config error:") and message in err and err.count("\n") == 1
@@ -610,9 +613,7 @@ def test_input_errors_of_the_layers_are_config_errors(tmp_path, capfd, experimen
 def test_a_shift_past_the_double_range_fails_the_weak_check_by_name(tmp_path, capfd):
     # the fsum of the S-values raised on -inf + inf, after RuntimeWarnings,
     # and the run ended in the catch-all, "error: -inf + inf in fsum"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code, out = run(tmp_path, "bsde-verify", "c_scale = 1e300\n", seed=1)
+    code, out = run(tmp_path, "bsde-verify", "c_scale = 1e300\n", seed=1)
     assert code == 2
     assert capfd.readouterr().err == "check failed: max_residual = nan, needs <= 1e-08\n"
     assert json.loads((out / "bsde_verify.json").read_text())["passes"] is False
@@ -621,9 +622,7 @@ def test_a_shift_past_the_double_range_fails_the_weak_check_by_name(tmp_path, ca
 def test_a_solve_past_the_double_range_fails_its_check_without_a_warning(tmp_path, capfd):
     # terminal_error's l2_norm ran outside the errstate of exp_bsde_solve and
     # printed two RuntimeWarnings (overflow and invalid value in dot)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code, out = run(tmp_path, "bsde-solve", "a_const = nan\nc_scale = 1e300\n", seed=1)
+    code, out = run(tmp_path, "bsde-solve", "a_const = nan\nc_scale = 1e300\n", seed=1)
     assert code == 2
     assert capfd.readouterr().err == "check failed: terminal_error = nan, needs <= 1e-10\n"
     assert json.loads((out / "bsde_solution.json").read_text())["passes"] is False
@@ -643,18 +642,6 @@ def test_debug_leaves_bodies_and_stderr_of_a_good_run_alone(tmp_path, capsys):
 def test_the_package_logger_has_a_null_handler():
     handlers = logging.getLogger("wickgrid").handlers
     assert any(isinstance(h, logging.NullHandler) for h in handlers)
-
-
-def test_threads_do_not_change_output(tmp_path):
-    cfg = "H_list = 0.25,0.5,0.75\nN = 8\n"
-    _, o1 = run(tmp_path, "opnorm-sweep", cfg, subdir="t1")
-    out2 = tmp_path / "t4"
-    cfgp = tmp_path / "t4.cfg"
-    cfgp.write_text(cfg)
-    code = cli.main(["opnorm-sweep", "--config", str(cfgp),
-                     "--out", str(out2), "--threads", "4"])
-    assert code == 0
-    assert (o1 / "opnorm_sweep.csv").read_bytes() == (out2 / "opnorm_sweep.csv").read_bytes()
 
 
 def test_dr_sweep_factorizes_once(tmp_path, monkeypatch):
@@ -678,14 +665,14 @@ def test_dr_sweep_factorizes_once(tmp_path, monkeypatch):
 ])
 def test_sweeps_byte_identical_across_threads(tmp_path, experiment, cfg, csv):
     bodies = []
-    for threads in (1, 2):
+    for threads in (1, 2, 4):
         cfgp = tmp_path / f"t{threads}.cfg"
         cfgp.write_text(cfg)
         out = tmp_path / f"t{threads}"
         assert cli.main([experiment, "--config", str(cfgp), "--out", str(out),
                          "--threads", str(threads)]) == 0
         bodies.append((out / csv).read_bytes())
-    assert bodies[0] == bodies[1]
+    assert bodies[0] == bodies[1] == bodies[2]
 
 
 @pytest.mark.parametrize("experiment, cfg", [
@@ -733,7 +720,10 @@ def test_threads_above_one_outside_the_sweeps_is_usage_error(tmp_path, capsys):
     # is refused before anything runs
     for experiment in sorted(cli.EXPERIMENTS.keys() - cli.SWEEPS):
         out = tmp_path / experiment
-        assert cli.main([experiment, "--out", str(out), "--seed", "1", "--threads", "2"]) == 64
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main([experiment, "--out", str(out), "--seed", "1", "--threads", "2"])
+        assert code == 64
         err = capsys.readouterr().err
         assert "--threads 2: only dr-sweep and opnorm-sweep run on threads" in err
         assert not out.exists()
@@ -968,9 +958,7 @@ def test_domain_diagnostic_contract_generator_converges(tmp_path):
 def test_domain_diagnostic_contract_generator_at_r_zero_warns_nothing(tmp_path):
     # at r = 0 every term past order 0 vanishes; the ratio of two vanishing
     # terms reads nan, and computing it warned -inf - -inf
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code, out = run(tmp_path, "domain-diagnostic", "N = 8\nr = 0\nK_max = 3\ngenerator = contract\n")
+    code, out = run(tmp_path, "domain-diagnostic", "N = 8\nr = 0\nK_max = 3\ngenerator = contract\n")
     assert code == 0
     assert (out / "domain_diagnostic.csv").read_text() == "K,S_K,ratio\n0,1,nan\n1,1,0\n2,1,nan\n3,1,nan\n"
 

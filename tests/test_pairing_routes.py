@@ -283,6 +283,20 @@ def test_a_power_sum_pairing_past_the_double_range_is_inf():
     assert GramImage(ctx, np.array([1.0 / ctx.G[0, 0]])).pair(f) == math.inf
 
 
+def test_a_dense_contraction_past_the_double_range_is_silent():
+    # np.dot in contract_dense warned "overflow encountered in dot" (and
+    # "invalid value") where a power sum past the range reads inf or nan
+    ctx = build_gram(FractionalBrownianMotion(0.3), TimeGrid.uniform(8))
+    rng = np.random.default_rng(0)
+    xi, eta = random_chaos(rng, 8, 3), random_chaos(rng, 8, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = GramImage(ctx, 1e120 * np.ones(8)).s(xi)
+        order0 = shifted_qce(ShiftContext(ctx, 0.5, 1e200 * np.ones(8)), eta).coeffs[0].dense
+    assert s == math.inf
+    assert math.isnan(order0)
+
+
 @pytest.mark.parametrize("w, v", [(math.inf, [1.0, 0.0]), (1e300, [1e10, 1.0])])
 def test_densifying_a_power_sum_is_silent_where_python_floats_are(w, v):
     # inf * 0 and a product past the double range warned in the outer

@@ -23,6 +23,7 @@ from wickgrid import (
     cm_truncate_fbm_high,
     domain_diagnostic,
     example33_residual,
+    s_transform,
     sample_increments,
     uniform_mesh,
     verify_solution_weak,
@@ -37,6 +38,7 @@ GRID = TimeGrid.uniform(N)
 CTX = build_gram(FractionalBrownianMotion(0.75), GRID)
 ONE = ChaosVector.constant(1.0, N)
 MESH = FuncOnGrid.constant(1.0, uniform_mesh(10))
+CTX8 = build_gram(FractionalBrownianMotion(0.3), TimeGrid.uniform(8))
 
 
 def problem(**kw):
@@ -117,6 +119,13 @@ REFUSALS = {
     **{f"kstar-calibration-H-{H}": (lambda H=H: calibrate_c_h(H, TimeGrid.uniform(48)),
                                     RegimeError, f"H in (0, 1/2), got H = {H!r}")
        for H in (0.55, 0.7, 0.99, np.nan, -50.0, 0.0, 0.5)},
+    # math.exp(<g, h>) raised a bare OverflowError, "math range error"
+    "combo-s-past-range": (lambda: s_transform(CTX8, WickCombo.exponential(np.ones(8)),
+                                               1e200 * np.ones(8)),
+                           ParameterError, "pairing <g, h> = 1e+200 overflows a double"),
+    "combo-exponential-past-range": (
+        lambda: WickCombo.exponential(np.ones(8)).multiply_exponential(CTX8, 1e200 * np.ones(8)),
+        ParameterError, "pairing <g, h> = 1e+200 overflows a double"),
 }
 
 
