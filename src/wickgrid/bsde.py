@@ -354,7 +354,8 @@ def nonexistence_certificate(sc: ShiftContext, a=None, G=None,
     diag = domain_diagnostic(sc, f, K_max)
     bounds = np.cumsum(rho ** np.arange(K_max + 1))
     ok = bool(np.all(diag.partial_sums >= bounds * (1.0 - 1e-12)))
-    tail_ratio = float(diag.partial_sums[-1] / diag.partial_sums[-2])
+    with np.errstate(invalid="ignore"):     # inf / inf past the double range reads nan
+        tail_ratio = float(diag.partial_sums[-1] / diag.partial_sums[-2])
     shift = _driver_sums(problem, integrating_factor(problem))[-1] if problem.has_driver() else None
     coeffs_echo = {
         "a": list(map(float, problem.a)),

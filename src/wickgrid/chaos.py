@@ -249,13 +249,11 @@ class SymmetricTensor:
                              f"{image.gw.size} increments")
         new_order = self.order - times
         if self.is_powers:
-            # a power past the double range raises OverflowError here, for the
-            # caller to name (shifted_qce names the order it was forming)
             terms = image.terms(self, times)
             if new_order == 0:
-                return SymmetricTensor.scalar(_sum(list(terms)), self.dim)
+                return SymmetricTensor.scalar(_sum(terms), self.dim)
             return SymmetricTensor(new_order, self.dim, vectors=self.vectors,
-                                   weights=np.fromiter(terms, float))
+                                   weights=np.array(terms))
         if new_order == 0:
             return SymmetricTensor.scalar(image.pair(self), self.dim)
         return SymmetricTensor(new_order, self.dim, dense=image.contract_dense(self.dense, times))
@@ -295,9 +293,14 @@ class GramImage:
         """<v, w> through the Gram matrix for each row v of `vectors`."""
         return [float(v @ self.gw) for v in vectors]
 
-    def terms(self, f: SymmetricTensor, times: int):
-        """Iterator over w_i <v_i, w>^times for the terms w_i v_i^(x k) of f."""
-        return map(mul, f.weights.tolist(), map(pow, self.pairings(f.vectors), repeat(times)))
+    def terms(self, f: SymmetricTensor, times: int) -> List[float]:
+        """w_i <v_i, w>^times for the terms w_i v_i^(x k) of f; a power past the
+        double range is a ParameterError naming `times`."""
+        try:
+            return list(map(mul, f.weights.tolist(),
+                            map(pow, self.pairings(f.vectors), repeat(times))))
+        except OverflowError:
+            raise _power_overflow(times) from None
 
     @np.errstate(over="ignore", invalid="ignore")
     def contract_dense(self, t: np.ndarray, times: int) -> np.ndarray:
@@ -320,10 +323,7 @@ class GramImage:
             return float(f.dense)
         if not f.is_powers:
             return float(self.contract_dense(f.dense, f.order))
-        try:
-            return _sum(list(self.terms(f, f.order)))
-        except OverflowError:
-            raise _power_overflow(f.order) from None
+        return _sum(self.terms(f, f.order))
 
     def s(self, xi: "ChaosVector") -> float:
         """(S xi)(w) = sum_k <f_k, w^(x k)> of a chaos vector, read from

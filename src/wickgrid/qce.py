@@ -84,7 +84,8 @@ def shifted_qce(sc: ShiftContext, xi: ChaosVector) -> ChaosVector:
     """
     _require_grid(sc.ctx, (xi.dim,), "chaos vector")
     K = xi.max_order
-    image = GramImage(sc.ctx, sc.c_r)
+    with np.errstate(over="ignore", invalid="ignore"):     # a shift past range reads nan
+        image = GramImage(sc.ctx, sc.c_r)
     rest, rows = xi.pairing_plan()
     top_dense = max(k for k, f in enumerate(xi.coeffs) if not f.is_powers)
     scalars = [0.0] * (K + 1)       # each coefficient contracted to a scalar
@@ -109,7 +110,10 @@ def shifted_qce(sc: ShiftContext, xi: ChaosVector) -> ChaosVector:
         # order 0 raised first if any power of a pairing overflows, as n = 0
         # takes every row's highest power
         out += _power_orders(xi.coeffs[top_dense + 1:], xs[top_dense + 1:], top_dense, sc.m)
-    except OverflowError:
+    except (OverflowError, ParameterError):
+        # a power past the double range: raw from the rows' own powers, named
+        # by contract_last (GramImage.terms); the shapes were checked above,
+        # so no other ParameterError arises here
         raise ParameterError(f"shifted QCE order {n} overflows a double: a power of a pairing "
                              "<v, c_r> leaves the double range; use a smaller shift c or a "
                              "lower chaos order") from None

@@ -181,7 +181,7 @@ def shifted_qce_by_coefficient(sc, xi):
             out.append(acc)
         sums = xi.coeffs[top_dense + 1:]
         out += _power_orders(sums, [image.pairings(f.vectors) for f in sums], top_dense, sc.m)
-    except OverflowError:
+    except (OverflowError, ParameterError):     # contract_last names a power past range
         raise ParameterError(f"shifted QCE order {n} overflows a double: a power of a pairing "
                              "<v, c_r> leaves the double range; use a smaller shift c or a "
                              "lower chaos order") from None

@@ -52,6 +52,15 @@ def test_unknown_experiment_is_usage_error(tmp_path):
     assert code == 64
 
 
+def test_help_exits_0_and_names_every_experiment(capsys):
+    # argparse exits 0 on --help and 2 on a usage error; main mapped both to 64
+    assert cli.main(["--help"]) == 0
+    out = capsys.readouterr().out
+    assert all(name in out for name in cli.EXPERIMENTS)
+    assert cli.main(["nope"]) == 64
+    assert "invalid choice: 'nope'" in capsys.readouterr().err
+
+
 def test_missing_config_is_usage_error(tmp_path):
     code = cli.main(["gram", "--config", str(tmp_path / "nope.cfg"),
                      "--out", str(tmp_path / "o")])
@@ -508,6 +517,8 @@ _QCE_KEYS = ["first_chaos_error", "wick_s_error", "towering_error"]
     ("qce-check", "c_scale = inf\n", _QCE_KEYS),
     # the paths have no spread, and each z statistic's 0 / 0 warned "invalid value"
     ("mc-crosscheck", "T = 1e-300\n", ["z_wick_mean", "z_inner"]),
+    # G c_r and the Wick factor's <h, c_r> warned "invalid value encountered in matmul"
+    ("qce-check", "c_scale = 1e308\n", _QCE_KEYS),
 ])
 def test_nan_shift_fails_the_checks(tmp_path, capsys, experiment, cfg, keys):
     code, out = run(tmp_path, experiment, cfg, seed=1)
@@ -517,6 +528,16 @@ def test_nan_shift_fails_the_checks(tmp_path, capsys, experiment, cfg, keys):
     lines = capsys.readouterr().err.splitlines()
     assert [line.split(" = ")[0] for line in lines] == [f"check failed: {key}" for key in keys]
     assert all(" = nan, needs <= " in line for line in lines)
+
+
+def test_an_infinite_shift_fails_the_certificate_without_a_warning(tmp_path, capsys):
+    # the tail ratio S_K / S_{K-1} = inf / inf warned "invalid value
+    # encountered in scalar divide"; it still reads nan
+    code, out = run(tmp_path, "nonexist-cert", "c_scale = inf\n", seed=1)
+    assert code == 2
+    assert capsys.readouterr().err == "check failed: bound_ok = False, needs >= True\n"
+    cert = json.loads((out / "certificate.json").read_text())
+    assert cert["S_K"][-2:] == [math.inf, math.inf] and math.isnan(cert["tail_ratio_S"])
 
 
 def test_negative_wick_order_is_a_config_error_naming_k(tmp_path, capsys):
@@ -810,8 +831,10 @@ def test_unwritable_out_is_a_runtime_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: cannot write the outputs:")
 
 
-def _per_value_csv(path, header, array):
-    cli.write_csv(path, header, array.tolist())
+def _per_value_csv(path, header, rows):
+    # every value formatted on its own, as a double
+    path.write_text(",".join(header) + "\n" + "".join(
+        ",".join(format(float(v), ".17g") for v in row) + "\n" for row in rows))
     return path.read_bytes()
 
 
@@ -849,11 +872,14 @@ def test_array_csv_equals_the_per_value_write(tmp_path, name):
 
 
 def test_row_csv_streams_every_block(tmp_path):
-    # value rows take the same 64-row blocks as arrays
-    rows = [(i, i / 7, "x" if i % 2 else 0.0) for i in range(129)]
+    # value rows take the same 64-row blocks as arrays; an int cell is written
+    # as its double, which reads as its digits below 2**53
+    rows = [(i, i / 7, -0.0 if i % 2 else 2**53 - 1 - i) for i in range(129)]
     cli.write_csv(tmp_path / "r.csv", ["i", "v", "s"], rows)
-    want = "i,v,s\n" + "".join(",".join(cli._fmt(v) for v in row) + "\n" for row in rows)
-    assert (tmp_path / "r.csv").read_text() == want
+    want = _per_value_csv(tmp_path / "b.csv", ["i", "v", "s"], rows)
+    assert (tmp_path / "r.csv").read_bytes() == want
+    assert want.splitlines()[2] == b"1,0.14285714285714285,-0"
+    assert want.splitlines()[1] == b"0,0,9007199254740991"
 
 
 def test_gram_csv_write_memory_is_bounded_by_the_block(tmp_path):

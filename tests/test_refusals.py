@@ -21,6 +21,7 @@ from wickgrid import (
     build_gram,
     calibrate_c_h,
     cm_truncate_fbm_high,
+    contract_with_shift,
     domain_diagnostic,
     example33_residual,
     s_transform,
@@ -30,6 +31,7 @@ from wickgrid import (
     wick_exponential_solution,
 )
 from wickgrid.bsde import WickZ
+from wickgrid.chaos import GramImage
 from wickgrid.errors import (ConditioningError, GridAlignmentError, ParameterError, RegimeError,
                              ShapeError, UnsupportedOperationError)
 
@@ -39,6 +41,7 @@ CTX = build_gram(FractionalBrownianMotion(0.75), GRID)
 ONE = ChaosVector.constant(1.0, N)
 MESH = FuncOnGrid.constant(1.0, uniform_mesh(10))
 CTX8 = build_gram(FractionalBrownianMotion(0.3), TimeGrid.uniform(8))
+CUBE8 = SymmetricTensor.from_powers(3, 8, [1.0], [np.ones(8)])
 
 
 def problem(**kw):
@@ -126,6 +129,14 @@ REFUSALS = {
     "combo-exponential-past-range": (
         lambda: WickCombo.exponential(np.ones(8)).multiply_exponential(CTX8, 1e200 * np.ones(8)),
         ParameterError, "pairing <g, h> = 1e+200 overflows a double"),
+    # a float power <v, w>^k past the double range raised a bare OverflowError,
+    # "(34, 'Numerical result out of range')"
+    "shift-contraction-past-range": (
+        lambda: contract_with_shift(ShiftContext(CTX8, 0.5, 1e200 * np.ones(8)), CUBE8, 0),
+        ParameterError, "pairing order 3 overflows a double"),
+    "contract-last-past-range": (
+        lambda: CUBE8.contract_last(GramImage(CTX8, 1e200 * np.ones(8)), 2),
+        ParameterError, "pairing order 2 overflows a double"),
 }
 
 
