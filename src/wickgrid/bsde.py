@@ -26,7 +26,8 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 # build_gram is unused here; perfbench/test_tracer.py checks the tracer rebinds bsde.build_gram
-from .covariance import FractionalBrownianMotion, GramContext, TimeGrid, _gram_from_cov, build_gram
+from .covariance import (FractionalBrownianMotion, GramContext, TimeGrid, _check_seed,
+                         _gram_from_cov, build_gram)
 from .chaos import ChaosVector, GramImage, WickCombo
 from .errors import ParameterError, ShapeError, UnsupportedOperationError, _worst
 from .firstchaos import operator_norm
@@ -231,10 +232,13 @@ def verify_solution_weak(problem: BSDEProblem, solution: BSDESolution,
     (1 - e^{-a dgamma}) at the right node so the exponential integrating factor
     closes the identity exactly. When Z is supplied, the full equation is
     additionally checked per cell in multiplicative (log-S) form against the Z
-    slot values at unshifted directions.
+    slot values at unshifted directions.  Each probe direction pairs the nodes
+    its equations read in one `GramImage.s_values` call.  A negative seed is
+    a ParameterError.
     """
     if trials < 1:
         raise ParameterError("trials must be >= 1; with none nothing is checked")
+    _check_seed(seed)
     ctx = problem.ctx
     n = ctx.n
     dg = problem.dgamma
@@ -245,19 +249,28 @@ def verify_solution_weak(problem: BSDEProblem, solution: BSDESolution,
     Y = solution.Y_nodes
     if len(Y) != n + 1:
         raise ShapeError("solution must supply Y at every grid node")
+    # the S-values the equations read, in the order they read them: Y_n, xi
+    # (unless it is Y_n), then Y_i and a given G_i for i = n-1 ... 0; the
+    # equation probed at node v reads the first ends[v] of them
+    nodes = [Y[n]] if problem.xi is Y[n] else [Y[n], problem.xi]
+    ends = [len(nodes)] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        nodes += [Y[i]] if problem.G[i] is None else [Y[i], problem.G[i]]
+        ends[i] = len(nodes)
     splits = [ShiftContext(ctx, t, problem.c) for t in ctx.grid.points]
     for _ in range(int(trials)):
         h = ctx.unit(rng.standard_normal(n))
         for iv, sc in enumerate(splits):
             # only nodes iv..n enter the equation probed at h^c_v = Gamma_v^*(h + c) - c
             image = GramImage(ctx, sc.shifted_direction(h))
-            s_next = image.s(Y[n])
-            x = s_next if problem.xi is Y[n] else image.s(problem.xi)
+            s = iter(image.s_values(nodes[:ends[iv]]))
+            s_next = next(s)
+            x = s_next if problem.xi is Y[n] else next(s)
             worst = _worst(worst, abs(s_next - x))
             tail = 0.0
             for i in range(n - 1, iv - 1, -1):
-                s_i = image.s(Y[i])
-                g = 0.0 if problem.G[i] is None else image.s(problem.G[i])
+                s_i = next(s)
+                g = 0.0 if problem.G[i] is None else next(s)
                 tail += a_w[i] * s_next + g * dg[i]
                 worst = _worst(worst, abs(s_i - x + tail))
                 s_next = s_i
@@ -284,7 +297,7 @@ def _verify_full_equation(problem: BSDEProblem, solution: BSDESolution,
         h = ctx.unit(rng.standard_normal(n))
         hc = h + problem.c
         image = GramImage(ctx, h)
-        s = np.array([image.s(y) for y in solution.Y_nodes])
+        s = np.array(image.s_values(solution.Y_nodes))
         if np.any(s <= 0.0):
             raise UnsupportedOperationError(
                 "full-equation check needs positive S-values "

@@ -112,6 +112,16 @@ def _require_grid(ctx: GramContext, shape, what: str) -> None:
         raise ShapeError(f"{what} of shape {tuple(shape)} on a grid of {ctx.n} increments")
 
 
+def _zero_beyond(t: np.ndarray, m: int) -> np.ndarray:
+    """t with every entry that has an index >= m on some axis set to 0.0, in
+    place; returns t."""
+    for ax in range(t.ndim):
+        idx = [slice(None)] * t.ndim
+        idx[ax] = slice(m, None)
+        t[tuple(idx)] = 0.0
+    return t
+
+
 class SymmetricTensor:
     """Symmetric element of the k-fold tensor power: an ndarray `dense`, or a
     power sum sum_i w_i v_i^(x k) as `weights` (p,) and `vectors` (p, dim)."""
@@ -179,7 +189,11 @@ class SymmetricTensor:
         if self.dense is not None:
             return self.dense
         _check_dense_size(self.order, self.dim)
-        out = np.zeros((self.dim,) * self.order)
+        return self.add_rows_to(np.zeros((self.dim,) * self.order))
+
+    def add_rows_to(self, out: np.ndarray) -> np.ndarray:
+        """out += w_i v_i^(x k) for the terms of a power sum, one at a time in
+        order, as to_dense adds them to zeros; returns out."""
         # inf * 0 gives nan and a product past the double range inf, silent
         # as Python's float * is
         with np.errstate(over="ignore", invalid="ignore"):
@@ -227,12 +241,7 @@ class SymmetricTensor:
             V = self.vectors.copy()
             V[:, m:] = 0.0
             return SymmetricTensor(self.order, self.dim, weights=self.weights, vectors=V)
-        t = np.array(self.dense)
-        for ax in range(self.order):
-            idx = [slice(None)] * self.order
-            idx[ax] = slice(m, None)
-            t[tuple(idx)] = 0.0
-        return SymmetricTensor(self.order, self.dim, dense=t)
+        return SymmetricTensor(self.order, self.dim, dense=_zero_beyond(np.array(self.dense), m))
 
     def contract_last(self, image: "GramImage", times: int) -> "SymmetricTensor":
         """Contract the last `times` axes with w through the Gram matrix.
@@ -282,12 +291,13 @@ class GramImage:
     (`ChaosVector.pairing_plan`), not here.
     """
 
-    __slots__ = ("gw",)
+    __slots__ = ("gw", "col")
 
     def __init__(self, ctx: GramContext, w):
         w = np.asarray(w, dtype=float)
         _require_grid(ctx, w.shape, "direction")
         self.gw = ctx.G @ w
+        self.col = self.gw.reshape(-1, 1)
 
     def pairings(self, vectors: np.ndarray) -> List[float]:
         """<v, w> through the Gram matrix for each row v of `vectors`."""
@@ -307,14 +317,20 @@ class GramImage:
         """Contract the last `times` axes of a dense tensor with w.
 
         Each step is the one dot product np.tensordot(t, gw, ([-1], [0]))
-        makes, without its axis bookkeeping.  A contraction past the double
-        range reads inf or nan without a warning, as the power sums do.
+        makes, without its axis bookkeeping: a (-1, N) view of t times the
+        (N, 1) column G w, by ndarray.dot, which is np.dot without the
+        dispatch of the function form.  A contraction past the double range
+        reads inf or nan without a warning, as the power sums do.
         """
-        n = self.gw.size
-        col = self.gw.reshape(n, 1)
+        return self._contract(t, times)
+
+    def _contract(self, t: np.ndarray, times: int) -> np.ndarray:
+        """contract_dense, for a caller that holds the errstate itself."""
+        col = self.col
+        shape = t.shape[:t.ndim - times]
         for _ in range(times):
-            t = np.dot(t.reshape(-1, n), col).reshape(t.shape[:-1])
-        return t
+            t = t.reshape(-1, col.size).dot(col)
+        return t.reshape(shape)
 
     def pair(self, f: SymmetricTensor) -> float:
         """Full pairing <f, w^(x k)>: a power sum's terms added by _sum.  A
@@ -326,34 +342,52 @@ class GramImage:
         return _sum(self.terms(f, f.order))
 
     def s(self, xi: "ChaosVector") -> float:
-        """(S xi)(w) = sum_k <f_k, w^(x k)> of a chaos vector, read from
-        xi's pairing plan (`ChaosVector.pairing_plan`).
+        """(S xi)(w) of one chaos vector: s_values of (xi,)."""
+        return self.s_values((xi,))[0]
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def s_values(self, xis) -> List[float]:
+        """(S xi)(w) = sum_k <f_k, w^(x k)> of each chaos vector in `xis`, in
+        order, read from its pairing plan (`ChaosVector.pairing_plan`).
 
         Each distinct row of its one-row power sums is paired once, as the
         float(v @ gw) that pairings forms, and raised per order by Python's
-        float pow; every other coefficient goes through pair.  Each summand is
-        the double pair(f) gives, up to the sign of a zero, which fsum drops,
-        and is written at its order.  Whether fsum overflows on an intermediate
-        sum depends on the order of its inputs, so one _sum in coefficient
-        order gives the bits of the _sum of pair(f) over the coefficients.
-        A power past the double range is a ParameterError naming its order.
+        float pow; every other coefficient is paired as pair pairs it, a dense
+        one by the dot products of contract_dense on the same operand shapes,
+        under this call's one errstate.  Each summand is the double pair(f)
+        gives, up to the sign of a zero, which fsum drops, and is written at
+        its order.  Whether fsum overflows on an intermediate sum depends on
+        the order of its inputs, so one _sum in coefficient order gives the
+        bits of the _sum of pair(f) over the coefficients.  A power past the
+        double range is a ParameterError naming its order, raised at the
+        first vector that holds one.
         """
-        if xi.dim != self.gw.size:
-            raise ShapeError(f"chaos vector of dim {xi.dim} paired with a direction "
-                             f"of {self.gw.size} increments")
-        rest, rows = xi.pairing_plan()
-        terms = [0.0] * len(xi.coeffs)
-        for f in rest:
-            terms[f.order] = self.pair(f)
-        gw = self.gw
-        try:
-            for v, weights, orders in rows:
-                x = float(v @ gw)
-                for w, k in zip(weights, orders):
-                    terms[k] = w * x ** k
-        except OverflowError:
-            raise _power_overflow(k) from None
-        return _sum(terms)
+        gw, col = self.gw, self.col
+        n = gw.size
+        values = []
+        for xi in xis:
+            if xi.dim != n:
+                raise ShapeError(f"chaos vector of dim {xi.dim} paired with a direction "
+                                 f"of {n} increments")
+            rest, rows = xi.pairing_plan()
+            terms = [0.0] * len(xi.coeffs)
+            for f in rest:
+                k, t = f.order, f.dense
+                if k and t is not None:         # the steps of _contract, no reshape between
+                    for _ in range(k):
+                        t = t.reshape(-1, n).dot(col)
+                    terms[k] = t.item()
+                else:
+                    terms[k] = self.pair(f)
+            try:
+                for v, weights, orders in rows:
+                    x = float(v @ gw)
+                    for w, k in zip(weights, orders):
+                        terms[k] = w * x ** k
+            except OverflowError:
+                raise _power_overflow(k) from None
+            values.append(_sum(terms))
+        return values
 
 
 def sym_insert_last(t: np.ndarray) -> np.ndarray:

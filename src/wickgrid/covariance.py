@@ -356,6 +356,12 @@ def build_gram(model, grid: TimeGrid) -> GramContext:
     return GramContext(model, grid, gram)
 
 
+def _check_seed(seed) -> None:
+    """A negative int seed is a ParameterError, not numpy's bare ValueError."""
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
+
+
 def sample_increments(ctx: GramContext, n_paths: int, seed: int) -> np.ndarray:
     """Independent draws of the increment vector, one per row.
 
@@ -369,8 +375,7 @@ def sample_increments(ctx: GramContext, n_paths: int, seed: int) -> np.ndarray:
     """
     if n_paths < 0:
         raise ParameterError(f"n_paths must be >= 0, got {n_paths}")
-    if isinstance(seed, (int, np.integer)) and seed < 0:
-        raise ParameterError(f"seed must be >= 0, got {seed}")
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((int(n_paths), ctx.n))
     return z @ ctx.sample_factor.T

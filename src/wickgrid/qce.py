@@ -24,7 +24,7 @@ from scipy.special import gammaln
 
 from .covariance import GramContext
 from .chaos import (ChaosVector, GramImage, SymmetricTensor, _check_series_order, _fold,
-                    _require_grid, tensor_inner)
+                    _require_grid, _zero_beyond, tensor_inner)
 from .errors import DegenerateSplitError, MartingaleCaseError, ParameterError, ShapeError
 from .firstchaos import SubspaceGeometry, TruncationOperator, _fix_sign, operator_norm
 
@@ -69,6 +69,7 @@ def contract_with_shift(sc: ShiftContext, f: SymmetricTensor, i: int) -> Symmetr
     return f.contract_last(GramImage(sc.ctx, sc.c_r), f.order - i)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def shifted_qce(sc: ShiftContext, xi: ChaosVector) -> ChaosVector:
     """Apply the shifted operator to a finite-order chaos vector (exact).
 
@@ -78,14 +79,15 @@ def shifted_qce(sc: ShiftContext, xi: ChaosVector) -> ChaosVector:
     what adding each contraction, scaled by C(k, 0) = 1, to a zero scalar
     forms; a one-row sum w v^(x k) gives w <v, c_r>^k, the one term
     contract_last would fsum.  The other orders up to the highest dense
-    coefficient add contracted tensors and are dense; the orders above it
-    are fed by power sums only (`_power_orders`).  A power of a pairing past
-    the double range is a ParameterError naming the order.
+    coefficient add contracted tensors into one array each (`_dense_order`);
+    the orders above it are fed by power sums only (`_power_orders`).  A
+    shift or an entry past the double range reads inf or nan without a
+    warning; a power of a pairing past it is a ParameterError naming the
+    order.
     """
     _require_grid(sc.ctx, (xi.dim,), "chaos vector")
     K = xi.max_order
-    with np.errstate(over="ignore", invalid="ignore"):     # a shift past range reads nan
-        image = GramImage(sc.ctx, sc.c_r)
+    image = GramImage(sc.ctx, sc.c_r)
     rest, rows = xi.pairing_plan()
     top_dense = max(k for k, f in enumerate(xi.coeffs) if not f.is_powers)
     scalars = [0.0] * (K + 1)       # each coefficient contracted to a scalar
@@ -102,11 +104,7 @@ def shifted_qce(sc: ShiftContext, xi: ChaosVector) -> ChaosVector:
                 xs[k] = [x]
         out = [SymmetricTensor.scalar(_fold(scalars), xi.dim)]
         for n in range(1, top_dense + 1):
-            acc = SymmetricTensor.zero(n, xi.dim)
-            for k in range(n, K + 1):
-                term = xi.coeffs[k].contract_last(image, k - n)
-                acc = acc.add(term.scaled(math.comb(k, n)).project_coords(sc.m))
-            out.append(acc)
+            out.append(SymmetricTensor(n, xi.dim, dense=_dense_order(xi, image, n, sc.m)))
         # order 0 raised first if any power of a pairing overflows, as n = 0
         # takes every row's highest power
         out += _power_orders(xi.coeffs[top_dense + 1:], xs[top_dense + 1:], top_dense, sc.m)
@@ -118,6 +116,40 @@ def shifted_qce(sc: ShiftContext, xi: ChaosVector) -> ChaosVector:
                              "<v, c_r> leaves the double range; use a smaller shift c or a "
                              "lower chaos order") from None
     return ChaosVector(out, xi.dim)
+
+
+def _dense_order(xi: ChaosVector, image: GramImage, n: int, m: int) -> np.ndarray:
+    """Order n <= top_dense of the shifted operator, in one array: each f_k,
+    k >= n, contracted k - n times with c_r, scaled by C(k, n), cut to
+    coordinates < m and added in the order in which SymmetricTensor.add adds
+    these terms to a zero power sum.
+
+    add concatenates the power sums before the first dense term and
+    densifies their rows onto zeros, so those rows go straight into the
+    array, which starts as zeros; the first dense term is then zeros + term,
+    as in add (a -0.0 reads +0.0), and every later term is a whole array
+    added to it, a power sum densified on its own first.  numpy adds into a
+    one-element array in place as a reduction, which can keep the other of
+    two nans, so that array adds out of place.
+    """
+    acc = np.zeros((xi.dim,) * n)
+    lead = True                 # no dense term added yet
+    for k in range(n, xi.max_order + 1):
+        f, comb = xi.coeffs[k], math.comb(k, n)
+        if f.is_powers:
+            part = f.contract_last(image, k - n).scaled(comb).project_coords(m)
+            if lead:
+                part.add_rows_to(acc)
+                continue
+            t = part.to_dense()
+        else:
+            lead = False
+            t = _zero_beyond(comb * image._contract(f.dense, k - n), m)
+        if acc.size > 1:
+            acc += t
+        else:
+            acc[...] = acc + t
+    return acc
 
 
 def _power_orders(sums, xs, top_dense: int, m: int) -> List[SymmetricTensor]:

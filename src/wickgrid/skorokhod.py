@@ -16,7 +16,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .covariance import GramContext
+from .covariance import GramContext, _check_seed
 from .chaos import (ChaosVector, GramImage, SymmetricTensor, WickCombo, _exp_pairing,
                     sym_insert_last)
 from .errors import IntervalError, ParameterError, ShapeError, _worst
@@ -74,10 +74,11 @@ def verify_s_transform_identity(Z: SimpleIntegrand, trials: int, seed: int) -> f
 
     The right-hand side integrates the S-transformed integrand against the
     Cameron-Martin image of the probe direction; both sides are exact algebra,
-    so the deviation is pure roundoff.
+    so the deviation is pure roundoff.  A negative seed is a ParameterError.
     """
     if trials < 1:
         raise ParameterError("trials must be >= 1; with none nothing is checked")
+    _check_seed(seed)
     ctx = Z.ctx
     integral = skorokhod_simple(Z)
     rng = np.random.default_rng(seed)

@@ -148,6 +148,77 @@ def test_s_overflows_where_one_pairing_per_coefficient_does(kinds, signs, want):
 
 
 
+def _s_values_batch(ctx):
+    """The sample vectors of pairing_oracle, then dense, one-row and several-row
+    coefficients holding inf, -inf, nan, -nan and -0.0, then dense tensors
+    and power sums whose pairings with a direction of order 1e10 pass the
+    double range (while no power <v, w>^k does, which would raise)."""
+    n = ctx.n
+    rng = np.random.default_rng(31)
+    batch = list(oracle.sample_chaos_vectors(rng, ctx).values())
+    for entries in ([math.inf, -0.0], [math.nan, -math.inf], [-math.nan, math.nan]):
+        t = rng.standard_normal((n, n))
+        t.flat[: len(entries)] = entries
+        rows = rng.standard_normal((2, n))
+        rows[0, 0] = entries[0]
+        batch.append(ChaosVector([
+            SymmetricTensor.scalar(entries[-1], n), SymmetricTensor.from_dense(t[0]),
+            SymmetricTensor.from_dense(t),
+            SymmetricTensor(3, n, weights=np.array([entries[0]]), vectors=rows[:1]),
+            SymmetricTensor(4, n, weights=np.array([1.0, entries[1]]), vectors=rows)], n))
+    batch.append(ChaosVector([SymmetricTensor.scalar(1.0, n),
+                              SymmetricTensor.from_dense(1e308 * np.ones(n)),
+                              SymmetricTensor.from_dense(1e308 * np.ones((n, n)))], n))
+    batch.append(ChaosVector([SymmetricTensor.scalar(1e308, n)] + [SymmetricTensor.from_powers(
+        k, n, [1e300] * rows, rng.standard_normal((rows, n))) for k, rows in ((1, 1), (2, 2))], n))
+    return batch
+
+
+@pytest.mark.parametrize("dim", [1, 2, 7, 24])
+@pytest.mark.parametrize("scale", [1.0, 1e10])
+def test_batched_s_values_match_one_pairing_per_coefficient(dim, scale):
+    # one s_values call per batch, under one errstate, gives each vector the
+    # bits of the _sum of pair(f) over its coefficients, without a warning
+    ctx = ctx_for(dim)
+    image = GramImage(ctx, scale * np.linspace(0.5, 1.0, dim))
+    batch = _s_values_batch(ctx)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = image.s_values(batch)
+        assert image.s_values([]) == []
+    with np.errstate(over="ignore", invalid="ignore"):      # the oracle's pairings warn
+        want = [oracle.s_by_coefficient(image, xi) for xi in batch]
+    assert len(got) == len(want) == len(batch)
+    for x, y in zip(got, want):
+        oracle.assert_same_bits(x, y)
+    assert any(math.isnan(x) for x in got)
+    assert any(math.isinf(x) for x in got) or scale == 1.0
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_a_batch_raises_the_power_overflow_of_its_first_vector_that_holds_one(order):
+    # vectors before and after the first overflowing one change nothing: the
+    # error is the one that pairing the batch one vector at a time raises
+    ctx = ctx_for(2)
+    image = GramImage(ctx, [1.0, 0.0])
+    zero = [SymmetricTensor.scalar(0.0, 2)] + [SymmetricTensor.zero(k, 2) for k in (1, 2, 3)]
+
+    def past_range(k, rows):
+        coeffs = list(zero)
+        coeffs[k] = SymmetricTensor.from_powers(k, 2, [1.0] * rows,
+                                                [[1e200, 1.0], [1.0, 1.0]][:rows])
+        return ChaosVector(coeffs, 2)
+
+    batch = [random_chaos(np.random.default_rng(0), 2, 3), past_range(order, 1),
+             past_range(5 - order, 2), ChaosVector(zero, 2)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = outcome(image.s_values, batch)
+        want = outcome(lambda: [image.s(xi) for xi in batch])
+    assert got == want
+    assert got[0] == "error" and got[2].startswith(f"pairing order {order} overflows a double")
+
+
 @pytest.mark.parametrize("rows", [1, 2])
 def test_a_power_past_the_double_range_is_a_parameter_error_naming_its_order(rows):
     # <v, w>^3 = 1e360 as a Python float power raised a bare OverflowError
@@ -456,9 +527,10 @@ def test_domain_series_matches_the_per_order_route(H, N, K_max, r, f, f_scale, c
 
 @st.composite
 def weak_problems(draw):
-    """A problem and its solution: dense data represented with or without a
-    driver, or the closed-form Wick solution at K in {0, 1, 10, 30} with xi
-    the last node itself or an equal copy of it; sometimes one node is NaN."""
+    """A problem and its solution: dense data represented with a driver at
+    every node, at some nodes only, or at none, or the closed-form Wick
+    solution at K in {0, 1, 10, 30} with xi the last node itself or an equal
+    copy of it; sometimes one node is NaN."""
     n = draw(st.integers(1, 5))
     ctx = ctx_for(n)
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
@@ -466,16 +538,20 @@ def weak_problems(draw):
     c = 0.5 * rng.standard_normal(n)
     # the seeded generator picks the kind and K: hypothesis would draw the
     # first entries of a short list far more often than the others
-    kind = rng.choice(["dense", "dense, with a driver", "wick, xi the last node",
-                       "wick, xi a copy of it"])
+    kind = rng.choice(["dense", "dense, with a driver", "dense, with a driver at some nodes",
+                       "wick, xi the last node", "wick, xi a copy of it"])
     event(kind)
     if kind.startswith("dense"):
         G = None
-        if kind.endswith("driver"):
+        if "driver" in kind:
             G = [ChaosVector.constant(float(rng.standard_normal()), n)] + [
                 ChaosVector.first_chaos(np.where(np.arange(n) < i, rng.standard_normal(n), 0.0),
                                         constant=float(rng.standard_normal()))
                 for i in range(1, n + 1)]
+        if kind.endswith("some nodes"):
+            # between 1 and n of the n + 1 nodes keep their entry
+            keep = rng.permutation(n + 1) < rng.integers(1, n + 1)
+            G = [g if kept else None for g, kept in zip(G, keep)]
         problem = BSDEProblem(ctx, a, ctx.grid.points, c=c, G=G,
                               xi=random_chaos(rng, n, draw(st.integers(0, 3))))
         solution = represent_solution(problem)
@@ -500,3 +576,33 @@ def test_weak_check_matches_the_per_node_route(case, trials, seed):
     got = verify_solution_weak(problem, solution, trials, seed)
     want = oracle.verify_solution_weak(problem, solution, trials, seed)
     assert got == want or (math.isnan(got) and math.isnan(want))
+
+
+def test_the_weak_check_pairs_each_probe_in_one_batch(monkeypatch):
+    # one s_values call per probe: the equation at node v reads Y_n, xi, then
+    # Y_i and the G_i given, for i = n-1 ... v; the full equation (a Z is
+    # given) adds one call per trial for the nodes
+    n, trials = 4, 2
+    ctx = ctx_for(n)
+    rng = np.random.default_rng(5)
+    G = [None, None, ChaosVector.first_chaos([0.3, -0.2, 0.0, 0.0], constant=0.4), None,
+         ChaosVector.constant(-0.7, n)]
+    problem = BSDEProblem(ctx, 0.5 * rng.standard_normal(n), ctx.grid.points,
+                          c=0.5 * rng.standard_normal(n), G=G, xi=random_chaos(rng, n, 2))
+    solution = represent_solution(problem)
+    calls = []
+    s_values = GramImage.s_values
+    monkeypatch.setattr(GramImage, "s_values",
+                        lambda image, xis: calls.append(list(xis)) or s_values(image, xis))
+    got = verify_solution_weak(problem, solution, trials, 3)
+    Y = solution.Y_nodes
+    want = []
+    for v in range(n + 1):
+        nodes = [Y[n], problem.xi]
+        for i in range(n - 1, v - 1, -1):
+            nodes += [Y[i]] + ([G[i]] if G[i] is not None else [])
+        want.append(nodes)
+    assert len(calls) == trials * (n + 1)
+    assert all(list(map(id, got_nodes)) == list(map(id, nodes))
+               for got_nodes, nodes in zip(calls, want * trials))
+    assert got == oracle.verify_solution_weak(problem, solution, trials, 3)

@@ -398,6 +398,56 @@ def test_shifted_qce_matches_per_coefficient_route_exactly(n, c_scale):
             oracle.assert_same_chaos(shifted_qce(sc, xi), oracle.shifted_qce(sc, xi))
 
 
+def _dense_edge_case(name):
+    """(sc, xi) of an all-dense chaos vector whose orders are accumulated in
+    place: -0.0 entries with no shift (the top order is zeros + f_3, so each
+    -0.0 there reads +0.0), inf and nan entries of both signs, a grid of one
+    increment (where numpy adds into a one-element array in place as a
+    reduction, which keeps the other of two nans), and a shift past the
+    double range."""
+    rng = np.random.default_rng(11)
+    if name == "one increment":
+        ctx1 = build_gram(FractionalBrownianMotion(0.75), TimeGrid.uniform(1))
+        xi = ChaosVector([SymmetricTensor.scalar(1.0, 1)] + [
+            SymmetricTensor.from_dense(np.full((1,) * k, x))
+            for k, x in ((1, math.nan), (2, -math.nan), (3, 2.0))], 1)
+        return ShiftContext(ctx1, 1.0, [0.5]), xi
+    ctx8 = build_gram(FractionalBrownianMotion(0.75), TimeGrid.uniform(8))
+    xi = random_chaos(rng, 8, 3)
+    c = rng.standard_normal(8)
+    if name == "negative zeros":
+        for f in xi.coeffs[1:]:
+            f.dense[rng.random(f.dense.shape) < 0.3] = -0.0
+        xi.coeffs[3].dense[:2] = -0.0
+        c = None
+    elif name == "inf and nan":
+        for f in xi.coeffs[1:]:
+            f.dense.flat[rng.integers(0, f.dense.size, 4)] = [math.inf, -math.inf,
+                                                               math.nan, -math.nan]
+    else:
+        c = 1e200 * np.ones(8)
+    return ShiftContext(ctx8, 0.5, c), xi
+
+
+@pytest.mark.parametrize("name", ["negative zeros", "inf and nan", "one increment",
+                                  "shift past the double range"])
+def test_dense_orders_added_in_place_keep_the_bits_of_the_per_coefficient_route(name):
+    sc, xi = _dense_edge_case(name)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = shifted_qce(sc, xi)
+    with np.errstate(over="ignore", invalid="ignore"):     # the oracles' numpy adds warn
+        want, by_order = oracle.shifted_qce(sc, xi), oracle.shifted_qce_by_order(sc, xi)
+    oracle.assert_same_bits(got, want)
+    oracle.assert_same_bits(got, by_order)
+    if name == "negative zeros":
+        top = got.coeffs[3].dense[:2]
+        assert np.signbit(xi.coeffs[3].dense[:2]).all()
+        assert not top.any() and not np.signbit(top).any()
+    elif name == "shift past the double range":
+        assert math.isnan(got.coeffs[0].dense)
+
+
 def test_shifted_qce_matches_per_coefficient_route_on_escape_chain(ctx):
     # the certificate's chain f^(x k) / sqrt(k!) at high order, pure power sums
     sc = ShiftContext(ctx, 0.5, 0.5 * np.ones(8))

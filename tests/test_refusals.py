@@ -15,6 +15,7 @@ from wickgrid import (
     FuncOnGrid,
     GramContext,
     ShiftContext,
+    SimpleIntegrand,
     SymmetricTensor,
     TimeGrid,
     WickCombo,
@@ -27,6 +28,7 @@ from wickgrid import (
     s_transform,
     sample_increments,
     uniform_mesh,
+    verify_s_transform_identity,
     verify_solution_weak,
     wick_exponential_solution,
 )
@@ -113,6 +115,12 @@ REFUSALS = {
     # numpy refused a negative seed with a bare ValueError
     "sample-negative-seed": (lambda: sample_increments(CTX, 2, -1),
                              ParameterError, "seed must be >= 0, got -1"),
+    "weak-check-negative-seed": (lambda: verify_solution_weak(
+        problem(), BSDESolution(Y_nodes=[ONE] * (N + 1), A=np.ones(N + 1), xi_tilde=ONE), 2, -1),
+        ParameterError, "seed must be >= 0, got -1"),
+    "s-identity-negative-seed": (lambda: verify_s_transform_identity(
+        SimpleIntegrand(CTX, [(0.0, 0.5, WickCombo.exponential(np.ones(N)))]), 2, -1),
+        ParameterError, "seed must be >= 0, got -1"),
     # a NaN or infinite entry warned "invalid value encountered in matmul"
     **{f"domain-direction-{x}": (
         lambda x=x: domain_diagnostic(ShiftContext(CTX, 0.5), [0.1, x, 0.2, 0.3], 3),
