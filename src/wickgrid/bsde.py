@@ -27,7 +27,7 @@ import numpy as np
 
 # build_gram is unused here; perfbench/test_tracer.py checks the tracer rebinds bsde.build_gram
 from .covariance import (FractionalBrownianMotion, GramContext, TimeGrid, _check_seed,
-                         _gram_from_cov, build_gram)
+                         _check_trials, _gram_from_cov, build_gram)
 from .chaos import ChaosVector, GramImage, WickCombo
 from .errors import ParameterError, ShapeError, UnsupportedOperationError, _worst
 from .firstchaos import operator_norm
@@ -233,11 +233,10 @@ def verify_solution_weak(problem: BSDEProblem, solution: BSDESolution,
     closes the identity exactly. When Z is supplied, the full equation is
     additionally checked per cell in multiplicative (log-S) form against the Z
     slot values at unshifted directions.  Each probe direction pairs the nodes
-    its equations read in one `GramImage.s_values` call.  A negative seed is
-    a ParameterError.
+    its equations read in one `GramImage.s_values` call.  A negative, bool or
+    float seed is a ParameterError.
     """
-    if trials < 1:
-        raise ParameterError("trials must be >= 1; with none nothing is checked")
+    _check_trials(trials)
     _check_seed(seed)
     ctx = problem.ctx
     n = ctx.n

@@ -257,15 +257,13 @@ class SymmetricTensor:
             raise ShapeError(f"tensor of shape {(self.dim,)} on a grid of "
                              f"{image.gw.size} increments")
         new_order = self.order - times
-        if self.is_powers:
-            terms = image.terms(self, times)
-            if new_order == 0:
-                return SymmetricTensor.scalar(_sum(terms), self.dim)
-            return SymmetricTensor(new_order, self.dim, vectors=self.vectors,
-                                   weights=np.array(terms))
         if new_order == 0:
             return SymmetricTensor.scalar(image.pair(self), self.dim)
-        return SymmetricTensor(new_order, self.dim, dense=image.contract_dense(self.dense, times))
+        if self.is_powers:
+            return SymmetricTensor(new_order, self.dim, vectors=self.vectors,
+                                   weights=np.array(image.terms(self, times)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return SymmetricTensor(new_order, self.dim, dense=image.contract(self.dense, times))
 
     def support_bound(self) -> int:
         """Smallest m such that all mass sits on coordinates < m."""
@@ -312,20 +310,15 @@ class GramImage:
         except OverflowError:
             raise _power_overflow(times) from None
 
-    @np.errstate(over="ignore", invalid="ignore")
-    def contract_dense(self, t: np.ndarray, times: int) -> np.ndarray:
+    def contract(self, t: np.ndarray, times: int) -> np.ndarray:
         """Contract the last `times` axes of a dense tensor with w.
 
         Each step is the one dot product np.tensordot(t, gw, ([-1], [0]))
         makes, without its axis bookkeeping: a (-1, N) view of t times the
         (N, 1) column G w, by ndarray.dot, which is np.dot without the
-        dispatch of the function form.  A contraction past the double range
-        reads inf or nan without a warning, as the power sums do.
+        dispatch of the function form.  Under its caller's np.errstate a
+        contraction past the double range reads inf or nan silently.
         """
-        return self._contract(t, times)
-
-    def _contract(self, t: np.ndarray, times: int) -> np.ndarray:
-        """contract_dense, for a caller that holds the errstate itself."""
         col = self.col
         shape = t.shape[:t.ndim - times]
         for _ in range(times):
@@ -338,7 +331,8 @@ class GramImage:
         if f.order == 0:
             return float(f.dense)
         if not f.is_powers:
-            return float(self.contract_dense(f.dense, f.order))
+            with np.errstate(over="ignore", invalid="ignore"):
+                return float(self.contract(f.dense, f.order))
         return _sum(self.terms(f, f.order))
 
     def s(self, xi: "ChaosVector") -> float:
@@ -353,7 +347,7 @@ class GramImage:
         Each distinct row of its one-row power sums is paired once, as the
         float(v @ gw) that pairings forms, and raised per order by Python's
         float pow; every other coefficient is paired as pair pairs it, a dense
-        one by the dot products of contract_dense on the same operand shapes,
+        one by the dot products of contract on the same operand shapes,
         under this call's one errstate.  Each summand is the double pair(f)
         gives, up to the sign of a zero, which fsum drops, and is written at
         its order.  Whether fsum overflows on an intermediate sum depends on
@@ -373,7 +367,7 @@ class GramImage:
             terms = [0.0] * len(xi.coeffs)
             for f in rest:
                 k, t = f.order, f.dense
-                if k and t is not None:         # the steps of _contract, no reshape between
+                if k and t is not None:         # the steps of contract, no reshape between
                     for _ in range(k):
                         t = t.reshape(-1, n).dot(col)
                     terms[k] = t.item()
@@ -493,9 +487,10 @@ class ChaosVector:
         return SymmetricTensor.zero(k, self.dim)
 
     def add(self, other: "ChaosVector") -> "ChaosVector":
-        K = max(self.max_order, other.max_order)
-        return ChaosVector([self.get(k).add(other.get(k)) for k in range(K + 1)],
-                           self.dim)
+        """Orders both hold added; the longer vector's others kept as they are."""
+        both = [f.add(g) for f, g in zip(self.coeffs, other.coeffs)]
+        longer = max(self.coeffs, other.coeffs, key=len)
+        return ChaosVector(both + list(longer[len(both):]), self.dim)
 
     def scaled(self, a: float) -> "ChaosVector":
         return ChaosVector([f.scaled(a) for f in self.coeffs], self.dim)

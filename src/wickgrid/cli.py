@@ -32,6 +32,8 @@ from .covariance import (
     SumModel,
     TimeGrid,
     WeightedFbm,
+    _check_seed,
+    _check_trials,
     build_gram,
     sample_increments,
 )
@@ -382,8 +384,7 @@ def exp_jensen(cfg, seed):
 
 
 def exp_qce_check(cfg, seed):
-    if cfg["trials"] < 1:
-        raise ParameterError("trials must be >= 1; with none nothing is checked")
+    _check_trials(cfg["trials"])
     sc = _shift_from_config(cfg)
     ctx, grid = sc.ctx, sc.ctx.grid
     if sc.m == grid.n:
@@ -657,8 +658,8 @@ def main(argv=None) -> int:
         raw = parse_config(args.config) if args.config else {}
         text = raw.pop("seed", None)
         seed = args.seed if args.seed is not None or text is None else _parse("seed", text, int)
-        if seed is not None and seed < 0:
-            raise ParameterError(f"seed must be >= 0, got {seed}")
+        if seed is not None:
+            _check_seed(seed)
         keys = KEYS[args.experiment]
         for key in sorted(raw.keys() - keys):
             near = difflib.get_close_matches(key, keys, n=1)

@@ -357,9 +357,16 @@ def build_gram(model, grid: TimeGrid) -> GramContext:
 
 
 def _check_seed(seed) -> None:
-    """A negative int seed is a ParameterError, not numpy's bare ValueError."""
+    """An int >= 0 or a np.random.Generator; else a ParameterError naming it."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer, np.random.Generator)):
+        raise ParameterError(f"seed must be an int, got {seed!r}")
     if isinstance(seed, (int, np.integer)) and seed < 0:
         raise ParameterError(f"seed must be >= 0, got {seed}")
+
+
+def _check_trials(trials) -> None:
+    if trials < 1:
+        raise ParameterError("trials must be >= 1; with none nothing is checked")
 
 
 def sample_increments(ctx: GramContext, n_paths: int, seed: int) -> np.ndarray:
@@ -371,7 +378,7 @@ def sample_increments(ctx: GramContext, n_paths: int, seed: int) -> np.ndarray:
     call for all their rows would.  The rows match that call bit for bit when
     every call is long enough for the same BLAS kernels (4096 rows are); calls
     of a few rows round the product differently.  n_paths = 0 yields an
-    empty (0, N) array.  A negative int seed is a ParameterError.
+    empty (0, N) array.  A negative, bool or float seed is a ParameterError.
     """
     if n_paths < 0:
         raise ParameterError(f"n_paths must be >= 0, got {n_paths}")

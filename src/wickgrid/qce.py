@@ -144,7 +144,7 @@ def _dense_order(xi: ChaosVector, image: GramImage, n: int, m: int) -> np.ndarra
             t = part.to_dense()
         else:
             lead = False
-            t = _zero_beyond(comb * image._contract(f.dense, k - n), m)
+            t = _zero_beyond(comb * image.contract(f.dense, k - n), m)
         if acc.size > 1:
             acc += t
         else:

@@ -16,7 +16,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .covariance import GramContext, _check_seed
+from .covariance import GramContext, _check_seed, _check_trials
 from .chaos import (ChaosVector, GramImage, SymmetricTensor, WickCombo, _exp_pairing,
                     sym_insert_last)
 from .errors import IntervalError, ParameterError, ShapeError, _worst
@@ -74,10 +74,9 @@ def verify_s_transform_identity(Z: SimpleIntegrand, trials: int, seed: int) -> f
 
     The right-hand side integrates the S-transformed integrand against the
     Cameron-Martin image of the probe direction; both sides are exact algebra,
-    so the deviation is pure roundoff.  A negative seed is a ParameterError.
+    so the deviation is pure roundoff.  A seed that is not an int >= 0 is a ParameterError.
     """
-    if trials < 1:
-        raise ParameterError("trials must be >= 1; with none nothing is checked")
+    _check_trials(trials)
     _check_seed(seed)
     ctx = Z.ctx
     integral = skorokhod_simple(Z)
@@ -144,12 +143,8 @@ def skorokhod_chaos(Z: ChaosField, a: float, b: float) -> ChaosVector:
     is the defining relation of the integral.
     """
     Zr = Z.restricted(a, b)
-    K = Zr.max_order
-    coeffs = [SymmetricTensor.zero(k, Z.dim) for k in range(K + 2)]
-    for k, t in enumerate(Zr.slots):
-        coeffs[k + 1] = coeffs[k + 1].add(
-            SymmetricTensor.from_dense(sym_insert_last(t)))
-    return ChaosVector(coeffs, Z.dim)
+    return ChaosVector([SymmetricTensor.scalar(0.0, Z.dim)]
+                       + [SymmetricTensor.from_dense(sym_insert_last(t)) for t in Zr.slots], Z.dim)
 
 
 def cm_pathwise_integral(Z: ChaosField, c, a: float, b: float) -> ChaosVector:

@@ -11,7 +11,9 @@ were formed for all orders at once.
 `s_by_coefficient` is `GramImage.s` before its per-vector plan, one
 `pair` per coefficient, and `from_powers_by_mask` is `from_powers` as it
 was before it kept the arrays it was given, masking and copying them at
-every call.
+every call.  `add_padded` is `ChaosVector.add` as it was before it passed
+the longer vector's extra orders through: the shorter vector padded with
+empty power sums, each added onto fresh zeros.
 `domain_diagnostic` is the domain series as it was formed order by order:
 order 0 of the shifted chain folded from one contraction per coefficient
 (`shifted_qce_by_coefficient`), and each term from a rescaled power sum and
@@ -82,7 +84,7 @@ def s_transform(ctx, xi, h):
 
 def s_by_coefficient(image, xi):
     """GramImage.s as one _sum of image.pair(f) over the coefficients: each
-    dense one through contract_dense, each power sum through terms."""
+    dense one through contract, each power sum through terms."""
     return _sum([image.pair(f) for f in xi.coeffs])
 
 
@@ -95,6 +97,11 @@ def from_powers_by_mask(order, dim, weights, vectors):
         raise ShapeError("power sums need weights of shape (p,) and vectors (p, dim)")
     keep = w != 0.0
     return SymmetricTensor(order, dim, weights=w[keep], vectors=V[keep])
+
+
+def add_padded(xi, eta):
+    K = max(xi.max_order, eta.max_order)
+    return ChaosVector([xi.get(k).add(eta.get(k)) for k in range(K + 1)], xi.dim)
 
 
 def merge_powers(t):

@@ -109,10 +109,11 @@ def measure() -> dict:
 
 
 def measure_pinned() -> dict:
-    """measure() in a subprocess with the BLAS kernels pinned."""
+    """measure() in a subprocess with the BLAS kernels pinned, where a
+    warning is an error."""
     env = dict(os.environ, **PINNED_ENV)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, __file__, "--measure"], env=env,
+    proc = subprocess.run([sys.executable, "-W", "error", __file__, "--measure"], env=env,
                           capture_output=True, text=True, check=False)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)

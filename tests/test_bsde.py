@@ -6,6 +6,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wickgrid import (
     BrownianMotion,
@@ -14,8 +15,10 @@ from wickgrid import (
     ChaosVector,
     FractionalBrownianMotion,
     ShiftContext,
+    SumModel,
     SymmetricTensor,
     TimeGrid,
+    WeightedFbm,
     build_gram,
     chaos_inner,
     example33_residual,
@@ -540,6 +543,49 @@ def test_certificate_with_coefficients(rng):
     assert cert.coefficients["driver_shift_l2"] > 0
     payload = cert.to_json_dict()
     assert set(payload) >= {"rho", "S_K", "geometric_lower_bound", "coefficients"}
+
+
+@st.composite
+def certificate_cases(draw):
+    """(kind, ShiftContext, a, G, K_max) on a uniform grid of 2-16 increments:
+    fBm with |H - 1/2| >= 0.02, weighted fBm, BM + fBm, or BM; r any interior
+    node, shift entries and a in a box, an adapted first-chaos driver or none."""
+    kind = draw(st.sampled_from(["fbm", "weighted_fbm", "sum", "bm"]))
+    n = draw(st.integers(2, 16))
+    grid = TimeGrid.uniform(n)
+    off_half = st.one_of(st.floats(0.05, 0.48), st.floats(0.52, 0.95))
+    if kind == "fbm":
+        model = FractionalBrownianMotion(draw(off_half))
+    elif kind == "weighted_fbm":
+        sigma = draw(st.lists(st.floats(0.2, 3.0), min_size=n, max_size=n))
+        model = WeightedFbm(draw(st.floats(0.55, 0.95)), sigma, grid)
+    elif kind == "sum":
+        model = SumModel(BrownianMotion(), FractionalBrownianMotion(draw(off_half)),
+                         draw(st.floats(0.5, 2.0)))
+    else:
+        model = BrownianMotion()
+    box = st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n)
+    r = grid.points[draw(st.integers(1, n - 1))]
+    sc = ShiftContext(build_gram(model, grid), r, np.array(draw(box)))
+    a = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)))
+    seed = draw(st.none() | st.integers(0, 2**32 - 1))
+    G = None if seed is None else adapted_driver(np.random.default_rng(seed), n)
+    return kind, sc, a, G, draw(st.integers(1, 170))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(certificate_cases())
+def test_every_coefficient_draw_defeats_the_equation_off_the_martingale_grid(case):
+    # the theorem on the grid: for every c, a and adapted G some terminal value
+    # has no solution, and on BM the construction refuses
+    kind, sc, a, G, K_max = case
+    if kind == "bm":
+        with pytest.raises(MartingaleCaseError):
+            nonexistence_certificate(sc, a=a, G=G, K_max=K_max)
+        return
+    cert = nonexistence_certificate(sc, a=a, G=G, K_max=K_max)
+    assert cert.rho > 1.0
+    assert cert.bound_ok
 
 
 # ---------------------------------------------------------------------------

@@ -538,3 +538,63 @@ def test_contract_last_matches_per_coefficient_route_exactly(n):
             for times in (-1, f.order + 1):
                 with pytest.raises(ShapeError):
                     f.contract_last(image, times)
+
+
+# ---------------------------------------------------------------------------
+# sums and contractions without placeholder tensors
+# ---------------------------------------------------------------------------
+
+def test_a_sum_passes_the_longer_vectors_extra_coefficients_through(rng):
+    short = ChaosVector.first_chaos(rng.standard_normal(6), constant=0.5)
+    top = symmetrize_full(rng.standard_normal((6, 6)))
+    top[0, :] = top[:, 0] = -0.0
+    longer = ChaosVector([SymmetricTensor.scalar(-1.0, 6),
+                          SymmetricTensor.from_vector(rng.standard_normal(6)),
+                          SymmetricTensor.from_dense(top),
+                          SymmetricTensor.from_powers(3, 6, [0.7, -0.2],
+                                                      rng.standard_normal((2, 6)))], 6)
+    for xi, eta in ((short, longer), (longer, short)):
+        got, want = xi.add(eta), oracle.add_padded(xi, eta)
+        # the orders both hold keep the padded route's bits
+        oracle.assert_same_bits(ChaosVector(got.coeffs[:2], 6), ChaosVector(want.coeffs[:2], 6))
+        # the others are the longer vector's own tensors, arrays shared
+        assert all(f is g for f, g in zip(got.coeffs[2:], longer.coeffs[2:]))
+        oracle.assert_same_chaos(got, want)
+        # a -0.0 passes through; zeros + t made it +0.0
+        assert np.signbit(got.coeffs[2].dense[0]).all()
+        assert not np.signbit(want.coeffs[2].dense[0]).any()
+
+
+def test_sums_keep_the_bits_of_the_padded_route_where_no_negative_zero_passes(ctx):
+    # equal lengths add every order as before; unequal ones too, where the
+    # passed-through coefficients hold no -0.0
+    cases = list(oracle.sample_chaos_vectors(np.random.default_rng(7), ctx).values())
+    for xi in cases:
+        for eta in cases:
+            oracle.assert_same_bits(xi.add(eta), oracle.add_padded(xi, eta))
+            oracle.assert_same_bits(xi.sub(eta), oracle.add_padded(xi, eta.scaled(-1.0)))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-3, 40.0])
+def test_contract_last_to_order_zero_is_pair_bit_for_bit(ctx, scale):
+    rng = np.random.default_rng(9)
+    image = GramImage(ctx, scale * rng.standard_normal(6))
+    for name, xi in oracle.sample_chaos_vectors(rng, ctx).items():
+        for f in xi.coeffs[1:]:
+            got = f.contract_last(image, f.order)
+            assert (got.order, got.is_powers) == (0, False), name
+            oracle.assert_same_bits(float(got.dense), image.pair(f))
+
+
+def test_a_dense_contraction_past_the_double_range_is_silent_through_contract_last_and_pair(ctx):
+    # the dot products overflow to inf, and entries of both signs meet as inf - inf
+    f = SymmetricTensor.from_dense(symmetrize_full(np.random.default_rng(4).standard_normal((6,) * 3)))
+    image = GramImage(ctx, 1e200 * np.ones(6))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        twice = f.contract_last(image, 2).dense
+        full = f.contract_last(image, 3)
+        paired = image.pair(f)
+    assert np.isinf(twice).any()
+    assert math.isnan(paired)
+    oracle.assert_same_bits(float(full.dense), paired)

@@ -141,6 +141,21 @@ def test_opnorm_monotone_under_refinement():
     assert vals[2] >= vals[1] - 1e-9
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 11), st.sampled_from([2, 3]),
+       st.floats(0.05, 0.48) | st.floats(0.52, 0.95), st.booleans(), st.data())
+def test_refining_a_grid_never_lowers_the_operator_norm(N, k, H, with_bm, data):
+    # the coarse span is a subspace of the fine one, and r is a node of both;
+    # at H = 1/2 both norms are 1 up to roundoff, so H keeps 0.02 away
+    model = FractionalBrownianMotion(H)
+    if with_bm:
+        model = SumModel(BrownianMotion(), model, 1.0)
+    coarse = TimeGrid.uniform(N)
+    r = coarse.points[data.draw(st.integers(1, N - 1))]
+    fine = operator_norm(build_gram(model, coarse.refine(k)), r).opnorm
+    assert fine >= operator_norm(build_gram(model, coarse), r).opnorm
+
+
 def test_bm_dr_zero(bm_ctx):
     assert max_correlation(bm_ctx, 0.5).d_r == pytest.approx(0.0, abs=1e-12)
 

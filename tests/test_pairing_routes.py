@@ -355,7 +355,7 @@ def test_a_power_sum_pairing_past_the_double_range_is_inf():
 
 
 def test_a_dense_contraction_past_the_double_range_is_silent():
-    # np.dot in contract_dense warned "overflow encountered in dot" (and
+    # np.dot in the dense contraction warned "overflow encountered in dot" (and
     # "invalid value") where a power sum past the range reads inf or nan
     ctx = build_gram(FractionalBrownianMotion(0.3), TimeGrid.uniform(8))
     rng = np.random.default_rng(0)

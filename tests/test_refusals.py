@@ -121,6 +121,17 @@ REFUSALS = {
     "s-identity-negative-seed": (lambda: verify_s_transform_identity(
         SimpleIntegrand(CTX, [(0.0, 0.5, WickCombo.exponential(np.ones(N)))]), 2, -1),
         ParameterError, "seed must be >= 0, got -1"),
+    # numpy refused a float seed with a bare TypeError and read True as 1
+    **{f"{name}-seed-{seed!r}": (lambda call=call, seed=seed: call(seed),
+                                 ParameterError, f"seed must be an int, got {seed!r}")
+       for name, call in [
+           ("sample", lambda seed: sample_increments(CTX, 2, seed)),
+           ("weak-check", lambda seed: verify_solution_weak(
+               problem(), BSDESolution(Y_nodes=[ONE] * (N + 1), A=np.ones(N + 1),
+                                       xi_tilde=ONE), 2, seed)),
+           ("s-identity", lambda seed: verify_s_transform_identity(
+               SimpleIntegrand(CTX, [(0.0, 0.5, WickCombo.exponential(np.ones(N)))]), 2, seed))]
+       for seed in (1.5, 2.0, True, np.True_)},
     # a NaN or infinite entry warned "invalid value encountered in matmul"
     **{f"domain-direction-{x}": (
         lambda x=x: domain_diagnostic(ShiftContext(CTX, 0.5), [0.1, x, 0.2, 0.3], 3),

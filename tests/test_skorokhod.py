@@ -9,9 +9,11 @@ from hypothesis import given, settings, strategies as st
 from wickgrid import (
     BrownianMotion,
     ChaosField,
+    ChaosVector,
     FractionalBrownianMotion,
     ShiftContext,
     SimpleIntegrand,
+    SymmetricTensor,
     TimeGrid,
     WickCombo,
     build_gram,
@@ -21,11 +23,14 @@ from wickgrid import (
     simple_to_chaos_field,
     skorokhod_chaos,
     skorokhod_simple,
+    sym_insert_last,
     symmetrize_full,
     verify_s_transform_identity,
     wick_truncation_tail_sq,
 )
 from wickgrid.errors import IntervalError, ParameterError
+
+import pairing_oracle as oracle
 
 
 @pytest.fixture
@@ -182,23 +187,48 @@ def test_slot_pair_symmetrization(ctx):
     assert np.allclose(out.coeffs[2].dense, want)
 
 
+def field_pairing(ctx, Z, a, b, h):
+    """<(S Z)(h), h> over (a, b], the pairing taken through the Gram."""
+    mask = np.zeros(ctx.n)
+    mask[ctx.grid.index_of(a):ctx.grid.index_of(b)] = 1.0
+    gh = ctx.G @ h
+    sz = np.zeros(ctx.n)
+    for k, t in enumerate(Z.slots):
+        tt = t * mask
+        for _ in range(k):
+            tt = np.tensordot(tt, gh, axes=([0], [0]))
+        sz += tt
+    return float(sz @ gh)
+
+
 def test_defining_s_relation(ctx, rng):
     # (S integral)(h) = <(S Z)(h), h> with the pairing taken through the Gram
     Z = random_field(ctx, rng, 2)
     a, b = 0.25, 0.875
     out = skorokhod_chaos(Z, a, b)
-    mask = np.zeros(8)
-    mask[ctx.grid.index_of(a):ctx.grid.index_of(b)] = 1.0
     for _ in range(10):
         h = rng.standard_normal(8)
-        gh = ctx.G @ h
-        sz = np.zeros(8)
-        for k, t in enumerate(Z.slots):
-            tt = t * mask
-            for _ in range(k):
-                tt = np.tensordot(tt, gh, axes=([0], [0]))
-            sz += tt
-        want = float(sz @ gh)
+        want = field_pairing(ctx, Z, a, b, h)
+        assert s_transform(ctx, out, h) == pytest.approx(want, rel=1e-11, abs=1e-11)
+
+
+@pytest.mark.parametrize("K", [0, 1, 3])
+def test_chaos_divergence_is_built_directly_with_the_bits_of_the_zero_padded_route(ctx, rng, K):
+    # each slot holds -0.0 and negative entries that the mask of (a, b] turns
+    # into -0.0; sym_insert_last's sum starts from 0, so none reaches the result
+    Z = random_field(ctx, rng, K)
+    for t in Z.slots:
+        t[(0,) * t.ndim] = t[(3,) * t.ndim] = -0.0
+    a, b = 0.125, 0.75
+    out = skorokhod_chaos(Z, a, b)
+    n = ctx.n
+    want = [SymmetricTensor.zero(0, n)] + [
+        SymmetricTensor.zero(k + 1, n).add(SymmetricTensor.from_dense(sym_insert_last(t)))
+        for k, t in enumerate(Z.restricted(a, b).slots)]
+    oracle.assert_same_bits(out, ChaosVector(want, n))
+    for _ in range(5):
+        h = rng.standard_normal(n)
+        want = field_pairing(ctx, Z, a, b, h)
         assert s_transform(ctx, out, h) == pytest.approx(want, rel=1e-11, abs=1e-11)
 
 
