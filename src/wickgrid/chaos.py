@@ -525,11 +525,11 @@ def random_chaos(rng: np.random.Generator, n: int, order: int) -> ChaosVector:
 
 @np.errstate(over="ignore", invalid="ignore")
 def chaos_inner(ctx: GramContext, xi: ChaosVector, eta: ChaosVector) -> float:
-    """E[xi eta] = sum_k k! <f_k, h_k>, the terms added by _sum; a contraction
-    past the double range reads inf or nan without a warning."""
-    K = max(xi.max_order, eta.max_order)
-    return _sum([math.factorial(k) * tensor_inner(ctx, xi.get(k), eta.get(k))
-                 for k in range(K + 1)])
+    """E[xi eta] = sum_k k! <f_k, h_k> over the orders both vectors hold, the
+    terms added by _sum; a contraction past the double range reads inf or nan
+    without a warning."""
+    return _sum([math.factorial(k) * tensor_inner(ctx, f, g)
+                 for k, (f, g) in enumerate(zip(xi.coeffs, eta.coeffs))])
 
 
 def wick_exponential_chaos(ctx: GramContext, h: np.ndarray, K: int) -> ChaosVector:

@@ -396,7 +396,7 @@ def exp_qce_check(cfg, seed):
     # first-chaos closed form
     err_fc = 0.0
     for t in grid.points[1:]:
-        ind = ctx.indicator(t)
+        ind = ctx.grid.indicator(t)
         got = shifted_qce(sc, ChaosVector.first_chaos(ind))
         with np.errstate(over="ignore", invalid="ignore"):     # a shift past range reads nan
             shift = -ctx.inner(ind - sc.op.forward(ind), sc.c)
@@ -437,7 +437,7 @@ def exp_domain_diagnostic(cfg, seed):
     if cfg["generator"] == "escape":
         f = escape_direction(sc)
     else:
-        f = 0.5 * sc.ctx.unit(sc.ctx.indicator(sc.ctx.grid.points[1]))
+        f = 0.5 * sc.ctx.unit(sc.ctx.grid.indicator(sc.ctx.grid.points[1]))
 
     diag = domain_diagnostic(sc, f, K_max)
     rows = [(k, float(diag.partial_sums[k]),
@@ -453,7 +453,7 @@ def exp_skorokhod_check(cfg, seed):
     a, b, u = (pts[i * grid.n // 4] if cfg[key] is None else cfg[key]
                for i, key in enumerate("abu", 1))
     cfg.update(a=a, b=b, u=u)
-    Z = SimpleIntegrand(ctx, [(a, b, WickCombo.exponential(ctx.indicator(u)))])
+    Z = SimpleIntegrand(ctx, [(a, b, WickCombo.exponential(ctx.grid.indicator(u)))])
     err = verify_s_transform_identity(Z, cfg["trials"], seed)
     checks = [("max_rel_error", err, "<=", 1e-10)]
     return checks, {"skorokhod_check.json": _verdict(checks, a=a, b=b, u=u)}

@@ -189,7 +189,6 @@ class WeightedFbm:
         if not np.all(np.isfinite(sig)) or np.any(sig <= 0):
             raise ParameterError("sigma must be positive and finite")
         self.H = float(H)
-        self.sigma = sig
         self.grid = grid
         base = _gram_from_cov(FractionalBrownianMotion(H), grid)
         self._gram = sig[:, None] * base * sig[None, :]
@@ -291,12 +290,6 @@ class GramContext:
     def unit(self, v) -> np.ndarray:
         """v scaled to unit Gram norm; a zero vector stays zero."""
         return v / max(self.norm(v), 1e-300)
-
-    def indicator(self, t: float) -> np.ndarray:
-        return self.grid.indicator(t)
-
-    def indicator_interval(self, a: float, b: float) -> np.ndarray:
-        return self.grid.indicator_interval(a, b)
 
     def cameron_martin(self, h: np.ndarray) -> np.ndarray:
         """The function t_i -> E[X_{t_i} I(h)] at all grid nodes."""

@@ -62,7 +62,7 @@ def skorokhod_simple(Z: SimpleIntegrand) -> WickCombo:
     ctx = Z.ctx
     terms = []
     for a, b, combo in Z.pieces:
-        u = ctx.indicator_interval(a, b)
+        u = ctx.grid.indicator_interval(a, b)
         for alpha, _f, g in combo.terms:
             trace = ctx.inner(g, u)
             terms.append((-alpha * trace, alpha * u, g))
@@ -87,7 +87,7 @@ def verify_s_transform_identity(Z: SimpleIntegrand, trials: int, seed: int) -> f
         lhs = integral.s(ctx, h)
         rhs = 0.0
         for a, b, combo in Z.pieces:
-            du = ctx.inner(ctx.indicator_interval(a, b), h)
+            du = ctx.inner(ctx.grid.indicator_interval(a, b), h)
             for alpha, _f, g in combo.terms:
                 rhs += alpha * _exp_pairing(ctx.inner(g, h)) * du
         worst = _worst(worst, abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))
@@ -106,14 +106,6 @@ class ChaosField:
             if t.ndim != k + 1 or any(s != self.dim for s in t.shape):
                 raise ShapeError(f"slot tensor {k} must have shape (N,)*{k + 1}")
             self.slots.append(t)
-
-    @property
-    def max_order(self) -> int:
-        return len(self.slots) - 1
-
-    @classmethod
-    def deterministic(cls, ctx: GramContext, g) -> "ChaosField":
-        return cls(ctx, [np.asarray(g, dtype=float)])
 
     def restricted(self, a: float, b: float) -> "ChaosField":
         """Slot axis masked to the increments of (a, b]."""
@@ -165,7 +157,7 @@ def simple_to_chaos_field(Z: SimpleIntegrand, K: int) -> ChaosField:
     ctx = Z.ctx
     slots = [np.zeros((ctx.n,) * (k + 1)) for k in range(K + 1)]
     for a, b, combo in Z.pieces:
-        u = ctx.indicator_interval(a, b)
+        u = ctx.grid.indicator_interval(a, b)
         for alpha, _f, g in combo.terms:
             gt = np.float64(alpha)
             for k in range(K + 1):

@@ -13,7 +13,9 @@ were formed for all orders at once.
 was before it kept the arrays it was given, masking and copying them at
 every call.  `add_padded` is `ChaosVector.add` as it was before it passed
 the longer vector's extra orders through: the shorter vector padded with
-empty power sums, each added onto fresh zeros.
+empty power sums, each added onto fresh zeros.  `chaos_inner_padded` is
+`chaos_inner` as it was before it paired only the orders both vectors hold:
+each order the shorter vector lacks an empty power sum (`ChaosVector.get`).
 `domain_diagnostic` is the domain series as it was formed order by order:
 order 0 of the shifted chain folded from one contraction per coefficient
 (`shifted_qce_by_coefficient`), and each term from a rescaled power sum and
@@ -102,6 +104,13 @@ def from_powers_by_mask(order, dim, weights, vectors):
 def add_padded(xi, eta):
     K = max(xi.max_order, eta.max_order)
     return ChaosVector([xi.get(k).add(eta.get(k)) for k in range(K + 1)], xi.dim)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def chaos_inner_padded(ctx, xi, eta):
+    K = max(xi.max_order, eta.max_order)
+    return _sum([math.factorial(k) * tensor_inner(ctx, xi.get(k), eta.get(k))
+                 for k in range(K + 1)])
 
 
 def merge_powers(t):

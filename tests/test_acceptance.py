@@ -134,7 +134,7 @@ def test_criterion_05_shifted_qce_closed_forms():
     sc = ShiftContext(ctx, 0.5, c)
     # first chaos: exact coefficients
     for t in ctx.grid.points[1:]:
-        ind = ctx.indicator(t)
+        ind = ctx.grid.indicator(t)
         got = shifted_qce(sc, ChaosVector.first_chaos(ind))
         trunc = sc.op.forward(ind)
         want = ChaosVector.first_chaos(trunc, constant=-ctx.inner(ind - trunc, c))

@@ -637,8 +637,8 @@ def test_example33_against_monte_carlo():
     R = Y[:, -1] - Y[:, 0]
     for j in range(1, n + 1):
         z = 2.0 * (Xfull[:, j - 1] + V[j - 1])
-        trace = 2.0 * ctx.inner(ctx.indicator(pts[j - 1]),
-                                ctx.indicator_interval(pts[j - 1], pts[j]))
+        trace = 2.0 * ctx.inner(ctx.grid.indicator(pts[j - 1]),
+                                ctx.grid.indicator_interval(pts[j - 1], pts[j]))
         R -= (V[j] - V[j - 1]) + z * (V[j] - V[j - 1]) + z * dX[:, j - 1] - trace
     from wickgrid.bsde import _example33_residual_sq
     want = _example33_residual_sq(H, n, 1.0)

@@ -151,7 +151,7 @@ def test_s_transform_of_process_values(ctx, rng):
     h = rng.standard_normal(6)
     cm = ctx.cameron_martin(h)
     for i, t in enumerate(ctx.grid.points[1:], start=1):
-        xt = ChaosVector.first_chaos(ctx.indicator(t))
+        xt = ChaosVector.first_chaos(ctx.grid.indicator(t))
         assert s_transform(ctx, xt, h) == pytest.approx(cm[i], rel=1e-12)
 
 
@@ -228,7 +228,7 @@ def test_expectation_first_chaos_term(ctx, rng):
 def test_multiply_by_increment(ctx, rng):
     g = rng.standard_normal(6)
     combo = WickCombo.exponential(g)
-    u = ctx.indicator_interval(ctx.grid.points[1], ctx.grid.points[3])
+    u = ctx.grid.indicator_interval(ctx.grid.points[1], ctx.grid.points[3])
     out = combo.multiply_first_chaos(ctx, u)
     assert len(out.terms) == 1
     alpha, f, g2 = out.terms[0]
@@ -573,6 +573,46 @@ def test_sums_keep_the_bits_of_the_padded_route_where_no_negative_zero_passes(ct
         for eta in cases:
             oracle.assert_same_bits(xi.add(eta), oracle.add_padded(xi, eta))
             oracle.assert_same_bits(xi.sub(eta), oracle.add_padded(xi, eta.scaled(-1.0)))
+
+
+def _with_edge(xi, value):
+    """xi with its constant, the first entry of each dense coefficient and the
+    first weight of each power sum set to value."""
+    coeffs = [SymmetricTensor.scalar(value, xi.dim)]
+    for f in xi.coeffs[1:]:
+        if f.is_powers:
+            weights = f.weights.copy()
+            weights[:1] = value
+            coeffs.append(SymmetricTensor(f.order, f.dim, weights=weights, vectors=f.vectors))
+        else:
+            t = f.dense.copy()
+            t.flat[0] = value
+            coeffs.append(SymmetricTensor.from_dense(t))
+    return ChaosVector(coeffs, xi.dim)
+
+
+def test_chaos_inner_keeps_the_bits_of_the_padded_route_on_unequal_lengths(ctx):
+    # the orders only the longer vector holds paired with empty power sums
+    # gave terms of exactly 0.0, which the sum never saw
+    clean = list(oracle.sample_chaos_vectors(np.random.default_rng(11), ctx).values())
+    cases = clean + [_with_edge(xi, value) for xi in clean
+                     for value in (-0.0, math.inf, -math.inf, math.nan)]
+    unequal = 0
+    for xi in cases:
+        for eta in cases:
+            unequal += xi.max_order != eta.max_order
+            oracle.assert_same_bits(chaos_inner(ctx, xi, eta),
+                                    oracle.chaos_inner_padded(ctx, xi, eta))
+    assert unequal > len(cases) ** 2 // 3
+
+
+def test_chaos_inner_pairs_no_order_past_the_shorter_vector(ctx):
+    # the padded route formed 171! * 0.0, and the int overflowed the double
+    long = ChaosVector([SymmetricTensor.scalar(3.0, 6)]
+                       + [SymmetricTensor.zero(k, 6) for k in range(1, 172)], 6)
+    assert chaos_inner(ctx, ChaosVector.constant(2.0, 6), long) == 6.0
+    with pytest.raises(OverflowError):
+        oracle.chaos_inner_padded(ctx, ChaosVector.constant(2.0, 6), long)
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-3, 40.0])

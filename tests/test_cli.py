@@ -440,6 +440,21 @@ def test_gram_export_and_plot(tmp_path):
     assert svg.startswith("<svg") and "polyline" in svg
 
 
+def test_a_sweep_of_one_H_plots_on_a_unit_x_axis(tmp_path):
+    code, out = run(tmp_path, "opnorm-sweep", "H_list = 0.3\nN = 8\nplot = true\n")
+    assert code == 0
+    svg = (out / "opnorm_sweep.svg").read_text()
+    # x runs from 0.3 to 1.3, so each series is one point at the left edge
+    assert re.findall(r'points="([\d.]+),', svg) == ["50.00", "50.00"]
+    assert ">1.3</text>" in svg
+
+
+def test_a_flat_series_plots_on_a_unit_y_axis():
+    svg = cli.svg_plot([0, 1], {"a": [2.0, 2.0]})
+    assert 'points="50.00,370.00 590.00,370.00"' in svg
+    assert ">2</text>" in svg and ">3</text>" in svg
+
+
 def test_weighted_model_from_config(tmp_path):
     code, out = run(tmp_path, "gram",
                     "model = weighted_fbm\nH = 0.75\nN = 4\n"
@@ -973,7 +988,7 @@ def test_domain_diagnostic_contract_generator_converges(tmp_path):
     assert code == 0
     sums = np.array([float(row["S_K"]) for row in read_csv(out / "domain_diagnostic.csv")])
     ctx = cli.gram_from_config(cli.resolve("domain-diagnostic", {"H": "0.3", "N": "8"}))
-    f = 0.5 * ctx.unit(ctx.indicator(ctx.grid.points[1]))
+    f = 0.5 * ctx.unit(ctx.grid.indicator(ctx.grid.points[1]))
     rho = ctx.norm_sq(TruncationOperator(ctx, ctx.grid.points[4]).forward(f))
     assert sums.size == 21
     assert np.all(np.isfinite(sums))

@@ -108,7 +108,7 @@ def test_indicator_quadratic_form_reproduces_covariance(model):
     for ti in grid.points[1:]:
         for tj in grid.points[1:]:
             want = model.cov(ti, tj)
-            got = ctx.inner(ctx.indicator(ti), ctx.indicator(tj))
+            got = ctx.inner(ctx.grid.indicator(ti), ctx.grid.indicator(tj))
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
@@ -148,7 +148,7 @@ def test_weighted_fbm_quadratic_form():
     ctx = build_gram(model, grid)
     for t in grid.points[1:]:
         assert model.cov(t, t) == pytest.approx(
-            ctx.inner(ctx.indicator(t), ctx.indicator(t)), rel=1e-12)
+            ctx.inner(ctx.grid.indicator(t), ctx.grid.indicator(t)), rel=1e-12)
 
 
 def test_weighted_fbm_guards():
@@ -235,7 +235,7 @@ def test_cameron_martin_pairing():
     h = np.random.default_rng(3).standard_normal(7)
     cm = ctx.cameron_martin(h)
     for i, t in enumerate(ctx.grid.points):
-        want = ctx.inner(ctx.indicator(t), h) if t > 0 else 0.0
+        want = ctx.inner(ctx.grid.indicator(t), h) if t > 0 else 0.0
         assert cm[i] == pytest.approx(want, abs=1e-12)
 
 

@@ -42,11 +42,11 @@ def test_truncate_basis_vectors(fbm_ctx):
 
 def test_truncate_indicator(fbm_ctx):
     op = TruncationOperator(fbm_ctx, 0.5)
-    got = op.forward(fbm_ctx.indicator(0.875))
-    assert np.array_equal(got, fbm_ctx.indicator(0.5))
+    got = op.forward(fbm_ctx.grid.indicator(0.875))
+    assert np.array_equal(got, fbm_ctx.grid.indicator(0.5))
     # t <= r is untouched
-    got2 = op.forward(fbm_ctx.indicator(0.25))
-    assert np.array_equal(got2, fbm_ctx.indicator(0.25))
+    got2 = op.forward(fbm_ctx.grid.indicator(0.25))
+    assert np.array_equal(got2, fbm_ctx.grid.indicator(0.25))
 
 
 def test_bm_adjoint_equals_forward(bm_ctx):

@@ -26,7 +26,7 @@ from wickgrid import (
     rl_integral,
     uniform_mesh,
 )
-from wickgrid.errors import GridAlignmentError, ParameterError, RegimeError
+from wickgrid.errors import CalibrationError, GridAlignmentError, ParameterError, RegimeError
 from wickgrid.fraccalc import (
     _2f1_array_near_one,
     _appendix_profile,
@@ -473,6 +473,13 @@ def test_kstar_calibration_needs_two_distinct_targets():
     with pytest.raises(ParameterError, match="two distinct target times"):
         calibrate_c_h(0.3, TimeGrid.uniform(1, 1.0), m=100)
     assert calibrate_c_h(0.3, TimeGrid.uniform(2, 1.0), m=100)[1] > 0.0
+
+
+def test_kstar_calibration_on_a_coarse_mesh_is_a_calibration_error():
+    # four cells recover the indicators so unevenly that the per-target
+    # constants spread by 8.5%, past the 5% the fit admits
+    with pytest.raises(CalibrationError, match="indicator-recovery constants disagree by"):
+        calibrate_c_h(0.3, TimeGrid.uniform(8, 1.0), m=4)
 
 
 def test_calibrate_c_h_holds_one_copy_of_its_least_squares_matrix():

@@ -106,7 +106,7 @@ def test_shifted_process_value_closed_form(ctx, rng):
     c = rng.standard_normal(8)
     sc = ShiftContext(ctx, 0.5, c)
     for t in ctx.grid.points[1:]:
-        ind = ctx.indicator(t)
+        ind = ctx.grid.indicator(t)
         got = shifted_qce(sc, ChaosVector.first_chaos(ind))
         # X_{t and r} - E[(X_t - X_{t and r}) I(c)]
         trunc = sc.op.forward(ind)
@@ -243,7 +243,7 @@ def test_domain_lower_bound_divergent(ctx):
 
 def test_domain_geometric_convergent(ctx):
     sc = ShiftContext(ctx, 0.5, None)
-    f = 0.5 * ctx.indicator(0.25) / ctx.norm(ctx.indicator(0.25))
+    f = 0.5 * ctx.grid.indicator(0.25) / ctx.norm(ctx.grid.indicator(0.25))
     rho = ctx.norm_sq(TruncationOperator(ctx, 0.5).forward(f))
     assert rho < 1.0
     diag = domain_diagnostic(sc, f, 20)
@@ -252,7 +252,7 @@ def test_domain_geometric_convergent(ctx):
     # bm: partial sums equal the squared norm of the truncated image
     bm = build_gram(BrownianMotion(), TimeGrid.uniform(8))
     sc_bm = ShiftContext(bm, 0.5, None)
-    g = 0.7 * bm.indicator(0.25) / bm.norm(bm.indicator(0.25))
+    g = 0.7 * bm.grid.indicator(0.25) / bm.norm(bm.grid.indicator(0.25))
     diag_bm = domain_diagnostic(sc_bm, g, 15)
     rho_bm = bm.norm_sq(TruncationOperator(bm, 0.5).forward(g))
     assert diag_bm.partial_sums[-1] == pytest.approx(np.sum(rho_bm ** np.arange(16)), rel=1e-11)

@@ -63,7 +63,7 @@ def test_plain_increment(ctx):
     assert len(out.terms) == 1
     alpha, f, g = out.terms[0]
     assert alpha == 0.0
-    assert np.array_equal(f, ctx.indicator_interval(0.25, 0.5))
+    assert np.array_equal(f, ctx.grid.indicator_interval(0.25, 0.5))
     assert np.array_equal(g, np.zeros(8))
 
 
@@ -97,7 +97,7 @@ def test_skorokhod_simple_s_identity_property(case):
 
 def test_martingale_adapted_trace_vanishes():
     ctx = build_gram(BrownianMotion(), TimeGrid.uniform(8))
-    Z = SimpleIntegrand(ctx, [(0.5, 0.75, WickCombo.exponential(ctx.indicator(0.25)))])
+    Z = SimpleIntegrand(ctx, [(0.5, 0.75, WickCombo.exponential(ctx.grid.indicator(0.25)))])
     out = skorokhod_simple(Z)
     assert out.terms[0][0] == pytest.approx(0.0, abs=1e-15)
 
@@ -105,7 +105,7 @@ def test_martingale_adapted_trace_vanishes():
 def test_memory_trace_term(ctx):
     # nonadapted coefficient picks up -E[X_u (X_b - X_a)]
     u, a, b = 0.875, 0.25, 0.5
-    Z = SimpleIntegrand(ctx, [(a, b, WickCombo.exponential(ctx.indicator(u)))])
+    Z = SimpleIntegrand(ctx, [(a, b, WickCombo.exponential(ctx.grid.indicator(u)))])
     out = skorokhod_simple(Z)
     model = ctx.model
     want = -(model.cov(u, b) - model.cov(u, a))
@@ -138,20 +138,20 @@ def test_s_transform_identity(H, rng):
 
 
 def test_s_identity_deviation_of_a_nan_integrand_is_nan(ctx):
-    Z = SimpleIntegrand(ctx, [(0.25, 0.5, WickCombo.exponential(ctx.indicator(0.875))),
+    Z = SimpleIntegrand(ctx, [(0.25, 0.5, WickCombo.exponential(ctx.grid.indicator(0.875))),
                               (0.5, 0.75, WickCombo.exponential(np.zeros(8), alpha=math.nan))])
     assert math.isnan(verify_s_transform_identity(Z, 3, seed=0))
 
 
 @pytest.mark.parametrize("trials", [0, -3])
 def test_s_identity_check_needs_a_trial(ctx, trials):
-    Z = SimpleIntegrand(ctx, [(0.25, 0.5, WickCombo.exponential(ctx.indicator(0.875)))])
+    Z = SimpleIntegrand(ctx, [(0.25, 0.5, WickCombo.exponential(ctx.grid.indicator(0.875)))])
     with pytest.raises(ParameterError, match="trials"):
         verify_s_transform_identity(Z, trials, seed=0)
 
 
 def test_s_identity_at_zero_direction(ctx):
-    Z = SimpleIntegrand(ctx, [(0.25, 0.5, WickCombo.exponential(ctx.indicator(0.875)))])
+    Z = SimpleIntegrand(ctx, [(0.25, 0.5, WickCombo.exponential(ctx.grid.indicator(0.875)))])
     out = skorokhod_simple(Z)
     assert out.s(ctx, np.zeros(8)) == pytest.approx(0.0, abs=1e-14)
 
@@ -162,7 +162,7 @@ def test_s_identity_at_zero_direction(ctx):
 
 def test_deterministic_slot_gives_first_chaos(ctx, rng):
     g = rng.standard_normal(8)
-    out = skorokhod_chaos(ChaosField.deterministic(ctx, g), 0.0, 1.0)
+    out = skorokhod_chaos(ChaosField(ctx, [g]), 0.0, 1.0)
     assert np.allclose(out.coeffs[1].dense, g)
     assert out.expectation() == 0.0
 
@@ -235,9 +235,9 @@ def test_chaos_divergence_is_built_directly_with_the_bits_of_the_zero_padded_rou
 def test_cm_pathwise_deterministic(ctx, rng):
     g = rng.standard_normal(8)
     c = rng.standard_normal(8)
-    out = cm_pathwise_integral(ChaosField.deterministic(ctx, g), c, 0.0, 1.0)
+    out = cm_pathwise_integral(ChaosField(ctx, [g]), c, 0.0, 1.0)
     assert out.expectation() == pytest.approx(ctx.inner(g, c), rel=1e-12)
-    zero = cm_pathwise_integral(ChaosField.deterministic(ctx, g), np.zeros(8), 0.0, 1.0)
+    zero = cm_pathwise_integral(ChaosField(ctx, [g]), np.zeros(8), 0.0, 1.0)
     assert zero.l2_norm_sq(ctx) == 0.0
 
 
