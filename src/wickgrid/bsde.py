@@ -45,6 +45,7 @@ __all__ = [
     "integrating_factor",
     "represent_Y",
     "represent_solution",
+    "xi_shifted",
     "wick_exponential_solution",
     "verify_solution_weak",
     "NonexistenceCertificate",
@@ -425,8 +426,10 @@ def example33_residual(H: float, grid_sizes: Sequence[int], T: float = 1.0) -> E
     H <= 1/4, where the integrand leaves the deterministic-integrand space.
     """
     ns = np.asarray(list(grid_sizes), dtype=int)
-    if ns.size < 2:
-        raise ParameterError("need at least two grid sizes to fit a slope")
+    distinct = np.unique(ns).size
+    if distinct < 2:
+        raise ParameterError(f"need at least two grid sizes to fit a slope, got {distinct} "
+                             "distinct")
     res = np.array([math.sqrt(_example33_residual_sq(H, int(n), T)) for n in ns])
     slope = float(np.polyfit(np.log(ns.astype(float)), np.log(res), 1)[0])
     return Example33Report(H=float(H), T=float(T), grid_sizes=ns,

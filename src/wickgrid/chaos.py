@@ -527,7 +527,8 @@ def random_chaos(rng: np.random.Generator, n: int, order: int) -> ChaosVector:
 def chaos_inner(ctx: GramContext, xi: ChaosVector, eta: ChaosVector) -> float:
     """E[xi eta] = sum_k k! <f_k, h_k> over the orders both vectors hold, the
     terms added by _sum; a contraction past the double range reads inf or nan
-    without a warning."""
+    without a warning, and a shared order past MAX_SERIES_ORDER is refused."""
+    _check_series_order(min(xi.max_order, eta.max_order))
     return _sum([math.factorial(k) * tensor_inner(ctx, f, g)
                  for k, (f, g) in enumerate(zip(xi.coeffs, eta.coeffs))])
 

@@ -630,6 +630,7 @@ def test_each_error_class_exits_1_with_its_stderr_prefix(tmp_path, monkeypatch, 
      "pairing order 169 overflows a double"),
     ("skorokhod-check", "T = 1e30\n", "overflows a double in e^<g, h>"),
     ("qce-check", "c_scale = 1e5\n", "overflows a double in e^<g, h>"),
+    ("example33", "H_list = 0.3\nN_list = 16, 16\n", "need at least two grid sizes"),
 ])
 def test_input_errors_of_the_layers_are_config_errors(tmp_path, capfd, experiment, cfg, message):
     # a < b and the singular Gram of T = 1e-300 printed "error:"; H_kstar =
@@ -637,7 +638,8 @@ def test_input_errors_of_the_layers_are_config_errors(tmp_path, capfd, experimen
     # nan blamed t_0, and T = inf warned first; w * x ** k in GramImage.s
     # raised a bare OverflowError, "error: (34, 'Numerical result out of
     # range')", and so did e^<g, h> of the S-identity check at T = 1e30 and
-    # of qce-check's Wick factor at c_scale = 1e5, "error: math range error".
+    # of qce-check's Wick factor at c_scale = 1e5, "error: math range error";
+    # N_list = 16, 16 exited 0 with a RankWarning and a slope through one point.
     # capfd reads the descriptor, so a LAPACK line would show
     code, out = run(tmp_path, experiment, cfg, seed=1)
     assert code == 1

@@ -21,6 +21,7 @@ from wickgrid import (
     WickCombo,
     build_gram,
     calibrate_c_h,
+    chaos_inner,
     cm_truncate_fbm_high,
     contract_with_shift,
     domain_diagnostic,
@@ -81,12 +82,23 @@ REFUSALS = {
                               UnsupportedOperationError, "needs positive S-values"),
     "example33-one-grid": (lambda: example33_residual(0.5, [16]),
                            ParameterError, "need at least two grid sizes"),
+    # np.polyfit fitted a slope through one point and warned RankWarning
+    "example33-repeated-grid": (lambda: example33_residual(0.3, [16, 16]),
+                                ParameterError, "need at least two grid sizes"),
     "dense-dim-cap": (lambda: SymmetricTensor.from_dense(np.zeros(33)),
                       ShapeError, "dimension 33 exceeds cap 32"),
     "dense-hypercubic": (lambda: SymmetricTensor.from_dense(np.zeros((2, 3))),
                          ShapeError, "dense tensor must be hyper-cubic"),
     "powers-shape": (lambda: SymmetricTensor.from_powers(2, N, [1.0], np.zeros((2, N))),
                      ShapeError, "power sums need weights of shape (p,) and vectors (p, dim)"),
+    # math.factorial(171) * ... raised a bare OverflowError
+    **{f"chaos-{name}-past-order-170": (
+        lambda call=call: call(ChaosVector([SymmetricTensor.scalar(1.0, N)]
+                                           + [SymmetricTensor.zero(k, N) for k in range(1, 172)],
+                                           N)),
+        ParameterError, "K must be <= 170, got 171")
+       for name, call in [("inner", lambda xi: chaos_inner(CTX, xi, xi)),
+                          ("l2-norm", lambda xi: xi.l2_norm(CTX))]},
     "chaos-graded": (lambda: ChaosVector([SymmetricTensor.scalar(1.0, N)] * 2, N),
                      ShapeError, "coefficient list must be graded by order"),
     "combo-term-length": (lambda: WickCombo([(1.0, None, np.zeros(N - 1))], N),
