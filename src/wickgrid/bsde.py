@@ -304,7 +304,7 @@ def _verify_full_equation(problem: BSDEProblem, solution: BSDESolution,
                 "(multiplicative solutions)"
             )
         for j in range(1, n + 1):
-            q = float(ctx.G[j - 1] @ hc)        # <e_j, h + c>
+            q = float(ctx.G[j - 1].dot(hc)) + 0.0       # <e_j, h + c>, as pairings forms it
             u = Z.cell_s(ctx, j - 1, h)
             res = abs(math.log(s[j]) - math.log(s[j - 1])
                       - problem.a[j - 1] * dg[j - 1] - u * q / s[j - 1])

@@ -25,7 +25,7 @@ from typing import List
 
 import numpy as np
 
-from .covariance import GramContext
+from .covariance import GramContext, _dot
 from .errors import ParameterError, ShapeError, UnsupportedOperationError
 
 __all__ = [
@@ -282,11 +282,13 @@ class SymmetricTensor:
 class GramImage:
     """Gram image G w of one direction w, formed once and paired many times.
 
-    Each pairing is a per-row dot v @ G w and each power a Python float power
-    (a matrix product over all rows, or a numpy power, rounds differently), so
-    every value is bit-identical to a per-tensor contraction.  Rows that
-    several orders share are paired once through the chain's pairing plan
-    (`ChaosVector.pairing_plan`), not here.
+    Each pairing is a per-row dot v @ G w, formed by ndarray.dot (the BLAS
+    call of @ without its dispatch) plus 0.0 (the +0.0 that @ adds a
+    one-element product to; covariance._dot), and each power a Python float
+    power (a matrix product over all rows, or a numpy power, rounds
+    differently), so every value is bit-identical to a per-tensor
+    contraction.  Rows that several orders share are paired once through the
+    chain's pairing plan (`ChaosVector.pairing_plan`), not here.
     """
 
     __slots__ = ("gw", "col")
@@ -294,12 +296,13 @@ class GramImage:
     def __init__(self, ctx: GramContext, w):
         w = np.asarray(w, dtype=float)
         _require_grid(ctx, w.shape, "direction")
-        self.gw = ctx.G @ w
+        self.gw = _dot(ctx.G, w)
         self.col = self.gw.reshape(-1, 1)
 
     def pairings(self, vectors: np.ndarray) -> List[float]:
         """<v, w> through the Gram matrix for each row v of `vectors`."""
-        return [float(v @ self.gw) for v in vectors]
+        gw = self.gw
+        return [float(v.dot(gw)) + 0.0 for v in vectors]
 
     def terms(self, f: SymmetricTensor, times: int) -> List[float]:
         """w_i <v_i, w>^times for the terms w_i v_i^(x k) of f; a power past the
@@ -345,16 +348,17 @@ class GramImage:
         order, read from its pairing plan (`ChaosVector.pairing_plan`).
 
         Each distinct row of its one-row power sums is paired once, as the
-        float(v @ gw) that pairings forms, and raised per order by Python's
-        float pow; every other coefficient is paired as pair pairs it, a dense
-        one by the dot products of contract on the same operand shapes,
-        under this call's one errstate.  Each summand is the double pair(f)
-        gives, up to the sign of a zero, which fsum drops, and is written at
-        its order.  Whether fsum overflows on an intermediate sum depends on
-        the order of its inputs, so one _sum in coefficient order gives the
-        bits of the _sum of pair(f) over the coefficients.  A power past the
-        double range is a ParameterError naming its order, raised at the
-        first vector that holds one.
+        float(v.dot(gw)) + 0.0 that pairings forms, and raised per order by
+        Python's float pow; every other coefficient is paired as pair pairs
+        it, an order-0 one read as its value and a dense one by the dot
+        products of contract on the same operand shapes, under this call's
+        one errstate.  Each summand is the double pair(f) gives, up to the
+        sign of a zero, which fsum drops, and is written at its order.
+        Whether fsum overflows on an intermediate sum depends on the order of
+        its inputs, so one _sum in coefficient order gives the bits of the
+        _sum of pair(f) over the coefficients.  A power past the double range
+        is a ParameterError naming its order, raised at the first vector that
+        holds one.
         """
         gw, col = self.gw, self.col
         n = gw.size
@@ -367,7 +371,9 @@ class GramImage:
             terms = [0.0] * len(xi.coeffs)
             for f in rest:
                 k, t = f.order, f.dense
-                if k and t is not None:         # the steps of contract, no reshape between
+                if not k:
+                    terms[0] = float(t)
+                elif t is not None:             # the steps of contract, no reshape between
                     for _ in range(k):
                         t = t.reshape(-1, n).dot(col)
                     terms[k] = t.item()
@@ -375,7 +381,7 @@ class GramImage:
                     terms[k] = self.pair(f)
             try:
                 for v, weights, orders in rows:
-                    x = float(v @ gw)
+                    x = float(v.dot(gw)) + 0.0
                     for w, k in zip(weights, orders):
                         terms[k] = w * x ** k
             except OverflowError:
@@ -516,7 +522,10 @@ class ChaosVector:
 
 
 def random_chaos(rng: np.random.Generator, n: int, order: int) -> ChaosVector:
-    """Dense chaos vector: a normal f_0, then each f_k symmetrized from an (n,)*k normal draw."""
+    """Dense chaos vector: a normal f_0, then each f_k symmetrized from an (n,)*k
+    normal draw.  A negative order is a ParameterError."""
+    if order < 0:
+        raise ParameterError(f"chaos order must be >= 0, got {order}")
     coeffs = [SymmetricTensor.scalar(float(rng.standard_normal()), n)]
     for k in range(1, order + 1):
         coeffs.append(SymmetricTensor.from_dense(symmetrize_full(rng.standard_normal((n,) * k))))

@@ -279,7 +279,9 @@ class GramContext:
 
     # -- basic geometry ----------------------------------------------------
     def inner(self, u, v) -> float:
-        return float(np.asarray(u) @ self.G @ np.asarray(v))
+        # u @ G @ v, left to right, by ndarray.dot (see _dot); + 0.0 is the
+        # +0.0 that @ adds a one-element product to
+        return float(np.asarray(u).dot(self.G).dot(np.asarray(v))) + 0.0
 
     def norm_sq(self, u) -> float:
         return max(self.inner(u, u), 0.0)
@@ -320,6 +322,19 @@ class GramContext:
     def __repr__(self) -> str:
         return (f"GramContext({self.model!r}, n={self.n}, "
                 f"cond={self.cond_estimate:.2e})")
+
+
+def _dot(M: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """M @ x of a float64 matrix and vector by ndarray.dot: the BLAS call
+    (dgemv) that @ makes, without the ~1 us dispatch of the matmul gufunc, so
+    every entry keeps its bits.  On one-element operands np.dot multiplies the
+    two entries, where @ adds their product to +0.0; that sum is formed here
+    too, so a -0.0 product reads +0.0 as it does through @.
+    """
+    y = M.dot(x)
+    if y.size == 1:
+        y += 0.0
+    return y
 
 
 def _require_pd(lam: np.ndarray) -> None:

@@ -16,7 +16,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .covariance import GramContext, _inv_sqrt
+from .covariance import GramContext, _dot, _inv_sqrt
 from .errors import DegenerateSplitError, MartingaleCaseError, ParameterError
 
 __all__ = [
@@ -52,7 +52,7 @@ class TruncationOperator:
         return out
 
     def adjoint(self, x: np.ndarray) -> np.ndarray:
-        return self.adjoint_matrix @ np.asarray(x, dtype=float)
+        return _dot(self.adjoint_matrix, np.asarray(x, dtype=float))
 
 
 @dataclass

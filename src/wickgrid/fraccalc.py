@@ -42,12 +42,21 @@ __all__ = [
 ]
 
 
+def _check_cells(m: int) -> None:
+    if m < 1:
+        raise ParameterError(f"a mesh needs m >= 1 cells, got m = {m}")
+
+
 def uniform_mesh(m: int, T: float = 1.0) -> np.ndarray:
+    """m equal cells on [0, T]; m < 1 is a ParameterError."""
+    _check_cells(m)
     return np.linspace(0.0, T, m + 1)
 
 
 def cosine_mesh(m: int, T: float = 1.0) -> np.ndarray:
-    """Quadratic clustering at both endpoints (Chebyshev extrema)."""
+    """Quadratic clustering at both endpoints (Chebyshev extrema); m < 1 is a
+    ParameterError."""
+    _check_cells(m)
     return 0.5 * T * (1.0 - np.cos(np.pi * np.arange(m + 1) / m))
 
 

@@ -98,7 +98,7 @@ def shifted_qce(sc: ShiftContext, xi: ChaosVector) -> ChaosVector:
             scalars[f.order] = float(f.contract_last(image, f.order).dense)
             xs[f.order] = image.pairings(f.vectors) if f.is_powers else []
         for v, weights, orders in rows:
-            x = float(v @ image.gw)
+            x = float(v.dot(image.gw)) + 0.0
             for w, k in zip(weights, orders):
                 scalars[k] = w * x ** k
                 xs[k] = [x]
@@ -275,11 +275,12 @@ def domain_diagnostic(sc: ShiftContext, f, K_max: int) -> DomainDiagnostic:
     if not np.isfinite(f).all():
         raise ParameterError("direction f has a non-finite entry")
     n = sc.ctx.n
-    # every order holds the one row f, checked and stored once: no weight
-    # 1/sqrt(k!) with k <= 170 is zero, so from_powers keeps row itself
+    # every order holds the one row f, checked once here; no weight
+    # 1/sqrt(k!) with k <= 170 is zero, so each order is built on row itself
     row = SymmetricTensor.from_powers(1, n, [1.0], [f]).vectors
-    xi = ChaosVector([SymmetricTensor.scalar(1.0, n)] + [SymmetricTensor.from_powers(
-        k, n, [1.0 / math.sqrt(math.factorial(k))], row) for k in range(1, K_max + 1)], n)
+    xi = ChaosVector([SymmetricTensor.scalar(1.0, n)] + [SymmetricTensor(
+        k, n, weights=np.array([1.0 / math.sqrt(math.factorial(k))]), vectors=row)
+        for k in range(1, K_max + 1)], n)
     # |f~_k|^2 per order: a one-row order w v^(x k) has smax = |v| factored
     # out, so that C^k stays finite, as w (C^k) w with C = (v / smax) G (v /
     # smax)^T formed once per plan row, and smax^(2k) put back in log space
@@ -297,12 +298,16 @@ def domain_diagnostic(sc: ShiftContext, f, K_max: int) -> DomainDiagnostic:
             u = v[None] / smax
             C = u @ sc.ctx.G @ u.T
             for w, k in zip(np.array(weights)[:, None], orders):     # w of shape (1,)
-                base = max(float(w @ (C**k) @ w), 0.0)
+                # np.dot multiplies one-element operands where @ adds the
+                # product to +0.0; for this square with C^k >= +0 both give
+                # the same double
+                base = max(float(w.dot(C**k).dot(w)), 0.0)
                 if base:
                     log_val = math.log(base) + 2 * k * math.log(smax)
                     nrm_sq[k] = math.exp(log_val) if log_val < _LOG_OVERFLOW else math.inf
-    log_terms = np.array([gammaln(k + 1) + math.log(x) if x > 0 else -np.inf
-                          for k, x in enumerate(nrm_sq)])
+    log_factorials = gammaln(np.arange(1.0, K_max + 2.0)).tolist()
+    log_terms = np.array([lf + math.log(x) if x > 0 else -np.inf
+                          for lf, x in zip(log_factorials, nrm_sq)])
     log_sums = _prefix_logsumexp(log_terms)
     overflow = bool(np.any(log_sums > _LOG_OVERFLOW))
     # exp past the double range is inf; -inf - -inf where two terms vanish

@@ -80,14 +80,15 @@ def verify_s_transform_identity(Z: SimpleIntegrand, trials: int, seed: int) -> f
     _check_seed(seed)
     ctx = Z.ctx
     integral = skorokhod_simple(Z)
+    pieces = [(ctx.grid.indicator_interval(a, b), combo) for a, b, combo in Z.pieces]
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(int(trials)):
         h = rng.standard_normal(ctx.n)
         lhs = integral.s(ctx, h)
         rhs = 0.0
-        for a, b, combo in Z.pieces:
-            du = ctx.inner(ctx.grid.indicator_interval(a, b), h)
+        for u, combo in pieces:
+            du = ctx.inner(u, h)
             for alpha, _f, g in combo.terms:
                 rhs += alpha * _exp_pairing(ctx.inner(g, h)) * du
         worst = _worst(worst, abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))

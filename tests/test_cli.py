@@ -631,6 +631,9 @@ def test_each_error_class_exits_1_with_its_stderr_prefix(tmp_path, monkeypatch, 
     ("skorokhod-check", "T = 1e30\n", "overflows a double in e^<g, h>"),
     ("qce-check", "c_scale = 1e5\n", "overflows a double in e^<g, h>"),
     ("example33", "H_list = 0.3\nN_list = 16, 16\n", "need at least two grid sizes"),
+    ("frac-verify", "M = 0\n", "a mesh needs m >= 1 cells, got m = 0"),
+    ("bsde-solve", "xi_order = -1\n", "chaos order must be >= 0, got -1"),
+    ("bsde-verify", "xi_order = -1\n", "chaos order must be >= 0, got -1"),
 ])
 def test_input_errors_of_the_layers_are_config_errors(tmp_path, capfd, experiment, cfg, message):
     # a < b and the singular Gram of T = 1e-300 printed "error:"; H_kstar =
@@ -639,7 +642,10 @@ def test_input_errors_of_the_layers_are_config_errors(tmp_path, capfd, experimen
     # raised a bare OverflowError, "error: (34, 'Numerical result out of
     # range')", and so did e^<g, h> of the S-identity check at T = 1e30 and
     # of qce-check's Wick factor at c_scale = 1e5, "error: math range error";
-    # N_list = 16, 16 exited 0 with a RankWarning and a slope through one point.
+    # N_list = 16, 16 exited 0 with a RankWarning and a slope through one point;
+    # M = 0 warned on 0 / 0 and ran the 2F1 series on a NaN for 1.5 s before
+    # "error: hypergeometric series did not converge"; xi_order = -1 was read
+    # as 0 and exited 0.
     # capfd reads the descriptor, so a LAPACK line would show
     code, out = run(tmp_path, experiment, cfg, seed=1)
     assert code == 1

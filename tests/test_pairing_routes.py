@@ -20,9 +20,10 @@ from hypothesis.extra.numpy import arrays
 from scipy.special import gammaln
 
 from wickgrid import (BSDEProblem, ChaosVector, FractionalBrownianMotion, ShiftContext,
-                      SymmetricTensor, TimeGrid, WickCombo, build_gram, domain_diagnostic,
-                      escape_direction, random_chaos, represent_solution, s_transform, shifted_qce,
-                      symmetrize_full, verify_solution_weak, wick_exponential_solution)
+                      SymmetricTensor, TimeGrid, TruncationOperator, WickCombo, build_gram,
+                      domain_diagnostic, escape_direction, random_chaos, represent_solution,
+                      s_transform, shifted_qce, symmetrize_full, verify_solution_weak,
+                      wick_exponential_solution)
 from wickgrid.chaos import GramImage, _fold
 from wickgrid.errors import ParameterError
 
@@ -58,6 +59,34 @@ def mixed_chaos(draw):
             # the constructor keeps zero weights, as shifted_qce's one-row orders do
             coeffs.append(SymmetricTensor(k, dim, weights=np.array(weights), vectors=pool[rows]))
     return ChaosVector(coeffs, dim)
+
+
+def bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+@pytest.mark.parametrize("N", [1, 2, 5, 24, 64])
+def test_dot_products_keep_the_bits_of_matmul(N):
+    # the library pairs vectors through ndarray.dot; the @ spelling is the
+    # reference, as in pairing_oracle.  At N = 1 np.dot multiplies the two
+    # entries, where @ adds the product to +0.0, so the zero and -0.0
+    # vectors check the sign of a zero product
+    ctx = build_gram(FractionalBrownianMotion(0.7), TimeGrid.uniform(N))
+    rng = np.random.default_rng(N)
+    U = rng.standard_normal((N, 3))
+    V = np.vstack([rng.standard_normal((5, N)), np.zeros(N), np.full(N, -0.0)])
+    u, v, w = V[0], V[1], V[2]
+    for a, b in [(u, v), (w, w), (U[:, 0], U[:, 1]), (V[5], -np.abs(v)), (V[6], np.abs(v))]:
+        assert bits(ctx.inner(a, b)) == bits(float(a @ ctx.G @ b))     # U's columns strided
+    for r in ctx.grid.points[[0, (N + 1) // 2]]:
+        op = TruncationOperator(ctx, r)
+        for x in (u, -np.abs(u)):
+            assert np.array_equal(bits(op.adjoint(x)), bits(op.adjoint_matrix @ x))
+    for d in (w, V[6]):
+        image = GramImage(ctx, d)
+        assert np.array_equal(bits(image.gw), bits(ctx.G @ d))
+        assert np.array_equal(bits(image.pairings(V)),
+                              bits([float(x @ (ctx.G @ d)) for x in V]))
 
 
 @oracle_test

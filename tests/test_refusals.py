@@ -19,13 +19,16 @@ from wickgrid import (
     SymmetricTensor,
     TimeGrid,
     WickCombo,
+    appendix_reconstruction_check,
     build_gram,
     calibrate_c_h,
     chaos_inner,
     cm_truncate_fbm_high,
     contract_with_shift,
+    cosine_mesh,
     domain_diagnostic,
     example33_residual,
+    random_chaos,
     s_transform,
     sample_increments,
     uniform_mesh,
@@ -121,6 +124,17 @@ REFUSALS = {
                       GridAlignmentError, "0.05 is not a mesh node"),
     "high-truncation-at-zero": (lambda: cm_truncate_fbm_high(MESH, 0.0, 0.75),
                                 ParameterError, "r must not be 0"),
+    # cosine_mesh(0) warned on 0 / 0 and the appendix check then ran the whole
+    # 2F1 series budget on a NaN; cosine_mesh(-1) was empty and uniform_mesh(0)
+    # the one node [0.]
+    **{f"{name}-m-{m}": (lambda build=build, m=m: build(m),
+                         ParameterError, f"a mesh needs m >= 1 cells, got m = {m}")
+       for name, build in [("uniform-mesh", uniform_mesh), ("cosine-mesh", cosine_mesh),
+                           ("appendix", lambda m: appendix_reconstruction_check(0.2, 1.0, m))]
+       for m in (0, -1)},
+    # a negative order was read as 0
+    "random-chaos-negative-order": (lambda: random_chaos(np.random.default_rng(0), N, -1),
+                                    ParameterError, "chaos order must be >= 0, got -1"),
     # T = nan blamed t_0, and T = inf warned in linspace before it did
     **{f"uniform-T-{T}": (lambda T=T: TimeGrid.uniform(N, T), ParameterError, f"got T = {T!r}")
        for T in (np.nan, np.inf, 0.0, -1.0)},
