@@ -25,7 +25,7 @@ from typing import List
 
 import numpy as np
 
-from .covariance import GramContext, _dot
+from .covariance import GramContext, _check_int, _dot
 from .errors import ParameterError, ShapeError, UnsupportedOperationError
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "WickCombo",
     "tensor_inner",
     "wick_exponential_chaos",
-    "wick_truncation_tail_sq",
     "s_transform",
     "evaluate_chaos_on_sample",
     "symmetrize_full",
@@ -487,11 +486,6 @@ class ChaosVector:
             self._plan = (rest, list(rows.values()))
         return self._plan
 
-    def get(self, k: int) -> SymmetricTensor:
-        if k < len(self.coeffs):
-            return self.coeffs[k]
-        return SymmetricTensor.zero(k, self.dim)
-
     def add(self, other: "ChaosVector") -> "ChaosVector":
         """Orders both hold added; the longer vector's others kept as they are."""
         both = [f.add(g) for f, g in zip(self.coeffs, other.coeffs)]
@@ -547,18 +541,6 @@ def wick_exponential_chaos(ctx: GramContext, h: np.ndarray, K: int) -> ChaosVect
     return WickCombo.exponential(h).to_chaos(ctx, K)
 
 
-def wick_truncation_tail_sq(ctx: GramContext, h: np.ndarray, K: int) -> float:
-    """Squared L2 error of the order-K truncation: sum_{k>K} |h|^{2k} / k!."""
-    _check_series_order(K)
-    x = ctx.norm_sq(h)
-    try:
-        partial = math.fsum(x**k / math.factorial(k) for k in range(K + 1))
-        return max(math.exp(x) - partial, 0.0)
-    except OverflowError:
-        raise ParameterError(f"the order-K tail at |h|^2 = {x:.6g}, K = {K} "
-                             "overflows a double") from None
-
-
 # ---------------------------------------------------------------------------
 # Wick-term algebra
 # ---------------------------------------------------------------------------
@@ -584,14 +566,6 @@ class WickCombo:
         g = np.asarray(g, dtype=float)
         return cls([(alpha, None, g)], g.size)
 
-    def expectation(self, ctx: GramContext) -> float:
-        out = 0.0
-        for alpha, f, g in self.terms:
-            out += alpha
-            if f is not None:
-                out += ctx.inner(f, g)
-        return out
-
     def s(self, ctx: GramContext, h) -> float:
         """Exact S-transform: sum (alpha + <f,h> + <f,g>) e^{<g,h>}."""
         h = np.asarray(h, dtype=float)
@@ -602,18 +576,6 @@ class WickCombo:
                 lin += ctx.inner(f, h) + ctx.inner(f, g)
             out += lin * _exp_pairing(ctx.inner(g, h))
         return out
-
-    def multiply_first_chaos(self, ctx: GramContext, x) -> "WickCombo":
-        """Multiply by I(x); only pure-exponential terms stay in the algebra."""
-        x = np.asarray(x, dtype=float)
-        new = []
-        for alpha, f, g in self.terms:
-            if f is not None and np.any(x != 0.0):
-                raise UnsupportedOperationError(
-                    "product of two first-chaos factors leaves the algebra"
-                )
-            new.append((0.0, alpha * x, g))
-        return WickCombo(new, self.dim)
 
     def multiply_exponential(self, ctx: GramContext, w) -> "WickCombo":
         """Multiply by e^(wick I(w)) using the product identity."""
@@ -660,6 +622,7 @@ class WickCombo:
         Pure-exponential terms expand in symmetric-power form at any K;
         terms with a first-chaos factor need dense storage (size-guarded).
         """
+        _check_int("K", K)
         if K < 0:
             raise ParameterError(f"K must be >= 0, got {K}")
         _check_series_order(K)
@@ -681,16 +644,6 @@ class WickCombo:
                     part = part.add(SymmetricTensor.from_dense(cross / math.factorial(k - 1)))
             coeffs.append(part)
         return ChaosVector(coeffs, self.dim)
-
-    def evaluate(self, ctx: GramContext, increments: np.ndarray) -> np.ndarray:
-        """Pathwise value on sampled increments (exact, no truncation)."""
-        X = np.atleast_2d(np.asarray(increments, dtype=float))
-        out = np.zeros(X.shape[0])
-        for alpha, f, g in self.terms:
-            expo = np.exp(X @ g - 0.5 * ctx.norm_sq(g))
-            lin = alpha if f is None else alpha + X @ f
-            out += lin * expo
-        return out if np.asarray(increments).ndim > 1 else out[0]
 
     def __repr__(self) -> str:
         return f"WickCombo(terms={len(self.terms)}, dim={self.dim})"

@@ -70,6 +70,7 @@ class TimeGrid:
 
     @classmethod
     def uniform(cls, n: int, T: float = 1.0) -> "TimeGrid":
+        _check_int("n", n)
         if n < 1:
             raise ParameterError(f"a uniform grid needs n >= 1 increments, got {n}")
         if not (math.isfinite(T) and T > 0.0):
@@ -77,7 +78,10 @@ class TimeGrid:
         return cls(np.linspace(0.0, T, n + 1))
 
     def refine(self, k: int = 2) -> "TimeGrid":
-        """Insert k-1 equally spaced nodes into every cell."""
+        """Insert k-1 equally spaced nodes into every cell; k must be an int >= 1."""
+        _check_int("k", k)
+        if k < 1:
+            raise ParameterError(f"refine needs k >= 1, got {k}")
         pts = self.points
         fine = np.concatenate(
             [np.linspace(pts[i], pts[i + 1], k, endpoint=False) for i in range(self.n)]
@@ -293,11 +297,6 @@ class GramContext:
         """v scaled to unit Gram norm; a zero vector stays zero."""
         return v / max(self.norm(v), 1e-300)
 
-    def cameron_martin(self, h: np.ndarray) -> np.ndarray:
-        """The function t_i -> E[X_{t_i} I(h)] at all grid nodes."""
-        pair = self.G @ np.asarray(h)
-        return np.concatenate([[0.0], np.cumsum(pair)])
-
     # -- factorizations ----------------------------------------------------
     @property
     def sample_factor(self) -> np.ndarray:
@@ -364,12 +363,18 @@ def build_gram(model, grid: TimeGrid) -> GramContext:
     return GramContext(model, grid, gram)
 
 
+def _check_int(name: str, value) -> None:
+    """A ParameterError naming `name` unless value is an int (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ParameterError(f"{name} must be an int, got {value!r}")
+
+
 def _check_seed(seed) -> None:
     """An int >= 0 or a np.random.Generator; else a ParameterError naming it."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer, np.random.Generator)):
-        raise ParameterError(f"seed must be an int, got {seed!r}")
-    if isinstance(seed, (int, np.integer)) and seed < 0:
-        raise ParameterError(f"seed must be >= 0, got {seed}")
+    if not isinstance(seed, np.random.Generator):
+        _check_int("seed", seed)
+        if seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {seed}")
 
 
 def _check_trials(trials) -> None:
@@ -388,6 +393,7 @@ def sample_increments(ctx: GramContext, n_paths: int, seed: int) -> np.ndarray:
     of a few rows round the product differently.  n_paths = 0 yields an
     empty (0, N) array.  A negative, bool or float seed is a ParameterError.
     """
+    _check_int("n_paths", n_paths)
     if n_paths < 0:
         raise ParameterError(f"n_paths must be >= 0, got {n_paths}")
     _check_seed(seed)

@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.special import beta as beta_fn
 from scipy.special import betainc, gamma as gamma_fn, gammaln, gammasgn
 
-from .covariance import GramContext, TimeGrid, _nearest_node
+from .covariance import TimeGrid, _check_int, _nearest_node
 from .errors import CalibrationError, GridAlignmentError, ParameterError, RegimeError
 
 __all__ = [
@@ -38,11 +37,11 @@ __all__ = [
     "cm_truncate_fbm_high",
     "kstar",
     "calibrate_c_h",
-    "hh_step_norm",
 ]
 
 
 def _check_cells(m: int) -> None:
+    _check_int("m", m)
     if m < 1:
         raise ParameterError(f"a mesh needs m >= 1 cells, got m = {m}")
 
@@ -75,17 +74,9 @@ class FuncOnGrid:
         self.values = v
 
     @classmethod
-    def from_callable(cls, fn: Callable, x) -> "FuncOnGrid":
-        x = np.asarray(x, dtype=float)
-        return cls(x, np.asarray(fn(x), dtype=float))
-
-    @classmethod
     def constant(cls, value: float, x) -> "FuncOnGrid":
         x = np.asarray(x, dtype=float)
         return cls(x, np.full(x.shape, float(value)))
-
-    def interp(self, t):
-        return np.interp(t, self.x, self.values)
 
     def index_of(self, t: float) -> int:
         i, ok = _nearest_node(self.x, np.asarray(t, dtype=float))
@@ -498,17 +489,6 @@ def kstar(g: FuncOnGrid, H: float, c_h: float, end_exponent: float = 0.0) -> Fun
     if g.x[0] == 0.0:
         vals[0] = vals[1]                 # t = 0 is outside the formula
     return FuncOnGrid(g.x, c_h * vals)
-
-
-def hh_step_norm(ctx: GramContext, f: FuncOnGrid) -> float:
-    """Gram norm of the step-function restriction of f to the context grid.
-
-    Step values are cell midpoints of f; this is the computable stand-in for
-    the deterministic-integrand norm of a continuous function.
-    """
-    pts = ctx.grid.points
-    mids = 0.5 * (pts[:-1] + pts[1:])
-    return ctx.norm(f.interp(mids))
 
 
 def calibrate_c_h(H: float, grid: TimeGrid, m: int = 600):

@@ -28,7 +28,6 @@ __all__ = [
     "verify_s_transform_identity",
     "skorokhod_chaos",
     "cm_pathwise_integral",
-    "simple_to_chaos_field",
 ]
 
 
@@ -151,17 +150,3 @@ def cm_pathwise_integral(Z: ChaosField, c, a: float, b: float) -> ChaosVector:
         coeffs.append(SymmetricTensor.from_dense(v) if k > 0
                       else SymmetricTensor.scalar(float(v), Z.dim))
     return ChaosVector(coeffs, Z.dim)
-
-
-def simple_to_chaos_field(Z: SimpleIntegrand, K: int) -> ChaosField:
-    """Truncate a simple integrand into slot-tensor form (for cross-checks)."""
-    ctx = Z.ctx
-    slots = [np.zeros((ctx.n,) * (k + 1)) for k in range(K + 1)]
-    for a, b, combo in Z.pieces:
-        u = ctx.grid.indicator_interval(a, b)
-        for alpha, _f, g in combo.terms:
-            gt = np.float64(alpha)
-            for k in range(K + 1):
-                slots[k] += np.multiply.outer(gt, u)
-                gt = np.multiply.outer(gt, g) / (k + 1)
-    return ChaosField(ctx, slots)

@@ -15,7 +15,7 @@ every call.  `add_padded` is `ChaosVector.add` as it was before it passed
 the longer vector's extra orders through: the shorter vector padded with
 empty power sums, each added onto fresh zeros.  `chaos_inner_padded` is
 `chaos_inner` as it was before it paired only the orders both vectors hold:
-each order the shorter vector lacks an empty power sum (`ChaosVector.get`).
+each order the shorter vector lacks an empty power sum (`get`).
 `domain_diagnostic` is the domain series as it was formed order by order:
 order 0 of the shifted chain folded from one contraction per coefficient
 (`shifted_qce_by_coefficient`), and each term from a rescaled power sum and
@@ -23,7 +23,10 @@ order 0 of the shifted chain folded from one contraction per coefficient
 them with ==, not a tolerance, and `assert_same_bits` also tells 0.0 from
 -0.0.
 
-The module also builds the chaos vectors those tests feed to both routes.
+The module also builds the chaos vectors those tests feed to both routes,
+and holds two independent routes that tests check the package against with a
+tolerance: `evaluate_combo`, the pathwise value of a Wick combo, and
+`simple_to_chaos_field`, a simple integrand truncated into slot tensors.
 """
 
 import math
@@ -32,6 +35,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from wickgrid import (
+    ChaosField,
     ChaosVector,
     DomainDiagnostic,
     ShiftContext,
@@ -101,15 +105,22 @@ def from_powers_by_mask(order, dim, weights, vectors):
     return SymmetricTensor(order, dim, weights=w[keep], vectors=V[keep])
 
 
+def get(xi, k):
+    """Coefficient k of xi, an empty power sum past its last order."""
+    if k < len(xi.coeffs):
+        return xi.coeffs[k]
+    return SymmetricTensor.zero(k, xi.dim)
+
+
 def add_padded(xi, eta):
     K = max(xi.max_order, eta.max_order)
-    return ChaosVector([xi.get(k).add(eta.get(k)) for k in range(K + 1)], xi.dim)
+    return ChaosVector([get(xi, k).add(get(eta, k)) for k in range(K + 1)], xi.dim)
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def chaos_inner_padded(ctx, xi, eta):
     K = max(xi.max_order, eta.max_order)
-    return _sum([math.factorial(k) * tensor_inner(ctx, xi.get(k), eta.get(k))
+    return _sum([math.factorial(k) * tensor_inner(ctx, get(xi, k), get(eta, k))
                  for k in range(K + 1)])
 
 
@@ -135,7 +146,7 @@ def shifted_qce(sc, xi):
     for n in range(K + 1):
         acc = SymmetricTensor.zero(n, xi.dim)
         for k in range(n, K + 1):
-            fk = xi.get(k)
+            fk = get(xi, k)
             term = contract_last(fk, sc.ctx, sc.c_r, fk.order - n).scaled(math.comb(k, n))
             acc = acc.add(term.project_coords(sc.m))
         out.append(merge_powers(acc))
@@ -233,7 +244,7 @@ def domain_diagnostic(sc, f, K_max):
     tilde = shifted_qce_by_coefficient(sc, xi)
     log_terms = np.full(K_max + 1, -np.inf)
     for k in range(K_max + 1):
-        nrm_sq = norm_sq_stable(sc.ctx, tilde.get(k))
+        nrm_sq = norm_sq_stable(sc.ctx, get(tilde, k))
         if nrm_sq > 0:
             log_terms[k] = gammaln(k + 1) + math.log(nrm_sq)
     log_sums = _prefix_logsumexp(log_terms)
@@ -310,6 +321,30 @@ def _field_cell_s(ctx, Z, cell, h):
                   else SymmetricTensor.from_dense(comp))
         total += pair_with_power(tensor, ctx, np.asarray(h, dtype=float))
     return total
+
+
+def evaluate_combo(ctx, combo, X):
+    """Pathwise value of a WickCombo on sampled increments X (one path a row),
+    exact, with no truncation."""
+    out = np.zeros(X.shape[0])
+    for alpha, f, g in combo.terms:
+        expo = np.exp(X @ g - 0.5 * ctx.norm_sq(g))
+        out += (alpha if f is None else alpha + X @ f) * expo
+    return out
+
+
+def simple_to_chaos_field(Z, K):
+    """A simple integrand truncated at order K into slot-tensor form."""
+    ctx = Z.ctx
+    slots = [np.zeros((ctx.n,) * (k + 1)) for k in range(K + 1)]
+    for a, b, combo in Z.pieces:
+        u = ctx.grid.indicator_interval(a, b)
+        for alpha, _f, g in combo.terms:
+            gt = np.float64(alpha)
+            for k in range(K + 1):
+                slots[k] += np.multiply.outer(gt, u)
+                gt = np.multiply.outer(gt, g) / (k + 1)
+    return ChaosField(ctx, slots)
 
 
 # ---------------------------------------------------------------------------

@@ -386,7 +386,7 @@ def test_full_verification_chaos_field_route(ctx, rng):
     for j in range(n):
         yj = sol.Y_nodes[j]
         for k in range(K + 1):
-            slots[k][..., j] = f[j] * yj.get(k).to_dense()
+            slots[k][..., j] = f[j] * oracle.get(yj, k).to_dense()
     sol_field = BSDESolution(Y_nodes=sol.Y_nodes, A=sol.A,
                              xi_tilde=sol.xi_tilde, Z=ChaosField(small, slots))
     assert verify_solution_weak(p, sol_field, trials=5, seed=2) <= 1e-6
@@ -683,6 +683,6 @@ def test_weak_residual_matches_reference_route_on_chaos_field_z(rng):
     slots = [np.zeros((n,) * (k + 1)) for k in range(K + 1)]
     for j in range(n):
         for k in range(K + 1):
-            slots[k][..., j] = sol.Z.cells[j][0] * sol.Y_nodes[j].get(k).to_dense()
+            slots[k][..., j] = sol.Z.cells[j][0] * oracle.get(sol.Y_nodes[j], k).to_dense()
     sol.Z = ChaosField(ctx, slots)
     assert verify_solution_weak(p, sol, 3, 1) == oracle.verify_solution_weak(p, sol, 3, 1)

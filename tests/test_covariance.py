@@ -230,15 +230,6 @@ def test_sampling_fbm_covariance_within_3se():
     assert np.all(np.abs(emp - ctx.G) <= 3 * se)
 
 
-def test_cameron_martin_pairing():
-    ctx = build_gram(FractionalBrownianMotion(0.3), TimeGrid.uniform(7))
-    h = np.random.default_rng(3).standard_normal(7)
-    cm = ctx.cameron_martin(h)
-    for i, t in enumerate(ctx.grid.points):
-        want = ctx.inner(ctx.grid.indicator(t), h) if t > 0 else 0.0
-        assert cm[i] == pytest.approx(want, abs=1e-12)
-
-
 def _scalar_loop_gram(model, grid):
     pts = grid.points.tolist()
     R = np.array([[model.cov(s, t) for t in pts] for s in pts])

@@ -476,7 +476,7 @@ def test_domain_terms_match_a_fresh_row_norm_per_order():
     tilde = shifted_qce(sc, long_chains(ctx, sc, 150)["chain"])
     got = domain_diagnostic(sc, escape_direction(sc), 150).log_terms
     for k in range(151):
-        nrm_sq = oracle.norm_sq_stable(ctx, tilde.get(k))
+        nrm_sq = oracle.norm_sq_stable(ctx, oracle.get(tilde, k))
         assert nrm_sq > 0 and got[k] == gammaln(k + 1) + math.log(nrm_sq)
 
 

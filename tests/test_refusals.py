@@ -34,6 +34,7 @@ from wickgrid import (
     uniform_mesh,
     verify_s_transform_identity,
     verify_solution_weak,
+    wick_exponential_chaos,
     wick_exponential_solution,
 )
 from wickgrid.bsde import WickZ
@@ -132,6 +133,22 @@ REFUSALS = {
        for name, build in [("uniform-mesh", uniform_mesh), ("cosine-mesh", cosine_mesh),
                            ("appendix", lambda m: appendix_reconstruction_check(0.2, 1.0, m))]
        for m in (0, -1)},
+    # a float count ended in a bare TypeError or was truncated
+    # (sample_increments drew 2 rows for 2.5), and a bool was read as 0 or 1
+    **{f"{name}-m-{m!r}": (lambda build=build, m=m: build(m),
+                           ParameterError, f"m must be an int, got {m!r}")
+       for name, build in [("uniform-mesh", uniform_mesh), ("cosine-mesh", cosine_mesh)]
+       for m in (2.5, True)},
+    "uniform-n-2.5": (lambda: TimeGrid.uniform(2.5), ParameterError, "n must be an int, got 2.5"),
+    "sample-n-paths-2.5": (lambda: sample_increments(CTX, 2.5, 1),
+                           ParameterError, "n_paths must be an int, got 2.5"),
+    "wick-exponential-K-2.5": (lambda: wick_exponential_chaos(CTX, np.ones(N), 2.5),
+                               ParameterError, "K must be an int, got 2.5"),
+    **{f"refine-k-{k!r}": (lambda k=k: GRID.refine(k), ParameterError, fragment)
+       for k, fragment in [(2.5, "k must be an int, got 2.5"),
+                           (True, "k must be an int, got True"),
+                           (0, "refine needs k >= 1, got 0"),
+                           (-1, "refine needs k >= 1, got -1")]},
     # a negative order was read as 0
     "random-chaos-negative-order": (lambda: random_chaos(np.random.default_rng(0), N, -1),
                                     ParameterError, "chaos order must be >= 0, got -1"),
