@@ -26,9 +26,9 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 # build_gram is unused here; perfbench/test_tracer.py checks the tracer rebinds bsde.build_gram
-from .covariance import (FractionalBrownianMotion, GramContext, TimeGrid, _check_seed,
-                         _check_trials, _gram_from_cov, build_gram)
-from .chaos import ChaosVector, GramImage, WickCombo
+from .covariance import (FractionalBrownianMotion, GramContext, TimeGrid, _check_count,
+                         _check_seed, _gram_from_cov, build_gram)
+from .chaos import MAX_SERIES_ORDER, ChaosVector, GramImage, WickCombo
 from .errors import ParameterError, ShapeError, UnsupportedOperationError, _worst
 from .firstchaos import operator_norm
 from .qce import (
@@ -235,9 +235,9 @@ def verify_solution_weak(problem: BSDEProblem, solution: BSDESolution,
     additionally checked per cell in multiplicative (log-S) form against the Z
     slot values at unshifted directions.  Each probe direction pairs the nodes
     its equations read in one `GramImage.s_values` call.  A negative, bool or
-    float seed is a ParameterError.
+    float seed is a ParameterError, as is a trials count that is not an int >= 1.
     """
-    _check_trials(trials)
+    _check_count("trials", trials, 1)
     _check_seed(seed)
     ctx = problem.ctx
     n = ctx.n
@@ -356,8 +356,7 @@ def nonexistence_certificate(sc: ShiftContext, a=None, G=None,
     On a martingale grid the construction refuses: the equation is well-posed
     there (time-changed Brownian representation), so no certificate exists.
     """
-    if K_max < 1:
-        raise ParameterError("K_max must be >= 1")
+    _check_count("K_max", K_max, 1, MAX_SERIES_ORDER)
     ctx = sc.ctx
     problem = BSDEProblem(ctx, a, ctx.grid.points, c=sc.c, G=G,
                           xi=ChaosVector.constant(0.0, ctx.n))
@@ -424,8 +423,12 @@ def example33_residual(H: float, grid_sizes: Sequence[int], T: float = 1.0) -> E
     The fitted log-log slope is ~ -1/2 at H = 1/2, negative while the
     quadratic-variation obstruction is absent, and levels off (>= 0) once
     H <= 1/4, where the integrand leaves the deterministic-integrand space.
+    Each grid size must be an int >= 1.
     """
-    ns = np.asarray(list(grid_sizes), dtype=int)
+    sizes = list(grid_sizes)
+    for i, n in enumerate(sizes):
+        _check_count(f"grid_sizes[{i}]", n, 1)
+    ns = np.asarray(sizes, dtype=int)
     distinct = np.unique(ns).size
     if distinct < 2:
         raise ParameterError(f"need at least two grid sizes to fit a slope, got {distinct} "

@@ -25,7 +25,7 @@ from typing import List
 
 import numpy as np
 
-from .covariance import GramContext, _check_int, _dot
+from .covariance import GramContext, _check_count, _dot
 from .errors import ParameterError, ShapeError, UnsupportedOperationError
 
 __all__ = [
@@ -49,12 +49,6 @@ _MAX_DENSE_SIZE = 4_000_000
 # 171! no longer converts to a double, so 1/k! and 1/sqrt(k!) have no value
 # beyond this order
 MAX_SERIES_ORDER = 170
-
-
-def _check_series_order(K: int) -> None:
-    if K > MAX_SERIES_ORDER:
-        raise ParameterError(f"K must be <= {MAX_SERIES_ORDER}, got {K}: k! overflows a "
-                             f"double beyond order {MAX_SERIES_ORDER}")
 
 
 def _check_dense_size(order: int, dim: int) -> None:
@@ -517,9 +511,9 @@ class ChaosVector:
 
 def random_chaos(rng: np.random.Generator, n: int, order: int) -> ChaosVector:
     """Dense chaos vector: a normal f_0, then each f_k symmetrized from an (n,)*k
-    normal draw.  A negative order is a ParameterError."""
-    if order < 0:
-        raise ParameterError(f"chaos order must be >= 0, got {order}")
+    normal draw.  n < 1 or a negative order is a ParameterError."""
+    _check_count("n", n, 1)
+    _check_count("order", order, 0, below="chaos order must be >= 0, got {value}")
     coeffs = [SymmetricTensor.scalar(float(rng.standard_normal()), n)]
     for k in range(1, order + 1):
         coeffs.append(SymmetricTensor.from_dense(symmetrize_full(rng.standard_normal((n,) * k))))
@@ -531,7 +525,7 @@ def chaos_inner(ctx: GramContext, xi: ChaosVector, eta: ChaosVector) -> float:
     """E[xi eta] = sum_k k! <f_k, h_k> over the orders both vectors hold, the
     terms added by _sum; a contraction past the double range reads inf or nan
     without a warning, and a shared order past MAX_SERIES_ORDER is refused."""
-    _check_series_order(min(xi.max_order, eta.max_order))
+    _check_count("K", min(xi.max_order, eta.max_order), 0, MAX_SERIES_ORDER)
     return _sum([math.factorial(k) * tensor_inner(ctx, f, g)
                  for k, (f, g) in enumerate(zip(xi.coeffs, eta.coeffs))])
 
@@ -622,10 +616,7 @@ class WickCombo:
         Pure-exponential terms expand in symmetric-power form at any K;
         terms with a first-chaos factor need dense storage (size-guarded).
         """
-        _check_int("K", K)
-        if K < 0:
-            raise ParameterError(f"K must be >= 0, got {K}")
-        _check_series_order(K)
+        _check_count("K", K, 0, MAX_SERIES_ORDER)
         bases = [alpha if f is None else alpha + ctx.inner(f, g)
                  for alpha, f, g in self.terms]
         # order k holds one row base_i / k! times g_i per term, in term order,

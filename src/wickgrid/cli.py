@@ -32,8 +32,8 @@ from .covariance import (
     SumModel,
     TimeGrid,
     WeightedFbm,
+    _check_count,
     _check_seed,
-    _check_trials,
     build_gram,
     sample_increments,
 )
@@ -390,7 +390,7 @@ def exp_jensen(cfg, seed):
 
 
 def exp_qce_check(cfg, seed):
-    _check_trials(cfg["trials"])
+    _check_count("trials", cfg["trials"], 1)
     sc = _shift_from_config(cfg)
     ctx, grid = sc.ctx, sc.ctx.grid
     if sc.m == grid.n:

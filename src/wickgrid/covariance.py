@@ -70,18 +70,14 @@ class TimeGrid:
 
     @classmethod
     def uniform(cls, n: int, T: float = 1.0) -> "TimeGrid":
-        _check_int("n", n)
-        if n < 1:
-            raise ParameterError(f"a uniform grid needs n >= 1 increments, got {n}")
+        _check_count("n", n, 1, below="a uniform grid needs n >= 1 increments, got {value}")
         if not (math.isfinite(T) and T > 0.0):
             raise ParameterError(f"a uniform grid needs a finite T > 0, got T = {T!r}")
         return cls(np.linspace(0.0, T, n + 1))
 
     def refine(self, k: int = 2) -> "TimeGrid":
         """Insert k-1 equally spaced nodes into every cell; k must be an int >= 1."""
-        _check_int("k", k)
-        if k < 1:
-            raise ParameterError(f"refine needs k >= 1, got {k}")
+        _check_count("k", k, 1, below="refine needs k >= 1, got {value}")
         pts = self.points
         fine = np.concatenate(
             [np.linspace(pts[i], pts[i + 1], k, endpoint=False) for i in range(self.n)]
@@ -363,23 +359,23 @@ def build_gram(model, grid: TimeGrid) -> GramContext:
     return GramContext(model, grid, gram)
 
 
-def _check_int(name: str, value) -> None:
-    """A ParameterError naming `name` unless value is an int (a bool is not)."""
+def _check_count(name: str, value, minimum: int, maximum=None, *,
+                 below: str = "{name} must be >= {minimum}, got {value}") -> None:
+    """A ParameterError naming `name` unless value is an int (a numpy integer
+    is, a bool is not) in [minimum, maximum].  `below` is the message for a
+    value under minimum, formatted with name, minimum and value."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ParameterError(f"{name} must be an int, got {value!r}")
+    if value < minimum:
+        raise ParameterError(below.format(name=name, minimum=minimum, value=value))
+    if maximum is not None and value > maximum:
+        raise ParameterError(f"{name} must be <= {maximum}, got {value}")
 
 
 def _check_seed(seed) -> None:
     """An int >= 0 or a np.random.Generator; else a ParameterError naming it."""
     if not isinstance(seed, np.random.Generator):
-        _check_int("seed", seed)
-        if seed < 0:
-            raise ParameterError(f"seed must be >= 0, got {seed}")
-
-
-def _check_trials(trials) -> None:
-    if trials < 1:
-        raise ParameterError("trials must be >= 1; with none nothing is checked")
+        _check_count("seed", seed, 0)
 
 
 def sample_increments(ctx: GramContext, n_paths: int, seed: int) -> np.ndarray:
@@ -393,9 +389,7 @@ def sample_increments(ctx: GramContext, n_paths: int, seed: int) -> np.ndarray:
     of a few rows round the product differently.  n_paths = 0 yields an
     empty (0, N) array.  A negative, bool or float seed is a ParameterError.
     """
-    _check_int("n_paths", n_paths)
-    if n_paths < 0:
-        raise ParameterError(f"n_paths must be >= 0, got {n_paths}")
+    _check_count("n_paths", n_paths, 0)
     _check_seed(seed)
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((int(n_paths), ctx.n))

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.special import beta as beta_fn
 from scipy.special import betainc, gamma as gamma_fn, gammaln, gammasgn
 
-from .covariance import TimeGrid, _check_int, _nearest_node
+from .covariance import TimeGrid, _check_count, _nearest_node
 from .errors import CalibrationError, GridAlignmentError, ParameterError, RegimeError
 
 __all__ = [
@@ -40,22 +40,19 @@ __all__ = [
 ]
 
 
-def _check_cells(m: int) -> None:
-    _check_int("m", m)
-    if m < 1:
-        raise ParameterError(f"a mesh needs m >= 1 cells, got m = {m}")
+_NO_CELLS = "a mesh needs m >= 1 cells, got m = {value}"
 
 
 def uniform_mesh(m: int, T: float = 1.0) -> np.ndarray:
     """m equal cells on [0, T]; m < 1 is a ParameterError."""
-    _check_cells(m)
+    _check_count("m", m, 1, below=_NO_CELLS)
     return np.linspace(0.0, T, m + 1)
 
 
 def cosine_mesh(m: int, T: float = 1.0) -> np.ndarray:
     """Quadratic clustering at both endpoints (Chebyshev extrema); m < 1 is a
     ParameterError."""
-    _check_cells(m)
+    _check_count("m", m, 1, below=_NO_CELLS)
     return 0.5 * T * (1.0 - np.cos(np.pi * np.arange(m + 1) / m))
 
 

@@ -22,8 +22,8 @@ from typing import List
 import numpy as np
 from scipy.special import gammaln
 
-from .covariance import GramContext
-from .chaos import (ChaosVector, GramImage, SymmetricTensor, _check_series_order, _fold,
+from .covariance import GramContext, _check_count
+from .chaos import (MAX_SERIES_ORDER, ChaosVector, GramImage, SymmetricTensor, _fold,
                     _require_grid, _zero_beyond, tensor_inner)
 from .errors import DegenerateSplitError, MartingaleCaseError, ParameterError, ShapeError
 from .firstchaos import SubspaceGeometry, TruncationOperator, _fix_sign, operator_norm
@@ -269,9 +269,7 @@ def domain_diagnostic(sc: ShiftContext, f, K_max: int) -> DomainDiagnostic:
     warning.  A term ratio is nan where both of its terms are 0.  A direction
     f with a non-finite entry is a ParameterError.
     """
-    if K_max < 0:
-        raise ParameterError("K_max must be >= 0")
-    _check_series_order(K_max)
+    _check_count("K_max", K_max, 0, MAX_SERIES_ORDER)
     if not np.isfinite(f).all():
         raise ParameterError("direction f has a non-finite entry")
     n = sc.ctx.n

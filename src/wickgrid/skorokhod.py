@@ -16,7 +16,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .covariance import GramContext, _check_seed, _check_trials
+from .covariance import GramContext, _check_count, _check_seed
 from .chaos import (ChaosVector, GramImage, SymmetricTensor, WickCombo, _exp_pairing,
                     sym_insert_last)
 from .errors import IntervalError, ParameterError, ShapeError, _worst
@@ -73,9 +73,10 @@ def verify_s_transform_identity(Z: SimpleIntegrand, trials: int, seed: int) -> f
 
     The right-hand side integrates the S-transformed integrand against the
     Cameron-Martin image of the probe direction; both sides are exact algebra,
-    so the deviation is pure roundoff.  A seed that is not an int >= 0 is a ParameterError.
+    so the deviation is pure roundoff.  A seed that is not an int >= 0 or a trials count
+    that is not an int >= 1 is a ParameterError.
     """
-    _check_trials(trials)
+    _check_count("trials", trials, 1)
     _check_seed(seed)
     ctx = Z.ctx
     integral = skorokhod_simple(Z)

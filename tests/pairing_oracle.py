@@ -46,7 +46,8 @@ from wickgrid import (
     wick_exponential_chaos,
 )
 from wickgrid.bsde import WickZ
-from wickgrid.chaos import GramImage, _check_series_order, _sum
+from wickgrid.chaos import MAX_SERIES_ORDER, GramImage, _sum
+from wickgrid.covariance import _check_count
 from wickgrid.errors import ParameterError, ShapeError, UnsupportedOperationError, _worst
 from wickgrid.qce import _LOG_OVERFLOW, _power_orders, _prefix_logsumexp
 
@@ -235,9 +236,7 @@ def domain_diagnostic(sc, f, K_max):
     """The domain series of the chain f^(x k) / sqrt(k!), its coefficients built
     by from_powers, its order 0 folded per coefficient and each term formed
     by norm_sq_stable; the prefix sums are the package's."""
-    if K_max < 0:
-        raise ParameterError("K_max must be >= 0")
-    _check_series_order(K_max)
+    _check_count("K_max", K_max, 0, MAX_SERIES_ORDER)
     n = sc.ctx.n
     xi = ChaosVector([SymmetricTensor.scalar(1.0, n)] + [SymmetricTensor.from_powers(
         k, n, [1.0 / math.sqrt(math.factorial(k))], [f]) for k in range(1, K_max + 1)], n)

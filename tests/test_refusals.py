@@ -1,9 +1,11 @@
 """Typed refusals of the public entry points, one table row per guard."""
 
+import re
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wickgrid import (
     BrownianMotion,
@@ -28,6 +30,7 @@ from wickgrid import (
     cosine_mesh,
     domain_diagnostic,
     example33_residual,
+    nonexistence_certificate,
     random_chaos,
     s_transform,
     sample_increments,
@@ -210,3 +213,65 @@ def test_a_bad_input_is_a_typed_error_naming_it(name):
         call()
     assert type(info.value) is error
     assert fragment in str(info.value)
+
+
+def sound_solution():
+    return BSDESolution(Y_nodes=[ONE] * (N + 1), A=np.ones(N + 1), xi_tilde=ONE)
+
+
+def one_piece():
+    return SimpleIntegrand(CTX, [(0.0, 0.5, WickCombo.exponential(np.ones(N)))])
+
+
+# one row per count site, named by its parameter: (call taking the count,
+# minimum, maximum or None)
+COUNTS = {
+    "n": (lambda n: TimeGrid.uniform(n), 1, None),
+    "k": (lambda k: GRID.refine(k), 1, None),
+    "n_paths": (lambda n_paths: sample_increments(CTX, n_paths, 1), 0, None),
+    "seed": (lambda seed: sample_increments(CTX, 2, seed), 0, None),
+    "m": (lambda m: uniform_mesh(m), 1, None),
+    "m-cosine": (lambda m: cosine_mesh(m), 1, None),
+    "K": (lambda K: WickCombo.exponential(np.ones(N)).to_chaos(CTX, K), 0, 170),
+    "K-wick-exponential": (lambda K: wick_exponential_chaos(CTX, np.ones(N), K), 0, 170),
+    # a float n or order ended in a bare TypeError, n = -1 in a bare
+    # ValueError, n = 0 built a vector of dimension 0 and True was read as 1
+    "n-random-chaos": (lambda n: random_chaos(np.random.default_rng(0), n, 1), 1, None),
+    "order": (lambda order: random_chaos(np.random.default_rng(0), N, order), 0, None),
+    # a float K_max ended in a bare TypeError, and True was read as 1
+    "K_max": (lambda K_max: domain_diagnostic(ShiftContext(CTX, 0.5), np.ones(N), K_max),
+              0, 170),
+    "K_max-certificate": (lambda K_max: nonexistence_certificate(ShiftContext(CTX, 0.5),
+                                                                 K_max=K_max), 1, 170),
+    # trials = 2.5 ran 2 trials and True ran 1
+    "trials": (lambda trials: verify_solution_weak(problem(), sound_solution(), trials, 0),
+               1, None),
+    "trials-s-identity": (lambda trials: verify_s_transform_identity(one_piece(), trials, 0),
+                          1, None),
+    # np.asarray(..., dtype=int) truncated 16.5 to 16 and read True as 1
+    "grid_sizes": (lambda n: example33_residual(0.5, [4, n]), 1, None),
+}
+
+
+def bad_counts(minimum, maximum):
+    """A float, an integral float, a bool and the ints just out of range."""
+    bad = [2.5, 3.0, np.float64(3.0), True, np.bool_(True), minimum - 1]
+    return bad if maximum is None else bad + [maximum + 1]
+
+
+@pytest.mark.parametrize("site", list(COUNTS))
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_a_count_that_is_no_int_in_range_is_a_parameter_error_naming_it(site, data):
+    call, minimum, maximum = COUNTS[site]
+    value = data.draw(st.sampled_from(bad_counts(minimum, maximum)), label="count")
+    with pytest.raises(ParameterError) as info:
+        call(value)
+    assert type(info.value) is ParameterError
+    assert re.search(rf"\b{site.split('-')[0]}\b", str(info.value))
+
+
+@pytest.mark.parametrize("site", list(COUNTS))
+def test_a_numpy_int_at_its_minimum_is_a_count(site):
+    call, minimum, _ = COUNTS[site]
+    call(np.int64(minimum))
